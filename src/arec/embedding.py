@@ -5,9 +5,9 @@ rows of their active categories, and continuous fields scale one learned
 vector by the normalized value.  All fields share the same output dimension
 so the crossing layer downstream can multiply rows elementwise.
 
-Two access paths exist: the per-example functions that the contracts and
-gradient checks exercise, and columnar batch functions used by the trainer.
-Both accumulate in the same order, so they agree exactly.
+Lookups run on columnar batches; `embed` is the one-example view of the
+same code.  `embed_batch` rejects indices outside a table and empty
+multi-valued fields, since numpy would otherwise wrap or divide by zero.
 """
 
 from __future__ import annotations
@@ -51,70 +51,6 @@ def init_embedding(schema: FeatureSchema, dim: int, rng: Rng) -> EmbeddingParams
 
 def zeros_like_embedding(params: EmbeddingParams) -> EmbeddingParams:
     return EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
-
-
-def _check_index(idx, table, field) -> int:
-    idx = int(idx)
-    if not 0 <= idx < table.shape[0]:
-        raise EncodingError(f"field {field}: index {idx} outside [0, {table.shape[0]})")
-    return idx
-
-
-def embed(example, params: EmbeddingParams) -> Tensor:
-    """Dense (n_fields, d) representation of one encoded example."""
-    rows = np.empty((params.n_fields, params.dim), dtype=np.float64)
-    for i, payload in enumerate(example.values):
-        table = params.tables[i]
-        if isinstance(payload, tuple):
-            idx = [_check_index(j, table, i) for j in payload]
-            rows[i] = table[idx].sum(axis=0) / len(idx)
-        elif isinstance(payload, (int, np.integer)):
-            rows[i] = table[_check_index(payload, table, i)]
-        else:
-            rows[i] = float(payload) * table
-    return rows
-
-
-def embed_backward(example, params: EmbeddingParams, upstream: Tensor):
-    """Sparse gradients of embed() w.r.t. the touched parameter rows.
-
-    Returns one entry per field: {row_index: (d,) grad} for categorical
-    kinds, a (d,) vector for continuous fields.  Rows that were not active
-    do not appear at all.
-    """
-    if upstream.shape != (params.n_fields, params.dim):
-        raise EncodingError(
-            f"upstream shape {upstream.shape} != ({params.n_fields}, {params.dim})"
-        )
-    grads = []
-    for i, payload in enumerate(example.values):
-        if isinstance(payload, tuple):
-            share = upstream[i] / len(payload)
-            rows = {}
-            for j in payload:
-                rows[int(j)] = rows.get(int(j), 0.0) + share
-            grads.append(rows)
-        elif isinstance(payload, (int, np.integer)):
-            grads.append({int(payload): upstream[i].copy()})
-        else:
-            grads.append(float(payload) * upstream[i])
-    return grads
-
-
-def densify_embedding_grads(sparse_grads, params: EmbeddingParams) -> EmbeddingParams:
-    """Scatter sparse per-row gradients into zero-filled full tables."""
-    dense = zeros_like_embedding(params)
-    for i, g in enumerate(sparse_grads):
-        if isinstance(g, dict):
-            for row, vec in g.items():
-                dense.tables[i][row] += vec
-        else:
-            dense.tables[i] += g
-    return dense
-
-
-# ---------------------------------------------------------------------------
-# columnar batch path
 
 
 @dataclass
@@ -189,6 +125,30 @@ class Columnar:
         return Columnar(fields=out, labels=self.labels[indices], n=len(self.labels[indices]))
 
 
+def _one_row(example) -> Columnar:
+    """One-row batch of `example`; each field's kind follows its payload type."""
+    fields = []
+    for payload in example.values:
+        if isinstance(payload, tuple):
+            fields.append(FieldColumn(
+                kind=MULTI_CATEGORICAL,
+                padded=np.array(payload, dtype=np.int64).reshape(1, -1),
+                counts=np.array([len(payload)], dtype=np.int64),
+            ))
+        elif isinstance(payload, (int, np.integer)):
+            fields.append(FieldColumn(kind=CATEGORICAL, idx=np.array([payload], dtype=np.int64)))
+        else:
+            fields.append(FieldColumn(kind=CONTINUOUS, vals=np.array([float(payload)])))
+    return Columnar(fields=fields, labels=np.array([float(example.label)]), n=1)
+
+
+def _check_rows(rows: np.ndarray, table: Tensor, field: int):
+    n_rows = table.shape[0]
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        bad = rows[(rows < 0) | (rows >= n_rows)].flat[0]
+        raise EncodingError(f"field {field}: index {bad} outside [0, {n_rows})")
+
+
 def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
     """(B, n_fields, d) embeddings for a columnar batch."""
     B = col.n
@@ -196,14 +156,23 @@ def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
     for i, fc in enumerate(col.fields):
         table = params.tables[i]
         if fc.kind == CATEGORICAL:
+            _check_rows(fc.idx, table, i)
             out[:, i, :] = table[fc.idx]
         elif fc.kind == MULTI_CATEGORICAL:
+            if B and fc.counts.min() < 1:
+                raise EncodingError(f"field {i}: multi-valued field with no indices")
+            _check_rows(fc.padded, table, i)  # padding slots hold 0, always in range
             gathered = table[fc.padded]  # (B, qmax, d)
             mask = (np.arange(fc.padded.shape[1]) < fc.counts[:, None])[:, :, None]
             out[:, i, :] = np.sum(gathered * mask, axis=1) / fc.counts[:, None]
         else:
             out[:, i, :] = fc.vals[:, None] * table[None, :]
     return out
+
+
+def embed(example, params: EmbeddingParams) -> Tensor:
+    """Dense (n_fields, d) representation of one encoded example."""
+    return embed_batch(_one_row(example), params)[0]
 
 
 def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tensor) -> EmbeddingParams:

@@ -6,11 +6,11 @@ vector.  The crossing branch forms elementwise products of every unordered
 field pair, scores each product with a small ReLU attention network, and
 pools the products by softmax weight into a single vector.
 
-Pooling and the softmax denominator use exact (correctly rounded) summation
-so the pooled vector does not depend on pair enumeration order; permuting
-the fields therefore leaves it bitwise unchanged.  The batched trainer path
-uses plain vectorized reductions and agrees with the per-example path to
-rounding error.
+Both branches run on (B, n, d) batches.  `ac_attention` scores one
+example's pairs with the same contraction, but takes its softmax denominator
+and pooled sum by exact (correctly rounded) summation, so its pooled vector
+does not depend on pair enumeration order: permuting the fields leaves it
+bitwise unchanged.  The batch path keeps plain vectorized reductions.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from .numerics import (
     DimensionError,
     Rng,
     Tensor,
-    matmul,
-    mm_nt,
-    mm_tn,
     relu,
-    softmax_backward,
     softmax_rows,
     softmax_rows_backward,
 )
@@ -139,13 +135,15 @@ def cross_pairs(emb: Tensor):
     return [(int(i), int(j), prods[p]) for p, (i, j) in enumerate(zip(iu, ju))]
 
 
-@dataclass
-class AcTrace:
-    phi: Tensor  # (m, d) pair products
-    z: Tensor  # (m, t) pre-activation scores
-    u: Tensor  # (m, t) relu(z)
-    weights: Tensor  # (m,) softmax over pair logits
-    pooled: Tensor  # (d,)
+def _pair_scores(phi: Tensor, params: AcParams):
+    """(z, relu(z), logits) of the scoring network over (B, m, d) pair products.
+
+    Each pair's logit is contracted on its own, so it does not depend on
+    where the pair sits in the enumeration.
+    """
+    z = np.einsum("bmd,td->bmt", phi, params.weight, optimize=False) + params.bias
+    u = relu(z)
+    return z, u, np.einsum("bmt,t->bm", u, params.proj, optimize=False)
 
 
 def ac_attention(pairs, params: AcParams):
@@ -158,43 +156,22 @@ def ac_attention(pairs, params: AcParams):
     if len(pairs) < 1:
         raise DomainError("attention over an empty pair set")
     phi = np.stack([p[2] for p in pairs])
-    trace = _ac_forward(phi, params)
-    return trace.weights, trace.pooled
-
-
-def _ac_forward(phi: Tensor, params: AcParams) -> AcTrace:
-    z = mm_nt(phi, params.weight) + params.bias  # (m, t)
-    u = relu(z)
-    logits = np.einsum("mt,t->m", u, params.proj, optimize=False)
-    ex = np.exp(logits - np.max(logits))
+    _, _, logits = _pair_scores(phi[None], params)
+    ex = np.exp(logits[0] - np.max(logits))
     weights = ex / math.fsum(ex)
     pooled = np.array([math.fsum(weights * phi[:, k]) for k in range(phi.shape[1])])
-    return AcTrace(phi=phi, z=z, u=u, weights=weights, pooled=pooled)
+    return weights, pooled
 
 
-def _ac_backward(trace: AcTrace, params: AcParams, d_pooled: Tensor):
-    """Gradients of the pooled vector path; returns (AcParams grads, d_phi)."""
-    phi, w = trace.phi, trace.weights
-    d_weights = np.einsum("md,d->m", phi, d_pooled, optimize=False)
-    d_logits = softmax_backward(w, d_weights)
-    du = d_logits[:, None] * params.proj[None, :]
-    dz = du * (trace.z > 0)
-    grads = AcParams(
-        weight=mm_tn(dz, phi),  # (t, d)
-        bias=dz.sum(axis=0),
-        proj=np.einsum("mt,m->t", trace.u, d_logits, optimize=False),
-    )
-    d_phi = matmul(dz, params.weight) + w[:, None] * d_pooled[None, :]
-    return grads, d_phi
-
-
-def _scatter_pair_grads(d_phi: Tensor, emb: Tensor, iu, ju) -> Tensor:
-    """Chain d/d_phi back onto the embedding rows that formed each product."""
-    d_emb = np.zeros_like(emb)
-    for p in range(len(iu)):
-        d_emb[iu[p]] += d_phi[p] * emb[ju[p]]
-        d_emb[ju[p]] += d_phi[p] * emb[iu[p]]
-    return d_emb
+@dataclass
+class AcTrace:
+    iu: np.ndarray
+    ju: np.ndarray
+    phi: Tensor  # (B, m, d) pair products
+    z: Tensor  # (B, m, t) pre-activation scores
+    u: Tensor  # (B, m, t) relu(z)
+    weights: Tensor  # (B, m) softmax over pair logits
+    pooled: Tensor  # (B, d)
 
 
 # ---------------------------------------------------------------------------
@@ -203,140 +180,24 @@ def _scatter_pair_grads(d_phi: Tensor, emb: Tensor, iu, ju) -> Tensor:
 
 @dataclass
 class MhsaTrace:
-    emb: Tensor
-    q: list  # per head (n, d_k)
+    emb: Tensor  # (B, n, d)
+    q: list  # per head (B, n, d_k)
     k: list
     v: list
-    att: list  # per head (n, n) softmax rows
-    concat: Tensor  # (n, H*d_k)
-    pre: Tensor  # (n, d) before relu
-    out: Tensor  # (n, d)
+    att: list  # per head (B, n, n) softmax rows
+    concat: Tensor  # (B, n, H*d_k)
+    pre: Tensor  # (B, n, d) before relu
+    out: Tensor  # (B, n, d)
 
 
-def mhsa_forward(emb: Tensor, params: MhsaParams):
-    """Internal representation: flattened relu(attention(emb) + residual)."""
-    trace = _mhsa_forward(emb, params)
-    return trace.out.reshape(-1), trace
-
-
-def _mhsa_forward(emb: Tensor, params: MhsaParams) -> MhsaTrace:
+def self_attention_batch(emb: Tensor, params: MhsaParams) -> MhsaTrace:
+    """Internal representation: relu(attention(emb) + residual), per field row."""
     scale = 1.0 / math.sqrt(params.head_dim)
     qs, ks, vs, atts, heads = [], [], [], [], []
     for h in range(params.n_heads):
-        q = matmul(emb, params.wq[h])
-        k = matmul(emb, params.wk[h])
-        v = matmul(emb, params.wv[h])
-        scores = mm_nt(q, k) * scale  # (n, n)
-        att = softmax_rows(scores)
-        heads.append(matmul(att, v))
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-        atts.append(att)
-    concat = np.concatenate(heads, axis=1)
-    pre = matmul(concat, params.wo) + matmul(emb, params.wres)
-    return MhsaTrace(emb=emb, q=qs, k=ks, v=vs, att=atts, concat=concat, pre=pre, out=relu(pre))
-
-
-def _mhsa_backward(trace: MhsaTrace, params: MhsaParams, d_out: Tensor):
-    """Gradients through the self-attention stack; returns (MhsaParams grads, d_emb)."""
-    emb = trace.emb
-    H, dk = params.n_heads, params.head_dim
-    scale = 1.0 / math.sqrt(dk)
-    d_pre = d_out * (trace.pre > 0)
-    grads = zeros_like_mhsa(params)
-    grads.wo = mm_tn(trace.concat, d_pre)
-    grads.wres = mm_tn(emb, d_pre)
-    d_emb = mm_nt(d_pre, params.wres)
-    d_concat = mm_nt(d_pre, params.wo)
-    for h in range(H):
-        d_head = d_concat[:, h * dk : (h + 1) * dk]
-        att, q, k, v = trace.att[h], trace.q[h], trace.k[h], trace.v[h]
-        d_att = mm_nt(d_head, v)
-        d_v = mm_tn(att, d_head)
-        d_scores = softmax_rows_backward(att, d_att) * scale
-        d_q = matmul(d_scores, k)
-        d_k = mm_tn(d_scores, q)
-        grads.wq[h] = mm_tn(emb, d_q)
-        grads.wk[h] = mm_tn(emb, d_k)
-        grads.wv[h] = mm_tn(emb, d_v)
-        d_emb = d_emb + mm_nt(d_q, params.wq[h]) + mm_nt(d_k, params.wk[h]) + mm_nt(d_v, params.wv[h])
-    return grads, d_emb
-
-
-# ---------------------------------------------------------------------------
-# combined branch interface
-
-
-@dataclass
-class BranchOutputs:
-    internal: Tensor  # (n*d,) flattened self-attention representation
-    crossed: Tensor  # (d,) pooled cross representation
-    pair_weights: Tensor  # (m,)
-
-
-@dataclass
-class BranchTrace:
-    mhsa: MhsaTrace
-    ac: AcTrace
-    iu: np.ndarray
-    ju: np.ndarray
-
-
-def branches_forward(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcParams):
-    iu, ju = pair_indices(emb.shape[0])
-    mhsa_tr = _mhsa_forward(emb, mhsa_params)
-    ac_tr = _ac_forward(emb[iu] * emb[ju], ac_params)
-    out = BranchOutputs(
-        internal=mhsa_tr.out.reshape(-1),
-        crossed=ac_tr.pooled,
-        pair_weights=ac_tr.weights,
-    )
-    return out, BranchTrace(mhsa=mhsa_tr, ac=ac_tr, iu=iu, ju=ju)
-
-
-def branch_backward(trace: BranchTrace, mhsa_params: MhsaParams, ac_params: AcParams,
-                    d_internal: Tensor, d_crossed: Tensor):
-    """Backward through both branches; returns (mhsa grads, ac grads, d_emb)."""
-    emb = trace.mhsa.emb
-    n, d = emb.shape
-    mhsa_grads, d_emb = _mhsa_backward(trace.mhsa, mhsa_params, d_internal.reshape(n, d))
-    ac_grads, d_phi = _ac_backward(trace.ac, ac_params, d_crossed)
-    d_emb = d_emb + _scatter_pair_grads(d_phi, emb, trace.iu, trace.ju)
-    return mhsa_grads, ac_grads, d_emb
-
-
-# ---------------------------------------------------------------------------
-# batched trainer path
-
-
-@dataclass
-class BatchBranchTrace:
-    emb: Tensor  # (B, n, d)
-    q: list
-    k: list
-    v: list
-    att: list  # per head (B, n, n)
-    concat: Tensor  # (B, n, H*d_k)
-    pre: Tensor  # (B, n, d)
-    out: Tensor
-    iu: np.ndarray
-    ju: np.ndarray
-    phi: Tensor  # (B, m, d)
-    z: Tensor  # (B, m, t)
-    u: Tensor
-    weights: Tensor  # (B, m)
-    pooled: Tensor  # (B, d)
-
-
-def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcParams) -> BatchBranchTrace:
-    B, n, d = emb.shape
-    scale = 1.0 / math.sqrt(mhsa_params.head_dim)
-    qs, ks, vs, atts, heads = [], [], [], [], []
-    for h in range(mhsa_params.n_heads):
-        q = np.einsum("bnd,dk->bnk", emb, mhsa_params.wq[h], optimize=False)
-        k = np.einsum("bnd,dk->bnk", emb, mhsa_params.wk[h], optimize=False)
-        v = np.einsum("bnd,dk->bnk", emb, mhsa_params.wv[h], optimize=False)
+        q = np.einsum("bnd,dk->bnk", emb, params.wq[h], optimize=False)
+        k = np.einsum("bnd,dk->bnk", emb, params.wk[h], optimize=False)
+        v = np.einsum("bnd,dk->bnk", emb, params.wv[h], optimize=False)
         scores = np.einsum("bik,bjk->bij", q, k, optimize=False) * scale
         att = softmax_rows(scores)
         heads.append(np.einsum("bij,bjk->bik", att, v, optimize=False))
@@ -346,21 +207,32 @@ def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcPa
         atts.append(att)
     concat = np.concatenate(heads, axis=2)
     pre = (
-        np.einsum("bnh,hd->bnd", concat, mhsa_params.wo, optimize=False)
-        + np.einsum("bnd,de->bne", emb, mhsa_params.wres, optimize=False)
+        np.einsum("bnh,hd->bnd", concat, params.wo, optimize=False)
+        + np.einsum("bnd,de->bne", emb, params.wres, optimize=False)
     )
-    out = relu(pre)
+    return MhsaTrace(emb=emb, q=qs, k=ks, v=vs, att=atts, concat=concat, pre=pre,
+                     out=relu(pre))
 
-    iu, ju = pair_indices(n)
-    phi = emb[:, iu, :] * emb[:, ju, :]  # (B, m, d)
-    z = np.einsum("bmd,td->bmt", phi, ac_params.weight, optimize=False) + ac_params.bias
-    u = relu(z)
-    logits = np.einsum("bmt,t->bm", u, ac_params.proj, optimize=False)
+
+# ---------------------------------------------------------------------------
+# both branches
+
+
+@dataclass
+class BatchBranchTrace:
+    mhsa: MhsaTrace
+    ac: AcTrace
+
+
+def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcParams) -> BatchBranchTrace:
+    mhsa = self_attention_batch(emb, mhsa_params)
+    iu, ju = pair_indices(emb.shape[1])
+    phi = emb[:, iu, :] * emb[:, ju, :]
+    z, u, logits = _pair_scores(phi, ac_params)
     weights = softmax_rows(logits)
     pooled = np.einsum("bm,bmd->bd", weights, phi, optimize=False)
     return BatchBranchTrace(
-        emb=emb, q=qs, k=ks, v=vs, att=atts, concat=concat, pre=pre, out=out,
-        iu=iu, ju=ju, phi=phi, z=z, u=u, weights=weights, pooled=pooled,
+        mhsa=mhsa, ac=AcTrace(iu=iu, ju=ju, phi=phi, z=z, u=u, weights=weights, pooled=pooled),
     )
 
 
@@ -372,20 +244,21 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
     d_pooled: (B, d) upstream on the pooled cross vector.
     Returns (mhsa grads, ac grads, d_emb (B, n, d)).
     """
-    emb = trace.emb
+    mt, at = trace.mhsa, trace.ac
+    emb = mt.emb
     B, n, d = emb.shape
     H, dk = mhsa_params.n_heads, mhsa_params.head_dim
     scale = 1.0 / math.sqrt(dk)
 
-    d_pre = d_internal.reshape(B, n, d) * (trace.pre > 0)
+    d_pre = d_internal.reshape(B, n, d) * (mt.pre > 0)
     mg = zeros_like_mhsa(mhsa_params)
-    mg.wo = np.einsum("bnh,bnd->hd", trace.concat, d_pre, optimize=False)
+    mg.wo = np.einsum("bnh,bnd->hd", mt.concat, d_pre, optimize=False)
     mg.wres = np.einsum("bnd,bne->de", emb, d_pre, optimize=False)
     d_emb = np.einsum("bne,de->bnd", d_pre, mhsa_params.wres, optimize=False)
     d_concat = np.einsum("bnd,hd->bnh", d_pre, mhsa_params.wo, optimize=False)
     for h in range(H):
         d_head = d_concat[:, :, h * dk : (h + 1) * dk]
-        att, q, k, v = trace.att[h], trace.q[h], trace.k[h], trace.v[h]
+        att, q, k, v = mt.att[h], mt.q[h], mt.k[h], mt.v[h]
         d_att = np.einsum("bik,bjk->bij", d_head, v, optimize=False)
         d_v = np.einsum("bij,bik->bjk", att, d_head, optimize=False)
         d_scores = softmax_rows_backward(att, d_att) * scale
@@ -400,21 +273,21 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
             + np.einsum("bnk,dk->bnd", d_v, mhsa_params.wv[h], optimize=False)
         )
 
-    d_weights = np.einsum("bmd,bd->bm", trace.phi, d_pooled, optimize=False)
-    d_logits = softmax_rows_backward(trace.weights, d_weights)
+    d_weights = np.einsum("bmd,bd->bm", at.phi, d_pooled, optimize=False)
+    d_logits = softmax_rows_backward(at.weights, d_weights)
     du = d_logits[:, :, None] * ac_params.proj[None, None, :]
-    dz = du * (trace.z > 0)
+    dz = du * (at.z > 0)
     ag = AcParams(
-        weight=np.einsum("bmt,bmd->td", dz, trace.phi, optimize=False),
+        weight=np.einsum("bmt,bmd->td", dz, at.phi, optimize=False),
         bias=dz.sum(axis=(0, 1)),
-        proj=np.einsum("bmt,bm->t", trace.u, d_logits, optimize=False),
+        proj=np.einsum("bmt,bm->t", at.u, d_logits, optimize=False),
     )
     d_phi = (
         np.einsum("bmt,td->bmd", dz, ac_params.weight, optimize=False)
-        + trace.weights[:, :, None] * d_pooled[:, None, :]
+        + at.weights[:, :, None] * d_pooled[:, None, :]
     )
-    for p in range(len(trace.iu)):
-        i, j = trace.iu[p], trace.ju[p]
+    for p in range(len(at.iu)):
+        i, j = at.iu[p], at.ju[p]
         d_emb[:, i, :] += d_phi[:, p, :] * emb[:, j, :]
         d_emb[:, j, :] += d_phi[:, p, :] * emb[:, i, :]
     return mg, ag, d_emb

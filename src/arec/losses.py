@@ -53,6 +53,12 @@ def logloss_grad(preds, labels) -> Tensor:
     return g * inside
 
 
+def logloss_d_logits(probs: Tensor, labels: Tensor) -> Tensor:
+    """d(logloss)/d(logits) of sigmoid probabilities; zero where the clamp is active."""
+    inside = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
+    return (probs - labels) * inside / len(probs)
+
+
 def similarity_loss(shared_a: Tensor, shared_v: Tensor) -> float:
     """Half mean squared distance between the two shared-domain feature batches."""
     a = np.atleast_2d(np.asarray(shared_a, dtype=np.float64))

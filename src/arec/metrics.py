@@ -72,15 +72,19 @@ class EvalReport:
         return f"{self.tag},{self.auc!r},{self.logloss!r},{self.n_pos},{self.n_neg}"
 
 
-def score_split(ops, params, examples, schema) -> np.ndarray:
-    """Predicted probabilities for a list of encoded examples, chunked."""
-    col = Columnar.from_examples(examples, schema)
+def score_columnar(ops, params, col: Columnar) -> np.ndarray:
+    """Predicted probabilities for every row of a columnar split, chunked."""
     out = np.empty(col.n, dtype=np.float64)
     for lo in range(0, col.n, _EVAL_CHUNK):
         chunk = col.take(np.arange(lo, min(lo + _EVAL_CHUNK, col.n)))
         probs, _, _ = ops.forward_batch(chunk, params)
         out[lo : lo + len(probs)] = probs
     return out
+
+
+def score_split(ops, params, examples, schema) -> np.ndarray:
+    """Predicted probabilities for a list of encoded examples, chunked."""
+    return score_columnar(ops, params, Columnar.from_examples(examples, schema))
 
 
 def evaluate(ops, params, examples, schema, tag: str = "") -> EvalReport:

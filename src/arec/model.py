@@ -2,9 +2,10 @@
 MLP combined into one logit, plus FM and DeepFM baselines sharing the same
 data pipeline and embedding machinery.
 
-Every model kind exposes the same surface: per-example predict with an
-exact logloss backward, and columnar batch forward/backward for the
-trainer.  Gradient containers reuse the parameter dataclasses so optimizer
+Every model kind has one implementation: a columnar batch forward and its
+backward, which the trainer, the evaluator and the gradient checks all run.
+`predict`, `predict_fm` and `predict_deepfm` score one example as a one-row
+batch.  Gradient containers reuse the parameter dataclasses so optimizer
 code can walk (name, tensor) pairs without caring which model it updates.
 """
 
@@ -19,9 +20,7 @@ from .data import EncodingError, FeatureSchema
 from .embedding import (
     Columnar,
     EmbeddingParams,
-    densify_embedding_grads,
-    embed,
-    embed_backward,
+    _one_row,
     embed_batch,
     embed_batch_backward,
     init_embedding,
@@ -30,8 +29,6 @@ from .embedding import (
 from .interaction import (
     AcParams,
     MhsaParams,
-    branch_backward,
-    branches_forward,
     branches_forward_batch,
     branches_backward_batch,
     init_ac,
@@ -39,24 +36,9 @@ from .interaction import (
     zeros_like_ac,
     zeros_like_mhsa,
 )
-from .losses import PROB_FLOOR
-from .numerics import Rng, Tensor, relu
+from .numerics import Rng, Tensor, relu, sigmoid
 
 MODES = ("shallow", "deep", "combined")
-
-
-def _sigmoid_scalar(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _logit_grad(prob: float, label: float) -> float:
-    # d(logloss)/d(logit) for one example; zero once the prob clamp engages.
-    if not PROB_FLOOR < prob < 1.0 - PROB_FLOOR:
-        return 0.0
-    return prob - label
 
 
 # ---------------------------------------------------------------------------
@@ -92,33 +74,6 @@ def zeros_like_deep(p: DeepParams) -> DeepParams:
 class DeepTrace:
     inputs: list  # activation entering each layer
     pres: list  # pre-activation of each layer
-
-
-def deep_forward(vec: Tensor, params: DeepParams):
-    a = vec
-    inputs, pres = [], []
-    last = len(params.layers) - 1
-    for l, (w, b) in enumerate(params.layers):
-        inputs.append(a)
-        z = np.einsum("oi,i->o", w, a, optimize=False) + b
-        pres.append(z)
-        a = z if l == last else relu(z)
-    return float(a[0]), DeepTrace(inputs=inputs, pres=pres)
-
-
-def deep_backward(trace: DeepTrace, params: DeepParams, d_logit: float):
-    grads = zeros_like_deep(params)
-    d = np.array([d_logit])
-    last = len(params.layers) - 1
-    for l in range(last, -1, -1):
-        w, _ = params.layers[l]
-        if l != last:
-            d = d * (trace.pres[l] > 0)
-        gw, gb = grads.layers[l]
-        gw += np.einsum("o,i->oi", d, trace.inputs[l], optimize=False)
-        gb += d
-        d = np.einsum("o,oi->i", d, w, optimize=False)
-    return grads, d
 
 
 def deep_forward_batch(acts: Tensor, params: DeepParams):
@@ -214,21 +169,10 @@ def zeros_like_model(p: ModelParams) -> ModelParams:
 
 
 @dataclass
-class ModelTrace:
-    example: object
-    emb: Tensor
-    branch: object
-    internal: Tensor
-    crossed: Tensor
-    deep: DeepTrace
-    fo_rows: Tensor
-
-
-@dataclass
 class Prediction:
     probability: float
     logit: float
-    trace: object
+    trace: object  # the batch forward's trace of the one-row batch
 
 
 def _check_example(example, n_fields: int):
@@ -238,62 +182,14 @@ def _check_example(example, n_fields: int):
         )
 
 
+def _predict_one(forward, example, n_fields: int, params) -> Prediction:
+    _check_example(example, n_fields)
+    probs, logits, trace = forward(_one_row(example), params)
+    return Prediction(probability=float(probs[0]), logit=float(logits[0]), trace=trace)
+
+
 def predict(example, params: ModelParams) -> Prediction:
-    _check_example(example, params.embedding.n_fields)
-    emb = embed(example, params.embedding)
-    out, btrace = branches_forward(emb, params.mhsa, params.ac)
-    logit = 0.0
-    if params.mode != "deep":
-        logit += (
-            float(np.einsum("i,i->", params.w_internal, out.internal, optimize=False))
-            + float(np.einsum("i,i->", params.w_cross, out.crossed, optimize=False))
-            + float(params.bias[0])
-        )
-    deep_trace = None
-    if params.deep is not None:
-        deep_logit, deep_trace = deep_forward(
-            np.concatenate([out.internal, out.crossed]), params.deep
-        )
-        logit += deep_logit
-    fo_rows = None
-    if params.first_order is not None:
-        fo_rows = embed(example, params.first_order)
-        logit += float(fo_rows.sum())
-    trace = ModelTrace(example=example, emb=emb, branch=btrace, internal=out.internal,
-                       crossed=out.crossed, deep=deep_trace, fo_rows=fo_rows)
-    return Prediction(probability=_sigmoid_scalar(logit), logit=logit, trace=trace)
-
-
-def model_backward(pred: Prediction, label: float, params: ModelParams) -> ModelParams:
-    """Exact gradient of per-example logloss over every parameter block."""
-    tr: ModelTrace = pred.trace
-    d = _logit_grad(pred.probability, float(label))
-    grads = zeros_like_model(params)
-    nd = tr.internal.shape[0]
-    d_internal = np.zeros(nd)
-    d_crossed = np.zeros_like(tr.crossed)
-    if params.mode != "deep":
-        grads.w_internal += d * tr.internal
-        grads.w_cross += d * tr.crossed
-        grads.bias += d
-        d_internal += d * params.w_internal
-        d_crossed += d * params.w_cross
-    if params.deep is not None:
-        dg, d_a0 = deep_backward(tr.deep, params.deep, d)
-        grads.deep = dg
-        d_internal += d_a0[:nd]
-        d_crossed += d_a0[nd:]
-    mg, ag, d_emb = branch_backward(tr.branch, params.mhsa, params.ac, d_internal, d_crossed)
-    grads.mhsa = mg
-    grads.ac = ag
-    sparse = embed_backward(tr.example, params.embedding, d_emb)
-    grads.embedding = densify_embedding_grads(sparse, params.embedding)
-    if params.first_order is not None:
-        ones = np.full((params.embedding.n_fields, 1), d)
-        grads.first_order = densify_embedding_grads(
-            embed_backward(tr.example, params.first_order, ones), params.first_order
-        )
-    return grads
+    return _predict_one(forward_batch, example, params.embedding.n_fields, params)
 
 
 @dataclass
@@ -311,8 +207,8 @@ def forward_batch(col: Columnar, params: ModelParams):
     emb = embed_batch(col, params.embedding)
     B, n, dim = emb.shape
     btrace = branches_forward_batch(emb, params.mhsa, params.ac)
-    internal = btrace.out.reshape(B, n * dim)
-    crossed = btrace.pooled
+    internal = btrace.mhsa.out.reshape(B, n * dim)
+    crossed = btrace.ac.pooled
     logits = np.zeros(B)
     if params.mode != "deep":
         logits += (
@@ -328,8 +224,7 @@ def forward_batch(col: Columnar, params: ModelParams):
         logits += deep_logits
     if params.first_order is not None:
         logits += embed_batch(col, params.first_order).sum(axis=(1, 2))
-    probs = 1.0 / (1.0 + np.exp(-np.abs(logits)))
-    probs = np.where(logits >= 0, probs, 1.0 - probs)
+    probs = sigmoid(logits)
     trace = BatchTrace(col=col, emb=emb, branch=btrace, internal=internal,
                        crossed=crossed, deep=deep_trace, probs=probs)
     return probs, logits, trace
@@ -397,44 +292,8 @@ def zeros_like_fm(p: FmParams) -> FmParams:
     )
 
 
-def _fm_second_order(emb: Tensor) -> float:
-    # sum over pairs of row dot products via 1/2 * ((sum_i e_i)^2 - sum_i e_i^2)
-    s = emb.sum(axis=0)
-    return 0.5 * float(np.sum(s * s) - np.sum(emb * emb))
-
-
-@dataclass
-class FmTrace:
-    example: object
-    emb: Tensor
-    fo_rows: Tensor
-
-
 def predict_fm(example, params: FmParams) -> Prediction:
-    _check_example(example, params.factors.n_fields)
-    emb = embed(example, params.factors)
-    fo_rows = embed(example, params.first_order)
-    logit = float(params.bias[0]) + float(fo_rows.sum()) + _fm_second_order(emb)
-    return Prediction(probability=_sigmoid_scalar(logit), logit=logit,
-                      trace=FmTrace(example=example, emb=emb, fo_rows=fo_rows))
-
-
-def fm_backward(pred: Prediction, label: float, params: FmParams) -> FmParams:
-    tr: FmTrace = pred.trace
-    d = _logit_grad(pred.probability, float(label))
-    grads = zeros_like_fm(params)
-    grads.bias += d
-    n = params.factors.n_fields
-    ones = np.full((n, 1), d)
-    grads.first_order = densify_embedding_grads(
-        embed_backward(tr.example, params.first_order, ones), params.first_order
-    )
-    s = tr.emb.sum(axis=0)
-    d_emb = d * (s[None, :] - tr.emb)
-    grads.factors = densify_embedding_grads(
-        embed_backward(tr.example, params.factors, d_emb), params.factors
-    )
-    return grads
+    return _predict_one(forward_batch_fm, example, params.factors.n_fields, params)
 
 
 @dataclass
@@ -450,8 +309,7 @@ def forward_batch_fm(col: Columnar, params: FmParams):
     second = 0.5 * (np.sum(s * s, axis=1) - np.sum(emb * emb, axis=(1, 2)))
     fo = embed_batch(col, params.first_order).sum(axis=(1, 2))
     logits = params.bias[0] + fo + second
-    probs = 1.0 / (1.0 + np.exp(-np.abs(logits)))
-    probs = np.where(logits >= 0, probs, 1.0 - probs)
+    probs = sigmoid(logits)
     return probs, logits, FmBatchTrace(col=col, emb=emb, probs=probs)
 
 
@@ -492,44 +350,8 @@ def zeros_like_deepfm(p: DeepFmParams) -> DeepFmParams:
     return DeepFmParams(fm=zeros_like_fm(p.fm), deep=zeros_like_deep(p.deep))
 
 
-@dataclass
-class DeepFmTrace:
-    example: object
-    emb: Tensor
-    fo_rows: Tensor
-    deep: DeepTrace
-
-
 def predict_deepfm(example, params: DeepFmParams) -> Prediction:
-    _check_example(example, params.fm.factors.n_fields)
-    emb = embed(example, params.fm.factors)
-    fo_rows = embed(example, params.fm.first_order)
-    fm_logit = float(params.fm.bias[0]) + float(fo_rows.sum()) + _fm_second_order(emb)
-    deep_logit, deep_trace = deep_forward(emb.reshape(-1), params.deep)
-    logit = fm_logit + deep_logit
-    return Prediction(probability=_sigmoid_scalar(logit), logit=logit,
-                      trace=DeepFmTrace(example=example, emb=emb, fo_rows=fo_rows,
-                                        deep=deep_trace))
-
-
-def deepfm_backward(pred: Prediction, label: float, params: DeepFmParams) -> DeepFmParams:
-    tr: DeepFmTrace = pred.trace
-    d = _logit_grad(pred.probability, float(label))
-    grads = zeros_like_deepfm(params)
-    grads.fm.bias += d
-    n, dim = tr.emb.shape
-    ones = np.full((n, 1), d)
-    grads.fm.first_order = densify_embedding_grads(
-        embed_backward(tr.example, params.fm.first_order, ones), params.fm.first_order
-    )
-    dg, d_flat = deep_backward(tr.deep, params.deep, d)
-    grads.deep = dg
-    s = tr.emb.sum(axis=0)
-    d_emb = d * (s[None, :] - tr.emb) + d_flat.reshape(n, dim)
-    grads.fm.factors = densify_embedding_grads(
-        embed_backward(tr.example, params.fm.factors, d_emb), params.fm.factors
-    )
-    return grads
+    return _predict_one(forward_batch_deepfm, example, params.fm.factors.n_fields, params)
 
 
 @dataclass
@@ -548,8 +370,7 @@ def forward_batch_deepfm(col: Columnar, params: DeepFmParams):
     fo = embed_batch(col, params.fm.first_order).sum(axis=(1, 2))
     deep_logits, deep_trace = deep_forward_batch(emb.reshape(B, n * dim), params.deep)
     logits = params.fm.bias[0] + fo + second + deep_logits
-    probs = 1.0 / (1.0 + np.exp(-np.abs(logits)))
-    probs = np.where(logits >= 0, probs, 1.0 - probs)
+    probs = sigmoid(logits)
     return probs, logits, DeepFmBatchTrace(col=col, emb=emb, deep=deep_trace, probs=probs)
 
 
@@ -577,22 +398,19 @@ class ModelOps:
     kind: str
     init: object
     predict: object
-    backward: object
     forward_batch: object
     backward_batch: object
 
 
 _OPS = {
-    "ours": ModelOps("ours", init_model, predict, model_backward,
-                     forward_batch, backward_batch),
+    "ours": ModelOps("ours", init_model, predict, forward_batch, backward_batch),
     "fm": ModelOps("fm", lambda schema, dim, rng, **kw: init_fm(schema, dim, rng),
-                   predict_fm, fm_backward, forward_batch_fm, backward_batch_fm),
+                   predict_fm, forward_batch_fm, backward_batch_fm),
     "deepfm": ModelOps("deepfm",
                        lambda schema, dim, rng, **kw: init_deepfm(
                            schema, dim, rng, deep_hidden=kw.get("deep_hidden", (64, 64))
                        ),
-                       predict_deepfm, deepfm_backward,
-                       forward_batch_deepfm, backward_batch_deepfm),
+                       predict_deepfm, forward_batch_deepfm, backward_batch_deepfm),
 }
 
 

@@ -69,13 +69,9 @@ def matmul_backward(a: Tensor, b: Tensor, grad: Tensor):
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise 1/(1+exp(-x)), stable for arbitrarily large |x|."""
-    flat = np.ravel(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])  # exp of a negative value, cannot overflow
-    out[~pos] = ex / (1.0 + ex)
-    return out.reshape(np.shape(x))
+    x = np.asarray(x, dtype=np.float64)
+    p = 1.0 / (1.0 + np.exp(-np.abs(x)))  # exp of a non-positive value, cannot overflow
+    return np.where(x >= 0, p, 1.0 - p)
 
 
 def sigmoid_backward(out: Tensor, grad: Tensor) -> Tensor:

@@ -17,12 +17,12 @@ import numpy as np
 from .data import CATEGORICAL, ConfigError, FeatureSchema
 from .embedding import Columnar
 from .losses import (
-    PROB_FLOOR,
     difference_loss,
     logloss,
+    logloss_d_logits,
     similarity_loss,
 )
-from .metrics import auc as compute_auc
+from .metrics import auc as compute_auc, score_columnar
 from .model import ModelOps, ops_for
 from .numerics import Rng
 
@@ -255,9 +255,7 @@ def train_epoch(ops: ModelOps, state: TrainState, train_col: Columnar,
                 f"non-finite loss at epoch {state.epoch + 1}, batch {b}"
             )
         loss_sum += batch_loss * len(idx)
-        inside = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
-        d_logits = (probs - batch.labels) * inside / len(idx)
-        grads = ops.backward_batch(trace, state.params, d_logits)
+        grads = ops.backward_batch(trace, state.params, logloss_d_logits(probs, batch.labels))
         clip_gradients(grads, config.clip_norm)
         adam_update(state, grads, config)
         if modality is not None:
@@ -311,11 +309,7 @@ class FitResult:
 
 
 def _eval_columnar(ops, params, col: Columnar):
-    probs = np.empty(col.n)
-    for lo in range(0, col.n, 4096):
-        chunk = col.take(np.arange(lo, min(lo + 4096, col.n)))
-        p, _, _ = ops.forward_batch(chunk, params)
-        probs[lo : lo + len(p)] = p
+    probs = score_columnar(ops, params, col)
     return compute_auc(probs, col.labels), logloss(probs, col.labels)
 
 

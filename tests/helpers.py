@@ -1,6 +1,8 @@
 """Shared utilities for the test suite: random schema/example generators,
 finite-difference sweeps over whole parameter sets, and small fixtures."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from arec.data import (
@@ -11,7 +13,8 @@ from arec.data import (
     FeatureSchema,
     FieldSpec,
 )
-from arec.losses import logloss
+from arec.embedding import _one_row
+from arec.losses import logloss, logloss_d_logits
 from arec.numerics import finite_diff_grad, rel_error
 
 
@@ -62,9 +65,14 @@ def named_arrays(params):
     return list(params.named_tensors())
 
 
-def model_loss(ops, params, example, label) -> float:
-    pred = ops.predict(example, params)
-    return logloss([pred.probability], [label])
+def one_row(example, label):
+    """The one-row batch `ops.predict` scores for `example`, labelled `label`."""
+    return _one_row(replace(example, label=float(label)))
+
+
+def batch_loss(ops, params, col) -> float:
+    probs, _, _ = ops.forward_batch(col, params)
+    return logloss(probs, col.labels)
 
 
 def relu_kink_margin(pred) -> float:
@@ -88,16 +96,19 @@ def relu_kink_margin(pred) -> float:
 
 
 def fd_check_all_tensors(ops, params, example, label, eps=1e-5, floor=1e-3):
-    """Worst relative error between analytic and central-difference gradients
-    over every named tensor of `params`."""
-    pred = ops.predict(example, params)
-    grads = dict(ops.backward(pred, label, params).named_tensors())
+    """Worst relative error between the trainer's analytic gradients and
+    central differences of the logloss, over every named tensor of `params`,
+    on a one-row batch."""
+    col = one_row(example, label)
+    probs, _, trace = ops.forward_batch(col, params)
+    d_logits = logloss_d_logits(probs, col.labels)
+    grads = dict(ops.backward_batch(trace, params, d_logits).named_tensors())
     worst = 0.0
     for name, arr in params.named_tensors():
         def f(x, arr=arr):
             saved = arr.copy()
             arr[...] = x
-            val = model_loss(ops, params, example, label)
+            val = batch_loss(ops, params, col)
             arr[...] = saved
             return val
         fd = finite_diff_grad(f, arr.copy(), eps=eps)

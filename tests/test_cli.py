@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from arec import cli
-from arec.data import load_cache
+from arec.data import load_cache, save_cache
 from arec.losses import save_modality_features, synthesize_modality_features
 
 import mlsynth
@@ -290,6 +291,24 @@ def test_thread_env_validation(workdir, ml_cache, ours_ckpt, monkeypatch, capsys
     code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ours_ckpt)])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize("field, payload", [("movie_id", 10000), ("genres", ())])
+def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, capsys,
+                                                    field, payload):
+    dataset = load_cache(str(ml_cache))
+    i = [f.name for f in dataset.schema.fields].index(field)
+    first = dataset.split.train[0]
+    values = first.values[:i] + (payload,) + first.values[i + 1 :]
+    dataset.split.train[0] = replace(first, values=values)
+    bad = tmp_path / "bad.cache"
+    save_cache(str(bad), dataset)
+
+    code = cli.main(["train", "--cache", str(bad), "--model", "ours",
+                     "--out", str(tmp_path / "bad.ckpt"), *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"field {i}:" in captured.err and "Traceback" not in captured.err
 
 
 def test_divergent_training_exits_three(workdir, ml_cache, capsys):

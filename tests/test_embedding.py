@@ -5,9 +5,7 @@ from arec.data import EncodedExample, EncodingError
 from arec.embedding import (
     Columnar,
     EmbeddingParams,
-    densify_embedding_grads,
     embed,
-    embed_backward,
     embed_batch,
     embed_batch_backward,
     init_embedding,
@@ -78,45 +76,58 @@ def test_output_shape_independent_of_multi_count():
         assert embed(ex, params).shape == (3, 5)
 
 
+def one_row_grads(schema, ex, params, upstream):
+    """Gradient tables of a one-row batch of `ex` under `upstream` (n, d)."""
+    return embed_batch_backward(Columnar.from_examples([ex], schema), params, upstream[None])
+
+
 def test_embed_rejects_out_of_range_index():
     schema, params = small_setup()
-    with pytest.raises(EncodingError):
-        embed(EncodedExample(values=(99, (1,), 0.0), label=0), params)
-    with pytest.raises(EncodingError):
-        embed(EncodedExample(values=(0, (1, 42), 0.0), label=0), params)
+    bad = [
+        EncodedExample(values=(99, (1,), 0.0), label=0),
+        EncodedExample(values=(-1, (1,), 0.0), label=0),
+        EncodedExample(values=(0, (1, 42), 0.0), label=0),
+        EncodedExample(values=(0, (), 0.0), label=0),  # empty multi-valued field
+    ]
+    good = EncodedExample(values=(1, (2,), 0.5), label=0)
+    for ex in bad:
+        with pytest.raises(EncodingError):
+            embed(ex, params)
+        with pytest.raises(EncodingError):
+            embed_batch(Columnar.from_examples([good, ex], schema), params)
 
 
 def test_backward_single_row_equals_upstream():
     schema, params = small_setup(dim=4)
     ex = EncodedExample(values=(2, (3,), 0.4), label=1)
     upstream = Rng(1).normal((3, 4))
-    grads = embed_backward(ex, params, upstream)
-    assert np.array_equal(grads[0][2], upstream[0])
-    assert list(grads[0].keys()) == [2]
+    grads = one_row_grads(schema, ex, params, upstream)
+    assert np.array_equal(grads.tables[0][2], upstream[0])
+    assert np.flatnonzero(np.any(grads.tables[0] != 0.0, axis=1)).tolist() == [2]
 
 
 def test_backward_multi_hot_splits_upstream():
     schema, params = small_setup(dim=4)
     ex = EncodedExample(values=(0, (2, 5), 0.0), label=0)
     upstream = Rng(2).normal((3, 4))
-    grads = embed_backward(ex, params, upstream)
-    assert np.max(np.abs(grads[1][2] - upstream[1] / 2.0)) < 1e-15
-    assert np.max(np.abs(grads[1][5] - upstream[1] / 2.0)) < 1e-15
+    grads = one_row_grads(schema, ex, params, upstream)
+    assert np.max(np.abs(grads.tables[1][2] - upstream[1] / 2.0)) < 1e-15
+    assert np.max(np.abs(grads.tables[1][5] - upstream[1] / 2.0)) < 1e-15
 
 
 def test_backward_continuous_scales_upstream():
     schema, params = small_setup(dim=4)
     ex = EncodedExample(values=(0, (1,), 0.7), label=0)
     upstream = Rng(3).normal((3, 4))
-    grads = embed_backward(ex, params, upstream)
-    assert np.max(np.abs(grads[2] - 0.7 * upstream[2])) < 1e-15
+    grads = one_row_grads(schema, ex, params, upstream)
+    assert np.max(np.abs(grads.tables[2] - 0.7 * upstream[2])) < 1e-15
 
 
 def test_backward_untouched_rows_exactly_zero():
     schema, params = small_setup(dim=4)
     ex = EncodedExample(values=(2, (3, 4), 0.5), label=1)
     upstream = Rng(4).normal((3, 4))
-    dense = densify_embedding_grads(embed_backward(ex, params, upstream), params)
+    dense = one_row_grads(schema, ex, params, upstream)
     touched = {0: {2}, 1: {3, 4}}
     for f, table in enumerate(dense.tables[:2]):
         for row in range(table.shape[0]):
@@ -141,8 +152,7 @@ def test_backward_matches_finite_differences_50_draws():
             params.tables[field] = saved
             return out
 
-        grads = embed_backward(ex, params, target)
-        dense = densify_embedding_grads(grads, params)
+        dense = one_row_grads(schema, ex, params, target)
         for f in range(schema.n_fields):
             fd = finite_diff_grad(
                 lambda v, f=f: objective_at(v, f), params.tables[f].ravel()
@@ -155,7 +165,7 @@ def test_densify_matches_sparse_content():
     schema, params = small_setup(dim=3)
     ex = EncodedExample(values=(1, (2,), 0.9), label=1)
     upstream = Rng(5).normal((3, 3))
-    dense = densify_embedding_grads(embed_backward(ex, params, upstream), params)
+    dense = one_row_grads(schema, ex, params, upstream)
     assert np.array_equal(dense.tables[0][1], upstream[0])
     assert np.array_equal(dense.tables[1][2], upstream[1])
     assert np.max(np.abs(dense.tables[2] - 0.9 * upstream[2])) < 1e-15
@@ -169,9 +179,9 @@ def test_duplicate_categorical_rows_accumulate():
     params = init_embedding(schema, 2, Rng(0))
     ex = EncodedExample(values=(1, 1), label=0)
     upstream = np.ones((2, 2))
-    grads = embed_backward(ex, params, upstream)
-    assert np.array_equal(grads[0][1], upstream[0])
-    assert np.array_equal(grads[1][1], upstream[1])
+    grads = one_row_grads(schema, ex, params, upstream)
+    assert np.array_equal(grads.tables[0][1], upstream[0])
+    assert np.array_equal(grads.tables[1][1], upstream[1])
 
 
 def test_batched_forward_matches_per_example():
@@ -199,8 +209,8 @@ def test_batched_backward_matches_per_example_sum():
 
     dense_batch = embed_batch_backward(col, params, upstream)
     total = zeros_like_embedding(params)
-    for b, ex in enumerate(examples):
-        frag = densify_embedding_grads(embed_backward(ex, params, upstream[b]), params)
+    for b in range(len(examples)):
+        frag = embed_batch_backward(col.take([b]), params, upstream[b : b + 1])
         for t, f in zip(total.tables, frag.tables):
             t += f
     for got, want in zip(dense_batch.tables, total.tables):

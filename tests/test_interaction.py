@@ -8,15 +8,13 @@ from arec.data import DomainError
 from arec.interaction import (
     AcParams,
     ac_attention,
-    branch_backward,
-    branches_forward,
     branches_forward_batch,
     branches_backward_batch,
     cross_pairs,
     init_ac,
     init_mhsa,
-    mhsa_forward,
     pair_indices,
+    self_attention_batch,
     zeros_like_ac,
     zeros_like_mhsa,
 )
@@ -106,9 +104,10 @@ def test_mhsa_single_field():
     d = 4
     params = init_mhsa(d, 2, Rng(9))
     emb = Rng(10).normal((1, d))
-    flat, trace = mhsa_forward(emb, params)
+    trace = self_attention_batch(emb[None], params)
+    flat = trace.out[0].reshape(-1)
     for att in trace.att:
-        assert np.array_equal(att, np.ones((1, 1)))
+        assert np.array_equal(att[0], np.ones((1, 1)))
     concat = np.concatenate([emb @ wv for wv in params.wv], axis=1)
     want = relu(concat @ params.wo + emb @ params.wres).reshape(-1)
     assert np.max(np.abs(flat - want)) < 1e-12
@@ -118,16 +117,16 @@ def test_mhsa_equal_rows_give_uniform_attention():
     d = 6
     params = init_mhsa(d, 2, Rng(11))
     emb = np.tile(Rng(12).normal((1, d)), (4, 1))
-    _, trace = mhsa_forward(emb, params)
+    trace = self_attention_batch(emb[None], params)
     for att in trace.att:
-        assert np.max(np.abs(att - 0.25)) < 1e-12
+        assert np.max(np.abs(att[0] - 0.25)) < 1e-12
 
 
 def test_mhsa_per_head_loop_oracle():
     n, d, heads = 3, 4, 2
     params = init_mhsa(d, heads, Rng(13))
     emb = Rng(14).normal((n, d))
-    flat, _ = mhsa_forward(emb, params)
+    flat = self_attention_batch(emb[None], params).out[0].reshape(-1)
 
     dk = d // heads
     head_outs = []
@@ -174,11 +173,11 @@ def test_branch_outputs_shapes_and_weights():
     mh = init_mhsa(d, 1, Rng(16))
     ac = init_ac(d, 4, Rng(17))
     emb = Rng(18).normal((n, d))
-    out, trace = branches_forward(emb, mh, ac)
-    assert out.internal.shape == (n * d,)
-    assert out.crossed.shape == (d,)
-    assert out.pair_weights.shape == (n * (n - 1) // 2,)
-    assert abs(out.pair_weights.sum() - 1.0) <= 1e-10
+    trace = branches_forward_batch(emb[None], mh, ac)
+    assert trace.mhsa.out[0].reshape(-1).shape == (n * d,)
+    assert trace.ac.pooled[0].shape == (d,)
+    assert trace.ac.weights[0].shape == (n * (n - 1) // 2,)
+    assert abs(trace.ac.weights[0].sum() - 1.0) <= 1e-10
 
 
 def test_branch_backward_zero_upstream():
@@ -186,8 +185,8 @@ def test_branch_backward_zero_upstream():
     mh = init_mhsa(d, 1, Rng(19))
     ac = init_ac(d, 4, Rng(20))
     emb = Rng(21).normal((n, d))
-    _, trace = branches_forward(emb, mh, ac)
-    mg, ag, d_emb = branch_backward(trace, mh, ac, np.zeros(n * d), np.zeros(d))
+    trace = branches_forward_batch(emb[None], mh, ac)
+    mg, ag, d_emb = branches_backward_batch(trace, mh, ac, np.zeros((1, n * d)), np.zeros((1, d)))
     for _, t in mg.named_tensors():
         assert np.all(t == 0.0)
     for _, t in ag.named_tensors():
@@ -203,17 +202,18 @@ def test_single_pair_product_rule():
     ac = init_ac(d, 4, Rng(23))
     ac.proj[:] = 0.0  # keeps the weight path gradient-free
     emb = Rng(24).normal((2, d))
-    _, trace = branches_forward(emb, mh, ac)
+    trace = branches_forward_batch(emb[None], mh, ac)
     d_crossed = Rng(25).normal((d,))
-    _, ag, d_emb = branch_backward(trace, mh, ac, np.zeros(2 * d), d_crossed)
+    _, ag, d_emb = branches_backward_batch(trace, mh, ac, np.zeros((1, 2 * d)), d_crossed[None])
+    d_emb = d_emb[0]
     assert np.max(np.abs(d_emb[0] - d_crossed * emb[1])) < 1e-12
     assert np.max(np.abs(d_emb[1] - d_crossed * emb[0])) < 1e-12
     assert np.max(np.abs(ag.weight)) == 0.0
 
 
 def _branch_objective(emb, mh, ac, gi, gc):
-    out, _ = branches_forward(emb, mh, ac)
-    return float(np.dot(out.internal, gi) + np.dot(out.crossed, gc))
+    trace = branches_forward_batch(emb[None], mh, ac)
+    return float(np.dot(trace.mhsa.out[0].reshape(-1), gi) + np.dot(trace.ac.pooled[0], gc))
 
 
 def test_branch_gradients_match_finite_differences():
@@ -229,8 +229,9 @@ def test_branch_gradients_match_finite_differences():
         gi = Rng(trial + 300).normal((n * d,))
         gc = Rng(trial + 400).normal((d,))
 
-        _, trace = branches_forward(emb, mh, ac)
-        mg, ag, d_emb = branch_backward(trace, mh, ac, gi, gc)
+        trace = branches_forward_batch(emb[None], mh, ac)
+        mg, ag, d_emb = branches_backward_batch(trace, mh, ac, gi[None], gc[None])
+        d_emb = d_emb[0]
         analytic = dict(mg.named_tensors())
         analytic.update(ag.named_tensors())
 
@@ -268,10 +269,10 @@ def test_batched_branches_match_per_example():
 
         btr = branches_forward_batch(emb, mh, ac)
         for b in range(B):
-            out, _ = branches_forward(emb[b], mh, ac)
-            assert np.max(np.abs(btr.out[b].reshape(-1) - out.internal)) < 1e-12
-            assert np.max(np.abs(btr.pooled[b] - out.crossed)) < 1e-12
-            assert np.max(np.abs(btr.weights[b] - out.pair_weights)) < 1e-12
+            one = branches_forward_batch(emb[b : b + 1], mh, ac)
+            assert np.max(np.abs(btr.mhsa.out[b] - one.mhsa.out[0])) < 1e-12
+            assert np.max(np.abs(btr.ac.pooled[b] - one.ac.pooled[0])) < 1e-12
+            assert np.max(np.abs(btr.ac.weights[b] - one.ac.weights[0])) < 1e-12
 
 
 def test_batched_backward_matches_per_example_sum():
@@ -289,13 +290,13 @@ def test_batched_backward_matches_per_example_sum():
 
     total_m, total_a = zeros_like_mhsa(mh), zeros_like_ac(ac)
     for b in range(B):
-        _, trace = branches_forward(emb[b], mh, ac)
-        mg, ag, d_emb = branch_backward(trace, mh, ac, gi[b], gc[b])
+        trace = branches_forward_batch(emb[b : b + 1], mh, ac)
+        mg, ag, d_emb = branches_backward_batch(trace, mh, ac, gi[b : b + 1], gc[b : b + 1])
         for (_, t), (_, f) in zip(total_m.named_tensors(), mg.named_tensors()):
             t += f
         for (_, t), (_, f) in zip(total_a.named_tensors(), ag.named_tensors()):
             t += f
-        assert np.max(np.abs(bd_emb[b] - d_emb)) < 1e-12
+        assert np.max(np.abs(bd_emb[b] - d_emb[0])) < 1e-12
     for (_, got), (_, want) in zip(bmg.named_tensors(), total_m.named_tensors()):
         assert np.max(np.abs(got - want)) < 1e-12
     for (_, got), (_, want) in zip(bag.named_tensors(), total_a.named_tensors()):

@@ -5,17 +5,17 @@ import pytest
 
 from arec.data import EncodedExample, EncodingError
 from arec.embedding import Columnar, embed
-from arec.interaction import branches_forward
+from arec.interaction import branches_forward_batch
+from arec.losses import logloss_d_logits
 from arec.model import (
     DeepParams,
     backward_batch,
-    deep_forward,
+    deep_forward_batch,
     forward_batch,
     init_deep,
     init_deepfm,
     init_fm,
     init_model,
-    model_backward,
     ops_for,
     predict,
     predict_deepfm,
@@ -27,7 +27,6 @@ from arec.numerics import Rng, relu
 from helpers import (
     fd_check_all_tensors,
     make_schema,
-    model_loss,
     random_example,
     random_schema,
     relu_kink_margin,
@@ -86,10 +85,11 @@ def test_straight_line_forward_oracle():
     pred = predict(ex, params)
 
     emb = embed(ex, params.embedding)
-    out, _ = branches_forward(emb, params.mhsa, params.ac)
-    shallow = (params.w_internal @ out.internal + params.w_cross @ out.crossed
+    branch = branches_forward_batch(emb[None], params.mhsa, params.ac)
+    internal, crossed = branch.mhsa.out[0].reshape(-1), branch.ac.pooled[0]
+    shallow = (params.w_internal @ internal + params.w_cross @ crossed
                + params.bias[0])
-    a = np.concatenate([out.internal, out.crossed])
+    a = np.concatenate([internal, crossed])
     for l, (w, b) in enumerate(params.deep.layers):
         a = w @ a + b
         if l < len(params.deep.layers) - 1:
@@ -206,7 +206,7 @@ def test_deepfm_zero_fm_is_pure_deep():
         t[...] = 0.0
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
     emb = embed(ex, params.fm.factors)
-    deep_logit, _ = deep_forward(emb.reshape(-1), params.deep)
+    deep_logit = deep_forward_batch(emb.reshape(1, -1), params.deep)[0][0]
     want = deep_logit + 0.5 * float(
         np.sum(emb.sum(axis=0) ** 2) - np.sum(emb * emb)
     )
@@ -220,7 +220,7 @@ def test_deepfm_composition_oracle():
         ex = random_example(SCHEMA, gen)
         fm_logit = predict_fm(ex, params.fm).logit
         emb = embed(ex, params.fm.factors)
-        deep_logit, _ = deep_forward(emb.reshape(-1), params.deep)
+        deep_logit = deep_forward_batch(emb.reshape(1, -1), params.deep)[0][0]
         assert abs(predict_deepfm(ex, params).logit - (fm_logit + deep_logit)) < 1e-10
 
 
@@ -228,18 +228,21 @@ def test_bias_gradient_is_residual():
     params = init_model(SCHEMA, 4, Rng(16), mode="shallow")
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
     pred = predict(ex, params)
-    grads = model_backward(pred, 1.0, params)
+    probs = np.array([pred.probability])
+    grads = backward_batch(pred.trace, params, logloss_d_logits(probs, np.array([1.0])))
     assert abs(grads.bias[0] - (pred.probability - 1.0)) < 1e-12
-    grads0 = model_backward(pred, 0.0, params)
+    grads0 = backward_batch(pred.trace, params, logloss_d_logits(probs, np.array([0.0])))
     assert abs(grads0.bias[0] - pred.probability) < 1e-12
 
 
 def test_saturated_prediction_has_zero_gradient():
     params = init_model(SCHEMA, 4, Rng(17), mode="shallow")
+    params.bias[0] = 60.0  # sigmoid rounds to 1.0, where the clamp zeroes the gradient
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
     pred = predict(ex, params)
-    sat = type(pred)(probability=1.0, logit=60.0, trace=pred.trace)
-    grads = model_backward(sat, 1.0, params)
+    assert pred.probability == 1.0
+    d_logits = logloss_d_logits(np.array([pred.probability]), np.array([1.0]))
+    grads = backward_batch(pred.trace, params, d_logits)
     for _, t in grads.named_tensors():
         assert np.all(t == 0.0)
 
@@ -331,9 +334,10 @@ def test_batched_backward_matches_per_example_sum():
         batch_grads = dict(ops.backward_batch(trace, params, d_logits).named_tensors())
 
         totals = {name: np.zeros_like(t) for name, t in params.named_tensors()}
-        for ex in examples:
-            pred = ops.predict(ex, params)
-            frag = ops.backward(pred, ex.label, params)
+        for b in range(len(examples)):
+            one = col.take([b])
+            p, _, tr = ops.forward_batch(one, params)
+            frag = ops.backward_batch(tr, params, p - one.labels)
             for name, t in frag.named_tensors():
                 totals[name] += t / len(examples)
         for name in totals:
