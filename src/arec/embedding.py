@@ -8,6 +8,8 @@ so the crossing layer downstream can multiply rows elementwise.
 Lookups run on columnar batches; `embed` is the one-example view of the
 same code.  `embed_batch` rejects indices outside a table and empty
 multi-valued fields, since numpy would otherwise wrap or divide by zero.
+`lookup_batch` skips that check, so a model embeds a checked batch into
+its second table set (first-order weights) without checking it twice.
 """
 
 from __future__ import annotations
@@ -150,18 +152,31 @@ def _check_rows(rows: np.ndarray, table: Tensor, field: int):
 
 
 def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
-    """(B, n_fields, d) embeddings for a columnar batch."""
+    """(B, n_fields, d) embeddings for a columnar batch, after checking its indices."""
+    for i, fc in enumerate(col.fields):
+        table = params.tables[i]
+        if fc.kind == CATEGORICAL:
+            _check_rows(fc.idx, table, i)
+        elif fc.kind == MULTI_CATEGORICAL:
+            if col.n and fc.counts.min() < 1:
+                raise EncodingError(f"field {i}: multi-valued field with no indices")
+            _check_rows(fc.padded, table, i)  # padding slots hold 0, always in range
+    return lookup_batch(col, params)
+
+
+def lookup_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
+    """`embed_batch` without the index check.
+
+    Only for a batch that `embed_batch` has already accepted against a table
+    set of the same schema, such as a model's first-order tables.
+    """
     B = col.n
     out = np.empty((B, params.n_fields, params.dim), dtype=np.float64)
     for i, fc in enumerate(col.fields):
         table = params.tables[i]
         if fc.kind == CATEGORICAL:
-            _check_rows(fc.idx, table, i)
             out[:, i, :] = table[fc.idx]
         elif fc.kind == MULTI_CATEGORICAL:
-            if B and fc.counts.min() < 1:
-                raise EncodingError(f"field {i}: multi-valued field with no indices")
-            _check_rows(fc.padded, table, i)  # padding slots hold 0, always in range
             gathered = table[fc.padded]  # (B, qmax, d)
             mask = (np.arange(fc.padded.shape[1]) < fc.counts[:, None])[:, :, None]
             out[:, i, :] = np.sum(gathered * mask, axis=1) / fc.counts[:, None]
@@ -189,5 +204,5 @@ def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tenso
             contrib = share[:, None, :] * mask  # (B, qmax, d); padding rows add 0
             np.add.at(grads.tables[i], fc.padded.ravel(), contrib.reshape(-1, params.dim))
         else:
-            grads.tables[i] += np.einsum("b,bd->d", fc.vals, g, optimize=False)
+            grads.tables[i] += fc.vals @ g
     return grads

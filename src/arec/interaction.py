@@ -6,11 +6,18 @@ vector.  The crossing branch forms elementwise products of every unordered
 field pair, scores each product with a small ReLU attention network, and
 pools the products by softmax weight into a single vector.
 
-Both branches run on (B, n, d) batches.  `ac_attention` scores one
-example's pairs with the same contraction, but takes its softmax denominator
-and pooled sum by exact (correctly rounded) summation, so its pooled vector
-does not depend on pair enumeration order: permuting the fields leaves it
-bitwise unchanged.  The batch path keeps plain vectorized reductions.
+Both branches run on (B, n, d) batches, with every contraction a BLAS
+product: `@` on the batch flattened to 2-D rows, or on stacked 3-D operands
+for the per-head (B, n, n) attention products.  The self-attention query,
+key, value and residual maps run as one GEMM over their concatenated
+weights, and their gradients are column slices of one GEMM.
+
+`ac_attention` scores one example's pairs with einsum instead, and takes its
+softmax denominator and pooled sum by exact (correctly rounded) summation,
+so its pooled vector does not depend on pair enumeration order: permuting
+the fields leaves it bitwise unchanged.  A BLAS product gives no such
+guarantee, since the rounding of a row can depend on where the row sits in
+the operand.  The batch path keeps plain vectorized reductions.
 """
 
 from __future__ import annotations
@@ -136,28 +143,28 @@ def cross_pairs(emb: Tensor):
 
 
 def _pair_scores(phi: Tensor, params: AcParams):
-    """(z, relu(z), logits) of the scoring network over (B, m, d) pair products.
-
-    Each pair's logit is contracted on its own, so it does not depend on
-    where the pair sits in the enumeration.
-    """
-    z = np.einsum("bmd,td->bmt", phi, params.weight, optimize=False) + params.bias
+    """(z, relu(z), logits) of the scoring network over (B, m, d) pair products."""
+    B, m, d = phi.shape
+    z = phi.reshape(B * m, d) @ params.weight.T
+    z += params.bias
     u = relu(z)
-    return z, u, np.einsum("bmt,t->bm", u, params.proj, optimize=False)
+    return z.reshape(B, m, -1), u.reshape(B, m, -1), (u @ params.proj).reshape(B, m)
 
 
 def ac_attention(pairs, params: AcParams):
     """Softmax attention over crossed pairs; returns (weights, pooled vector).
 
-    `pairs` is the output of cross_pairs.  The softmax denominator and the
-    pooled sum are computed with exact summation, so the result is the same
-    for any enumeration order of the same pair set.
+    `pairs` is the output of cross_pairs.  Each logit is contracted on its own
+    and the softmax denominator and the pooled sum are computed with exact
+    summation, so the result is the same for any enumeration order of the
+    same pair set.
     """
     if len(pairs) < 1:
         raise DomainError("attention over an empty pair set")
     phi = np.stack([p[2] for p in pairs])
-    _, _, logits = _pair_scores(phi[None], params)
-    ex = np.exp(logits[0] - np.max(logits))
+    z = np.einsum("bmd,td->bmt", phi[None], params.weight, optimize=False) + params.bias
+    logits = np.einsum("bmt,t->bm", relu(z), params.proj, optimize=False)[0]
+    ex = np.exp(logits - np.max(logits))
     weights = ex / math.fsum(ex)
     pooled = np.array([math.fsum(weights * phi[:, k]) for k in range(phi.shape[1])])
     return weights, pooled
@@ -190,26 +197,34 @@ class MhsaTrace:
     out: Tensor  # (B, n, d)
 
 
+def _fused_projection(params: MhsaParams) -> Tensor:
+    """(d, 3*H*d_k + d): every head's query, then key, then value map, then the residual."""
+    return np.concatenate([*params.wq, *params.wk, *params.wv, params.wres], axis=1)
+
+
 def self_attention_batch(emb: Tensor, params: MhsaParams) -> MhsaTrace:
-    """Internal representation: relu(attention(emb) + residual), per field row."""
-    scale = 1.0 / math.sqrt(params.head_dim)
+    """Internal representation: relu(attention(emb) + residual), per field row.
+
+    The query, key, value and residual maps run as one GEMM; the per-head
+    q, k and v in the trace are column slices of its output.
+    """
+    B, n, d = emb.shape
+    H, dk = params.n_heads, params.head_dim
+    A = H * dk
+    scale = 1.0 / math.sqrt(dk)
+    proj = (emb.reshape(B * n, d) @ _fused_projection(params)).reshape(B, n, 3 * A + d)
+    qkv = proj[:, :, : 3 * A].reshape(B, n, 3, H, dk)
     qs, ks, vs, atts, heads = [], [], [], [], []
-    for h in range(params.n_heads):
-        q = np.einsum("bnd,dk->bnk", emb, params.wq[h], optimize=False)
-        k = np.einsum("bnd,dk->bnk", emb, params.wk[h], optimize=False)
-        v = np.einsum("bnd,dk->bnk", emb, params.wv[h], optimize=False)
-        scores = np.einsum("bik,bjk->bij", q, k, optimize=False) * scale
-        att = softmax_rows(scores)
-        heads.append(np.einsum("bij,bjk->bik", att, v, optimize=False))
+    for h in range(H):
+        q, k, v = qkv[:, :, 0, h], qkv[:, :, 1, h], qkv[:, :, 2, h]
+        att = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+        heads.append(att @ v)
         qs.append(q)
         ks.append(k)
         vs.append(v)
         atts.append(att)
     concat = np.concatenate(heads, axis=2)
-    pre = (
-        np.einsum("bnh,hd->bnd", concat, params.wo, optimize=False)
-        + np.einsum("bnd,de->bne", emb, params.wres, optimize=False)
-    )
+    pre = (concat.reshape(B * n, A) @ params.wo).reshape(B, n, d) + proj[:, :, 3 * A :]
     return MhsaTrace(emb=emb, q=qs, k=ks, v=vs, att=atts, concat=concat, pre=pre,
                      out=relu(pre))
 
@@ -230,7 +245,7 @@ def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcPa
     phi = emb[:, iu, :] * emb[:, ju, :]
     z, u, logits = _pair_scores(phi, ac_params)
     weights = softmax_rows(logits)
-    pooled = np.einsum("bm,bmd->bd", weights, phi, optimize=False)
+    pooled = (weights[:, None, :] @ phi)[:, 0, :]
     return BatchBranchTrace(
         mhsa=mhsa, ac=AcTrace(iu=iu, ju=ju, phi=phi, z=z, u=u, weights=weights, pooled=pooled),
     )
@@ -248,45 +263,44 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
     emb = mt.emb
     B, n, d = emb.shape
     H, dk = mhsa_params.n_heads, mhsa_params.head_dim
+    A = H * dk
     scale = 1.0 / math.sqrt(dk)
 
-    d_pre = d_internal.reshape(B, n, d) * (mt.pre > 0)
-    mg = zeros_like_mhsa(mhsa_params)
-    mg.wo = np.einsum("bnh,bnd->hd", mt.concat, d_pre, optimize=False)
-    mg.wres = np.einsum("bnd,bne->de", emb, d_pre, optimize=False)
-    d_emb = np.einsum("bne,de->bnd", d_pre, mhsa_params.wres, optimize=False)
-    d_concat = np.einsum("bnd,hd->bnh", d_pre, mhsa_params.wo, optimize=False)
+    # upstream of the fused projection, laid out as its columns
+    d_proj = np.empty((B, n, 3 * A + d))
+    d_qkv = d_proj[:, :, : 3 * A].reshape(B, n, 3, H, dk)
+    d_pre = d_proj[:, :, 3 * A :]
+    np.multiply(d_internal.reshape(B, n, d), mt.pre > 0, out=d_pre)
+    d_wo = mt.concat.reshape(B * n, A).T @ d_pre.reshape(B * n, d)
+    d_concat = (d_pre.reshape(B * n, d) @ mhsa_params.wo.T).reshape(B, n, A)
     for h in range(H):
         d_head = d_concat[:, :, h * dk : (h + 1) * dk]
         att, q, k, v = mt.att[h], mt.q[h], mt.k[h], mt.v[h]
-        d_att = np.einsum("bik,bjk->bij", d_head, v, optimize=False)
-        d_v = np.einsum("bij,bik->bjk", att, d_head, optimize=False)
-        d_scores = softmax_rows_backward(att, d_att) * scale
-        d_q = np.einsum("bij,bjk->bik", d_scores, k, optimize=False)
-        d_k = np.einsum("bij,bik->bjk", d_scores, q, optimize=False)
-        mg.wq[h] = np.einsum("bnd,bnk->dk", emb, d_q, optimize=False)
-        mg.wk[h] = np.einsum("bnd,bnk->dk", emb, d_k, optimize=False)
-        mg.wv[h] = np.einsum("bnd,bnk->dk", emb, d_v, optimize=False)
-        d_emb = d_emb + (
-            np.einsum("bnk,dk->bnd", d_q, mhsa_params.wq[h], optimize=False)
-            + np.einsum("bnk,dk->bnd", d_k, mhsa_params.wk[h], optimize=False)
-            + np.einsum("bnk,dk->bnd", d_v, mhsa_params.wv[h], optimize=False)
-        )
+        d_scores = softmax_rows_backward(att, d_head @ v.transpose(0, 2, 1)) * scale
+        d_qkv[:, :, 0, h] = d_scores @ k
+        d_qkv[:, :, 1, h] = d_scores.transpose(0, 2, 1) @ q
+        d_qkv[:, :, 2, h] = att.transpose(0, 2, 1) @ d_head
+    d_proj = d_proj.reshape(B * n, 3 * A + d)
+    g = emb.reshape(B * n, d).T @ d_proj  # every projection's gradient, as columns
+    g_qkv = g[:, : 3 * A].reshape(d, 3, H, dk)
+    mg = MhsaParams(wq=[g_qkv[:, 0, h] for h in range(H)], wk=[g_qkv[:, 1, h] for h in range(H)],
+                    wv=[g_qkv[:, 2, h] for h in range(H)], wo=d_wo, wres=g[:, 3 * A :])
+    d_emb = (d_proj @ _fused_projection(mhsa_params).T).reshape(B, n, d)
 
-    d_weights = np.einsum("bmd,bd->bm", at.phi, d_pooled, optimize=False)
+    m = len(at.iu)
+    t = ac_params.weight.shape[0]
+    d_weights = (at.phi @ d_pooled[:, :, None])[:, :, 0]
     d_logits = softmax_rows_backward(at.weights, d_weights)
-    du = d_logits[:, :, None] * ac_params.proj[None, None, :]
-    dz = du * (at.z > 0)
+    dz = np.multiply.outer(d_logits.reshape(B * m), ac_params.proj)
+    dz *= at.z.reshape(B * m, t) > 0
     ag = AcParams(
-        weight=np.einsum("bmt,bmd->td", dz, at.phi, optimize=False),
-        bias=dz.sum(axis=(0, 1)),
-        proj=np.einsum("bmt,bm->t", at.u, d_logits, optimize=False),
+        weight=dz.T @ at.phi.reshape(B * m, d),
+        bias=np.ones(B * m) @ dz,
+        proj=d_logits.reshape(B * m) @ at.u.reshape(B * m, t),
     )
-    d_phi = (
-        np.einsum("bmt,td->bmd", dz, ac_params.weight, optimize=False)
-        + at.weights[:, :, None] * d_pooled[:, None, :]
-    )
-    for p in range(len(at.iu)):
+    d_phi = (dz @ ac_params.weight).reshape(B, m, d)
+    d_phi += at.weights[:, :, None] * d_pooled[:, None, :]
+    for p in range(m):
         i, j = at.iu[p], at.ju[p]
         d_emb[:, i, :] += d_phi[:, p, :] * emb[:, j, :]
         d_emb[:, j, :] += d_phi[:, p, :] * emb[:, i, :]

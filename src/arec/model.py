@@ -24,6 +24,7 @@ from .embedding import (
     embed_batch,
     embed_batch_backward,
     init_embedding,
+    lookup_batch,
     zeros_like_embedding,
 )
 from .interaction import (
@@ -82,7 +83,7 @@ def deep_forward_batch(acts: Tensor, params: DeepParams):
     last = len(params.layers) - 1
     for l, (w, b) in enumerate(params.layers):
         inputs.append(a)
-        z = np.einsum("bi,oi->bo", a, w, optimize=False) + b
+        z = a @ w.T + b
         pres.append(z)
         a = z if l == last else relu(z)
     return a[:, 0], DeepTrace(inputs=inputs, pres=pres)
@@ -97,9 +98,9 @@ def deep_backward_batch(trace: DeepTrace, params: DeepParams, d_logits: Tensor):
         if l != last:
             d = d * (trace.pres[l] > 0)
         gw, gb = grads.layers[l]
-        gw += np.einsum("bo,bi->oi", d, trace.inputs[l], optimize=False)
+        gw += d.T @ trace.inputs[l]
         gb += d.sum(axis=0)
-        d = np.einsum("bo,oi->bi", d, w, optimize=False)
+        d = d @ w
     return grads, d
 
 
@@ -211,11 +212,7 @@ def forward_batch(col: Columnar, params: ModelParams):
     crossed = btrace.ac.pooled
     logits = np.zeros(B)
     if params.mode != "deep":
-        logits += (
-            np.einsum("bi,i->b", internal, params.w_internal, optimize=False)
-            + np.einsum("bi,i->b", crossed, params.w_cross, optimize=False)
-            + params.bias[0]
-        )
+        logits += internal @ params.w_internal + crossed @ params.w_cross + params.bias[0]
     deep_trace = None
     if params.deep is not None:
         deep_logits, deep_trace = deep_forward_batch(
@@ -223,7 +220,7 @@ def forward_batch(col: Columnar, params: ModelParams):
         )
         logits += deep_logits
     if params.first_order is not None:
-        logits += embed_batch(col, params.first_order).sum(axis=(1, 2))
+        logits += lookup_batch(col, params.first_order).sum(axis=(1, 2))
     probs = sigmoid(logits)
     trace = BatchTrace(col=col, emb=emb, branch=btrace, internal=internal,
                        crossed=crossed, deep=deep_trace, probs=probs)
@@ -236,8 +233,8 @@ def backward_batch(trace: BatchTrace, params: ModelParams, d_logits: Tensor) -> 
     d_internal = np.zeros_like(trace.internal)
     d_crossed = np.zeros_like(trace.crossed)
     if params.mode != "deep":
-        grads.w_internal += np.einsum("b,bi->i", d_logits, trace.internal, optimize=False)
-        grads.w_cross += np.einsum("b,bi->i", d_logits, trace.crossed, optimize=False)
+        grads.w_internal += d_logits @ trace.internal
+        grads.w_cross += d_logits @ trace.crossed
         grads.bias += d_logits.sum()
         d_internal += d_logits[:, None] * params.w_internal[None, :]
         d_crossed += d_logits[:, None] * params.w_cross[None, :]
@@ -307,7 +304,7 @@ def forward_batch_fm(col: Columnar, params: FmParams):
     emb = embed_batch(col, params.factors)
     s = emb.sum(axis=1)  # (B, d)
     second = 0.5 * (np.sum(s * s, axis=1) - np.sum(emb * emb, axis=(1, 2)))
-    fo = embed_batch(col, params.first_order).sum(axis=(1, 2))
+    fo = lookup_batch(col, params.first_order).sum(axis=(1, 2))
     logits = params.bias[0] + fo + second
     probs = sigmoid(logits)
     return probs, logits, FmBatchTrace(col=col, emb=emb, probs=probs)
@@ -367,7 +364,7 @@ def forward_batch_deepfm(col: Columnar, params: DeepFmParams):
     B, n, dim = emb.shape
     s = emb.sum(axis=1)
     second = 0.5 * (np.sum(s * s, axis=1) - np.sum(emb * emb, axis=(1, 2)))
-    fo = embed_batch(col, params.fm.first_order).sum(axis=(1, 2))
+    fo = lookup_batch(col, params.fm.first_order).sum(axis=(1, 2))
     deep_logits, deep_trace = deep_forward_batch(emb.reshape(B, n * dim), params.deep)
     logits = params.fm.bias[0] + fo + second + deep_logits
     probs = sigmoid(logits)

@@ -1,11 +1,12 @@
 """Dense float64 tensor primitives with reproducible numerics.
 
-Everything here is single-threaded and accumulates sums sequentially over
-the contracted axis (np.einsum without optimization does exactly that), so
-repeated calls are bit-identical and naive hand-written oracles can be
-compared for exact equality in tests.  The finite-difference gradient
-checker at the bottom is the reference every backward pass in this package
-is validated against.
+The matmul kernels here are single-threaded and accumulate sums sequentially
+over the contracted axis (np.einsum without optimization does exactly that),
+so repeated calls are bit-identical and naive hand-written oracles can be
+compared for exact equality in tests.  The model code does not call them:
+its contractions run as BLAS products, and the tests check those against
+these kernels.  The finite-difference gradient checker at the bottom is the
+reference every backward pass in this package is validated against.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def softmax_rows_backward(out: Tensor, grad: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batched contractions used by the model forward/backward passes.
-# np.einsum without optimization accumulates sequentially per output element,
-# so each batch item comes out bit-identical to the per-example matmul above.
+# batched contractions: the oracle for the BLAS products of the model
+# forward/backward passes.  np.einsum without optimization accumulates
+# sequentially per output element, so each batch item comes out bit-identical
+# to the per-example matmul above.
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:

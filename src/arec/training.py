@@ -316,6 +316,8 @@ def _eval_columnar(ops, params, col: Columnar):
 def fit(ops: ModelOps, schema: FeatureSchema, train_examples, val_examples,
         config: TrainConfig, modality_table: dict = None) -> FitResult:
     config.validate()
+    if not train_examples:
+        raise ConfigError("the train split is empty; there is nothing to train on")
     state = init_state(ops, schema, config)
     train_col = Columnar.from_examples(train_examples, schema)
     val_col = Columnar.from_examples(val_examples, schema)

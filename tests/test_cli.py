@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +131,26 @@ def test_train_same_seed_checkpoints_byte_identical(workdir, ml_cache, ours_ckpt
                      "--out", str(twin), "--seed", "3", *TRAIN_SETTINGS])
     assert code == 0
     assert twin.read_bytes() == ours_ckpt.read_bytes()
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(ml_cache, tmp_path):
+    # batch 256 at dim 16 makes the fused projection GEMMs large enough for
+    # OpenBLAS to split them over two threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from arec.cli import main; sys.exit(main())",
+             "train", "--cache", str(ml_cache), "--model", "ours", "--out", str(out),
+             "--seed", "5", "--set", "max_epochs=1", "--set", "dim=16",
+             "--set", "batch_size=256"],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append((out.read_bytes(), (tmp_path / f"threads{threads}.ckpt.curve.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_train_fm_with_explicit_curve_path(workdir, ml_cache, capsys):
@@ -293,9 +315,15 @@ def test_thread_env_validation(workdir, ml_cache, ours_ckpt, monkeypatch, capsys
     assert code == 0
 
 
-@pytest.mark.parametrize("field, payload", [("movie_id", 10000), ("genres", ())])
+# The `ours` cases keep the ids they had before the model axis was added.
+@pytest.mark.parametrize("model, field, payload", [
+    pytest.param(model, field, payload, id=case if model == "ours" else f"{model}-{case}")
+    for model in ("ours", "fm", "deepfm")
+    for field, payload, case in (("movie_id", 10000, "movie_id-10000"),
+                                 ("genres", (), "genres-payload1"))
+])
 def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, capsys,
-                                                    field, payload):
+                                                    model, field, payload):
     dataset = load_cache(str(ml_cache))
     i = [f.name for f in dataset.schema.fields].index(field)
     first = dataset.split.train[0]
@@ -304,11 +332,24 @@ def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, 
     bad = tmp_path / "bad.cache"
     save_cache(str(bad), dataset)
 
-    code = cli.main(["train", "--cache", str(bad), "--model", "ours",
+    code = cli.main(["train", "--cache", str(bad), "--model", model,
                      "--out", str(tmp_path / "bad.ckpt"), *TRAIN_SETTINGS])
     captured = capsys.readouterr()
     assert code == 2
     assert f"field {i}:" in captured.err and "Traceback" not in captured.err
+
+
+def test_train_rejects_cache_with_empty_train_split(ml_cache, tmp_path, capsys):
+    dataset = load_cache(str(ml_cache))
+    dataset.split.train = []
+    bad = tmp_path / "empty.cache"
+    save_cache(str(bad), dataset)
+
+    code = cli.main(["train", "--cache", str(bad), "--model", "fm",
+                     "--out", str(tmp_path / "empty.ckpt"), *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "train split is empty" in captured.err and "Traceback" not in captured.err
 
 
 def test_divergent_training_exits_three(workdir, ml_cache, capsys):

@@ -18,7 +18,22 @@ from arec.interaction import (
     zeros_like_ac,
     zeros_like_mhsa,
 )
-from arec.numerics import DimensionError, Rng, finite_diff_grad, rel_error, relu, softmax
+from arec.numerics import (
+    DimensionError,
+    Rng,
+    bmm,
+    bmm_nt,
+    bmm_tn,
+    finite_diff_grad,
+    matmul,
+    mm_nt,
+    mm_tn,
+    rel_error,
+    relu,
+    softmax,
+    softmax_rows,
+    softmax_rows_backward,
+)
 
 
 def test_pair_count_matches_brute_force():
@@ -301,3 +316,82 @@ def test_batched_backward_matches_per_example_sum():
         assert np.max(np.abs(got - want)) < 1e-12
     for (_, got), (_, want) in zip(bag.named_tensors(), total_a.named_tensors()):
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _einsum_branches(emb, mh, ac, d_internal, d_pooled):
+    """Both branches, forward and backward, from the numerics einsum kernels only."""
+    B, n, d = emb.shape
+    H, dk = mh.n_heads, mh.head_dim
+    scale = 1.0 / math.sqrt(dk)
+    flat = emb.reshape(B * n, d)
+    per_head, heads = [], []
+    for h in range(H):
+        q, k, v = (matmul(flat, w[h]).reshape(B, n, dk) for w in (mh.wq, mh.wk, mh.wv))
+        att = softmax_rows(bmm_nt(q, k) * scale)
+        heads.append(bmm(att, v))
+        per_head.append((q, k, v, att))
+    concat = np.concatenate(heads, axis=2).reshape(B * n, H * dk)
+    pre = (matmul(concat, mh.wo) + matmul(flat, mh.wres)).reshape(B, n, d)
+
+    iu, ju = pair_indices(n)
+    m = len(iu)
+    phi = emb[:, iu, :] * emb[:, ju, :]
+    z = mm_nt(phi.reshape(B * m, d), ac.weight) + ac.bias
+    u = relu(z)
+    weights = softmax_rows(matmul(u, ac.proj[:, None]).reshape(B, m))
+    pooled = bmm(weights[:, None, :], phi)[:, 0, :]
+
+    d_pre = (d_internal.reshape(B, n, d) * (pre > 0)).reshape(B * n, d)
+    grads = {"mhsa.out": mm_tn(concat, d_pre), "mhsa.res": mm_tn(flat, d_pre)}
+    d_emb = mm_nt(d_pre, mh.wres)
+    d_concat = mm_nt(d_pre, mh.wo).reshape(B, n, H * dk)
+    for h, (q, k, v, att) in enumerate(per_head):
+        d_head = d_concat[:, :, h * dk : (h + 1) * dk]
+        d_scores = softmax_rows_backward(att, bmm_nt(d_head, v)) * scale
+        for tag, w, g in (("q", mh.wq, bmm(d_scores, k)),
+                          ("k", mh.wk, bmm_tn(d_scores, q)),
+                          ("v", mh.wv, bmm_tn(att, d_head))):
+            g = g.reshape(B * n, dk)
+            grads[f"mhsa.{tag}{h}"] = mm_tn(flat, g)
+            d_emb = d_emb + mm_nt(g, w[h])
+    d_emb = d_emb.reshape(B, n, d)
+
+    d_logits = softmax_rows_backward(weights, bmm(phi, d_pooled[:, :, None])[:, :, 0])
+    dz = d_logits.reshape(B * m, 1) * ac.proj * (z > 0)
+    grads["ac.weight"] = mm_tn(dz, phi.reshape(B * m, d))
+    grads["ac.bias"] = mm_tn(dz, np.ones((B * m, 1)))[:, 0]
+    grads["ac.proj"] = mm_tn(u, d_logits.reshape(B * m, 1))[:, 0]
+    d_phi = matmul(dz, ac.weight).reshape(B, m, d) + weights[:, :, None] * d_pooled[:, None, :]
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        d_emb[:, i] += d_phi[:, p] * emb[:, j]
+        d_emb[:, j] += d_phi[:, p] * emb[:, i]
+    return relu(pre), weights, pooled, grads, d_emb
+
+
+def test_branches_match_einsum_oracle_at_training_shape():
+    # attn_dim != dim, so every slice of the fused projection is exercised
+    B, n, d, heads = 64, 7, 16, 2
+    mh = init_mhsa(d, heads, Rng(40), attn_dim=24)
+    ac = init_ac(d, 32, Rng(41))
+    ac.bias[:] = Rng(42).normal((32,), std=0.1)
+    emb = Rng(43).normal((B, n, d))
+    d_internal = Rng(44).normal((B, n * d))
+    d_pooled = Rng(45).normal((B, d))
+
+    trace = branches_forward_batch(emb, mh, ac)
+    mg, ag, d_emb = branches_backward_batch(trace, mh, ac, d_internal, d_pooled)
+    out, weights, pooled, grads, want_d_emb = _einsum_branches(emb, mh, ac, d_internal, d_pooled)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    close(trace.mhsa.out, out)
+    close(trace.ac.weights, weights)
+    close(trace.ac.pooled, pooled)
+    close(d_emb, want_d_emb)
+    got = dict(mg.named_tensors())
+    got.update(ag.named_tensors())
+    assert sorted(got) == sorted(grads)
+    for name, want in grads.items():
+        close(got[name], want)

@@ -10,6 +10,7 @@ from arec.losses import logloss_d_logits
 from arec.model import (
     DeepParams,
     backward_batch,
+    deep_backward_batch,
     deep_forward_batch,
     forward_batch,
     init_deep,
@@ -22,7 +23,7 @@ from arec.model import (
     predict_fm,
     zeros_like_model,
 )
-from arec.numerics import Rng, relu
+from arec.numerics import Rng, matmul, mm_nt, mm_tn, relu
 
 from helpers import (
     fd_check_all_tensors,
@@ -349,3 +350,69 @@ def test_ops_registry():
     with pytest.raises(ValueError) as err:
         ops_for("xgboost")
     assert "deepfm" in str(err.value)
+
+
+def test_deep_mlp_matches_einsum_oracle_at_training_shape():
+    # the ours deep input at n=7, d=16: 7*16 internal + 16 crossed
+    B, width = 64, 7 * 16 + 16
+    params = init_deep(width, (64, 64), Rng(30))
+    for l, (_, b) in enumerate(params.layers):
+        b[:] = Rng(31 + l).normal(b.shape, std=0.1)
+    acts = Rng(35).normal((B, width))
+    d_logits = Rng(36).normal((B,))
+
+    logits, trace = deep_forward_batch(acts, params)
+    grads, d_acts = deep_backward_batch(trace, params, d_logits)
+
+    a, inputs, pres = acts, [], []
+    for w, b in params.layers:
+        inputs.append(a)
+        pres.append(mm_nt(a, w) + b)
+        a = relu(pres[-1])
+    want_logits = pres[-1][:, 0]
+    want = []
+    g = d_logits[:, None]
+    for l in range(len(params.layers) - 1, -1, -1):
+        if l != len(params.layers) - 1:
+            g = g * (pres[l] > 0)
+        want.append((mm_tn(g, inputs[l]), mm_tn(g, np.ones((B, 1)))[:, 0]))
+        g = matmul(g, params.layers[l][0])
+    want.reverse()
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    close(logits, want_logits)
+    close(d_acts, g)
+    for (gw, gb), (ww, wb) in zip(grads.layers, want):
+        close(gw, ww)
+        close(gb, wb)
+
+
+MIXED = make_schema([
+    ("user", "categorical", 4),
+    ("item", "categorical", 5),
+    ("tags", "multi_categorical", 3),
+    ("age", "continuous", (0.0, 1.0)),
+])
+
+
+def test_training_step_runs_without_einsum(monkeypatch):
+    # the einsum kernels are the tests' oracle; a contraction that drifts back
+    # onto the training step fails here
+    def no_einsum(*args, **kwargs):
+        raise AssertionError(f"np.einsum called on the training step: {args[0]!r}")
+
+    gen = np.random.default_rng(37)
+    col = Columnar.from_examples([random_example(MIXED, gen) for _ in range(6)], MIXED)
+    cases = [("ours", dict(mode=mode, first_order=fo, deep_hidden=(6, 4)))
+             for mode in ("shallow", "deep", "combined") for fo in (False, True)]
+    cases += [("fm", {}), ("deepfm", dict(deep_hidden=(6, 4)))]
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    for kind, kwargs in cases:
+        ops = ops_for(kind)
+        params = ops.init(MIXED, 4, Rng(38), **kwargs)
+        probs, _, trace = ops.forward_batch(col, params)
+        grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels))
+        assert all(np.all(np.isfinite(t)) for _, t in grads.named_tensors())
