@@ -1,10 +1,17 @@
 """Command-line entry point: dataset preparation, training, evaluation,
 and the embedding-dimension sweep.
 
+Configuration is `TrainConfig`: its fields are the keys of a `--config`
+key=value file and of `--set`, each value parsed by the field's type, and
+`validate()` rejects any out-of-range value before training starts.
+
 Checkpoints are single little-endian binary files ("ARECKPT1"): schema
-hash, config snapshot, every parameter tensor by name, both Adam moment
-sets, the RNG state, and best-epoch metadata.  Round-tripping a checkpoint
-reproduces parameters and optimizer state bit for bit.
+hash, a JSON header with the model kind and the config, every parameter
+tensor by name, both Adam moment sets, the RNG state, and best-epoch
+metadata.  Round-tripping a checkpoint reproduces parameters and optimizer
+state bit for bit.  Checkpoints and dataset caches are read by the same
+`data.BinaryReader`, so a truncated or corrupt file, or a header config
+with an unknown, missing or bad key, is a CacheError.
 
 Exit codes: 0 success, 2 input or config error, 3 numeric divergence.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
@@ -21,6 +29,7 @@ import sys
 import numpy as np
 
 from .data import (
+    BinaryReader,
     CacheError,
     ConfigError,
     DomainError,
@@ -35,7 +44,7 @@ from .data import (
 )
 from .losses import load_modality_features
 from .metrics import EVAL_CSV_HEADER, MetricUndefinedError, evaluate
-from .model import ops_for
+from .model import MODEL_KINDS, ops_for
 from .numerics import Rng
 from .training import (
     BestSnapshot,
@@ -44,6 +53,7 @@ from .training import (
     TrainConfig,
     curve_csv_header,
     fit,
+    parse_int_tuple,
     sweep,
 )
 
@@ -66,88 +76,40 @@ _INPUT_ERRORS = (
 # config files
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_int_tuple(raw: str) -> tuple:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(tok) for tok in raw.split(","))
-
-
-def _parse_optional_int(raw: str):
-    low = raw.strip().lower()
-    if low in ("", "none"):
-        return None
-    return int(raw)
-
-
-_COERCERS = {
-    "batch_size": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "lambda_sim": float,
-    "lambda_diff": float,
-    "dim": int,
-    "mode": str.strip,
-    "heads": int,
-    "ac_hidden": int,
-    "deep_hidden": _parse_int_tuple,
-    "attn_dim": _parse_optional_int,
-    "first_order": _parse_bool,
-    "sweep_dims": _parse_int_tuple,
-    "clip_norm": float,
-    "deterministic": _parse_bool,
-}
-
-
-def _apply_setting(config: TrainConfig, key: str, raw: str):
-    key = key.strip()
-    if key not in _COERCERS:
-        raise ConfigError(f"unknown config key {key!r}")
-    try:
-        setattr(config, key, _COERCERS[key](raw))
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+def _apply_setting(config: TrainConfig, item: str) -> None:
+    """Apply one `key=value` setting; the value is parsed by the field's type."""
+    if "=" not in item:
+        raise ConfigError(f"expected key=value, got {item!r}")
+    key, raw = item.split("=", 1)
+    config.set(key.strip(), raw)
 
 
 def read_config(path) -> TrainConfig:
     """Flat key=value file, # comments and blank lines allowed."""
     config = TrainConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            try:
-                _apply_setting(config, key, raw)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{ln}: {exc}") from None
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            _apply_setting(config, line)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}") from None
     return config
 
 
 def _config_from_args(args) -> TrainConfig:
     config = read_config(args.config) if args.config else TrainConfig()
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        _apply_setting(config, key, raw)
+        try:
+            _apply_setting(config, item)
+        except ConfigError as exc:
+            raise ConfigError(f"--set: {exc}") from None
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "dim", None) is not None:
@@ -178,45 +140,18 @@ def _w_tensors(fh, named):
         fh.write(arr.tobytes())
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CacheError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def block(self) -> bytes:
-        return self.take(self.u64())
-
-    def tensors(self) -> dict:
-        out = {}
-        for _ in range(self.u32()):
-            name = self.take(self.u16()).decode("utf-8")
-            shape = tuple(self.u64() for _ in range(self.u8()))
-            count = 1
-            for dim in shape:
-                count *= dim
-            arr = np.frombuffer(self.take(count * 8), dtype="<f8").reshape(shape)
-            out[name] = arr.copy()
-        return out
+def _r_tensors(r: BinaryReader) -> dict:
+    out = {}
+    for _ in range(r.take("<I")[0]):
+        name = r.text("<H")
+        (ndim,) = r.take("<B")
+        shape = r.take(f"<{ndim}Q")
+        data = r.take_bytes(8 * math.prod(shape))
+        try:
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            raise r.error(f"tensor {name} has an impossible shape {shape}") from None
+    return out
 
 
 @dataclasses.dataclass
@@ -255,43 +190,31 @@ def save_checkpoint(path, kind: str, config: TrainConfig, schema_hash: str,
         _w_tensors(fh, best.v.items())
 
 
-def _config_from_dict(raw: dict) -> TrainConfig:
-    config = TrainConfig(**raw)
-    config.deep_hidden = tuple(config.deep_hidden)
-    config.sweep_dims = tuple(config.sweep_dims)
-    return config
+_HEADER_KEYS = {"kind", "config", "best_epoch", "val_auc", "val_logloss", "t"}
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob, path)
-    if r.take(8) != CKPT_MAGIC:
-        raise CacheError(f"{path}: not a checkpoint file")
-    version = r.u32()
+        r = BinaryReader(fh.read(), path, "checkpoint")
+    if r.take_bytes(len(CKPT_MAGIC)) != CKPT_MAGIC:
+        raise r.error("not a checkpoint file")
+    (version,) = r.take("<I")
     if version != CKPT_VERSION:
-        raise CacheError(f"{path}: unsupported checkpoint version {version}")
-    schema_hash = r.take(32).hex()
-    header = json.loads(r.block().decode("utf-8"))
-    rng_state = json.loads(r.block().decode("utf-8"))
-    tensors = r.tensors()
-    m = r.tensors()
-    v = r.tensors()
-    if r.pos != len(blob):
-        raise CacheError(f"{path}: trailing bytes in checkpoint")
-    return Checkpoint(
-        kind=header["kind"],
-        config=_config_from_dict(header["config"]),
-        schema_hash=schema_hash,
-        tensors=tensors,
-        m=m,
-        v=v,
-        t=header["t"],
-        rng_state=rng_state,
-        best_epoch=header["best_epoch"],
-        val_auc=header["val_auc"],
-        val_logloss=header["val_logloss"],
-    )
+        raise r.error(f"unsupported checkpoint version {version}")
+    schema_hash = r.take_bytes(32).hex()
+    header = r.json("<Q")
+    rng_state = r.json("<Q")
+    tensors, m, v = (_r_tensors(r) for _ in range(3))  # parameters, Adam m, Adam v
+    r.end()
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS \
+            or header["kind"] not in MODEL_KINDS or not isinstance(header["config"], dict):
+        raise r.error("bad checkpoint header")
+    try:
+        config = TrainConfig.from_dict(header["config"]).validate()
+    except ConfigError as exc:
+        raise r.error(f"bad config in checkpoint: {exc}") from None
+    return Checkpoint(**dict(header, config=config), schema_hash=schema_hash,
+                      tensors=tensors, m=m, v=v, rng_state=rng_state)
 
 
 def rebuild_params(ckpt: Checkpoint, schema):
@@ -317,19 +240,6 @@ def rebuild_params(ckpt: Checkpoint, schema):
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("AREC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"AREC_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"AREC_THREADS must be >= 1, got {n}")
-    return n
 
 
 def cmd_prepare(args) -> int:
@@ -423,7 +333,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
     try:
-        dims = _parse_int_tuple(args.dims)
+        dims = parse_int_tuple(args.dims)
     except ValueError:
         raise ConfigError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
     dataset = load_cache(args.cache)
@@ -470,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on a prepared cache")
     p.add_argument("--cache", required=True)
-    p.add_argument("--model", choices=("ours", "fm", "deepfm"), default="ours")
+    p.add_argument("--model", choices=MODEL_KINDS, default="ours")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
@@ -490,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train once per embedding dimension")
     p.add_argument("--cache", required=True)
-    p.add_argument("--model", choices=("ours", "fm", "deepfm"), default="ours")
+    p.add_argument("--model", choices=MODEL_KINDS, default="ours")
     p.add_argument("--dims", required=True, help="comma list, e.g. 8,16,32,64")
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -504,7 +414,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_from_env()
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

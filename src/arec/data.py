@@ -44,7 +44,7 @@ class EncodingError(ValueError):
 
 
 class CacheError(ValueError):
-    """Corrupt or mismatched dataset cache file."""
+    """Corrupt or mismatched dataset cache or checkpoint file."""
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +439,54 @@ def _pack_examples(examples, schema, out: bytearray):
         out += struct.pack("<B", ex.label)
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
+class BinaryReader:
+    """Little-endian reader over one cache or checkpoint file's bytes.  A short
+    read, or text that is not UTF-8 or JSON, is a CacheError naming the file."""
+
+    def __init__(self, blob: bytes, path, what: str):
         self.blob = blob
         self.pos = 0
+        self.path = path
+        self.what = what
+
+    def error(self, message: str) -> CacheError:
+        return CacheError(f"{self.path}: {message}")
 
     def take(self, fmt: str):
         size = struct.calcsize(fmt)
         if self.pos + size > len(self.blob):
-            raise CacheError("truncated cache file")
+            raise self.error(f"truncated {self.what}")
         vals = struct.unpack_from(fmt, self.blob, self.pos)
         self.pos += size
         return vals
 
     def take_bytes(self, size: int) -> bytes:
         if self.pos + size > len(self.blob):
-            raise CacheError("truncated cache file")
+            raise self.error(f"truncated {self.what}")
         chunk = self.blob[self.pos : self.pos + size]
         self.pos += size
         return chunk
 
+    def text(self, size_fmt: str) -> str:
+        """UTF-8 text behind a length of struct format `size_fmt`."""
+        (size,) = self.take(size_fmt)
+        try:
+            return self.take_bytes(size).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"undecodable text in {self.what} ({exc.reason})") from None
 
-def _unpack_examples(rd: _Reader, schema) -> list:
+    def json(self, size_fmt: str):
+        try:
+            return json.loads(self.text(size_fmt))
+        except ValueError as exc:
+            raise self.error(f"bad JSON in {self.what} ({exc})") from None
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise self.error(f"trailing bytes in {self.what}")
+
+
+def _unpack_examples(rd: BinaryReader, schema) -> list:
     (count,) = rd.take("<Q")
     kinds = [f.kind for f in schema.fields]
     examples = []
@@ -503,23 +529,22 @@ def save_cache(path, cached: CachedDataset):
 def load_cache(path) -> CachedDataset:
     with open(path, "rb") as fh:
         blob = fh.read()
-    rd = _Reader(blob)
+    rd = BinaryReader(blob, path, "cache")
     if rd.take_bytes(len(CACHE_MAGIC)) != CACHE_MAGIC:
-        raise CacheError(f"{path}: not a dataset cache (bad magic)")
+        raise rd.error("not a dataset cache (bad magic)")
     (version,) = rd.take("<I")
     if version != CACHE_VERSION:
-        raise CacheError(f"{path}: unsupported cache version {version}")
+        raise rd.error(f"unsupported cache version {version}")
     stored_hash = rd.take_bytes(32)
-    (schema_len,) = rd.take("<Q")
-    schema_json = rd.take_bytes(schema_len)
-    if hashlib.sha256(schema_json).digest() != stored_hash:
-        raise CacheError(f"{path}: schema hash mismatch, cache is corrupt or stale")
-    schema = FeatureSchema.from_json(schema_json.decode("utf-8"))
-    (tag_len,) = rd.take("<H")
-    tag = rd.take_bytes(tag_len).decode("utf-8")
+    schema_json = rd.text("<Q")
+    if hashlib.sha256(schema_json.encode("utf-8")).digest() != stored_hash:
+        raise rd.error("schema hash mismatch, cache is corrupt or stale")
+    schema = FeatureSchema.from_json(schema_json)
+    tag = rd.text("<H")
     (seed,) = rd.take("<Q")
     ratios = rd.take("<3d")
     parts = [_unpack_examples(rd, schema) for _ in range(3)]
+    rd.end()
     split_ = DatasetSplit(
         train=parts[0], validation=parts[1], test=parts[2], seed=seed, ratios=ratios
     )

@@ -409,6 +409,7 @@ _OPS = {
                        ),
                        predict_deepfm, forward_batch_deepfm, backward_batch_deepfm),
 }
+MODEL_KINDS = tuple(_OPS)
 
 
 def ops_for(kind: str) -> ModelOps:

@@ -10,7 +10,8 @@ produce bit-identical parameters.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .losses import (
     similarity_loss,
 )
 from .metrics import auc as compute_auc, score_columnar
-from .model import ModelOps, ops_for
+from .model import MODES, ModelOps, ops_for
 from .numerics import Rng
 
 
@@ -31,8 +32,40 @@ class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss."""
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def parse_int_tuple(raw: str) -> tuple:
+    """Comma-separated integers; blank text is the empty tuple."""
+    return tuple(int(tok) for tok in raw.split(",")) if raw.strip() else ()
+
+
+def _parse_optional_int(raw: str):
+    return None if raw.strip().lower() in ("", "none") else int(raw)
+
+
+# one text parser per annotated TrainConfig field type
+_PARSERS = {"int": int, "float": float, "str": str.strip, "bool": _parse_bool,
+            "tuple[int, ...]": parse_int_tuple, "int | None": _parse_optional_int}
+
+
+def _as_text(value) -> str:
+    """The key=value text of a config value read back from JSON."""
+    if isinstance(value, list):
+        return ",".join(map(_as_text, value))
+    return value if isinstance(value, str) else str(value).lower()
+
+
 @dataclass
 class TrainConfig:
+    """Every training and model hyperparameter; its fields are the config keys."""
+
     batch_size: int = 256
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -47,28 +80,58 @@ class TrainConfig:
     mode: str = "combined"
     heads: int = 2
     ac_hidden: int = 32
-    deep_hidden: tuple = (64, 64)
-    attn_dim: int = None
+    deep_hidden: tuple[int, ...] = (64, 64)
+    attn_dim: int | None = None
     first_order: bool = False
-    sweep_dims: tuple = (8, 16, 32, 64)
     clip_norm: float = 10.0
-    deterministic: bool = True
+
+    def set(self, key: str, raw: str) -> None:
+        """Parse `raw` by the annotated type of field `key` and store it."""
+        spec = next((f for f in fields(self) if f.name == key), None)
+        if spec is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            setattr(self, key, _PARSERS[spec.type](raw))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for config key {key!r}: {raw!r} ({exc})") from None
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "TrainConfig":
+        """The inverse of `dataclasses.asdict`: every field, and no other key."""
+        missing = [f.name for f in fields(cls) if f.name not in raw]
+        if missing:
+            raise ConfigError(f"missing config key {missing[0]!r}")
+        config = cls()
+        for key, value in raw.items():
+            config.set(key, _as_text(value))
+        return config
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        # learning_rate 0 is allowed: it turns the optimizer into a no-op,
-        # which the contracts rely on for frozen-parameter checks.
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("Adam betas must lie in [0, 1)")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        """Raise ConfigError naming the first out-of-range field; return self."""
+        width_key = "dim" if self.attn_dim is None else "attn_dim"
+        width = getattr(self, width_key)
+        rules = [(f.name, math.isfinite(getattr(self, f.name)), "must be finite")
+                 for f in fields(self) if f.type == "float"]
+        # learning_rate 0 freezes the parameters, which the contracts rely on
+        # for frozen-parameter checks; clip_norm 0 turns clipping off
+        minimum = {"batch_size": 1, "max_epochs": 1, "patience": 1, "dim": 1, "heads": 1,
+                   "ac_hidden": 1, "seed": 0, "learning_rate": 0, "lambda_sim": 0,
+                   "lambda_diff": 0, "clip_norm": 0}
+        rules += [(key, getattr(self, key) >= lo, f"must be >= {lo}")
+                  for key, lo in minimum.items()]
+        rules += [
+            ("beta1", 0 <= self.beta1 < 1, "must lie in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "must lie in [0, 1)"),
+            ("epsilon", self.epsilon > 0, "must be > 0"),
+            ("mode", self.mode in MODES, f"must be one of {MODES}"),
+            (width_key, width >= 1 and width % max(self.heads, 1) == 0,
+             f"(the attention width) must be >= 1 and divisible by heads={self.heads}"),
+            ("deep_hidden", len(self.deep_hidden) > 0 and min(self.deep_hidden) >= 1,
+             "must list one or more widths, each >= 1"),
+        ]
+        for key, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{key} {rule}, got {getattr(self, key)!r}")
         return self
 
     def model_kwargs(self) -> dict:
@@ -379,19 +442,20 @@ class SweepResult:
 def sweep(kind: str, schema: FeatureSchema, train_examples, val_examples,
           test_examples, config: TrainConfig, dims) -> SweepResult:
     dims = list(dims)
-    if not dims or any(int(d) < 1 for d in dims):
-        raise ConfigError(f"sweep needs a non-empty list of positive dims, got {dims}")
+    if not dims:
+        raise ConfigError("sweep needs a non-empty list of dims")
+    # every dim's config is checked before the first fit spends any time
+    configs = [replace(config, dim=int(d)).validate() for d in dims]
     ops = ops_for(kind)
     test_col = Columnar.from_examples(test_examples, schema)
     rows, curves, failures = [], {}, []
-    for d in dims:
-        cfg = replace(config, dim=int(d))
+    for cfg in configs:
         try:
             result = fit(ops, schema, train_examples, val_examples, cfg)
             test_auc, test_ll = _eval_columnar(ops, result.state.best.params, test_col)
         except (DivergenceError, ArithmeticError) as exc:
-            failures.append((int(d), str(exc)))
+            failures.append((cfg.dim, str(exc)))
             continue
-        rows.append(SweepRow(dim=int(d), auc=test_auc, logloss=test_ll))
-        curves[int(d)] = result.curve
+        rows.append(SweepRow(dim=cfg.dim, auc=test_auc, logloss=test_ll))
+        curves[cfg.dim] = result.curve
     return SweepResult(rows=rows, curves=curves, failures=failures)

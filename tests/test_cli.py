@@ -1,8 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from arec import cli
 from arec.data import load_cache, save_cache
 from arec.losses import save_modality_features, synthesize_modality_features
+from arec.model import ops_for
+from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
 
@@ -298,21 +301,28 @@ def test_missing_cache_file_is_an_input_error(workdir, capsys):
     assert "error:" in captured.err
 
 
-def test_thread_env_validation(workdir, ml_cache, ours_ckpt, monkeypatch, capsys):
-    monkeypatch.setenv("AREC_THREADS", "abc")
-    code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ours_ckpt)])
+@pytest.mark.parametrize("setting", [
+    "mode=bogus", "heads=3", "heads=0", "attn_dim=0", "attn_dim=7", "ac_hidden=-2",
+    "deep_hidden=8,-1", "seed=-1", "learning_rate=nan", "epsilon=0", "ac_hidden=0",
+    "clip_norm=-1", "deep_hidden=", "deep_hidden=0", "lambda_sim=nan",
+])
+def test_bad_setting_exits_two_without_traceback(workdir, ml_cache, capsys, setting):
+    code = cli.main(["train", "--cache", str(ml_cache), "--out", str(workdir / "bad.ckpt"),
+                     "--set", "dim=8", "--set", setting])
     captured = capsys.readouterr()
-    assert code == 2 and "AREC_THREADS" in captured.err
+    assert code == 2
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert not (workdir / "bad.ckpt").exists()
 
-    monkeypatch.setenv("AREC_THREADS", "0")
-    code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ours_ckpt)])
+
+def test_sweep_validates_every_dim_before_training(workdir, ml_cache, capsys):
+    out = workdir / "sweep_heads"
+    code = cli.main(["sweep", "--cache", str(ml_cache), "--dims", "4,6",
+                     "--set", "heads=4", "--set", "max_epochs=1", "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == 2 and "AREC_THREADS" in captured.err
-
-    monkeypatch.setenv("AREC_THREADS", "1")
-    code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ours_ckpt)])
-    capsys.readouterr()
-    assert code == 0
+    assert code == 2
+    assert "divisible by heads=4, got 6" in captured.err and "Traceback" not in captured.err
+    assert not (out / "curve_d4.csv").exists()
 
 
 # The `ours` cases keep the ids they had before the model axis was added.
@@ -380,3 +390,70 @@ def test_checkpoint_roundtrip_matches_library_eval(workdir, ml_cache, ours_ckpt,
     shown = json.loads(captured.out.splitlines()[0])
     assert shown["auc"] == report.auc
     assert shown["logloss"] == report.logloss
+
+
+# every TrainConfig field, each away from its default
+ALL_FIELDS_CONFIG = """
+batch_size = 32
+learning_rate = 0.002
+beta1 = 0.8
+beta2 = 0.99
+epsilon = 1e-7
+max_epochs = 4
+patience = 2
+seed = 9
+lambda_sim = 0.2
+lambda_diff = 0.3
+dim = 12
+mode = deep
+heads = 3
+ac_hidden = 5
+deep_hidden = 7,5
+attn_dim = 6
+first_order = yes
+clip_norm = 5.0
+"""
+
+
+def test_every_config_field_roundtrips_through_checkpoint(ml_cache, tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(ALL_FIELDS_CONFIG)
+    config = cli.read_config(str(cfg)).validate()
+    default = TrainConfig()
+    assert [f.name for f in fields(TrainConfig)
+            if getattr(config, f.name) == getattr(default, f.name)] == []
+
+    dataset = load_cache(str(ml_cache))
+    state = init_state(ops_for("ours"), dataset.schema, config)
+    best = BestSnapshot(params=state.params, m=state.m, v=state.v, t=0,
+                        rng_state=state.rng.get_state(), epoch=1, val_auc=0.5,
+                        val_logloss=0.7)
+    path = tmp_path / "all.ckpt"
+    cli.save_checkpoint(str(path), "ours", config, dataset.schema.hash_hex(), best)
+    assert cli.load_checkpoint(str(path)).config == config
+
+
+def _rewrite_header_config(src, dst, edit):
+    blob = src.read_bytes()
+    start = len(cli.CKPT_MAGIC) + 4 + 32  # magic, version, schema hash
+    (size,) = struct.unpack_from("<Q", blob, start)
+    header = json.loads(blob[start + 8 : start + 8 + size])
+    edit(header["config"])
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(blob[:start] + struct.pack("<Q", len(raw)) + raw + blob[start + 8 + size :])
+
+
+@pytest.mark.parametrize("edit, key", [
+    # the header of a checkpoint written while the config still had this key
+    (lambda c: c.update(deterministic=True), "deterministic"),
+    (lambda c: c.pop("heads"), "heads"),
+    (lambda c: c.update(deep_hidden="wide"), "deep_hidden"),
+], ids=["unknown", "missing", "unparseable"])
+def test_eval_rejects_bad_checkpoint_config(ml_cache, ours_ckpt, tmp_path, capsys, edit, key):
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_header_config(ours_ckpt, bad, edit)
+    code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad config in checkpoint" in captured.err and f"config key {key!r}" in captured.err
+    assert "Traceback" not in captured.err

@@ -30,7 +30,7 @@ from helpers import make_schema, random_example, separable_examples
 def tiny_config(**kw):
     base = dict(batch_size=16, learning_rate=1e-3, max_epochs=3, patience=2,
                 seed=0, dim=4, mode="shallow", heads=2, ac_hidden=4,
-                deep_hidden=(8,), sweep_dims=(4,))
+                deep_hidden=(8,))
     base.update(kw)
     return TrainConfig(**base)
 
@@ -66,7 +66,17 @@ def test_config_validation():
         tiny_config(beta1=1.0).validate()
     with pytest.raises(ConfigError):
         tiny_config(dim=0).validate()
+    for bad in (dict(mode="bogus"), dict(heads=3), dict(heads=0), dict(attn_dim=0),
+                dict(attn_dim=7), dict(ac_hidden=-2), dict(ac_hidden=0),
+                dict(deep_hidden=(8, -1)), dict(deep_hidden=()), dict(deep_hidden=(0,)),
+                dict(seed=-1), dict(learning_rate=math.nan), dict(learning_rate=math.inf),
+                dict(beta2=math.nan), dict(epsilon=0.0), dict(clip_norm=-1.0),
+                dict(lambda_sim=math.nan), dict(lambda_diff=-0.1)):
+        with pytest.raises(ConfigError):
+            tiny_config(**bad).validate()
     tiny_config(learning_rate=0.0).validate()  # frozen-optimizer case is legal
+    tiny_config(learning_rate=1e100, clip_norm=0.0).validate()  # clipping off
+    tiny_config(dim=6, heads=3, attn_dim=None).validate()
 
 
 def test_zero_learning_rate_freezes_parameters():
