@@ -501,6 +501,8 @@ def _unpack_examples(rd: BinaryReader, schema) -> list:
             else:
                 values.append(rd.take("<d")[0])
         (label,) = rd.take("<B")
+        if label > 1:
+            raise rd.error(f"label {label} in {rd.what}; labels are 0 or 1")
         examples.append(EncodedExample(values=tuple(values), label=label))
     return examples
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DomainError, ParseError
-from .numerics import Rng, Tensor, relu, softmax, softmax_backward
+from .numerics import Rng, Tensor, relu, softmax, softmax_backward, softmax_rows
 
 # Predicted probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR]
 # before taking logs, in training and evaluation alike.
@@ -77,10 +77,12 @@ def similarity_loss_grad(shared_a: Tensor, shared_v: Tensor):
     return da, -da
 
 
-def _kl_base2(p_feat: Tensor, q_feat: Tensor) -> float:
-    p = np.maximum(softmax(np.asarray(p_feat, dtype=np.float64)), DIST_FLOOR)
-    q = np.maximum(softmax(np.asarray(q_feat, dtype=np.float64)), DIST_FLOOR)
-    return float(np.sum(p * (np.log(p) - np.log(q)) / LN2))
+def _kl_base2(p_feat: Tensor, q_feat: Tensor):
+    """Base-2 KL along the last axis: a float for vectors, one value per row otherwise."""
+    p = np.maximum(softmax_rows(np.asarray(p_feat, dtype=np.float64)), DIST_FLOOR)
+    q = np.maximum(softmax_rows(np.asarray(q_feat, dtype=np.float64)), DIST_FLOOR)
+    kl = np.sum(p * (np.log(p) - np.log(q)) / LN2, axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def _kl_base2_grad(p_feat: Tensor, q_feat: Tensor):
@@ -94,12 +96,18 @@ def _kl_base2_grad(p_feat: Tensor, q_feat: Tensor):
 
 
 def difference_loss(private_a: Tensor, shared_a: Tensor,
-                    private_v: Tensor, shared_v: Tensor) -> float:
-    """Base-2 KL between softmax-mapped private and shared features, both modalities."""
+                    private_v: Tensor, shared_v: Tensor):
+    """Base-2 KL between softmax-mapped private and shared features, both modalities.
+
+    Works on the last axis: 1-d vectors give a float, (n, d) rows give one
+    value per row, each bit-identical to the one-row call.
+    """
     pa, sa = np.asarray(private_a), np.asarray(shared_a)
     pv, sv = np.asarray(private_v), np.asarray(shared_v)
     if pa.shape != sa.shape or pv.shape != sv.shape:
         raise DomainError("difference_loss dimension mismatch within a modality")
+    if pa.ndim < 1 or pa.shape[:-1] != pv.shape[:-1]:
+        raise DomainError(f"difference_loss row mismatch: {pa.shape} vs {pv.shape}")
     return _kl_base2(pa, sa) + _kl_base2(pv, sv)
 
 

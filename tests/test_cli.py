@@ -8,8 +8,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from arec import cli
-from arec.data import load_cache, save_cache
+from arec import cli, training
+from arec.data import CacheError, load_cache, save_cache
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
@@ -360,6 +360,41 @@ def test_train_rejects_cache_with_empty_train_split(ml_cache, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "train split is empty" in captured.err and "Traceback" not in captured.err
+
+
+def test_cache_with_label_outside_zero_one_is_an_input_error(ml_cache, tmp_path, capsys):
+    dataset = load_cache(str(ml_cache))
+    dataset.split.train[0] = replace(dataset.split.train[0], label=7)
+    bad = tmp_path / "label7.cache"
+    save_cache(str(bad), dataset)
+    with pytest.raises(CacheError) as err:
+        load_cache(str(bad))
+    assert str(bad) in str(err.value) and "label 7" in str(err.value)
+
+    code = cli.main(["train", "--cache", str(bad), "--model", "fm",
+                     "--out", str(tmp_path / "label7.ckpt"), *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "label 7" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "label7.ckpt").exists()
+
+
+def test_divergence_names_the_first_non_finite_tensor(ml_cache, tmp_path, monkeypatch,
+                                                       capsys):
+    real_init_state = training.init_state
+
+    def poisoned(ops, schema, config):
+        state = real_init_state(ops, schema, config)
+        dict(state.params.named_tensors())["fm.v.f1"][...] = np.nan
+        return state
+
+    monkeypatch.setattr(training, "init_state", poisoned)
+    code = cli.main(["train", "--cache", str(ml_cache), "--model", "fm",
+                     "--out", str(tmp_path / "nan.ckpt"), *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "training diverged: non-finite loss at epoch 1, batch 0" in captured.err
+    assert "first non-finite parameter tensor: fm.v.f1" in captured.err
 
 
 def test_divergent_training_exits_three(workdir, ml_cache, capsys):

@@ -159,6 +159,35 @@ def test_difference_dimension_mismatch():
         difference_loss(np.ones(3), np.ones(4), np.ones(3), np.ones(3))
 
 
+def test_difference_rows_equal_one_row_calls_bit_for_bit():
+    # the trainer builds its per-item table with one row-wise call; every
+    # row must round exactly as the one-row call does
+    gen = np.random.default_rng(31)
+    for d in range(1, 34):
+        for scale in (0.1, 1.0, 7.0, 40.0):
+            n = int(gen.integers(1, 12))
+            vecs = [gen.normal(size=(n, d)) * scale for _ in range(4)]
+            rows = difference_loss(*vecs)
+            assert rows.shape == (n,)
+            singles = [difference_loss(*(v[i] for v in vecs)) for i in range(n)]
+            assert all(type(x) is float for x in singles)
+            assert np.array_equal(rows, singles), (d, scale)
+
+
+def test_difference_rows_shape_mismatch():
+    rows = np.ones((4, 3))
+    cases = [
+        (rows, np.ones((4, 4)), rows, rows),  # audio width
+        (rows, rows, rows, np.ones((5, 3))),  # visual row count
+        (rows, rows, np.ones((5, 3)), np.ones((5, 3))),  # audio vs visual rows
+        (rows, rows, np.ones(3), np.ones(3)),  # rows vs a single vector
+        (np.float64(1.0), np.float64(1.0), np.ones(3), np.ones(3)),  # a scalar
+    ]
+    for case in cases:
+        with pytest.raises(DomainError):
+            difference_loss(*case)
+
+
 def test_difference_grad_matches_finite_differences():
     gen = np.random.default_rng(9)
     for _ in range(10):

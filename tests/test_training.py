@@ -261,6 +261,17 @@ def test_divergence_raises_with_location():
     assert "non-finite loss at epoch" in str(err.value)
 
 
+def test_divergence_with_finite_parameters_says_so(monkeypatch):
+    schema, examples = tiny_dataset()
+    ops = ops_for("fm")
+    config = tiny_config()
+    state = init_state(ops, schema, config)
+    monkeypatch.setattr(training, "logloss", lambda probs, labels: math.nan)
+    with pytest.raises(DivergenceError) as err:
+        train_epoch(ops, state, Columnar.from_examples(examples, schema), config)
+    assert str(err.value) == "non-finite loss at epoch 1, batch 0; all parameters are finite"
+
+
 def test_item_field_detection():
     ml = make_schema([("user_id", "categorical", 3), ("movie_id", "categorical", 4)])
     assert item_field_index(ml) == 1
@@ -293,6 +304,51 @@ def test_modality_batcher_terms_match_direct_losses():
         for k in keys
     ])
     assert abs(l_d - want_d) < 1e-12
+
+
+@pytest.mark.parametrize("d_m", [16, 13])
+def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
+    schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 12)])
+    spec = schema.field_named("item_id")
+    # the last item has no features, like index 0
+    table = synthesize_modality_features(list(spec.vocab)[:-1], dim=d_m, seed=d_m)
+    batcher = ModalityBatcher.build(schema, table)
+    gen = np.random.default_rng(d_m)
+    items = gen.integers(0, spec.cardinality, size=256)  # repeats and index-0 rows
+    assert (items == 0).any() and (items == spec.cardinality - 1).any()
+    col = Columnar.from_examples(
+        [EncodedExample(values=(1, int(i)), label=1.0) for i in items], schema)
+    _, l_d, count = batcher.batch_terms(col)
+
+    # the oracle: one difference_loss call per row, summed in row order
+    want, want_count = 0.0, 0
+    for i in items:
+        key = spec.value_of(int(i))
+        if key in table:
+            fs = table[key]
+            want += difference_loss(fs.private_audio, fs.shared_audio,
+                                    fs.private_visual, fs.shared_visual)
+            want_count += 1
+    assert count == want_count
+    assert l_d == want / want_count
+
+
+def test_fit_computes_the_difference_table_once(monkeypatch):
+    schema, examples = tiny_dataset()
+    table = synthesize_modality_features(list(schema.field_named("item_id").vocab),
+                                         dim=8, seed=2)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return difference_loss(*args)
+
+    monkeypatch.setattr(training, "difference_loss", counted)
+    config = tiny_config(max_epochs=3, patience=3)
+    result = fit(ops_for("fm"), schema, examples[:40], examples[40:], config,
+                 modality_table=table)
+    assert result.epochs_run == 3
+    assert calls == [len(table)]
 
 
 def test_modality_batcher_requires_item_field():
