@@ -105,24 +105,6 @@ def init_ac(dim: int, hidden: int, rng: Rng) -> AcParams:
     )
 
 
-def zeros_like_mhsa(p: MhsaParams) -> MhsaParams:
-    return MhsaParams(
-        wq=[np.zeros_like(w) for w in p.wq],
-        wk=[np.zeros_like(w) for w in p.wk],
-        wv=[np.zeros_like(w) for w in p.wv],
-        wo=np.zeros_like(p.wo),
-        wres=np.zeros_like(p.wres),
-    )
-
-
-def zeros_like_ac(p: AcParams) -> AcParams:
-    return AcParams(
-        weight=np.zeros_like(p.weight),
-        bias=np.zeros_like(p.bias),
-        proj=np.zeros_like(p.proj),
-    )
-
-
 # ---------------------------------------------------------------------------
 # pairwise crossing
 

@@ -174,7 +174,7 @@ def load_modality_features(path) -> dict:
             if tag not in MODALITY_TAGS:
                 raise ParseError(f"{path}:{ln}: unknown tag {tag!r}")
             try:
-                vec = np.array([float(tok) for tok in payload.split(",")], dtype=np.float64)
+                vec = np.array(payload.split(","), dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"{path}:{ln}: bad vector: {exc}") from None
             raw.setdefault(item, {})[tag] = vec

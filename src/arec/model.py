@@ -1,12 +1,14 @@
 """Predictor assembly: embeddings, both representation branches, and a deep
 MLP combined into one logit, plus FM and DeepFM baselines sharing the same
-data pipeline and embedding machinery.
+data pipeline and embedding machinery.  DeepFM is the FM model with a deep
+MLP over its flattened factor embeddings, so both run one forward/backward.
 
 Every model kind has one implementation: a columnar batch forward and its
 backward, which the trainer, the evaluator and the gradient checks all run.
-`predict`, `predict_fm` and `predict_deepfm` score one example as a one-row
-batch.  Gradient containers reuse the parameter dataclasses so optimizer
-code can walk (name, tensor) pairs without caring which model it updates.
+`predict` and `predict_fm` score one example as a one-row batch.  Each
+backward builds its gradient container, a parameter dataclass, from the
+gradients of its parts, so optimizer code can walk (name, tensor) pairs in
+the parameters' order without caring which model it updates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .embedding import (
     embed_batch_backward,
     init_embedding,
     lookup_batch,
-    zeros_like_embedding,
 )
 from .interaction import (
     AcParams,
@@ -34,8 +35,6 @@ from .interaction import (
     branches_backward_batch,
     init_ac,
     init_mhsa,
-    zeros_like_ac,
-    zeros_like_mhsa,
 )
 from .numerics import Rng, Tensor, relu, sigmoid
 
@@ -67,10 +66,6 @@ def init_deep(in_dim: int, hidden, rng: Rng) -> DeepParams:
     return DeepParams(layers=layers)
 
 
-def zeros_like_deep(p: DeepParams) -> DeepParams:
-    return DeepParams(layers=[(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers])
-
-
 @dataclass
 class DeepTrace:
     inputs: list  # activation entering each layer
@@ -90,18 +85,17 @@ def deep_forward_batch(acts: Tensor, params: DeepParams):
 
 
 def deep_backward_batch(trace: DeepTrace, params: DeepParams, d_logits: Tensor):
-    grads = zeros_like_deep(params)
+    layers = []
     d = d_logits[:, None]
     last = len(params.layers) - 1
     for l in range(last, -1, -1):
         w, _ = params.layers[l]
         if l != last:
             d = d * (trace.pres[l] > 0)
-        gw, gb = grads.layers[l]
-        gw += d.T @ trace.inputs[l]
-        gb += d.sum(axis=0)
+        layers.append((d.T @ trace.inputs[l], d.sum(axis=0)))
         d = d @ w
-    return grads, d
+    layers.reverse()
+    return DeepParams(layers=layers), d
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +146,6 @@ def init_model(schema: FeatureSchema, dim: int, rng: Rng, *, heads: int = 2,
         w_cross=rng.normal((dim,), std=0.1),
         bias=np.zeros(1),
         deep=deep, first_order=fo, mode=mode,
-    )
-
-
-def zeros_like_model(p: ModelParams) -> ModelParams:
-    return ModelParams(
-        embedding=zeros_like_embedding(p.embedding),
-        mhsa=zeros_like_mhsa(p.mhsa),
-        ac=zeros_like_ac(p.ac),
-        w_internal=np.zeros_like(p.w_internal),
-        w_cross=np.zeros_like(p.w_cross),
-        bias=np.zeros_like(p.bias),
-        deep=None if p.deep is None else zeros_like_deep(p.deep),
-        first_order=None if p.first_order is None else zeros_like_embedding(p.first_order),
-        mode=p.mode,
     )
 
 
@@ -228,42 +208,47 @@ def forward_batch(col: Columnar, params: ModelParams):
 
 
 def backward_batch(trace: BatchTrace, params: ModelParams, d_logits: Tensor) -> ModelParams:
-    grads = zeros_like_model(params)
+    """Gradients as a ModelParams; in "deep" mode the unused shallow weights get None."""
     B, n, dim = trace.emb.shape
     d_internal = np.zeros_like(trace.internal)
     d_crossed = np.zeros_like(trace.crossed)
+    g_internal = g_cross = g_bias = g_deep = g_first_order = None
     if params.mode != "deep":
-        grads.w_internal += d_logits @ trace.internal
-        grads.w_cross += d_logits @ trace.crossed
-        grads.bias += d_logits.sum()
+        g_internal = d_logits @ trace.internal
+        g_cross = d_logits @ trace.crossed
+        g_bias = d_logits.sum(keepdims=True)
         d_internal += d_logits[:, None] * params.w_internal[None, :]
         d_crossed += d_logits[:, None] * params.w_cross[None, :]
     if params.deep is not None:
-        dg, d_a0 = deep_backward_batch(trace.deep, params.deep, d_logits)
-        grads.deep = dg
+        g_deep, d_a0 = deep_backward_batch(trace.deep, params.deep, d_logits)
         d_internal += d_a0[:, : n * dim]
         d_crossed += d_a0[:, n * dim :]
-    mg, ag, d_emb = branches_backward_batch(
+    g_mhsa, g_ac, d_emb = branches_backward_batch(
         trace.branch, params.mhsa, params.ac, d_internal, d_crossed
     )
-    grads.mhsa = mg
-    grads.ac = ag
-    grads.embedding = embed_batch_backward(trace.col, params.embedding, d_emb)
+    g_embedding = embed_batch_backward(trace.col, params.embedding, d_emb)
     if params.first_order is not None:
         up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
-        grads.first_order = embed_batch_backward(trace.col, params.first_order, up)
-    return grads
+        g_first_order = embed_batch_backward(trace.col, params.first_order, up)
+    return ModelParams(
+        embedding=g_embedding, mhsa=g_mhsa, ac=g_ac,
+        w_internal=g_internal, w_cross=g_cross, bias=g_bias,
+        deep=g_deep, first_order=g_first_order, mode=params.mode,
+    )
 
 
 # ---------------------------------------------------------------------------
-# FM baseline
+# FM and DeepFM baselines
 
 
 @dataclass
 class FmParams:
+    """FM; with `deep` set, DeepFM: an MLP over the flattened factor embeddings."""
+
     bias: Tensor  # (1,)
     first_order: EmbeddingParams  # dim 1
     factors: EmbeddingParams  # dim d
+    deep: DeepParams = None
 
     def named_tensors(self):
         yield "fm.bias", self.bias
@@ -271,21 +256,16 @@ class FmParams:
             yield f"fm.w.f{i}", t
         for i, t in enumerate(self.factors.tables):
             yield f"fm.v.f{i}", t
+        if self.deep is not None:
+            yield from self.deep.named_tensors()
 
 
-def init_fm(schema: FeatureSchema, dim: int, rng: Rng) -> FmParams:
+def init_fm(schema: FeatureSchema, dim: int, rng: Rng, *, deep_hidden=None) -> FmParams:
     return FmParams(
         bias=np.zeros(1),
         first_order=init_embedding(schema, 1, rng),
         factors=init_embedding(schema, dim, rng),
-    )
-
-
-def zeros_like_fm(p: FmParams) -> FmParams:
-    return FmParams(
-        bias=np.zeros_like(p.bias),
-        first_order=zeros_like_embedding(p.first_order),
-        factors=zeros_like_embedding(p.factors),
+        deep=None if deep_hidden is None else init_deep(schema.n_fields * dim, deep_hidden, rng),
     )
 
 
@@ -297,93 +277,41 @@ def predict_fm(example, params: FmParams) -> Prediction:
 class FmBatchTrace:
     col: Columnar
     emb: Tensor
+    deep: DeepTrace  # None without the MLP
     probs: Tensor
 
 
 def forward_batch_fm(col: Columnar, params: FmParams):
     emb = embed_batch(col, params.factors)
+    B, n, dim = emb.shape
     s = emb.sum(axis=1)  # (B, d)
     second = 0.5 * (np.sum(s * s, axis=1) - np.sum(emb * emb, axis=(1, 2)))
     fo = lookup_batch(col, params.first_order).sum(axis=(1, 2))
     logits = params.bias[0] + fo + second
+    deep_trace = None
+    if params.deep is not None:
+        deep_logits, deep_trace = deep_forward_batch(emb.reshape(B, n * dim), params.deep)
+        logits = logits + deep_logits
     probs = sigmoid(logits)
-    return probs, logits, FmBatchTrace(col=col, emb=emb, probs=probs)
+    return probs, logits, FmBatchTrace(col=col, emb=emb, deep=deep_trace, probs=probs)
 
 
 def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor) -> FmParams:
-    grads = zeros_like_fm(params)
-    grads.bias += d_logits.sum()
-    B, n, _ = trace.emb.shape
-    up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
-    grads.first_order = embed_batch_backward(trace.col, params.first_order, up)
-    s = trace.emb.sum(axis=1)
-    d_emb = d_logits[:, None, None] * (s[:, None, :] - trace.emb)
-    grads.factors = embed_batch_backward(trace.col, params.factors, d_emb)
-    return grads
-
-
-# ---------------------------------------------------------------------------
-# DeepFM baseline
-
-
-@dataclass
-class DeepFmParams:
-    fm: FmParams
-    deep: DeepParams  # over the flattened shared embeddings
-
-    def named_tensors(self):
-        yield from self.fm.named_tensors()
-        yield from self.deep.named_tensors()
-
-
-def init_deepfm(schema: FeatureSchema, dim: int, rng: Rng, *, deep_hidden=(64, 64)) -> DeepFmParams:
-    return DeepFmParams(
-        fm=init_fm(schema, dim, rng),
-        deep=init_deep(schema.n_fields * dim, deep_hidden, rng),
-    )
-
-
-def zeros_like_deepfm(p: DeepFmParams) -> DeepFmParams:
-    return DeepFmParams(fm=zeros_like_fm(p.fm), deep=zeros_like_deep(p.deep))
-
-
-def predict_deepfm(example, params: DeepFmParams) -> Prediction:
-    return _predict_one(forward_batch_deepfm, example, params.fm.factors.n_fields, params)
-
-
-@dataclass
-class DeepFmBatchTrace:
-    col: Columnar
-    emb: Tensor
-    deep: DeepTrace
-    probs: Tensor
-
-
-def forward_batch_deepfm(col: Columnar, params: DeepFmParams):
-    emb = embed_batch(col, params.fm.factors)
-    B, n, dim = emb.shape
-    s = emb.sum(axis=1)
-    second = 0.5 * (np.sum(s * s, axis=1) - np.sum(emb * emb, axis=(1, 2)))
-    fo = lookup_batch(col, params.fm.first_order).sum(axis=(1, 2))
-    deep_logits, deep_trace = deep_forward_batch(emb.reshape(B, n * dim), params.deep)
-    logits = params.fm.bias[0] + fo + second + deep_logits
-    probs = sigmoid(logits)
-    return probs, logits, DeepFmBatchTrace(col=col, emb=emb, deep=deep_trace, probs=probs)
-
-
-def backward_batch_deepfm(trace: DeepFmBatchTrace, params: DeepFmParams,
-                          d_logits: Tensor) -> DeepFmParams:
-    grads = zeros_like_deepfm(params)
-    grads.fm.bias += d_logits.sum()
     B, n, dim = trace.emb.shape
     up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
-    grads.fm.first_order = embed_batch_backward(trace.col, params.fm.first_order, up)
-    dg, d_flat = deep_backward_batch(trace.deep, params.deep, d_logits)
-    grads.deep = dg
+    g_first_order = embed_batch_backward(trace.col, params.first_order, up)
     s = trace.emb.sum(axis=1)
-    d_emb = d_logits[:, None, None] * (s[:, None, :] - trace.emb) + d_flat.reshape(B, n, dim)
-    grads.fm.factors = embed_batch_backward(trace.col, params.fm.factors, d_emb)
-    return grads
+    d_emb = d_logits[:, None, None] * (s[:, None, :] - trace.emb)
+    g_deep = None
+    if params.deep is not None:
+        g_deep, d_flat = deep_backward_batch(trace.deep, params.deep, d_logits)
+        d_emb = d_emb + d_flat.reshape(B, n, dim)
+    return FmParams(
+        bias=d_logits.sum(keepdims=True),
+        first_order=g_first_order,
+        factors=embed_batch_backward(trace.col, params.factors, d_emb),
+        deep=g_deep,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +332,10 @@ _OPS = {
     "fm": ModelOps("fm", lambda schema, dim, rng, **kw: init_fm(schema, dim, rng),
                    predict_fm, forward_batch_fm, backward_batch_fm),
     "deepfm": ModelOps("deepfm",
-                       lambda schema, dim, rng, **kw: init_deepfm(
+                       lambda schema, dim, rng, **kw: init_fm(
                            schema, dim, rng, deep_hidden=kw.get("deep_hidden", (64, 64))
                        ),
-                       predict_deepfm, forward_batch_deepfm, backward_batch_deepfm),
+                       predict_fm, forward_batch_fm, backward_batch_fm),
 }
 MODEL_KINDS = tuple(_OPS)
 

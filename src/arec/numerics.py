@@ -84,10 +84,6 @@ def relu(x: Tensor) -> Tensor:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x: Tensor, grad: Tensor) -> Tensor:
-    return grad * (x > 0.0)
-
-
 def softmax(x: Tensor) -> Tensor:
     """Softmax of a vector, max-subtracted for stability."""
     if x.ndim != 1 or x.size == 0:

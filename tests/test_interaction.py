@@ -15,8 +15,6 @@ from arec.interaction import (
     init_mhsa,
     pair_indices,
     self_attention_batch,
-    zeros_like_ac,
-    zeros_like_mhsa,
 )
 from arec.numerics import (
     DimensionError,
@@ -303,19 +301,17 @@ def test_batched_backward_matches_per_example_sum():
     btr = branches_forward_batch(emb, mh, ac)
     bmg, bag, bd_emb = branches_backward_batch(btr, mh, ac, gi.reshape(B, n, d), gc)
 
-    total_m, total_a = zeros_like_mhsa(mh), zeros_like_ac(ac)
+    totals = {name: np.zeros_like(t) for p in (mh, ac) for name, t in p.named_tensors()}
     for b in range(B):
         trace = branches_forward_batch(emb[b : b + 1], mh, ac)
         mg, ag, d_emb = branches_backward_batch(trace, mh, ac, gi[b : b + 1], gc[b : b + 1])
-        for (_, t), (_, f) in zip(total_m.named_tensors(), mg.named_tensors()):
-            t += f
-        for (_, t), (_, f) in zip(total_a.named_tensors(), ag.named_tensors()):
-            t += f
+        for g in (mg, ag):
+            for name, t in g.named_tensors():
+                totals[name] += t
         assert np.max(np.abs(bd_emb[b] - d_emb[0])) < 1e-12
-    for (_, got), (_, want) in zip(bmg.named_tensors(), total_m.named_tensors()):
-        assert np.max(np.abs(got - want)) < 1e-12
-    for (_, got), (_, want) in zip(bag.named_tensors(), total_a.named_tensors()):
-        assert np.max(np.abs(got - want)) < 1e-12
+    for g in (bmg, bag):
+        for name, got in g.named_tensors():
+            assert np.max(np.abs(got - totals[name])) < 1e-12
 
 
 def _einsum_branches(emb, mh, ac, d_internal, d_pooled):

@@ -250,6 +250,34 @@ def test_modality_file_parse_errors(tmp_path):
         load_modality_features(str(p))
 
 
+def test_modality_file_values_equal_per_token_float_bit_for_bit(tmp_path):
+    gen = np.random.default_rng(5)
+    edge = ["1_0", "+.5", "5.", "-0", "-.0", "1E3", "1e-400", "4.9e-324",
+            "2.4703282292062328e-324", "0.000001e-308", "1.7976931348623157e308",
+            "١٢", "1" + "0" * 30 + ".5", "0." + "3" * 60]
+    values = gen.standard_normal(400) * 10.0 ** gen.integers(-300, 300, 400)
+    random_tokens = [repr(float(v)) for v in values]
+    random_tokens += [f"{v:.3e}" for v in values[:100]]
+    random_tokens += ["".join(map(str, gen.integers(0, 10, int(k)))) + "." + "7" * int(k)
+                      for k in gen.integers(1, 40, 100)]
+    tokens = edge + random_tokens
+    dim = len(edge)
+    rows = [tokens[i : i + dim] for i in range(0, len(tokens) - dim + 1, dim)]
+    path = tmp_path / "features.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        for item, row in enumerate(rows):
+            for tag in ("sa", "sv", "pa", "pv"):
+                fh.write(f"{item} {tag} {','.join(row)}\n")
+    loaded = load_modality_features(str(path))
+    for item, row in enumerate(rows):
+        want = np.array([float(tok) for tok in row], dtype=np.float64)
+        for tag in ("shared_audio", "shared_visual", "private_audio", "private_visual"):
+            assert getattr(loaded[str(item)], tag).tobytes() == want.tobytes(), (item, row)
+    path.write_text("10 sa 1.0,0x1p3\n")  # float() rejects hex literals; so must the loader
+    with pytest.raises(ParseError):
+        load_modality_features(str(path))
+
+
 def test_modality_file_missing_tag(tmp_path):
     p = tmp_path / "partial.txt"
     p.write_text("10 sa 1.0,2.0\n10 sv 1.0,2.0\n10 pa 1.0,2.0\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,11 @@ from arec.model import (
     deep_forward_batch,
     forward_batch,
     init_deep,
-    init_deepfm,
     init_fm,
     init_model,
     ops_for,
     predict,
-    predict_deepfm,
     predict_fm,
-    zeros_like_model,
 )
 from arec.numerics import Rng, matmul, mm_nt, mm_tn, relu
 
@@ -190,39 +188,39 @@ def test_fm_bias_only_example():
 
 
 def test_deepfm_zero_mlp_equals_fm():
-    params = init_deepfm(SCHEMA, 4, Rng(11))
+    params = init_fm(SCHEMA, 4, Rng(11), deep_hidden=(64, 64))
     for name, t in params.named_tensors():
         if name.startswith("deep."):
             t[...] = 0.0
     gen = np.random.default_rng(12)
     for _ in range(10):
         ex = random_example(SCHEMA, gen)
-        assert predict_deepfm(ex, params).logit == predict_fm(ex, params.fm).logit
+        assert predict_fm(ex, params).logit == predict_fm(ex, replace(params, deep=None)).logit
 
 
 def test_deepfm_zero_fm_is_pure_deep():
-    params = init_deepfm(SCHEMA, 4, Rng(13))
-    params.fm.bias[...] = 0.0
-    for t in params.fm.first_order.tables:
+    params = init_fm(SCHEMA, 4, Rng(13), deep_hidden=(64, 64))
+    params.bias[...] = 0.0
+    for t in params.first_order.tables:
         t[...] = 0.0
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
-    emb = embed(ex, params.fm.factors)
+    emb = embed(ex, params.factors)
     deep_logit = deep_forward_batch(emb.reshape(1, -1), params.deep)[0][0]
     want = deep_logit + 0.5 * float(
         np.sum(emb.sum(axis=0) ** 2) - np.sum(emb * emb)
     )
-    assert abs(predict_deepfm(ex, params).logit - want) < 1e-10
+    assert abs(predict_fm(ex, params).logit - want) < 1e-10
 
 
 def test_deepfm_composition_oracle():
     gen = np.random.default_rng(14)
-    params = init_deepfm(SCHEMA, 3, Rng(15), deep_hidden=(6, 4))
+    params = init_fm(SCHEMA, 3, Rng(15), deep_hidden=(6, 4))
     for _ in range(10):
         ex = random_example(SCHEMA, gen)
-        fm_logit = predict_fm(ex, params.fm).logit
-        emb = embed(ex, params.fm.factors)
+        fm_logit = predict_fm(ex, replace(params, deep=None)).logit
+        emb = embed(ex, params.factors)
         deep_logit = deep_forward_batch(emb.reshape(1, -1), params.deep)[0][0]
-        assert abs(predict_deepfm(ex, params).logit - (fm_logit + deep_logit)) < 1e-10
+        assert abs(predict_fm(ex, params).logit - (fm_logit + deep_logit)) < 1e-10
 
 
 def test_bias_gradient_is_residual():
@@ -397,6 +395,11 @@ MIXED = make_schema([
     ("age", "continuous", (0.0, 1.0)),
 ])
 
+# every model kind, and for ours every mode with and without the linear term
+STEP_CASES = [("ours", dict(mode=mode, first_order=fo, deep_hidden=(6, 4)))
+              for mode in ("shallow", "deep", "combined") for fo in (False, True)]
+STEP_CASES += [("fm", {}), ("deepfm", dict(deep_hidden=(6, 4)))]
+
 
 def test_training_step_runs_without_einsum(monkeypatch):
     # the einsum kernels are the tests' oracle; a contraction that drifts back
@@ -406,13 +409,40 @@ def test_training_step_runs_without_einsum(monkeypatch):
 
     gen = np.random.default_rng(37)
     col = Columnar.from_examples([random_example(MIXED, gen) for _ in range(6)], MIXED)
-    cases = [("ours", dict(mode=mode, first_order=fo, deep_hidden=(6, 4)))
-             for mode in ("shallow", "deep", "combined") for fo in (False, True)]
-    cases += [("fm", {}), ("deepfm", dict(deep_hidden=(6, 4)))]
     monkeypatch.setattr(np, "einsum", no_einsum)
-    for kind, kwargs in cases:
+    for kind, kwargs in STEP_CASES:
         ops = ops_for(kind)
         params = ops.init(MIXED, 4, Rng(38), **kwargs)
         probs, _, trace = ops.forward_batch(col, params)
         grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels))
         assert all(np.all(np.isfinite(t)) for _, t in grads.named_tensors())
+
+
+@pytest.mark.parametrize("kind,kwargs", STEP_CASES, ids=[
+    "-".join([k, *(f"{key}={val}" for key, val in kw.items() if key != "deep_hidden")])
+    for k, kw in STEP_CASES
+])
+def test_gradient_layout_matches_parameters(kind, kwargs):
+    # adam_update pairs parameters with gradients by position, and
+    # clip_gradients scales the gradients in place
+    gen = np.random.default_rng(39)
+    col = Columnar.from_examples([random_example(MIXED, gen) for _ in range(6)], MIXED)
+    ops = ops_for(kind)
+    params = ops.init(MIXED, 4, Rng(40), **kwargs)
+    probs, _, trace = ops.forward_batch(col, params)
+    grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels))
+    layout = [(name, t.shape) for name, t in params.named_tensors()]
+    assert [(name, g.shape) for name, g in grads.named_tensors()] == layout
+    for (_, p), (name, g) in zip(params.named_tensors(), grads.named_tensors()):
+        assert g.flags.writeable and not np.shares_memory(g, p), name
+
+
+def test_fm_and_deepfm_checkpoint_layout():
+    fm = ["fm.bias", "fm.w.f0", "fm.w.f1", "fm.w.f2", "fm.v.f0", "fm.v.f1", "fm.v.f2"]
+    deep = ["deep.w0", "deep.b0", "deep.w1", "deep.b1", "deep.w2", "deep.b2"]
+    assert [name for name, _ in ops_for("fm").init(SCHEMA, 4, Rng(41)).named_tensors()] == fm
+    params = ops_for("deepfm").init(SCHEMA, 4, Rng(41), deep_hidden=(6, 4))
+    assert [name for name, _ in params.named_tensors()] == fm + deep
+    assert [t.shape for _, t in params.deep.named_tensors()] == [
+        (6, 12), (6,), (4, 6), (4,), (1, 4), (1,)
+    ]
