@@ -243,6 +243,10 @@ def rebuild_params(ckpt: Checkpoint, schema):
 
 
 def cmd_prepare(args) -> int:
+    try:
+        ratios = tuple(float(tok) for tok in args.ratios.split(","))
+    except ValueError:
+        raise ConfigError(f"--ratios expects comma-separated numbers, got {args.ratios!r}") from None
     if args.dataset == "movielens":
         base = args.input
         records = parse_movielens(
@@ -255,7 +259,6 @@ def cmd_prepare(args) -> int:
         if os.path.isdir(path):
             path = os.path.join(path, "reviews.json")
         records = parse_amazon(path)
-    ratios = tuple(float(tok) for tok in args.ratios.split(","))
     tag = args.tag or args.dataset
     dataset = prepare_dataset(records, ratios=ratios, seed=args.seed, tag=tag)
     save_cache(args.out, dataset)

@@ -391,10 +391,13 @@ def validate_example(example: EncodedExample, schema: FeatureSchema):
 
 def split(table, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
     """Seeded uniform shuffle followed by a contiguous three-way cut."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    # `r > 0` rather than `r <= 0`: NaN fails every comparison
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise ConfigError(f"need three positive ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios {ratios} sum to {sum(ratios)}, expected 1")
+    if not 0 <= seed < 2**64:  # the cache stores it as a u64
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     n = len(table)
     order = Rng(seed).permutation(n)
     c1 = int(round(n * ratios[0]))

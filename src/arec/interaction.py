@@ -7,10 +7,11 @@ field pair, scores each product with a small ReLU attention network, and
 pools the products by softmax weight into a single vector.
 
 Both branches run on (B, n, d) batches, with every contraction a BLAS
-product: `@` on the batch flattened to 2-D rows, or on stacked 3-D operands
-for the per-head (B, n, n) attention products.  The self-attention query,
-key, value and residual maps run as one GEMM over their concatenated
-weights, and their gradients are column slices of one GEMM.
+product: `@` on the batch flattened to 2-D rows, or on (batch, head) stacks
+for the (B, H, n, n) attention products, so heads are a tensor axis, not a
+loop.  The self-attention query, key, value and residual maps are stored as
+the one (d, 3*H*d_k + d) input map that runs them as one GEMM; their
+gradient is one GEMM too, and each named map is a column view of it.
 
 `ac_attention` scores one example's pairs with einsum instead, and takes its
 softmax denominator and pooled sum by exact (correctly rounded) summation,
@@ -40,29 +41,29 @@ from .numerics import (
 
 @dataclass
 class MhsaParams:
-    """Per-head query/key/value projections plus output and residual maps."""
+    """Self-attention maps, stored as the one GEMM that runs them.
 
-    wq: list  # H arrays (d, d_k)
-    wk: list
-    wv: list
+    `w_in` holds every head's query columns, then every head's key columns,
+    then every head's value columns, then the (d, d) residual map.
+    `named_tensors` yields each map as a column view of it.
+    """
+
+    w_in: Tensor  # (d, 3*H*d_k + d)
     wo: Tensor  # (H*d_k, d)
-    wres: Tensor  # (d, d)
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.wq)
+    n_heads: int
 
     @property
     def head_dim(self) -> int:
-        return self.wq[0].shape[1]
+        return self.wo.shape[0] // self.n_heads
 
     def named_tensors(self):
+        dk = self.head_dim
+        A = self.n_heads * dk
         for h in range(self.n_heads):
-            yield f"mhsa.q{h}", self.wq[h]
-            yield f"mhsa.k{h}", self.wk[h]
-            yield f"mhsa.v{h}", self.wv[h]
+            for tag, base in (("q", 0), ("k", A), ("v", 2 * A)):
+                yield f"mhsa.{tag}{h}", self.w_in[:, base + h * dk : base + (h + 1) * dk]
         yield "mhsa.out", self.wo
-        yield "mhsa.res", self.wres
+        yield "mhsa.res", self.w_in[:, 3 * A :]
 
 
 @dataclass
@@ -89,12 +90,14 @@ def init_mhsa(dim: int, n_heads: int, rng: Rng, attn_dim: int = None) -> MhsaPar
     if n_heads < 1 or attn_dim % n_heads != 0:
         raise DimensionError(f"attention width {attn_dim} not divisible into {n_heads} heads")
     dk = attn_dim // n_heads
-    wq = [_glorot(rng, dim, dk, (dim, dk)) for _ in range(n_heads)]
-    wk = [_glorot(rng, dim, dk, (dim, dk)) for _ in range(n_heads)]
-    wv = [_glorot(rng, dim, dk, (dim, dk)) for _ in range(n_heads)]
-    wo = _glorot(rng, attn_dim, dim, (attn_dim, dim))
-    wres = _glorot(rng, dim, dim, (dim, dim))
-    return MhsaParams(wq=wq, wk=wk, wv=wv, wo=wo, wres=wres)
+    A = n_heads * dk
+    w_in = np.empty((dim, 3 * A + dim))
+    # the seeded draw order: every q, then every k, then every v, then wo, then res
+    for col in range(0, 3 * A, dk):
+        w_in[:, col : col + dk] = _glorot(rng, dim, dk, (dim, dk))
+    wo = _glorot(rng, A, dim, (A, dim))
+    w_in[:, 3 * A :] = _glorot(rng, dim, dim, (dim, dim))
+    return MhsaParams(w_in=w_in, wo=wo, n_heads=n_heads)
 
 
 def init_ac(dim: int, hidden: int, rng: Rng) -> AcParams:
@@ -170,45 +173,31 @@ class AcTrace:
 @dataclass
 class MhsaTrace:
     emb: Tensor  # (B, n, d)
-    q: list  # per head (B, n, d_k)
-    k: list
-    v: list
-    att: list  # per head (B, n, n) softmax rows
+    q: Tensor  # (B, H, n, d_k)
+    k: Tensor
+    v: Tensor
+    att: Tensor  # (B, H, n, n) softmax rows
     concat: Tensor  # (B, n, H*d_k)
     pre: Tensor  # (B, n, d) before relu
     out: Tensor  # (B, n, d)
 
 
-def _fused_projection(params: MhsaParams) -> Tensor:
-    """(d, 3*H*d_k + d): every head's query, then key, then value map, then the residual."""
-    return np.concatenate([*params.wq, *params.wk, *params.wv, params.wres], axis=1)
-
-
 def self_attention_batch(emb: Tensor, params: MhsaParams) -> MhsaTrace:
     """Internal representation: relu(attention(emb) + residual), per field row.
 
-    The query, key, value and residual maps run as one GEMM; the per-head
-    q, k and v in the trace are column slices of its output.
+    The query, key, value and residual maps run as one GEMM; q, k and v in
+    the trace are (B, H, n, d_k) views of its output.
     """
     B, n, d = emb.shape
     H, dk = params.n_heads, params.head_dim
     A = H * dk
     scale = 1.0 / math.sqrt(dk)
-    proj = (emb.reshape(B * n, d) @ _fused_projection(params)).reshape(B, n, 3 * A + d)
-    qkv = proj[:, :, : 3 * A].reshape(B, n, 3, H, dk)
-    qs, ks, vs, atts, heads = [], [], [], [], []
-    for h in range(H):
-        q, k, v = qkv[:, :, 0, h], qkv[:, :, 1, h], qkv[:, :, 2, h]
-        att = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
-        heads.append(att @ v)
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-        atts.append(att)
-    concat = np.concatenate(heads, axis=2)
+    proj = (emb.reshape(B * n, d) @ params.w_in).reshape(B, n, 3 * A + d)
+    q, k, v = proj[:, :, : 3 * A].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
+    att = softmax_rows((q @ k.swapaxes(2, 3)) * scale)
+    concat = (att @ v).transpose(0, 2, 1, 3).reshape(B, n, A)
     pre = (concat.reshape(B * n, A) @ params.wo).reshape(B, n, d) + proj[:, :, 3 * A :]
-    return MhsaTrace(emb=emb, q=qs, k=ks, v=vs, att=atts, concat=concat, pre=pre,
-                     out=relu(pre))
+    return MhsaTrace(emb=emb, q=q, k=k, v=v, att=att, concat=concat, pre=pre, out=relu(pre))
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +239,19 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
 
     # upstream of the fused projection, laid out as its columns
     d_proj = np.empty((B, n, 3 * A + d))
-    d_qkv = d_proj[:, :, : 3 * A].reshape(B, n, 3, H, dk)
+    d_q, d_k, d_v = d_proj[:, :, : 3 * A].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
     d_pre = d_proj[:, :, 3 * A :]
     np.multiply(d_internal.reshape(B, n, d), mt.pre > 0, out=d_pre)
     d_wo = mt.concat.reshape(B * n, A).T @ d_pre.reshape(B * n, d)
-    d_concat = (d_pre.reshape(B * n, d) @ mhsa_params.wo.T).reshape(B, n, A)
-    for h in range(H):
-        d_head = d_concat[:, :, h * dk : (h + 1) * dk]
-        att, q, k, v = mt.att[h], mt.q[h], mt.k[h], mt.v[h]
-        d_scores = softmax_rows_backward(att, d_head @ v.transpose(0, 2, 1)) * scale
-        d_qkv[:, :, 0, h] = d_scores @ k
-        d_qkv[:, :, 1, h] = d_scores.transpose(0, 2, 1) @ q
-        d_qkv[:, :, 2, h] = att.transpose(0, 2, 1) @ d_head
+    d_concat = (d_pre.reshape(B * n, d) @ mhsa_params.wo.T).reshape(B, n, H, dk)
+    d_heads = d_concat.transpose(0, 2, 1, 3)  # (B, H, n, d_k)
+    d_scores = softmax_rows_backward(mt.att, d_heads @ mt.v.swapaxes(2, 3)) * scale
+    d_q[...] = d_scores @ mt.k
+    d_k[...] = d_scores.swapaxes(2, 3) @ mt.q
+    d_v[...] = mt.att.swapaxes(2, 3) @ d_heads
     d_proj = d_proj.reshape(B * n, 3 * A + d)
-    g = emb.reshape(B * n, d).T @ d_proj  # every projection's gradient, as columns
-    g_qkv = g[:, : 3 * A].reshape(d, 3, H, dk)
-    mg = MhsaParams(wq=[g_qkv[:, 0, h] for h in range(H)], wk=[g_qkv[:, 1, h] for h in range(H)],
-                    wv=[g_qkv[:, 2, h] for h in range(H)], wo=d_wo, wres=g[:, 3 * A :])
-    d_emb = (d_proj @ _fused_projection(mhsa_params).T).reshape(B, n, d)
+    mg = MhsaParams(w_in=emb.reshape(B * n, d).T @ d_proj, wo=d_wo, n_heads=H)
+    d_emb = (d_proj @ mhsa_params.w_in.T).reshape(B, n, d)
 
     m = len(at.iu)
     t = ac_params.weight.shape[0]

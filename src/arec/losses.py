@@ -43,16 +43,6 @@ def logloss(preds, labels) -> float:
     return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
 
 
-def logloss_grad(preds, labels) -> Tensor:
-    """d(logloss)/d(preds); zero where the clamp is active."""
-    p = np.asarray(preds, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    pc = clamp_probs(p)
-    inside = (p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR)
-    g = (pc - y) / (pc * (1.0 - pc) * p.size)
-    return g * inside
-
-
 def logloss_d_logits(probs: Tensor, labels: Tensor) -> Tensor:
     """d(logloss)/d(logits) of sigmoid probabilities; zero where the clamp is active."""
     inside = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)

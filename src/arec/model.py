@@ -181,7 +181,6 @@ class BatchTrace:
     internal: Tensor  # (B, n*d)
     crossed: Tensor  # (B, d)
     deep: DeepTrace
-    probs: Tensor
 
 
 def forward_batch(col: Columnar, params: ModelParams):
@@ -203,7 +202,7 @@ def forward_batch(col: Columnar, params: ModelParams):
         logits += lookup_batch(col, params.first_order).sum(axis=(1, 2))
     probs = sigmoid(logits)
     trace = BatchTrace(col=col, emb=emb, branch=btrace, internal=internal,
-                       crossed=crossed, deep=deep_trace, probs=probs)
+                       crossed=crossed, deep=deep_trace)
     return probs, logits, trace
 
 
@@ -278,7 +277,6 @@ class FmBatchTrace:
     col: Columnar
     emb: Tensor
     deep: DeepTrace  # None without the MLP
-    probs: Tensor
 
 
 def forward_batch_fm(col: Columnar, params: FmParams):
@@ -293,7 +291,7 @@ def forward_batch_fm(col: Columnar, params: FmParams):
         deep_logits, deep_trace = deep_forward_batch(emb.reshape(B, n * dim), params.deep)
         logits = logits + deep_logits
     probs = sigmoid(logits)
-    return probs, logits, FmBatchTrace(col=col, emb=emb, deep=deep_trace, probs=probs)
+    return probs, logits, FmBatchTrace(col=col, emb=emb, deep=deep_trace)
 
 
 def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor) -> FmParams:

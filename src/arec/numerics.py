@@ -61,23 +61,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
-def matmul_backward(a: Tensor, b: Tensor, grad: Tensor):
-    """Gradients of matmul(a, b) w.r.t. both operands."""
-    da = np.einsum("ij,kj->ik", grad, b, optimize=False)  # grad @ b^T
-    db = np.einsum("ik,ij->kj", a, grad, optimize=False)  # a^T @ grad
-    return da, db
-
-
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise 1/(1+exp(-x)), stable for arbitrarily large |x|."""
     x = np.asarray(x, dtype=np.float64)
     p = 1.0 / (1.0 + np.exp(-np.abs(x)))  # exp of a non-positive value, cannot overflow
     return np.where(x >= 0, p, 1.0 - p)
-
-
-def sigmoid_backward(out: Tensor, grad: Tensor) -> Tensor:
-    """Backward through sigmoid given its forward output."""
-    return grad * out * (1.0 - out)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -400,8 +400,15 @@ def fit(ops: ModelOps, schema: FeatureSchema, train_examples, val_examples,
         modality = ModalityBatcher.build(schema, modality_table)
     curve = []
     for _ in range(config.max_epochs):
-        em = train_epoch(ops, state, train_col, config, modality)
-        val_auc, val_ll = _eval_columnar(ops, state.params, val_col)
+        # a diverging run surfaces as one DivergenceError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            em = train_epoch(ops, state, train_col, config, modality)
+            val_auc, val_ll = _eval_columnar(ops, state.params, val_col)
+        if not np.isfinite(val_ll):
+            raise DivergenceError(
+                f"non-finite validation logloss after epoch {state.epoch}; "
+                f"{_non_finite_parameter(state.params)}"
+            )
         curve.append(
             CurvePoint(epoch=state.epoch, train_loss=em.train_loss, val_auc=val_auc,
                        val_logloss=val_ll, dim=config.dim, seed=config.seed,

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -105,6 +106,20 @@ def test_prepare_reports_bad_line_with_location(tmp_path, capsys):
     assert code == 2
     assert "ratings.dat:2" in captured.err
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--ratios", "a,b,c"), ("--ratios", "0.8,0.1,nan"), ("--seed", "-1"),
+], ids=["ratios-not-numbers", "ratio-nan", "seed-negative"])
+def test_prepare_bad_option_exits_two_without_traceback(tmp_path, capsys, option, value):
+    raw = write_raw(tmp_path / "raw")
+    out = tmp_path / "bad.cache"
+    code = cli.main(["prepare", "--dataset", "movielens", "--input", str(raw),
+                     "--out", str(out), option, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_curve_and_json(workdir, ml_cache, ours_ckpt, capsys):
@@ -407,6 +422,23 @@ def test_divergent_training_exits_three(workdir, ml_cache, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "training diverged" in captured.err
+
+
+@pytest.mark.parametrize("model", ["ours", "fm"])
+def test_divergence_at_the_last_update_exits_three(ml_cache, tmp_path, capsys, model):
+    # one batch, one epoch: the only update makes the validation logloss NaN
+    ckpt = tmp_path / "last.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--cache", str(ml_cache), "--model", model,
+                         "--out", str(ckpt), "--set", "learning_rate=1e300",
+                         "--set", "max_epochs=1", "--set", "batch_size=100000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("training diverged: non-finite validation logloss")
+    assert [str(w.message) for w in caught] == []
+    assert not ckpt.exists() and not (tmp_path / "last.ckpt.curve.csv").exists()
 
 
 def test_checkpoint_roundtrip_matches_library_eval(workdir, ml_cache, ours_ckpt, capsys):

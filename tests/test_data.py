@@ -344,6 +344,16 @@ def test_split_ratio_validation():
         split(rows, ratios=(0.9, 0.2, -0.1))
     with pytest.raises(ConfigError):
         split(rows, ratios=(0.5, 0.2, 0.2))
+    with pytest.raises(ConfigError):
+        split(rows, ratios=(0.8, 0.1, float("nan")))
+
+
+def test_split_seed_must_fit_the_cache():
+    rows = list(range(10))
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError):
+            split(rows, seed=seed)
+    assert len(split(rows, seed=2**64 - 1).train) == 8
 
 
 def test_prepare_and_cache_roundtrip(ml_files, tmp_path):

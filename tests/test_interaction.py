@@ -119,10 +119,10 @@ def test_mhsa_single_field():
     emb = Rng(10).normal((1, d))
     trace = self_attention_batch(emb[None], params)
     flat = trace.out[0].reshape(-1)
-    for att in trace.att:
-        assert np.array_equal(att[0], np.ones((1, 1)))
-    concat = np.concatenate([emb @ wv for wv in params.wv], axis=1)
-    want = relu(concat @ params.wo + emb @ params.wres).reshape(-1)
+    assert np.array_equal(trace.att, np.ones((1, 2, 1, 1)))
+    w = dict(params.named_tensors())
+    concat = np.concatenate([emb @ w[f"mhsa.v{h}"] for h in range(2)], axis=1)
+    want = relu(concat @ params.wo + emb @ w["mhsa.res"]).reshape(-1)
     assert np.max(np.abs(flat - want)) < 1e-12
 
 
@@ -131,8 +131,8 @@ def test_mhsa_equal_rows_give_uniform_attention():
     params = init_mhsa(d, 2, Rng(11))
     emb = np.tile(Rng(12).normal((1, d)), (4, 1))
     trace = self_attention_batch(emb[None], params)
-    for att in trace.att:
-        assert np.max(np.abs(att[0] - 0.25)) < 1e-12
+    assert trace.att.shape == (1, 2, 4, 4)
+    assert np.max(np.abs(trace.att - 0.25)) < 1e-12
 
 
 def test_mhsa_per_head_loop_oracle():
@@ -142,11 +142,12 @@ def test_mhsa_per_head_loop_oracle():
     flat = self_attention_batch(emb[None], params).out[0].reshape(-1)
 
     dk = d // heads
+    w = dict(params.named_tensors())
     head_outs = []
     for h in range(heads):
-        q = emb @ params.wq[h]
-        k = emb @ params.wk[h]
-        v = emb @ params.wv[h]
+        q = emb @ w[f"mhsa.q{h}"]
+        k = emb @ w[f"mhsa.k{h}"]
+        v = emb @ w[f"mhsa.v{h}"]
         out = np.zeros((n, dk))
         for i in range(n):
             scores = np.array([q[i] @ k[j] for j in range(n)]) / math.sqrt(dk)
@@ -154,7 +155,7 @@ def test_mhsa_per_head_loop_oracle():
             out[i] = sum(att[j] * v[j] for j in range(n))
         head_outs.append(out)
     concat = np.concatenate(head_outs, axis=1)
-    want = relu(concat @ params.wo + emb @ params.wres).reshape(-1)
+    want = relu(concat @ params.wo + emb @ w["mhsa.res"]).reshape(-1)
     assert np.max(np.abs(flat - want)) < 1e-12
     assert flat.shape == (n * d,)
 
@@ -320,14 +321,15 @@ def _einsum_branches(emb, mh, ac, d_internal, d_pooled):
     H, dk = mh.n_heads, mh.head_dim
     scale = 1.0 / math.sqrt(dk)
     flat = emb.reshape(B * n, d)
+    w = dict(mh.named_tensors())
     per_head, heads = [], []
     for h in range(H):
-        q, k, v = (matmul(flat, w[h]).reshape(B, n, dk) for w in (mh.wq, mh.wk, mh.wv))
+        q, k, v = (matmul(flat, w[f"mhsa.{tag}{h}"]).reshape(B, n, dk) for tag in "qkv")
         att = softmax_rows(bmm_nt(q, k) * scale)
         heads.append(bmm(att, v))
         per_head.append((q, k, v, att))
     concat = np.concatenate(heads, axis=2).reshape(B * n, H * dk)
-    pre = (matmul(concat, mh.wo) + matmul(flat, mh.wres)).reshape(B, n, d)
+    pre = (matmul(concat, mh.wo) + matmul(flat, w["mhsa.res"])).reshape(B, n, d)
 
     iu, ju = pair_indices(n)
     m = len(iu)
@@ -339,17 +341,16 @@ def _einsum_branches(emb, mh, ac, d_internal, d_pooled):
 
     d_pre = (d_internal.reshape(B, n, d) * (pre > 0)).reshape(B * n, d)
     grads = {"mhsa.out": mm_tn(concat, d_pre), "mhsa.res": mm_tn(flat, d_pre)}
-    d_emb = mm_nt(d_pre, mh.wres)
+    d_emb = mm_nt(d_pre, w["mhsa.res"])
     d_concat = mm_nt(d_pre, mh.wo).reshape(B, n, H * dk)
     for h, (q, k, v, att) in enumerate(per_head):
         d_head = d_concat[:, :, h * dk : (h + 1) * dk]
         d_scores = softmax_rows_backward(att, bmm_nt(d_head, v)) * scale
-        for tag, w, g in (("q", mh.wq, bmm(d_scores, k)),
-                          ("k", mh.wk, bmm_tn(d_scores, q)),
-                          ("v", mh.wv, bmm_tn(att, d_head))):
+        for tag, g in (("q", bmm(d_scores, k)), ("k", bmm_tn(d_scores, q)),
+                       ("v", bmm_tn(att, d_head))):
             g = g.reshape(B * n, dk)
             grads[f"mhsa.{tag}{h}"] = mm_tn(flat, g)
-            d_emb = d_emb + mm_nt(g, w[h])
+            d_emb = d_emb + mm_nt(g, w[f"mhsa.{tag}{h}"])
     d_emb = d_emb.reshape(B, n, d)
 
     d_logits = softmax_rows_backward(weights, bmm(phi, d_pooled[:, :, None])[:, :, 0])

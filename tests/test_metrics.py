@@ -128,7 +128,7 @@ def test_evaluate_perfect_model_fixture():
     # cross branch off, bias 0; embed users so that relu(res-projection) ranks them
     params.embedding.tables[0][1:4, 0] = 5.0  # clicking users
     params.embedding.tables[0][4:, 0] = -5.0
-    params.mhsa.wres[0, 0] = 1.0
+    dict(params.mhsa.named_tensors())["mhsa.res"][0, 0] = 1.0
     params.w_internal[0] = 1.0
     report = evaluate(ops, params, examples[:30], schema, tag="sep")
     assert report.auc == 1.0

@@ -446,3 +446,17 @@ def test_fm_and_deepfm_checkpoint_layout():
     assert [t.shape for _, t in params.deep.named_tensors()] == [
         (6, 12), (6,), (4, 6), (4,), (1, 4), (1,)
     ]
+
+
+def test_ours_checkpoint_layout():
+    params = ops_for("ours").init(SCHEMA, 4, Rng(41), heads=2, attn_dim=6, ac_hidden=5,
+                                  deep_hidden=(3,))
+    assert [(name, t.shape) for name, t in params.named_tensors()] == [
+        ("emb.f0", (5, 4)), ("emb.f1", (6, 4)), ("emb.f2", (4, 4)),
+        ("mhsa.q0", (4, 3)), ("mhsa.k0", (4, 3)), ("mhsa.v0", (4, 3)),
+        ("mhsa.q1", (4, 3)), ("mhsa.k1", (4, 3)), ("mhsa.v1", (4, 3)),
+        ("mhsa.out", (6, 4)), ("mhsa.res", (4, 4)),
+        ("ac.weight", (5, 4)), ("ac.bias", (5,)), ("ac.proj", (5,)),
+        ("shallow.internal", (12,)), ("shallow.cross", (4,)), ("shallow.bias", (1,)),
+        ("deep.w0", (3, 16)), ("deep.b0", (3,)), ("deep.w1", (1, 3)), ("deep.b1", (1,)),
+    ]
