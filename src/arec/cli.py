@@ -321,8 +321,12 @@ def cmd_eval(args) -> int:
         )
         return 2
     ops, params = rebuild_params(ckpt, dataset.schema)
-    examples = dataset.split.validation if args.split == "val" else dataset.split.test
-    report = evaluate(ops, params, examples, dataset.schema, tag=args.split)
+    rows = dataset.split.validation if args.split == "val" else dataset.split.test
+    try:
+        report = evaluate(ops, params, rows, dataset.schema, tag=args.split)
+    except DivergenceError as exc:
+        print(f"evaluation diverged: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.csv:
         fresh = not os.path.exists(args.csv)

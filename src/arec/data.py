@@ -1,4 +1,5 @@
-"""Raw interaction parsing, feature schema, encoding, and dataset caching.
+"""Raw interaction parsing, feature schema, encoding, the columnar row
+layout, and dataset caching.
 
 Supports the two public rating corpora this engine targets: MovieLens-1M
 ("::"-delimited triplet files) and Amazon product reviews (JSON lines).
@@ -13,6 +14,8 @@ import json
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import Rng
 
 CATEGORICAL = "categorical"
@@ -20,7 +23,7 @@ MULTI_CATEGORICAL = "multi_categorical"
 CONTINUOUS = "continuous"
 
 CACHE_MAGIC = b"AREC1"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -154,10 +157,90 @@ class EncodedExample:
 
 
 @dataclass
+class FieldColumn:
+    kind: str
+    idx: np.ndarray = None        # (B,) int64, categorical
+    padded: np.ndarray = None     # (B, qmax) int64, multi-categorical, 0-padded
+    counts: np.ndarray = None     # (B,) int64
+    vals: np.ndarray = None       # (B,) float64, continuous
+
+
+@dataclass
+class Columnar:
+    """Column-major rows: one FieldColumn per schema field, and float64 labels."""
+
+    fields: list
+    labels: np.ndarray
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    @staticmethod
+    def from_examples(examples, schema: FeatureSchema) -> "Columnar":
+        """Columns of a list of encoded examples; a Columnar is returned as it is."""
+        if isinstance(examples, Columnar):
+            return examples
+        n = len(examples)
+        cols = []
+        for i, spec in enumerate(schema.fields):
+            if spec.kind == CATEGORICAL:
+                cols.append(
+                    FieldColumn(
+                        kind=spec.kind,
+                        idx=np.fromiter(
+                            (ex.values[i] for ex in examples), dtype=np.int64, count=n
+                        ),
+                    )
+                )
+            elif spec.kind == MULTI_CATEGORICAL:
+                counts = np.fromiter(
+                    (len(ex.values[i]) for ex in examples), dtype=np.int64, count=n
+                )
+                qmax = int(counts.max()) if n else 1
+                padded = np.zeros((n, qmax), dtype=np.int64)
+                for b, ex in enumerate(examples):
+                    active = ex.values[i]
+                    padded[b, : len(active)] = active
+                cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
+            else:
+                cols.append(
+                    FieldColumn(
+                        kind=spec.kind,
+                        vals=np.fromiter(
+                            (ex.values[i] for ex in examples), dtype=np.float64, count=n
+                        ),
+                    )
+                )
+        labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
+        return Columnar(fields=cols, labels=labels, n=n)
+
+    def take(self, indices) -> "Columnar":
+        """Row subset in the given order (a mini-batch)."""
+        out = []
+        for col in self.fields:
+            if col.kind == CATEGORICAL:
+                out.append(FieldColumn(kind=col.kind, idx=col.idx[indices]))
+            elif col.kind == MULTI_CATEGORICAL:
+                out.append(
+                    FieldColumn(
+                        kind=col.kind,
+                        padded=col.padded[indices],
+                        counts=col.counts[indices],
+                    )
+                )
+            else:
+                out.append(FieldColumn(kind=col.kind, vals=col.vals[indices]))
+        return Columnar(fields=out, labels=self.labels[indices], n=len(self.labels[indices]))
+
+
+@dataclass
 class DatasetSplit:
-    train: list
-    validation: list
-    test: list
+    """Three row sets: raw records from `split`, Columnar in a prepared dataset."""
+
+    train: object
+    validation: object
+    test: object
     seed: int
     ratios: tuple = (0.8, 0.1, 0.1)
 
@@ -420,26 +503,11 @@ def split(table, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
 class CachedDataset:
     schema: FeatureSchema
     tag: str
-    split: DatasetSplit  # of EncodedExample
+    split: DatasetSplit  # of Columnar
 
     @property
     def schema_hash(self) -> str:
         return self.schema.hash_hex()
-
-
-def _pack_examples(examples, schema, out: bytearray):
-    out += struct.pack("<Q", len(examples))
-    kinds = [f.kind for f in schema.fields]
-    for ex in examples:
-        for kind, payload in zip(kinds, ex.values):
-            if kind == CATEGORICAL:
-                out += struct.pack("<I", payload)
-            elif kind == MULTI_CATEGORICAL:
-                out += struct.pack("<H", len(payload))
-                out += struct.pack(f"<{len(payload)}I", *payload)
-            else:
-                out += struct.pack("<d", payload)
-        out += struct.pack("<B", ex.label)
 
 
 class BinaryReader:
@@ -484,30 +552,90 @@ class BinaryReader:
         except ValueError as exc:
             raise self.error(f"bad JSON in {self.what} ({exc})") from None
 
+    def section(self, name: str) -> bytes:
+        """The bytes of a section: a u64 length, the bytes, then their SHA-256."""
+        payload = self.take_bytes(self.take("<Q")[0])
+        if hashlib.sha256(payload).digest() != self.take_bytes(32):
+            raise self.error(f"checksum mismatch in the {name} section of the {self.what}")
+        return payload
+
+    def array(self, name: str, dtype: str, count: int) -> np.ndarray:
+        """A section as `count` values of `dtype`: a read-only view of its bytes."""
+        payload = self.section(name)
+        itemsize = np.dtype(dtype).itemsize
+        if len(payload) != count * itemsize:
+            raise self.error(
+                f"the {name} section of the {self.what} holds {len(payload)} bytes, "
+                f"expected {count} values of {itemsize} bytes"
+            )
+        return np.frombuffer(payload, dtype=dtype)
+
     def end(self) -> None:
         if self.pos != len(self.blob):
             raise self.error(f"trailing bytes in {self.what}")
 
 
-def _unpack_examples(rd: BinaryReader, schema) -> list:
-    (count,) = rd.take("<Q")
-    kinds = [f.kind for f in schema.fields]
-    examples = []
-    for _ in range(count):
-        values = []
-        for kind in kinds:
-            if kind == CATEGORICAL:
-                values.append(rd.take("<I")[0])
-            elif kind == MULTI_CATEGORICAL:
-                (q,) = rd.take("<H")
-                values.append(rd.take(f"<{q}I"))
-            else:
-                values.append(rd.take("<d")[0])
-        (label,) = rd.take("<B")
-        if label > 1:
-            raise rd.error(f"label {label} in {rd.what}; labels are 0 or 1")
-        examples.append(EncodedExample(values=tuple(values), label=label))
-    return examples
+# Cache v2 layout, after the magic, the u32 version, the schema's SHA-256 and
+# its u64-length-prefixed JSON: a header section (tag, seed, ratios), then per
+# split a row-count section and one section per column.  A section is a u64
+# byte length, the bytes, and their SHA-256.
+
+
+def _section(out: bytearray, payload: bytes) -> None:
+    out += struct.pack("<Q", len(payload))
+    out += payload
+    out += hashlib.sha256(payload).digest()
+
+
+def _int_bytes(values: np.ndarray, dtype: str) -> bytes:
+    """`values` stored as `dtype`; a value that type cannot hold is an EncodingError."""
+    stored = values.astype(dtype)
+    if not np.array_equal(stored, values):
+        raise EncodingError(f"a value does not fit the cache's {np.dtype(dtype).name} column")
+    return stored.tobytes()
+
+
+def _pack_columns(col: Columnar, out: bytearray) -> None:
+    _section(out, struct.pack("<Q", col.n))
+    for fc in col.fields:
+        if fc.kind == CATEGORICAL:
+            _section(out, _int_bytes(fc.idx, "<u4"))
+        elif fc.kind == MULTI_CATEGORICAL:
+            offsets = np.zeros(col.n + 1, dtype=np.int64)
+            np.cumsum(fc.counts, out=offsets[1:])
+            active = np.arange(fc.padded.shape[1]) < fc.counts[:, None]
+            _section(out, _int_bytes(offsets, "<u8"))
+            _section(out, _int_bytes(fc.padded[active], "<u4"))
+        else:
+            _section(out, fc.vals.astype("<f8").tobytes())
+    _section(out, _int_bytes(col.labels, "u1"))
+
+
+def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str) -> Columnar:
+    """One split's columns.  Every length is checked before anything is allocated."""
+    n = int(rd.array(f"{part} row count", "<u8", 1)[0])
+    cols = []
+    for spec in schema.fields:
+        name = f"{part} {spec.name}"
+        if spec.kind == CATEGORICAL:
+            idx = rd.array(name, "<u4", n).astype(np.int64)
+            cols.append(FieldColumn(kind=spec.kind, idx=idx))
+        elif spec.kind == MULTI_CATEGORICAL:
+            offsets = rd.array(f"{name} offsets", "<u8", n + 1)
+            if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+                raise rd.error(f"the {name} offsets do not rise from 0")
+            values = rd.array(f"{name} values", "<u4", int(offsets[-1]))
+            counts = np.diff(offsets.astype(np.int64))
+            padded = np.zeros((n, int(counts.max()) if n else 1), dtype=np.int64)
+            padded[np.arange(padded.shape[1]) < counts[:, None]] = values
+            cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
+        else:
+            vals = rd.array(name, "<f8", n).astype(np.float64)
+            cols.append(FieldColumn(kind=spec.kind, vals=vals))
+    labels = rd.array(f"{part} labels", "u1", n)
+    if n and labels.max() > 1:
+        raise rd.error(f"label {labels[labels > 1][0]} in the {part} split; labels are 0 or 1")
+    return Columnar(fields=cols, labels=labels.astype(np.float64), n=n)
 
 
 def save_cache(path, cached: CachedDataset):
@@ -520,15 +648,12 @@ def save_cache(path, cached: CachedDataset):
     out += struct.pack("<Q", len(schema_json))
     out += schema_json
     tag = cached.tag.encode("utf-8")
-    out += struct.pack("<H", len(tag))
-    out += tag
     sp = cached.split
-    out += struct.pack("<Q", sp.seed)
-    out += struct.pack("<3d", *sp.ratios)
+    _section(out, struct.pack("<H", len(tag)) + tag + struct.pack("<Q3d", sp.seed, *sp.ratios))
     for part in (sp.train, sp.validation, sp.test):
-        _pack_examples(part, cached.schema, out)
+        _pack_columns(Columnar.from_examples(part, cached.schema), out)
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
 
 
 def load_cache(path) -> CachedDataset:
@@ -539,19 +664,22 @@ def load_cache(path) -> CachedDataset:
         raise rd.error("not a dataset cache (bad magic)")
     (version,) = rd.take("<I")
     if version != CACHE_VERSION:
-        raise rd.error(f"unsupported cache version {version}")
+        raise rd.error(
+            f"cache version {version} is not the supported version {CACHE_VERSION}; re-run prepare"
+        )
     stored_hash = rd.take_bytes(32)
     schema_json = rd.text("<Q")
     if hashlib.sha256(schema_json.encode("utf-8")).digest() != stored_hash:
         raise rd.error("schema hash mismatch, cache is corrupt or stale")
     schema = FeatureSchema.from_json(schema_json)
-    tag = rd.text("<H")
-    (seed,) = rd.take("<Q")
-    ratios = rd.take("<3d")
-    parts = [_unpack_examples(rd, schema) for _ in range(3)]
+    header = BinaryReader(rd.section("header"), path, "cache header")
+    tag = header.text("<H")
+    (seed, *ratios) = header.take("<Q3d")
+    header.end()
+    parts = [_unpack_columns(rd, schema, part) for part in ("train", "validation", "test")]
     rd.end()
     split_ = DatasetSplit(
-        train=parts[0], validation=parts[1], test=parts[2], seed=seed, ratios=ratios
+        train=parts[0], validation=parts[1], test=parts[2], seed=seed, ratios=tuple(ratios)
     )
     return CachedDataset(schema=schema, tag=tag, split=split_)
 
@@ -562,7 +690,7 @@ def prepare_dataset(records, ratios, seed: int, tag: str) -> CachedDataset:
         raise DomainError("no interactions to prepare")
     raw_split = split(records, ratios=ratios, seed=seed)
     schema = build_schema(raw_split.train)
-    encode = lambda rows: [encode_example(r, schema) for r in rows]
+    encode = lambda rows: Columnar.from_examples([encode_example(r, schema) for r in rows], schema)
     enc_split = DatasetSplit(
         train=encode(raw_split.train),
         validation=encode(raw_split.validation),

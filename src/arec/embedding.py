@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, CONTINUOUS, MULTI_CATEGORICAL, EncodingError, FeatureSchema
+from .data import (
+    CATEGORICAL,
+    CONTINUOUS,
+    MULTI_CATEGORICAL,
+    Columnar,
+    EncodingError,
+    FeatureSchema,
+    FieldColumn,
+)
 from .numerics import Rng, Tensor
 
 # Normal(0, 0.01): read as variance, i.e. std 0.1.
@@ -53,78 +61,6 @@ def init_embedding(schema: FeatureSchema, dim: int, rng: Rng) -> EmbeddingParams
 
 def zeros_like_embedding(params: EmbeddingParams) -> EmbeddingParams:
     return EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
-
-
-@dataclass
-class FieldColumn:
-    kind: str
-    idx: np.ndarray = None        # (B,) int64, categorical
-    padded: np.ndarray = None     # (B, qmax) int64, multi-categorical, 0-padded
-    counts: np.ndarray = None     # (B,) int64
-    vals: np.ndarray = None       # (B,) float64, continuous
-
-
-@dataclass
-class Columnar:
-    """Column-major view of a list of encoded examples."""
-
-    fields: list
-    labels: np.ndarray
-    n: int
-
-    @staticmethod
-    def from_examples(examples, schema: FeatureSchema) -> "Columnar":
-        n = len(examples)
-        cols = []
-        for i, spec in enumerate(schema.fields):
-            if spec.kind == CATEGORICAL:
-                cols.append(
-                    FieldColumn(
-                        kind=spec.kind,
-                        idx=np.fromiter(
-                            (ex.values[i] for ex in examples), dtype=np.int64, count=n
-                        ),
-                    )
-                )
-            elif spec.kind == MULTI_CATEGORICAL:
-                counts = np.fromiter(
-                    (len(ex.values[i]) for ex in examples), dtype=np.int64, count=n
-                )
-                qmax = int(counts.max()) if n else 1
-                padded = np.zeros((n, qmax), dtype=np.int64)
-                for b, ex in enumerate(examples):
-                    active = ex.values[i]
-                    padded[b, : len(active)] = active
-                cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
-            else:
-                cols.append(
-                    FieldColumn(
-                        kind=spec.kind,
-                        vals=np.fromiter(
-                            (ex.values[i] for ex in examples), dtype=np.float64, count=n
-                        ),
-                    )
-                )
-        labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
-        return Columnar(fields=cols, labels=labels, n=n)
-
-    def take(self, indices) -> "Columnar":
-        """Row subset in the given order (a mini-batch)."""
-        out = []
-        for col in self.fields:
-            if col.kind == CATEGORICAL:
-                out.append(FieldColumn(kind=col.kind, idx=col.idx[indices]))
-            elif col.kind == MULTI_CATEGORICAL:
-                out.append(
-                    FieldColumn(
-                        kind=col.kind,
-                        padded=col.padded[indices],
-                        counts=col.counts[indices],
-                    )
-                )
-            else:
-                out.append(FieldColumn(kind=col.kind, vals=col.vals[indices]))
-        return Columnar(fields=out, labels=self.labels[indices], n=len(self.labels[indices]))
 
 
 def _one_row(example) -> Columnar:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DomainError
-from .embedding import Columnar
+from .data import Columnar, DomainError
 from .losses import logloss
 
 EVAL_CSV_HEADER = "tag,auc,logloss,n_pos,n_neg"
@@ -24,6 +23,10 @@ _EVAL_CHUNK = 4096
 
 class MetricUndefinedError(ValueError):
     """Raised when a metric has no defined value, e.g. AUC on one class."""
+
+
+class DivergenceError(ArithmeticError):
+    """A model produced non-finite numbers: a training loss or a score."""
 
 
 def auc(scores, labels) -> float:
@@ -83,20 +86,26 @@ def score_columnar(ops, params, col: Columnar) -> np.ndarray:
 
 
 def score_split(ops, params, examples, schema) -> np.ndarray:
-    """Predicted probabilities for a list of encoded examples, chunked."""
+    """Predicted probabilities for a split (Columnar or encoded examples), chunked."""
     return score_columnar(ops, params, Columnar.from_examples(examples, schema))
 
 
 def evaluate(ops, params, examples, schema, tag: str = "") -> EvalReport:
-    if len(examples) == 0:
+    """AUC and logloss of a split; non-finite scores raise DivergenceError."""
+    col = Columnar.from_examples(examples, schema)
+    if col.n == 0:
         raise DomainError("cannot evaluate an empty split")
-    scores = score_split(ops, params, examples, schema)
-    labels = np.array([ex.label for ex in examples], dtype=np.float64)
-    n_pos = int(labels.sum())
+    # diverged parameters give NaN scores: one error, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = score_split(ops, params, col, schema)
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise DivergenceError(f"{bad} of {col.n} scores are not finite")
+    n_pos = int(col.labels.sum())
     return EvalReport(
-        auc=auc(scores, labels),
-        logloss=logloss(scores, labels),
+        auc=auc(scores, col.labels),
+        logloss=logloss(scores, col.labels),
         n_pos=n_pos,
-        n_neg=labels.size - n_pos,
+        n_neg=col.n - n_pos,
         tag=tag,
     )

@@ -85,11 +85,20 @@ def softmax_backward(out: Tensor, grad: Tensor) -> Tensor:
     return out * (grad - np.dot(grad, out))
 
 
+def _max_last_axis(x: Tensor) -> Tensor:
+    """`np.max(x, axis=-1)` bit for bit, NaN included, as a fold of `np.maximum`:
+    several times faster over the short rows of attention scores."""
+    peak = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(peak, x[..., j], out=peak)
+    return peak
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis of a tensor of any rank >= 1."""
     if x.shape[-1] == 0:
         raise DimensionError("softmax over an empty axis")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    shifted = x - _max_last_axis(x)[..., None]
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
 

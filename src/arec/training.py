@@ -15,21 +15,16 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import CATEGORICAL, ConfigError, FeatureSchema
-from .embedding import Columnar
+from .data import CATEGORICAL, Columnar, ConfigError, FeatureSchema
 from .losses import (
     difference_loss,
     logloss,
     logloss_d_logits,
     similarity_loss,
 )
-from .metrics import auc as compute_auc, score_columnar
+from .metrics import DivergenceError, auc as compute_auc, score_columnar
 from .model import MODES, ModelOps, ops_for
 from .numerics import Rng
-
-
-class DivergenceError(ArithmeticError):
-    """Training produced a non-finite loss."""
 
 
 def _parse_bool(raw: str) -> bool:
@@ -303,11 +298,16 @@ class EpochMetrics:
 
 
 def _non_finite_parameter(params) -> str:
-    """Name the first parameter tensor holding NaN or Inf, for a divergence report."""
+    """Name the first parameter tensor holding NaN or Inf, for a divergence report;
+    if there is none, the tensor holding the value of largest magnitude."""
+    largest, where = -1.0, None
     for name, tensor in params.named_tensors():
         if not np.all(np.isfinite(tensor)):
             return f"first non-finite parameter tensor: {name}"
-    return "all parameters are finite"
+        peak = float(np.max(np.abs(tensor), initial=0.0))
+        if peak > largest:
+            largest, where = peak, name
+    return f"all parameters are finite; the largest magnitude is {largest!r}, in {where}"
 
 
 def train_epoch(ops: ModelOps, state: TrainState, train_col: Columnar,

@@ -12,6 +12,9 @@ from arec.data import (
     EncodedExample,
     FeatureSchema,
     FieldSpec,
+    build_schema,
+    encode_example,
+    split,
 )
 from arec.embedding import _one_row
 from arec.losses import logloss, logloss_d_logits
@@ -59,6 +62,29 @@ def random_example(schema, gen, label=None):
     if label is None:
         label = float(gen.integers(0, 2))
     return EncodedExample(values=tuple(values), label=label)
+
+
+def encoded_rows(records, ratios, seed):
+    """The schema and the train/validation/test lists of `encode_example` rows
+    that `prepare_dataset` turns into columns: the oracle for those columns."""
+    raw = split(records, ratios=ratios, seed=seed)
+    schema = build_schema(raw.train)
+    parts = (raw.train, raw.validation, raw.test)
+    return schema, [[encode_example(r, schema) for r in part] for part in parts]
+
+
+def assert_columns_equal(got, want):
+    """Two Columnar sets hold the same arrays: equal values, dtypes and shapes."""
+    assert got.n == want.n and len(got.fields) == len(want.fields)
+    pairs = [(got.labels, want.labels)]
+    for g, w in zip(got.fields, want.fields):
+        assert g.kind == w.kind
+        pairs += [(getattr(g, a), getattr(w, a)) for a in ("idx", "padded", "counts", "vals")]
+    for g, w in pairs:
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
 def named_arrays(params):

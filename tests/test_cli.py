@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -351,9 +352,13 @@ def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, 
                                                     model, field, payload):
     dataset = load_cache(str(ml_cache))
     i = [f.name for f in dataset.schema.fields].index(field)
-    first = dataset.split.train[0]
-    values = first.values[:i] + (payload,) + first.values[i + 1 :]
-    dataset.split.train[0] = replace(first, values=values)
+    column = dataset.split.train.fields[i]
+    if isinstance(payload, tuple):  # the first row's indices become `payload`
+        column.padded[0] = 0
+        column.padded[0, : len(payload)] = payload
+        column.counts[0] = len(payload)
+    else:
+        column.idx[0] = payload
     bad = tmp_path / "bad.cache"
     save_cache(str(bad), dataset)
 
@@ -366,7 +371,7 @@ def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, 
 
 def test_train_rejects_cache_with_empty_train_split(ml_cache, tmp_path, capsys):
     dataset = load_cache(str(ml_cache))
-    dataset.split.train = []
+    dataset.split.train = dataset.split.train.take(np.arange(0))
     bad = tmp_path / "empty.cache"
     save_cache(str(bad), dataset)
 
@@ -379,7 +384,7 @@ def test_train_rejects_cache_with_empty_train_split(ml_cache, tmp_path, capsys):
 
 def test_cache_with_label_outside_zero_one_is_an_input_error(ml_cache, tmp_path, capsys):
     dataset = load_cache(str(ml_cache))
-    dataset.split.train[0] = replace(dataset.split.train[0], label=7)
+    dataset.split.train.labels[0] = 7
     bad = tmp_path / "label7.cache"
     save_cache(str(bad), dataset)
     with pytest.raises(CacheError) as err:
@@ -439,6 +444,52 @@ def test_divergence_at_the_last_update_exits_three(ml_cache, tmp_path, capsys, m
     assert captured.err.startswith("training diverged: non-finite validation logloss")
     assert [str(w.message) for w in caught] == []
     assert not ckpt.exists() and not (tmp_path / "last.ckpt.curve.csv").exists()
+
+
+def test_eval_of_a_diverged_checkpoint_exits_three(ml_cache, tmp_path, capsys):
+    from arec.cli import load_checkpoint, rebuild_params
+
+    dataset = load_cache(str(ml_cache))
+    config = TrainConfig(dim=8)
+    state = init_state(ops_for("fm"), dataset.schema, config)
+    best = BestSnapshot(params=state.params, m=state.m, v=state.v, t=0,
+                        rng_state=state.rng.get_state(), epoch=1, val_auc=0.5,
+                        val_logloss=0.7)
+    ckpt = tmp_path / "nan.ckpt"
+    cli.save_checkpoint(str(ckpt), "fm", config, dataset.schema.hash_hex(), best)
+    _, params = rebuild_params(load_checkpoint(str(ckpt)), dataset.schema)
+    dict(params.named_tensors())["fm.v.f1"][...] = np.nan
+    cli.save_checkpoint(str(ckpt), "fm", config, dataset.schema.hash_hex(),
+                        replace(best, params=params))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ckpt),
+                         "--split", "test"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("evaluation diverged: ")
+    assert "scores are not finite" in captured.err and "Traceback" not in captured.err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_version_one_cache_exits_two_asking_for_prepare(ml_cache, tmp_path, capsys):
+    # the version-1 layout: schema, tag, seed, ratios, then three empty splits
+    schema_json = load_cache(str(ml_cache)).schema.to_json().encode("utf-8")
+    old = tmp_path / "v1.cache"
+    old.write_bytes(b"AREC1" + struct.pack("<I", 1) + hashlib.sha256(schema_json).digest()
+                    + struct.pack("<Q", len(schema_json)) + schema_json
+                    + struct.pack("<H", 2) + b"ml" + struct.pack("<Q3d", 7, 0.8, 0.1, 0.1)
+                    + struct.pack("<3Q", 0, 0, 0))
+    for argv in (["train", "--out", str(tmp_path / "v1.ckpt")],
+                 ["eval", "--ckpt", str(tmp_path / "never-read.ckpt")]):
+        code = cli.main([argv[0], "--cache", str(old), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(old) in captured.err and "re-run prepare" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_checkpoint_roundtrip_matches_library_eval(workdir, ml_cache, ours_ckpt, capsys):

@@ -5,6 +5,7 @@ from arec.data import (
     CONTINUOUS,
     MULTI_CATEGORICAL,
     CacheError,
+    Columnar,
     ConfigError,
     DomainError,
     EncodedExample,
@@ -24,6 +25,8 @@ from arec.data import (
     split,
     validate_example,
 )
+
+from helpers import assert_columns_equal, encoded_rows
 
 USERS = """1::F::1::10::48067
 2::M::56::16::70072
@@ -370,9 +373,22 @@ def test_prepare_and_cache_roundtrip(ml_files, tmp_path):
     assert loaded.tag == "fixture"
     assert loaded.split.seed == 5
     assert tuple(loaded.split.ratios) == (0.8, 0.1, 0.1)
-    assert loaded.split.train == dataset.split.train
-    assert loaded.split.validation == dataset.split.validation
-    assert loaded.split.test == dataset.split.test
+    assert_columns_equal(loaded.split.train, dataset.split.train)
+    assert_columns_equal(loaded.split.validation, dataset.split.validation)
+    assert_columns_equal(loaded.split.test, dataset.split.test)
+
+
+def test_loaded_columns_equal_the_encoded_rows(ml_files, tmp_path):
+    records = parse_fixture(ml_files)
+    path = tmp_path / "data.cache"
+    save_cache(str(path), prepare_dataset(records, ratios=(0.6, 0.2, 0.2), seed=4, tag="t"))
+    loaded = load_cache(str(path))
+    schema, rows = encoded_rows(records, (0.6, 0.2, 0.2), seed=4)
+    assert loaded.schema.to_json() == schema.to_json()
+    parts = (loaded.split.train, loaded.split.validation, loaded.split.test)
+    for got, want in zip(parts, rows):
+        assert isinstance(got, Columnar) and len(got) == len(want) > 0
+        assert_columns_equal(got, Columnar.from_examples(want, schema))
 
 
 def test_cache_write_is_deterministic(ml_files, tmp_path):

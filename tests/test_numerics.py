@@ -23,6 +23,7 @@ from arec.numerics import (
     tensor,
     zeros,
 )
+from arec.numerics import _max_last_axis
 
 
 def triple_loop_matmul(a, b):
@@ -188,6 +189,24 @@ def test_softmax_backward_matches_fd():
         analytic = softmax_backward(softmax(x), g)
         fd = finite_diff_grad(lambda v: float(np.dot(softmax(v), g)), x)
         assert rel_error(analytic, fd) < 1e-4
+
+
+def test_softmax_rows_max_is_np_max_bit_for_bit():
+    gen = np.random.default_rng(12)
+    x = gen.normal(size=(6, 2, 7, 7))
+    specials = [np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, -0.0]
+    x.flat[gen.choice(x.size, size=120, replace=False)] = gen.choice(specials, size=120)
+    x[0, 0, 0] = -np.inf  # a row of -inf only
+    x[0, 0, 1] = np.nan  # a row of NaN only
+    for cols in (1, 2, 7):
+        part = np.ascontiguousarray(x[..., :cols])
+        want = np.max(part, axis=-1)
+        assert _max_last_axis(part).tobytes() == want.tobytes()
+        with np.errstate(invalid="ignore"):
+            shifted = part - want[..., None]
+            e = np.exp(shifted)
+            oracle = e / np.sum(e, axis=-1, keepdims=True)
+            assert softmax_rows(part).tobytes() == oracle.tobytes()
 
 
 def test_softmax_rows_matches_vector_softmax():

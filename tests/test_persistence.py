@@ -1,8 +1,10 @@
 """Property tests for the two binary formats: the dataset cache and the
-checkpoint.  Writes round-trip, every truncated prefix is a CacheError, and a
-single corrupted byte gives either a CacheError or a clean load."""
+checkpoint.  Writes round-trip and every truncated prefix is a CacheError.  A
+single corrupted byte makes a cache a CacheError, and a checkpoint a CacheError
+or a clean load."""
 
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from arec.cli import CKPT_MAGIC, load_checkpoint, save_checkpoint
 from arec.data import (
+    CACHE_MAGIC,
     CacheError,
     CachedDataset,
+    Columnar,
     DatasetSplit,
     load_cache,
     parse_movielens,
@@ -23,6 +27,7 @@ from arec.model import MODEL_KINDS, MODES, ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
+from helpers import assert_columns_equal, encoded_rows
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -33,12 +38,22 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def dataset(workdir):
+def records(workdir):
     raw = workdir / "raw"
     mlsynth.write_ml1m(str(raw), n_users=12, n_movies=16, n_ratings=150, seed=1)
-    records = parse_movielens(str(raw / "ratings.dat"), str(raw / "users.dat"),
-                              str(raw / "movies.dat"))
+    return parse_movielens(str(raw / "ratings.dat"), str(raw / "users.dat"),
+                           str(raw / "movies.dat"))
+
+
+@pytest.fixture(scope="module")
+def dataset(records):
     return prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=3, tag="props")
+
+
+@pytest.fixture(scope="module")
+def rows(records):
+    """The dataset's splits as lists of encoded examples."""
+    return encoded_rows(records, (0.8, 0.1, 0.1), seed=3)[1]
 
 
 def snapshot(ops, schema, config, gen):
@@ -79,17 +94,20 @@ def files(workdir, dataset):
 # one-, two-, three- and four-byte UTF-8 characters
 @given(tag=st.text(alphabet="a :\x00é€😀", max_size=12), seed=st.integers(0, 2**64 - 1),
        keep=st.integers(0, 120), ratios=st.tuples(*[st.floats(0, 1)] * 3))
-def test_cache_roundtrip(workdir, dataset, tag, seed, keep, ratios):
-    sp = dataset.split
+def test_cache_roundtrip(workdir, dataset, rows, tag, seed, keep, ratios):
+    train, validation, test = rows
     cached = CachedDataset(schema=dataset.schema, tag=tag, split=DatasetSplit(
-        train=sp.train[:keep], validation=sp.validation, test=sp.test[keep % 7 :],
+        train=train[:keep], validation=validation, test=test[keep % 7 :],
         seed=seed, ratios=ratios))
     path = workdir / "roundtrip.cache"
     save_cache(str(path), cached)
     loaded = load_cache(str(path))
     assert loaded.schema.to_json() == cached.schema.to_json()
     assert loaded.tag == tag
-    assert loaded.split == cached.split
+    assert (loaded.split.seed, loaded.split.ratios) == (seed, ratios)
+    for part in ("train", "validation", "test"):
+        want = Columnar.from_examples(getattr(cached.split, part), dataset.schema)
+        assert_columns_equal(getattr(loaded.split, part), want)
 
 
 @st.composite
@@ -150,10 +168,29 @@ def test_single_byte_corruption_is_a_cache_error_or_a_clean_load(workdir, files,
     corrupt[pos] ^= mask
     path = workdir / f"corrupt.{kind}"
     path.write_bytes(bytes(corrupt))
+    if kind == "cache":  # every cache byte is checked, by a SHA-256 or a header test
+        with pytest.raises(CacheError):
+            load(str(path))
+        return
     try:
         load(str(path))
     except CacheError:
         pass
+
+
+def test_huge_row_count_is_a_cache_error_before_any_allocation(workdir, files):
+    _, blob, _ = files["cache"]
+    pos = len(CACHE_MAGIC) + 4 + 32  # magic, version, schema hash
+    pos += 8 + struct.unpack_from("<Q", blob, pos)[0]  # schema JSON
+    pos += 8 + struct.unpack_from("<Q", blob, pos)[0] + 32  # header section
+    assert struct.unpack_from("<Q", blob, pos)[0] == 8  # the train row-count section
+    count = struct.pack("<Q", 2**63)
+    # a valid checksum, so only the section-length check stands in the way
+    bad = blob[: pos + 8] + count + hashlib.sha256(count).digest() + blob[pos + 48 :]
+    path = workdir / "huge.cache"
+    path.write_bytes(bad)
+    with pytest.raises(CacheError, match=f"expected {2**63} values"):
+        load_cache(str(path))
 
 
 def test_impossible_tensor_shape_is_a_cache_error(workdir, files):

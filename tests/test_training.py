@@ -269,7 +269,11 @@ def test_divergence_with_finite_parameters_says_so(monkeypatch):
     monkeypatch.setattr(training, "logloss", lambda probs, labels: math.nan)
     with pytest.raises(DivergenceError) as err:
         train_epoch(ops, state, Columnar.from_examples(examples, schema), config)
-    assert str(err.value) == "non-finite loss at epoch 1, batch 0; all parameters are finite"
+    peak, where = max((float(np.abs(t).max()), name) for name, t in state.params.named_tensors())
+    assert str(err.value) == (
+        "non-finite loss at epoch 1, batch 0; all parameters are finite; "
+        f"the largest magnitude is {peak!r}, in {where}"
+    )
 
 
 def test_item_field_detection():
