@@ -4,7 +4,9 @@ layout, and dataset caching.
 Supports the two public rating corpora this engine targets: MovieLens-1M
 ("::"-delimited triplet files) and Amazon product reviews (JSON lines).
 Vocabularies are always fitted on training rows only; anything unseen at
-encode time maps to the reserved index 0 of its field.
+encode time maps to the reserved index 0 of its field.  `prepare_dataset`
+splits, fits and encodes whole columns; `encode_example` is the one-row
+encoder that `predict` and the tests use.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,14 +78,22 @@ class FieldSpec:
             raise DomainError(f"continuous field {self.name!r} has no cardinality")
         return len(self.vocab) + 1
 
-    def index_of(self, value) -> int:
-        """Vocabulary index of `value`, 0 if unseen."""
+    def _table(self) -> dict:
         table = getattr(self, "_index", None)
         if table is None:
             # derived lookup map, cached on the frozen instance
             table = {v: i + 1 for i, v in enumerate(self.vocab)}
             object.__setattr__(self, "_index", table)
-        return table.get(value, 0)
+        return table
+
+    def index_of(self, value) -> int:
+        """Vocabulary index of `value`, 0 if unseen."""
+        return self._table().get(value, 0)
+
+    def indices(self, values) -> np.ndarray:
+        """int64 vocabulary indices of a sequence of values, 0 for unseen ones."""
+        lookup = map(self._table().get, values, repeat(0))
+        return np.fromiter(lookup, dtype=np.int64, count=len(values))
 
     def value_of(self, index: int):
         """Inverse of index_of for in-vocabulary indices; None for the reserved slot."""
@@ -178,7 +190,10 @@ class Columnar:
 
     @staticmethod
     def from_examples(examples, schema: FeatureSchema) -> "Columnar":
-        """Columns of a list of encoded examples; a Columnar is returned as it is."""
+        """Columns of a list of encoded examples; a Columnar is returned as it is.
+
+        Over `encode_example` rows, this is the tests' oracle for the columns
+        that `prepare_dataset` builds."""
         if isinstance(examples, Columnar):
             return examples
         n = len(examples)
@@ -250,11 +265,25 @@ class DatasetSplit:
 
 
 def _read_lines(path, encoding="latin-1"):
+    """The non-empty lines of a text file with their 1-based numbers.  Bytes
+    that are not `encoding` text are a ParseError naming the first such line."""
     with open(path, "r", encoding=encoding) as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if line:
+                    yield line_no, line
+        except UnicodeDecodeError as exc:
+            line_no = _undecodable_line(path, encoding)
+            raise ParseError(f"{path}:{line_no}: not {encoding} text ({exc.reason})") from None
+
+
+def _undecodable_line(path, encoding) -> int:
+    # the reader decodes a block ahead of the line it yields, so find the line again
+    with open(path, "r", encoding=encoding, errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if line:
-                yield line_no, line
+            if any("\udc80" <= ch <= "\udcff" for ch in line):
+                return line_no
 
 
 def parse_movielens(ratings_path, users_path, movies_path) -> list:
@@ -317,34 +346,60 @@ def parse_movielens(ratings_path, users_path, movies_path) -> list:
     return records
 
 
+def _integral(value):
+    """`value` as an int if it is a JSON number with an integral value, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if isinstance(value, float):
+        if not value.is_integer():  # also False for NaN and the infinities
+            return None
+        value = int(value)
+    return value
+
+
 def parse_amazon(reviews_path) -> list:
     """Parse a newline-delimited Amazon review dump into interaction records.
 
-    Product categories (flat "category" list or nested "categories" list of
-    paths) become the record's multi-valued field.
+    Each line is a JSON object.  "overall" and "unixReviewTime" are integral
+    numbers (5 or 5.0); the timestamp must also fit a float.  Product
+    categories, a flat "category" list of strings or a nested "categories"
+    list of string paths, become the record's multi-valued field.  Anything
+    else is a ParseError naming the line.
     """
     records = []
     for line_no, line in _read_lines(reviews_path, encoding="utf-8"):
+        where = f"{reviews_path}:{line_no}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{reviews_path}:{line_no}: invalid JSON: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
+            raise ParseError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
         for key in ("reviewerID", "asin", "overall", "unixReviewTime"):
             if key not in obj:
-                raise ParseError(f"{reviews_path}:{line_no}: missing field {key!r}")
-        rating = obj["overall"]
-        if not isinstance(rating, (int, float)) or float(rating) != int(rating):
-            raise ParseError(f"{reviews_path}:{line_no}: non-integral rating {rating!r}")
+                raise ParseError(f"{where}: missing field {key!r}")
+        rating = _integral(obj["overall"])
+        if rating is None:
+            raise ParseError(f"{where}: non-integral rating {obj['overall']!r}")
+        timestamp = _integral(obj["unixReviewTime"])
+        if timestamp is None:
+            raise ParseError(f"{where}: non-integral timestamp {obj['unixReviewTime']!r}")
+        try:
+            float(timestamp)
+        except OverflowError:
+            raise ParseError(f"{where}: timestamp outside the float range") from None
         categories = obj.get("category", obj.get("categories", []))
-        if categories and isinstance(categories[0], list):
+        if isinstance(categories, list) and all(isinstance(path, list) for path in categories):
             categories = [c for path in categories for c in path]
+        if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
+            raise ParseError(f"{where}: categories must be a list of strings or of string lists")
         records.append(
             {
                 "reviewer_id": str(obj["reviewerID"]),
                 "product_id": str(obj["asin"]),
-                "rating": int(rating),
-                "timestamp": int(obj["unixReviewTime"]),
-                "category": tuple(str(c) for c in categories),
+                "rating": rating,
+                "timestamp": timestamp,
+                "category": tuple(categories),
             }
         )
     return records
@@ -382,6 +437,9 @@ _AMAZON_PLAN = (
 
 
 def _plan_for(table) -> tuple:
+    """The field plan of the layout of the table's first record."""
+    if not table:
+        raise DomainError("cannot build a schema from an empty table")
     keys = set(table[0].keys())
     if "movie_id" in keys:
         return _MOVIELENS_PLAN
@@ -390,24 +448,42 @@ def _plan_for(table) -> tuple:
     raise DomainError(f"unrecognized record layout: {sorted(keys)}")
 
 
-def build_schema(table) -> FeatureSchema:
-    """Fit vocabularies and normalization bounds on `table` (training rows only)."""
-    if not table:
-        raise DomainError("cannot build a schema from an empty table")
-    plan = _plan_for(table)
+def _columns(table, names) -> dict:
+    """Each named field of the records as a list of its exact values, in table
+    order.  Lists, not arrays: numpy would round ids at or above 2**63 to
+    floats when a negative id is also present."""
+    return {name: list(map(itemgetter(name), table)) for name in names}
+
+
+def _float_column(name: str, values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise DomainError(f"a {name} value is outside the float range") from None
+
+
+def _fit_schema(plan, columns) -> FeatureSchema:
+    """Vocabularies and normalization bounds of the (training) `columns`: the
+    sorted distinct values of each categorical field, the sorted union of each
+    multi-valued field's sets, and each continuous field's min and max."""
     fields = []
     for name, kind in plan:
+        col = columns[name]
         if kind == CATEGORICAL:
-            vocab = tuple(sorted({row[name] for row in table}))
-            fields.append(FieldSpec(name=name, kind=kind, vocab=vocab))
+            fields.append(FieldSpec(name=name, kind=kind, vocab=tuple(sorted(set(col)))))
         elif kind == MULTI_CATEGORICAL:
-            vocab = tuple(sorted({v for row in table for v in row[name]}))
+            vocab = tuple(sorted(set().union(*set(col))))
             fields.append(FieldSpec(name=name, kind=kind, vocab=vocab))
         else:
-            values = [float(row[name]) for row in table]
-            lo, hi = min(values), max(values)
-            fields.append(FieldSpec(name=name, kind=kind, lo=lo, hi=hi))
+            vals = _float_column(name, col)
+            fields.append(FieldSpec(name=name, kind=kind, lo=float(vals.min()), hi=float(vals.max())))
     return FeatureSchema(fields=tuple(fields))
+
+
+def build_schema(table) -> FeatureSchema:
+    """Fit vocabularies and normalization bounds on `table` (training rows only)."""
+    plan = _plan_for(table)
+    return _fit_schema(plan, _columns(table, [name for name, _ in plan]))
 
 
 def encode_example(row, schema: FeatureSchema) -> EncodedExample:
@@ -472,8 +548,9 @@ def validate_example(example: EncodedExample, schema: FeatureSchema):
 # splitting
 
 
-def split(table, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
-    """Seeded uniform shuffle followed by a contiguous three-way cut."""
+def _split_rows(n: int, ratios, seed: int) -> tuple:
+    """Row indices of the train, validation and test parts of `n` rows: a
+    seeded uniform shuffle followed by a contiguous three-way cut."""
     # `r > 0` rather than `r <= 0`: NaN fails every comparison
     if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise ConfigError(f"need three positive ratios, got {ratios}")
@@ -481,18 +558,18 @@ def split(table, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
         raise ConfigError(f"ratios {ratios} sum to {sum(ratios)}, expected 1")
     if not 0 <= seed < 2**64:  # the cache stores it as a u64
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    n = len(table)
     order = Rng(seed).permutation(n)
     c1 = int(round(n * ratios[0]))
     c2 = int(round(n * (ratios[0] + ratios[1])))
-    pick = lambda idx: [table[i] for i in idx]
-    return DatasetSplit(
-        train=pick(order[:c1]),
-        validation=pick(order[c1:c2]),
-        test=pick(order[c2:]),
-        seed=seed,
-        ratios=tuple(ratios),
+    return order[:c1], order[c1:c2], order[c2:]
+
+
+def split(table, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
+    """Seeded uniform shuffle followed by a contiguous three-way cut."""
+    train, validation, test = (
+        [table[i] for i in rows] for rows in _split_rows(len(table), ratios, seed)
     )
+    return DatasetSplit(train, validation, test, seed=seed, ratios=tuple(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +761,79 @@ def load_cache(path) -> CachedDataset:
     return CachedDataset(schema=schema, tag=tag, split=split_)
 
 
+def _labels(ratings: list, parts) -> np.ndarray:
+    """float64 binary targets of the ratings, in file order.  A rating outside
+    [1, 5] raises the DomainError of `binarize_label`, for the first one met in
+    train, validation, test order."""
+    if min(ratings) < 1 or max(ratings) > 5:
+        for i in chain(*parts):
+            binarize_label(ratings[i])
+    return (np.array(ratings, dtype=np.int64) >= 4).astype(np.float64)
+
+
+def _encode_sets(spec: FieldSpec, col: list) -> tuple:
+    """A multi-valued column as the set id of each row, and the 0-padded sorted
+    distinct indices and the count of each distinct set: each distinct value
+    set is encoded once, an empty or all-unseen one as (0,)."""
+    set_ids = {s: i for i, s in enumerate(dict.fromkeys(col))}
+    row_set = np.fromiter(map(set_ids.__getitem__, col), dtype=np.int64, count=len(col))
+    encoded = [sorted({spec.index_of(v) for v in s}) or [0] for s in set_ids]
+    counts = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    padded = np.zeros((len(encoded), int(counts.max())), dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = list(chain(*encoded))
+    return row_set, padded, counts
+
+
+def _take_encoded(schema: FeatureSchema, encoded: list, labels, rows) -> Columnar:
+    """The given rows of whole encoded columns, as the Columnar that
+    `Columnar.from_examples` builds from those rows' encoded examples."""
+    fields = []
+    for spec, enc in zip(schema.fields, encoded):
+        if spec.kind == MULTI_CATEGORICAL:
+            row_set, padded, counts = enc
+            ids = row_set[rows]
+            qmax = int(counts[ids].max()) if len(rows) else 1
+            fields.append(FieldColumn(kind=spec.kind, padded=padded[:, :qmax][ids], counts=counts[ids]))
+        elif spec.kind == CATEGORICAL:
+            fields.append(FieldColumn(kind=spec.kind, idx=enc[rows]))
+        else:
+            fields.append(FieldColumn(kind=spec.kind, vals=enc[rows]))
+    return Columnar(fields=fields, labels=labels[rows], n=len(rows))
+
+
 def prepare_dataset(records, ratios, seed: int, tag: str) -> CachedDataset:
-    """Split raw records, fit the schema on the training part, encode everything."""
+    """Split raw records, fit the schema on the training part, encode everything.
+
+    Works on whole columns: each plan field is read out of the records once,
+    the split is a row permutation (that of `split`), and each column is
+    encoded in one pass and then cut into the three splits.
+    """
     if not records:
         raise DomainError("no interactions to prepare")
-    raw_split = split(records, ratios=ratios, seed=seed)
-    schema = build_schema(raw_split.train)
-    encode = lambda rows: Columnar.from_examples([encode_example(r, schema) for r in rows], schema)
-    enc_split = DatasetSplit(
-        train=encode(raw_split.train),
-        validation=encode(raw_split.validation),
-        test=encode(raw_split.test),
-        seed=seed,
-        ratios=tuple(ratios),
-    )
+    parts = _split_rows(len(records), ratios, seed)
+    plan = _plan_for([records[i] for i in parts[0][:1]])  # the first training row's layout
+    columns = _columns(records, [name for name, _ in plan] + ["rating"])
+    train_rows = parts[0].tolist()
+    for name, kind in plan:
+        if kind == CONTINUOUS:
+            columns[name] = _float_column(name, columns[name])
+    schema = _fit_schema(plan, {
+        name: columns[name][parts[0]] if kind == CONTINUOUS
+        else list(map(columns[name].__getitem__, train_rows))
+        for name, kind in plan
+    })
+    labels = _labels(columns["rating"], parts)
+    encoded = []
+    for spec in schema.fields:
+        col = columns[spec.name]
+        if spec.kind == CATEGORICAL:
+            encoded.append(spec.indices(col))
+        elif spec.kind == MULTI_CATEGORICAL:
+            encoded.append(_encode_sets(spec, col))
+        else:
+            span = spec.hi - spec.lo
+            x = np.zeros(len(col)) if span == 0 else (col - spec.lo) / span
+            encoded.append(np.clip(x, 0.0, 1.0))
+    train, validation, test = (_take_encoded(schema, encoded, labels, rows) for rows in parts)
+    enc_split = DatasetSplit(train, validation, test, seed=seed, ratios=tuple(ratios))
     return CachedDataset(schema=schema, tag=tag, split=enc_split)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from arec import cli, training
-from arec.data import CacheError, load_cache, save_cache
+from arec.data import CacheError, ParseError, load_cache, parse_amazon, save_cache, split
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
@@ -121,6 +121,161 @@ def test_prepare_bad_option_exits_two_without_traceback(tmp_path, capsys, option
     assert code == 2
     assert "error:" in captured.err and "Traceback" not in captured.err
     assert not out.exists()
+
+
+def amazon_lines(n=90):
+    """A review file with repeated reviewers and products, float and int
+    ratings, flat, nested, empty and missing categories, and non-ASCII text."""
+    cats = ["Books", "Bücher", "Kindle Store", "日本語", "Mystery", "Sci-Fi & Fantasy"]
+    lines = []
+    for i in range(n):
+        rating = 1 + (i * 3) % 5
+        obj = {
+            "reviewerID": f"A{(i * 7) % 23}" if i % 5 else f"Ré{(i * 7) % 23}",
+            "asin": f"B{(i * 11) % 31:03d}",
+            "overall": float(rating) if i % 3 == 0 else rating,
+            "unixReviewTime": 1400000000 + 3600 * ((i * 13) % 97),
+        }
+        if i % 4 == 0:
+            obj["category"] = [cats[i % 6], cats[(i * 5) % 6]]
+        elif i % 4 == 1:
+            obj["categories"] = [[cats[i % 6]], [cats[(i + 1) % 6], cats[(i + 3) % 6]]]
+        elif i % 4 == 2:
+            obj["category"] = []
+        lines.append(json.dumps(obj, ensure_ascii=i % 2 == 0))
+    return lines
+
+
+def _golden_tiny(base):
+    write_raw(base / "raw")
+    return ["--dataset", "movielens", "--input", "raw", "--seed", "0", "--tag", "tiny"]
+
+
+def _golden_mlsynth(base):
+    mlsynth.write_ml1m(str(base / "raw"), n_users=30, n_movies=40, n_ratings=700, seed=0)
+    return ["--dataset", "movielens", "--input", "raw", "--seed", "7"]
+
+
+def _golden_amazon(base):
+    (base / "reviews.json").write_text("\n".join(amazon_lines()) + "\n", encoding="utf-8")
+    return ["--dataset", "amazon", "--input", "reviews.json", "--seed", "3",
+            "--ratios", "0.6,0.2,0.2"]
+
+
+# SHA-256 of the cache and of the stdout that `arec prepare` writes for each
+# input, recorded before `prepare_dataset` encoded whole columns: the
+# columnar path must reproduce the row-by-row encoder's bytes.
+GOLDEN_PREPARE = {
+    "tiny": (_golden_tiny,
+             "0ff123b589999fb34d640342375502594941bf4ad43e25352d0a970fefed3fb5",
+             "3c9fcadb1a586c2c19be75a43499e9496b1a89d48cfd2ad78d791228605b9d6b"),
+    "mlsynth": (_golden_mlsynth,
+                "1546ac8f7923c9bbd8c5e7808c894c4050b0a07f43eabf01a0377f2039427fa5",
+                "7008a3a9dd1e897af78c3863c03b8eb4202ce8e168d483bce2a8199d09c6cecc"),
+    "amazon": (_golden_amazon,
+               "bf563529779b8ea800cf03a15fcaa99476baaec0cfc0b0ffd3977fcf9c86977b",
+               "9526b84990627f20a5031bc2e8762d51d6f56b8155b9548e3ee32703f43bb491"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PREPARE))
+def test_prepare_bytes_are_golden(tmp_path, monkeypatch, capsys, name):
+    write_input, cache_sha, stdout_sha = GOLDEN_PREPARE[name]
+    monkeypatch.chdir(tmp_path)  # relative paths keep stdout free of tmp_path
+    code = cli.main(["prepare", *write_input(tmp_path), "--out", "golden.cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    got = (hashlib.sha256((tmp_path / "golden.cache").read_bytes()).hexdigest(),
+           hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert got == (cache_sha, stdout_sha)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"validation": [(0, 0)]}, "rating 0 outside [1, 5]"),
+    ({"test": [(0, 6)]}, "rating 6 outside [1, 5]"),
+    ({"validation": [(0, 8)], "test": [(0, 7)]}, "rating 8 outside [1, 5]"),
+    ({"train": [(7, 9), (1, 0)], "test": [(0, 7)]}, "rating 0 outside [1, 5]"),
+], ids=["validation-only", "test-only", "validation-before-test", "train-split-order"])
+def test_prepare_reports_the_first_bad_rating_in_split_order(tmp_path, capsys, bad, message):
+    # `bad` maps a split to (position in that split, rating) pairs; the message
+    # names the first bad rating met in train, then validation, then test order
+    parts = split(list(range(len(RATINGS))), seed=0)
+    ratings = list(RATINGS)
+    for part, cells in bad.items():
+        for pos, rating in cells:
+            line = getattr(parts, part)[pos]
+            uid, mid, _, ts = ratings[line].split("::")
+            ratings[line] = f"{uid}::{mid}::{rating}::{ts}"
+    raw = write_raw(tmp_path / "raw", ratings=ratings)
+    out = tmp_path / "bad.cache"
+    code = cli.main(["prepare", "--dataset", "movielens", "--input", str(raw),
+                     "--out", str(out), "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+BAD_AMAZON_VALUES = [
+    ("overall", "NaN"), ("overall", "Infinity"), ("overall", "1e400"), ("overall", "true"),
+    ("overall", "1" * 5000),
+    ("unixReviewTime", '"abc"'), ("unixReviewTime", "NaN"), ("unixReviewTime", "null"),
+    ("unixReviewTime", "[1]"), ("unixReviewTime", "1e400"), ("unixReviewTime", "1.5"),
+    ("unixReviewTime", "1" * 400),
+    ("category", "null"), ("category", '"Books"'), ("category", "[1]"),
+    ("category", '[["Books"], "Fiction"]'), ("categories", '{"Books": 1}'),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_AMAZON_VALUES,
+                         ids=[f"{k}={v[:12]}" for k, v in BAD_AMAZON_VALUES])
+def test_prepare_rejects_a_bad_amazon_value_with_its_line(tmp_path, capsys, key, value):
+    fields = {"reviewerID": '"A9"', "asin": '"B9"', "overall": "4", "unixReviewTime": "1400000000"}
+    fields[key] = value
+    bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    path = tmp_path / "reviews.json"
+    path.write_text("\n".join([amazon_lines(1)[0], bad]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"reviews\.json:2: "):
+        parse_amazon(str(path))
+    code = cli.main(["prepare", "--dataset", "amazon", "--input", str(path),
+                     "--out", str(tmp_path / "bad.cache")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}:2: ") and "Traceback" not in captured.err
+    assert not (tmp_path / "bad.cache").exists()
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"reviewerID asin overall unixReviewTime"'])
+def test_prepare_rejects_an_amazon_line_that_is_not_an_object(tmp_path, capsys, line):
+    path = tmp_path / "reviews.json"
+    path.write_text(line + "\n", encoding="utf-8")
+    code = cli.main(["prepare", "--dataset", "amazon", "--input", str(path),
+                     "--out", str(tmp_path / "bad.cache")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}:1: ") and "Traceback" not in captured.err
+
+
+def test_prepare_rejects_undecodable_amazon_bytes_with_their_line(tmp_path, capsys):
+    path = tmp_path / "reviews.json"
+    lines = [line.encode("utf-8") for line in amazon_lines(400)]
+    lines[300] = lines[300].replace(b"asin", b"as\xffin")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code = cli.main(["prepare", "--dataset", "amazon", "--input", str(path),
+                     "--out", str(tmp_path / "bad.cache")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}:301: not utf-8 text")
+    assert "Traceback" not in captured.err
+
+
+def test_prepare_rejects_a_timestamp_outside_the_float_range(tmp_path, capsys):
+    raw = write_raw(tmp_path / "raw", ratings=RATINGS + ["1::914::4::" + "1" * 400])
+    code = cli.main(["prepare", "--dataset", "movielens", "--input", str(raw),
+                     "--out", str(tmp_path / "bad.cache")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: a timestamp value is outside the float range\n"
 
 
 def test_train_writes_checkpoint_curve_and_json(workdir, ml_cache, ours_ckpt, capsys):

@@ -1,12 +1,17 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arec.data import (
     CATEGORICAL,
     CONTINUOUS,
     MULTI_CATEGORICAL,
     CacheError,
+    CachedDataset,
     Columnar,
     ConfigError,
+    DatasetSplit,
     DomainError,
     EncodedExample,
     FeatureSchema,
@@ -433,3 +438,139 @@ def test_cache_bad_magic(tmp_path):
 def test_prepare_dataset_rejects_empty():
     with pytest.raises(DomainError):
         prepare_dataset([], ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
+
+
+def test_prepare_dataset_rejects_unknown_layout_and_empty_train(ml_files):
+    with pytest.raises(DomainError, match="unrecognized record layout"):
+        prepare_dataset([{"item": 1, "rating": 4}], ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
+    one = parse_fixture(ml_files)[:1]
+    with pytest.raises(DomainError, match="cannot build a schema from an empty table"):
+        prepare_dataset(one, ratios=(0.2, 0.2, 0.6), seed=0, tag="x")
+
+
+def test_amazon_accepts_integral_numbers_and_nested_paths(tmp_path):
+    p = tmp_path / "ok.json"
+    p.write_text('{"reviewerID": "A7", "asin": "B1", "overall": 2.0, "unixReviewTime": 1.4e9, '
+                 '"categories": [["Books", "Mystery"], [], ["Bücher"]]}\n', encoding="utf-8")
+    (record,) = parse_amazon(str(p))
+    assert record == {"reviewer_id": "A7", "product_id": "B1", "rating": 2,
+                      "timestamp": 1400000000, "category": ("Books", "Mystery", "Bücher")}
+    assert type(record["rating"]) is int and type(record["timestamp"]) is int
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+PROPS = settings(derandomize=True, max_examples=150, deadline=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**450), 10**450)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# and literal JSON texts, some of which json.dumps never writes (1e400, 1E2, -0)
+json_texts = json_values.map(json.dumps) | st.sampled_from(
+    ["1e400", "-1e400", "1.5", "4.0", "1E2", "-0", "0.0", "[]", "[[]]", '[["a"], "b"]', "{}"])
+
+
+@PROPS
+@given(values=st.fixed_dictionaries(
+    {k: json_texts for k in ("reviewerID", "asin", "overall", "unixReviewTime")},
+    optional={"category": json_texts, "categories": json_texts}))
+def test_amazon_line_gives_a_record_or_a_parse_error(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in values.items()) + "}\n",
+                    encoding="utf-8")
+    try:
+        (record,) = parse_amazon(str(path))
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}:1: ")
+        return
+    assert type(record["rating"]) is int and type(record["timestamp"]) is int
+    assert isinstance(float(record["timestamp"]), float)
+    assert all(type(c) is str for c in record["category"])
+
+
+def _ids():
+    # exact ids: negatives next to values at and above 2**63 collapse in a float64 array
+    return st.integers(-(2**70), 2**70) | st.sampled_from([-1, 0, 2**63, 2**63 + 1, 2**64])
+
+
+def _words():
+    return st.text(max_size=4)  # any code point, the empty string included
+
+
+def _timestamps(n):
+    return st.one_of(
+        st.integers(-(2**70), 2**70).map(lambda t: [t] * n),  # constant: span 0
+        st.lists(st.integers(-(2**70), 2**70) | st.integers(9 * 10**8, 10**9),
+                 min_size=n, max_size=n),
+    )
+
+
+@st.composite
+def record_tables(draw, layout):
+    """Records of one layout, drawn from small pools so that values repeat,
+    mixed with one-off values that validation and test rows may hold unseen."""
+    n = draw(st.integers(3, 40))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=5))
+        return draw(st.lists(st.sampled_from(pool) | values, min_size=n, max_size=n))
+
+    sets = st.lists(_words(), max_size=4).map(tuple)  # empty and repeated values too
+    if draw(st.booleans()):
+        ratings = draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n))
+    else:
+        ratings = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    if layout == "movielens":
+        cols = {"user_id": column(_ids()), "movie_id": column(_ids()),
+                "gender": column(_words()), "age": column(_ids()),
+                "occupation": column(st.integers(0, 3)), "genres": column(sets)}
+    else:
+        cols = {"reviewer_id": column(_words()), "product_id": column(_words()),
+                "category": column(sets)}
+    cols["timestamp"] = draw(_timestamps(n))
+    cols["rating"] = ratings
+    return [{name: col[i] for name, col in cols.items()} for i in range(n)]
+
+
+def _row_fit(train, schema):
+    """The schema fitted row by row, as the oracle of the column fitter."""
+    for spec in schema.fields:
+        if spec.kind == CATEGORICAL:
+            assert spec.vocab == tuple(sorted({row[spec.name] for row in train}))
+        elif spec.kind == MULTI_CATEGORICAL:
+            assert spec.vocab == tuple(sorted({v for row in train for v in row[spec.name]}))
+        else:
+            values = [float(row[spec.name]) for row in train]
+            assert (spec.lo, spec.hi) == (min(values), max(values))
+
+
+@PROPS
+@given(layout=st.sampled_from(["movielens", "amazon"]), data=st.data(),
+       ratios=st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (0.34, 0.33, 0.33)]),
+       seed=st.integers(0, 2**64 - 1))
+def test_prepared_columns_equal_the_encoded_rows(tmp_path_factory, layout, data, ratios, seed):
+    records = data.draw(record_tables(layout))
+    try:
+        schema, rows = encoded_rows(records, ratios, seed)
+    except DomainError as exc:  # a rating outside [1, 5]
+        with pytest.raises(DomainError) as err:
+            prepare_dataset(records, ratios=ratios, seed=seed, tag="t")
+        assert str(err.value) == str(exc)
+        return
+    _row_fit(split(records, ratios=ratios, seed=seed).train, schema)
+    got = prepare_dataset(records, ratios=ratios, seed=seed, tag="t")
+    assert got.schema.to_json() == schema.to_json()
+    parts = (got.split.train, got.split.validation, got.split.test)
+    want = [Columnar.from_examples(part, schema) for part in rows]
+    for g, w in zip(parts, want):
+        assert_columns_equal(g, w)
+    oracle = CachedDataset(schema=schema, tag="t",
+                           split=DatasetSplit(*want, seed=seed, ratios=ratios))
+    base = tmp_path_factory.getbasetemp()
+    save_cache(str(base / "got.cache"), got)
+    save_cache(str(base / "want.cache"), oracle)
+    assert (base / "got.cache").read_bytes() == (base / "want.cache").read_bytes()
