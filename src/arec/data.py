@@ -360,7 +360,8 @@ def _integral(value):
 def parse_amazon(reviews_path) -> list:
     """Parse a newline-delimited Amazon review dump into interaction records.
 
-    Each line is a JSON object.  "overall" and "unixReviewTime" are integral
+    Each line is a JSON object.  "reviewerID" and "asin" are JSON strings;
+    "overall" and "unixReviewTime" are integral
     numbers (5 or 5.0); the timestamp must also fit a float.  Product
     categories, a flat "category" list of strings or a nested "categories"
     list of string paths, become the record's multi-valued field.  Anything
@@ -378,6 +379,8 @@ def parse_amazon(reviews_path) -> list:
         for key in ("reviewerID", "asin", "overall", "unixReviewTime"):
             if key not in obj:
                 raise ParseError(f"{where}: missing field {key!r}")
+        if not (isinstance(obj["reviewerID"], str) and isinstance(obj["asin"], str)):
+            raise ParseError(f"{where}: reviewerID and asin must be JSON strings")
         rating = _integral(obj["overall"])
         if rating is None:
             raise ParseError(f"{where}: non-integral rating {obj['overall']!r}")
@@ -395,8 +398,8 @@ def parse_amazon(reviews_path) -> list:
             raise ParseError(f"{where}: categories must be a list of strings or of string lists")
         records.append(
             {
-                "reviewer_id": str(obj["reviewerID"]),
-                "product_id": str(obj["asin"]),
+                "reviewer_id": obj["reviewerID"],
+                "product_id": obj["asin"],
                 "rating": rating,
                 "timestamp": timestamp,
                 "category": tuple(categories),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DomainError, ParseError
+from .data import DomainError, ParseError, _read_lines
 from .numerics import Rng, Tensor, relu, softmax, softmax_backward, softmax_rows
 
 # Predicted probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR]
@@ -108,100 +108,96 @@ def difference_loss_grad(private_a, shared_a, private_v, shared_v):
 
 
 # ---------------------------------------------------------------------------
-# modality feature sets
+# modality feature table
 
 
 MODALITY_TAGS = ("sa", "sv", "pa", "pv")
 
 
 @dataclass
-class ModalityFeatureSet:
-    """Four equal-length feature vectors for one item, plus their source."""
+class ModalityTable:
+    """Every item's four fixed feature vectors, as one array.
 
-    shared_audio: Tensor
-    shared_visual: Tensor
-    private_audio: Tensor
-    private_visual: Tensor
-    source: str = "file"
+    `keys` holds the item keys in first-appearance order, and `vectors[i, t]`
+    is item i's vector for tag MODALITY_TAGS[t]: one (n_items, 4, d) float64
+    array.  Building a table checks the whole array once: at least one item,
+    distinct keys, one vector length d >= 1, and finite values.
+    """
+
+    keys: tuple
+    vectors: np.ndarray  # or any nested sequence of that shape
 
     def __post_init__(self):
-        dims = {
-            v.shape
-            for v in (self.shared_audio, self.shared_visual,
-                      self.private_audio, self.private_visual)
-        }
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
-            raise DomainError(f"modality vectors must share one 1-d shape, got {sorted(dims)}")
-        for v in (self.shared_audio, self.shared_visual, self.private_audio, self.private_visual):
-            if not np.all(np.isfinite(v)):
-                raise DomainError("non-finite modality feature")
-
-    @property
-    def dim(self) -> int:
-        return self.shared_audio.shape[0]
-
-
-_TAG_FIELD = {
-    "sa": "shared_audio",
-    "sv": "shared_visual",
-    "pa": "private_audio",
-    "pv": "private_visual",
-}
+        self.keys = tuple(self.keys)
+        try:
+            self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        except ValueError:
+            raise DomainError("modality vectors must share one length") from None
+        n, shape = len(self.keys), self.vectors.shape
+        if n < 1 or shape[:2] != (n, len(MODALITY_TAGS)) or len(shape) != 3 or shape[2] < 1:
+            raise DomainError(f"{n} items need ({n}, 4, d >= 1) modality vectors, got {shape}")
+        if len(set(self.keys)) != n:
+            raise DomainError("modality table keys repeat")
+        finite = np.isfinite(self.vectors).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"item {self.keys[np.argmin(finite)]}: non-finite modality feature")
 
 
-def load_modality_features(path) -> dict:
-    """Parse `item_id tag v1,v2,...` lines into one ModalityFeatureSet per item."""
+def load_modality_features(path) -> ModalityTable:
+    """Parse `item_id tag v1,v2,...` lines into a ModalityTable.
+
+    Each item needs all four tags, and a later line for the same item and
+    tag replaces the earlier one.
+    """
     raw: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{ln}: expected `item_id tag v1,...`, got {len(parts)} tokens")
-            item, tag, payload = parts
-            if tag not in MODALITY_TAGS:
-                raise ParseError(f"{path}:{ln}: unknown tag {tag!r}")
-            try:
-                vec = np.array(payload.split(","), dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{ln}: bad vector: {exc}") from None
-            raw.setdefault(item, {})[tag] = vec
-    table = {}
+    for ln, line in _read_lines(path, "utf-8"):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{ln}: expected `item_id tag v1,...`, got {len(parts)} tokens")
+        item, tag, payload = parts
+        if tag not in MODALITY_TAGS:
+            raise ParseError(f"{path}:{ln}: unknown tag {tag!r}")
+        try:
+            vec = np.array(payload.split(","), dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: bad vector: {exc}") from None
+        raw.setdefault(item, {})[tag] = vec
+    if not raw:
+        raise ParseError(f"{path}: no modality feature lines")
+    vectors = []
     for item, tags in raw.items():
-        missing = [t for t in MODALITY_TAGS if t not in tags]
-        if missing:
+        if len(tags) != len(MODALITY_TAGS):
+            missing = [t for t in MODALITY_TAGS if t not in tags]
             raise DomainError(f"item {item}: missing modality tags {missing}")
-        table[item] = ModalityFeatureSet(
-            source="file", **{_TAG_FIELD[t]: tags[t] for t in MODALITY_TAGS}
-        )
-    return table
+        vectors.append([tags[t] for t in MODALITY_TAGS])
+    return ModalityTable(tuple(raw), vectors)
 
 
-def save_modality_features(table: dict, path) -> None:
+def save_modality_features(table: ModalityTable, path) -> None:
+    """Write a table as `item tag v1,...` lines: items by their text, values by repr."""
+    order = sorted(range(len(table.keys)), key=lambda i: str(table.keys[i]))
     with open(path, "w", encoding="utf-8") as fh:
-        for item in sorted(table, key=str):
-            fs = table[item]
-            for tag in MODALITY_TAGS:
-                vec = getattr(fs, _TAG_FIELD[tag])
-                fh.write(f"{item} {tag} {','.join(repr(float(x)) for x in vec)}\n")
+        for i in order:
+            for tag, vec in zip(MODALITY_TAGS, table.vectors[i].tolist()):
+                fh.write(f"{table.keys[i]} {tag} {','.join(map(repr, vec))}\n")
 
 
-def synthesize_modality_features(item_keys, dim: int, seed: int) -> dict:
-    """Synthetic stand-in features: shared audio/visual correlated, private distinct."""
-    rng = Rng(seed)
-    table = {}
-    for item in item_keys:
-        base = rng.normal((dim,))
-        table[item] = ModalityFeatureSet(
-            shared_audio=base + 0.1 * rng.normal((dim,)),
-            shared_visual=base + 0.1 * rng.normal((dim,)),
-            private_audio=rng.normal((dim,)),
-            private_visual=rng.normal((dim,)),
-            source="synthetic",
-        )
-    return table
+def synthesize_modality_features(item_keys, dim: int, seed: int) -> ModalityTable:
+    """Synthetic stand-in features: shared audio/visual correlated, private distinct.
+
+    Item after item, the stream gives a base vector, the shared audio and
+    visual noise, then the private audio and visual vectors.  A repeated key
+    keeps its first place and its last draw.
+    """
+    keys = list(item_keys)
+    draws = Rng(seed).normal((len(keys), 5, dim))
+    base = draws[:, 0]
+    vectors = np.stack([base + 0.1 * draws[:, 1], base + 0.1 * draws[:, 2],
+                        draws[:, 3], draws[:, 4]], axis=1)
+    last = {key: i for i, key in enumerate(keys)}
+    return ModalityTable(tuple(last), vectors[list(last.values())])
 
 
 # ---------------------------------------------------------------------------

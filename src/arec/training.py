@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import CATEGORICAL, Columnar, ConfigError, FeatureSchema
 from .losses import (
+    ModalityTable,
     difference_loss,
     logloss,
     logloss_d_logits,
@@ -221,50 +222,29 @@ class ModalityBatcher:
     present: np.ndarray  # (cardinality,) bool
 
     @staticmethod
-    def build(schema: FeatureSchema, table: dict) -> "ModalityBatcher":
+    def build(schema: FeatureSchema, table: ModalityTable) -> "ModalityBatcher":
         idx = item_field_index(schema)
         if idx is None:
-            raise ConfigError(
-                "modality features supplied but the schema has no item id field"
-            )
+            raise ConfigError("modality features supplied but the schema has no item id field")
         spec = schema.fields[idx]
-        dims = {fs.dim for fs in table.values()}
-        if len(dims) != 1:
-            raise ConfigError(f"modality feature dimensions disagree: {sorted(dims)}")
-        d_m = dims.pop()
-        card = spec.cardinality
-        arrays = {k: np.zeros((card, d_m)) for k in ("sa", "sv", "pa", "pv")}
+        key_rows = np.fromiter((_vocab_row(spec, key) for key in table.keys),
+                               dtype=np.int64, count=len(table.keys))
+        # a row that several keys map to takes the features of the key seen
+        # last; row 0 (keys outside the training vocabulary) takes none
+        rows, from_end = np.unique(key_rows[::-1], return_index=True)
+        known = rows != 0
+        rows, items = rows[known], (len(key_rows) - 1 - from_end)[known]
+        sa, sv, pa, pv = (table.vectors[items, t] for t in range(4))  # MODALITY_TAGS order
+        card, d_m = spec.cardinality, table.vectors.shape[2]
+        shared_audio, shared_visual = np.zeros((2, card, d_m))
+        shared_audio[rows], shared_visual[rows] = sa, sv
         present = np.zeros(card, dtype=bool)
-        for key, fs in table.items():
-            row = spec.index_of(key)
-            if row == 0 and isinstance(key, str):
-                # feature files carry text keys; integer-id vocabularies
-                # (movie ids) need the numeric form
-                try:
-                    row = spec.index_of(int(key))
-                except ValueError:
-                    pass
-            if row == 0:
-                continue  # item absent from the training vocabulary
-            arrays["sa"][row] = fs.shared_audio
-            arrays["sv"][row] = fs.shared_visual
-            arrays["pa"][row] = fs.private_audio
-            arrays["pv"][row] = fs.private_visual
-            present[row] = True
+        present[rows] = True
         # the features are fixed, so each item's difference term is too: one
         # row-wise call per fit instead of one call per training row
         difference = np.zeros(card)
-        difference[present] = difference_loss(
-            arrays["pa"][present], arrays["sa"][present],
-            arrays["pv"][present], arrays["sv"][present],
-        )
-        return ModalityBatcher(
-            field_index=idx,
-            shared_audio=arrays["sa"],
-            shared_visual=arrays["sv"],
-            difference=difference,
-            present=present,
-        )
+        difference[rows] = difference_loss(pa, sa, pv, sv)
+        return ModalityBatcher(idx, shared_audio, shared_visual, difference, present)
 
     def batch_terms(self, col: Columnar):
         """(similarity, difference, count) over batch items with features."""
@@ -277,6 +257,18 @@ class ModalityBatcher:
         # its terms, so its rounding differs
         l_d = float(np.add.accumulate(self.difference[rows])[-1])
         return l_s, l_d / rows.size, int(rows.size)
+
+
+def _vocab_row(spec, key) -> int:
+    row = spec.index_of(key)
+    if row == 0 and isinstance(key, str):
+        # feature files carry text keys; integer-id vocabularies (movie ids)
+        # need the numeric form
+        try:
+            row = spec.index_of(int(key))
+        except ValueError:
+            pass
+    return row
 
 
 def item_field_index(schema: FeatureSchema):
@@ -388,7 +380,7 @@ def _eval_columnar(ops, params, col: Columnar):
 
 
 def fit(ops: ModelOps, schema: FeatureSchema, train_examples, val_examples,
-        config: TrainConfig, modality_table: dict = None) -> FitResult:
+        config: TrainConfig, modality_table: ModalityTable = None) -> FitResult:
     config.validate()
     if not train_examples:
         raise ConfigError("the train split is empty; there is nothing to train on")

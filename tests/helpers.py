@@ -4,6 +4,7 @@ finite-difference sweeps over whole parameter sets, and small fixtures."""
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from arec.data import (
     CATEGORICAL,
@@ -19,6 +20,16 @@ from arec.data import (
 from arec.embedding import _one_row
 from arec.losses import logloss, logloss_d_logits
 from arec.numerics import finite_diff_grad, rel_error
+
+
+def corruptions(blob: bytes):
+    """A strategy for one damaged copy of `blob`: a proper prefix, or one byte XORed."""
+    def flip(where_mask):
+        where, mask = where_mask
+        return blob[:where] + bytes([blob[where] ^ mask]) + blob[where + 1 :]
+
+    return (st.integers(0, len(blob) - 1).map(lambda cut: blob[:cut])
+            | st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(flip))
 
 
 def make_schema(field_plan):

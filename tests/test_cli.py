@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
@@ -9,6 +11,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arec import cli, training
 from arec.data import CacheError, ParseError, load_cache, parse_amazon, save_cache, split
@@ -17,6 +20,7 @@ from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
+from helpers import corruptions
 
 
 USERS = [
@@ -222,6 +226,7 @@ BAD_AMAZON_VALUES = [
     ("unixReviewTime", '"abc"'), ("unixReviewTime", "NaN"), ("unixReviewTime", "null"),
     ("unixReviewTime", "[1]"), ("unixReviewTime", "1e400"), ("unixReviewTime", "1.5"),
     ("unixReviewTime", "1" * 400),
+    ("reviewerID", "null"), ("reviewerID", "7"), ("asin", "[1]"), ("asin", '{"a": "B9"}'),
     ("category", "null"), ("category", '"Books"'), ("category", "[1]"),
     ("category", '[["Books"], "Fiction"]'), ("categories", '{"Books": 1}'),
 ]
@@ -358,6 +363,86 @@ def test_train_with_modality_features_adds_curve_columns(workdir, ml_cache, caps
     for row in lines[1:]:
         l_s, l_d = (float(tok) for tok in row.split(",")[-2:])
         assert l_s > 0.0 and l_d > 0.0
+
+
+# SHA-256 of the modality file that `save_modality_features` writes for the
+# synthesized table (how the benchmark makes its modality input), and of the
+# checkpoint and curve of an `fm` train on it, recorded while the features
+# were still held as one object per item.  Movies 41-45 are not in the
+# vocabulary, so the batcher's skip path is pinned too.
+GOLDEN_MODALITY = ("589e26954a22a7cb11a6c1d69f9604c6b75647aa33bb18a136475c193319f536",
+                   "82749341356c378f872e5253034a3a81d44dacb406dd799781967dedd83d607e",
+                   "ed020e91b3f8c82255daaa1c23a62d55d828c3a9c3f20010dc2cb50768ef93c3")
+
+
+def test_modality_train_bytes_are_golden(ml_cache, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    table = synthesize_modality_features([str(m) for m in range(1, 46)], 6, 11)
+    save_modality_features(table, "modality.txt")
+    code = cli.main(["train", "--cache", str(ml_cache), "--model", "fm", "--out", "golden.ckpt",
+                     "--seed", "3", "--modality-features", "modality.txt", *TRAIN_SETTINGS])
+    capsys.readouterr()
+    assert code == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("modality.txt", "golden.ckpt", "golden.ckpt.curve.csv"))
+    assert got == GOLDEN_MODALITY
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of one command, with its stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+DAMAGE = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("name", ["ratings.dat", "users.dat", "movies.dat"])
+@DAMAGE
+@given(data=st.data())
+def test_prepare_on_a_damaged_movielens_file_exits_zero_or_two(tmp_path_factory, name, data):
+    base = tmp_path_factory.getbasetemp() / "damaged_movielens"
+    raw = write_raw(base / "raw")
+    blob = (base / "raw" / name).read_bytes()
+    (base / "raw" / name).write_bytes(data.draw(corruptions(blob)))
+    code, err = _run_quietly(["prepare", "--dataset", "movielens", "--input", str(raw),
+                              "--out", str(base / "out.cache")])
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ") and "Traceback" not in err
+
+
+MODALITY_LINES = "".join(f"{m} {tag} 0.{m},-{m}.5\n"
+                         for m in (1, 2, 3) for tag in ("sa", "sv", "pa", "pv"))
+
+
+@DAMAGE
+@given(blob=corruptions(MODALITY_LINES.encode("utf-8")))
+def test_train_on_a_damaged_modality_file_exits_zero_or_two(tmp_path_factory, ml_cache, blob):
+    base = tmp_path_factory.getbasetemp()
+    (base / "damaged_modality.txt").write_bytes(blob)
+    code, err = _run_quietly(["train", "--cache", str(ml_cache), "--model", "fm",
+                              "--out", str(base / "damaged_modality.ckpt"),
+                              "--modality-features", str(base / "damaged_modality.txt"),
+                              "--set", "max_epochs=1", "--set", "dim=4"])
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob, where", [
+    (MODALITY_LINES.encode("utf-8").replace(b"1 sv", b"1 s\xff"), ":2: not utf-8 text"),
+    (b"", ": no modality feature lines"),
+], ids=["undecodable", "empty"])
+def test_train_names_where_a_modality_file_is_bad(ml_cache, tmp_path, capsys, blob, where):
+    path = tmp_path / "modality.txt"
+    path.write_bytes(blob)
+    code = cli.main(["train", "--cache", str(ml_cache), "--model", "fm",
+                     "--out", str(tmp_path / "m.ckpt"), "--modality-features", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}{where}")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_eval_reports_metrics_and_appends_csv(workdir, ml_cache, ours_ckpt, capsys):

@@ -31,7 +31,7 @@ from arec.data import (
     validate_example,
 )
 
-from helpers import assert_columns_equal, encoded_rows
+from helpers import assert_columns_equal, corruptions, encoded_rows
 
 USERS = """1::F::1::10::48067
 2::M::56::16::70072
@@ -487,9 +487,36 @@ def test_amazon_line_gives_a_record_or_a_parse_error(tmp_path_factory, values):
     except ParseError as exc:
         assert str(exc).startswith(f"{path}:1: ")
         return
+    assert (record["reviewer_id"], record["product_id"]) == (
+        json.loads(values["reviewerID"]), json.loads(values["asin"]))
+    assert type(record["reviewer_id"]) is str and type(record["product_id"]) is str
     assert type(record["rating"]) is int and type(record["timestamp"]) is int
     assert isinstance(float(record["timestamp"]), float)
     assert all(type(c) is str for c in record["category"])
+
+
+ML_TEXTS = {"users.dat": USERS, "movies.dat": MOVIES, "ratings.dat": RATINGS}
+
+
+@PROPS
+@given(name=st.sampled_from(sorted(ML_TEXTS)), data=st.data())
+def test_a_damaged_movielens_file_gives_records_or_an_input_error(tmp_path_factory, name, data):
+    base = tmp_path_factory.getbasetemp() / "ml_property"
+    base.mkdir(exist_ok=True)
+    for other, text in ML_TEXTS.items():
+        (base / other).write_bytes(text.encode("latin-1"))
+    (base / name).write_bytes(data.draw(corruptions(ML_TEXTS[name].encode("latin-1"))))
+    paths = {other: str(base / other) for other in ML_TEXTS}
+    try:
+        records = parse_fixture(paths)
+    except (ParseError, ReferentialError) as exc:
+        assert str(exc).startswith(tuple(f"{p}:" for p in paths.values()))
+        return
+    except DomainError:
+        return
+    for record in records:
+        assert all(type(record[k]) is int for k in ("user_id", "movie_id", "rating", "timestamp"))
+        assert all(type(g) is str for g in record["genres"])
 
 
 def _ids():

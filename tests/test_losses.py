@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arec.data import DomainError, ParseError
 from arec.losses import (
     DIST_FLOOR,
     MODALITY_TAGS,
     PROB_FLOOR,
-    ModalityFeatureSet,
+    ModalityTable,
     clamp_probs,
     difference_loss,
     difference_loss_grad,
@@ -24,6 +25,8 @@ from arec.losses import (
     synthesize_modality_features,
 )
 from arec.numerics import Rng, finite_diff_grad, rel_error
+
+from helpers import corruptions
 
 
 def test_logloss_half_probability_is_ln2():
@@ -196,22 +199,28 @@ def test_difference_grad_matches_finite_differences():
             assert rel_error(grads[slot], fd) < 1e-4, slot
 
 
-def test_modality_set_validation():
-    ok = ModalityFeatureSet(
-        shared_audio=np.zeros(4), shared_visual=np.zeros(4),
-        private_audio=np.zeros(4), private_visual=np.zeros(4),
-    )
-    assert ok.dim == 4
+def test_modality_table_validation():
+    ok = ModalityTable(["a", "b"], np.zeros((2, 4, 3)))
+    assert ok.keys == ("a", "b") and ok.vectors.dtype == np.float64
+    bad_shapes = [np.zeros((2, 3, 3)), np.zeros((1, 4, 3)), np.zeros((2, 4, 0)), np.zeros((2, 4))]
+    for vectors in bad_shapes:
+        with pytest.raises(DomainError):
+            ModalityTable(["a", "b"], vectors)
     with pytest.raises(DomainError):
-        ModalityFeatureSet(
-            shared_audio=np.zeros(4), shared_visual=np.zeros(3),
-            private_audio=np.zeros(4), private_visual=np.zeros(4),
-        )
-    with pytest.raises(DomainError):
-        ModalityFeatureSet(
-            shared_audio=np.array([np.nan, 0.0]), shared_visual=np.zeros(2),
-            private_audio=np.zeros(2), private_visual=np.zeros(2),
-        )
+        ModalityTable([], np.zeros((0, 4, 3)))
+    with pytest.raises(DomainError, match="share one length"):
+        ModalityTable(["a"], [[np.zeros(2)] * 3 + [np.zeros(3)]])
+    with pytest.raises(DomainError, match="repeat"):
+        ModalityTable(["a", "a"], np.zeros((2, 4, 3)))
+    for bad in (np.nan, np.inf):
+        vectors = np.zeros((2, 4, 3))
+        vectors[1, 2, 0] = bad
+        with pytest.raises(DomainError, match="item b: non-finite"):
+            ModalityTable(["a", "b"], vectors)
+
+
+def _by_key(table):
+    return dict(zip(table.keys, table.vectors))
 
 
 def test_modality_file_roundtrip(tmp_path):
@@ -219,12 +228,8 @@ def test_modality_file_roundtrip(tmp_path):
     path = tmp_path / "features.txt"
     save_modality_features(table, str(path))
     loaded = load_modality_features(str(path))
-    assert sorted(loaded) == ["10", "11", "12"]
-    for item in table:
-        for tag in ("shared_audio", "shared_visual", "private_audio", "private_visual"):
-            got = getattr(loaded[item], tag)
-            want = getattr(table[item], tag)
-            assert np.array_equal(got, want)  # repr round trip is exact
+    assert loaded.keys == ("10", "11", "12")
+    assert loaded.vectors.tobytes() == table.vectors.tobytes()  # repr round trip is exact
 
 
 def test_modality_file_parse_errors(tmp_path):
@@ -239,6 +244,36 @@ def test_modality_file_parse_errors(tmp_path):
     p.write_text("10 sa 1.0,oops\n")
     with pytest.raises(ParseError):
         load_modality_features(str(p))
+    p.write_bytes(b"10 sa 1.0\n10 sv 1.\xff0\n")
+    with pytest.raises(ParseError, match=r"bad\.txt:2: not utf-8 text"):
+        load_modality_features(str(p))
+    for text in ("", "\n  \n"):
+        p.write_text(text)
+        with pytest.raises(ParseError, match=r"bad\.txt: no modality feature lines"):
+            load_modality_features(str(p))
+
+
+def test_modality_file_rules_are_checked_on_the_table(tmp_path):
+    p = tmp_path / "features.txt"
+    lines = [f"{item} {tag} 1.0,2.0" for item in ("7", "8") for tag in MODALITY_TAGS]
+    p.write_text("\n".join(lines[:-1] + ["8 pv 1.0,2.0,3.0"]) + "\n")
+    with pytest.raises(DomainError, match="share one length"):
+        load_modality_features(str(p))
+    p.write_text("\n".join(lines[:-1] + ["8 pv 1.0,1e999"]) + "\n")
+    with pytest.raises(DomainError, match="item 8: non-finite"):
+        load_modality_features(str(p))
+
+
+def test_modality_file_later_line_wins(tmp_path):
+    p = tmp_path / "features.txt"
+    lines = [f"{item} {tag} 1.0,2.0" for item in ("9", "3") for tag in MODALITY_TAGS]
+    p.write_text("\n".join(lines + ["9 pa 5.0,6.0", "  ", "3 sv 7.0,8.0"]) + "\n")
+    loaded = load_modality_features(str(p))
+    assert loaded.keys == ("9", "3")  # first appearance, not sorted
+    want = np.ones((2, 4, 2)) * [1.0, 2.0]
+    want[0, 2] = [5.0, 6.0]
+    want[1, 1] = [7.0, 8.0]
+    assert np.array_equal(loaded.vectors, want)
 
 
 def test_modality_file_values_equal_per_token_float_bit_for_bit(tmp_path):
@@ -257,13 +292,13 @@ def test_modality_file_values_equal_per_token_float_bit_for_bit(tmp_path):
     path = tmp_path / "features.txt"
     with open(path, "w", encoding="utf-8") as fh:
         for item, row in enumerate(rows):
-            for tag in ("sa", "sv", "pa", "pv"):
+            for tag in MODALITY_TAGS:
                 fh.write(f"{item} {tag} {','.join(row)}\n")
-    loaded = load_modality_features(str(path))
+    loaded = _by_key(load_modality_features(str(path)))
     for item, row in enumerate(rows):
         want = np.array([float(tok) for tok in row], dtype=np.float64)
-        for tag in ("shared_audio", "shared_visual", "private_audio", "private_visual"):
-            assert getattr(loaded[str(item)], tag).tobytes() == want.tobytes(), (item, row)
+        for vec in loaded[str(item)]:
+            assert vec.tobytes() == want.tobytes(), (item, row)
     path.write_text("10 sa 1.0,0x1p3\n")  # float() rejects hex literals; so must the loader
     with pytest.raises(ParseError):
         load_modality_features(str(path))
@@ -277,17 +312,52 @@ def test_modality_file_missing_tag(tmp_path):
     assert "pv" in str(err.value)
 
 
+VALID_MODALITY = "".join(
+    f"{item} {tag} {value},-{value}e-3\n"
+    for item, value in (("4", "0.25"), ("17", "1.5")) for tag in MODALITY_TAGS
+).encode("utf-8")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(blob=corruptions(VALID_MODALITY))
+def test_a_damaged_modality_file_gives_a_table_or_an_input_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "modality_property.txt"
+    path.write_bytes(blob)
+    try:
+        table = load_modality_features(str(path))
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    except DomainError:
+        return
+    assert isinstance(table, ModalityTable) and np.isfinite(table.vectors).all()
+
+
 def test_synthesized_features_structure():
     table = synthesize_modality_features(["a", "b"], dim=64, seed=0)
-    assert set(table) == {"a", "b"}
-    fs = table["a"]
-    assert fs.source == "synthetic" and fs.dim == 64
+    assert table.keys == ("a", "b") and table.vectors.shape == (2, 4, 64)
+    sa, sv, pa, pv = table.vectors[0]
     # shared pair built from one base vector: strongly correlated
-    corr = np.corrcoef(fs.shared_audio, fs.shared_visual)[0, 1]
+    corr = np.corrcoef(sa, sv)[0, 1]
     assert corr > 0.9
     # deterministic given the seed
     again = synthesize_modality_features(["a", "b"], dim=64, seed=0)
-    assert np.array_equal(again["b"].private_visual, table["b"].private_visual)
+    assert again.vectors.tobytes() == table.vectors.tobytes()
+
+
+def test_synthesized_features_draw_item_by_item():
+    # the stream order of one `normal((dim,))` draw per vector: base, shared
+    # audio noise, shared visual noise, private audio, private visual
+    rng = Rng(4)
+    want = []
+    for _ in range(3):
+        base = rng.normal((5,))
+        want.append([base + 0.1 * rng.normal((5,)), base + 0.1 * rng.normal((5,)),
+                     rng.normal((5,)), rng.normal((5,))])
+    table = synthesize_modality_features(["x", "y", "x"], dim=5, seed=4)
+    # a repeated key keeps its first place and its last draw
+    assert table.keys == ("x", "y")
+    assert table.vectors.tobytes() == np.array([want[2], want[1]]).tobytes()
 
 
 def test_fusion_single_modality_weight_one():

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import arec.training as training
-from arec.data import ConfigError, EncodedExample
+from arec.data import ConfigError, EncodedExample, FeatureSchema, FieldSpec
 from arec.embedding import Columnar
-from arec.losses import difference_loss, logloss, similarity_loss, synthesize_modality_features
+from arec.losses import (
+    ModalityTable,
+    difference_loss,
+    logloss,
+    similarity_loss,
+    synthesize_modality_features,
+)
 from arec.model import ops_for
 from arec.numerics import Rng
 from arec.training import (
@@ -298,15 +304,10 @@ def test_modality_batcher_terms_match_direct_losses():
     l_s, l_d, count = batcher.batch_terms(col)
     assert count == 3  # index 0 carries no features
 
-    keys = [spec.value_of(i) for i in (1, 3, 3)]
-    sa = np.stack([table[k].shared_audio for k in keys])
-    sv = np.stack([table[k].shared_visual for k in keys])
+    features = dict(zip(table.keys, table.vectors))
+    sa, sv, pa, pv = np.stack([features[spec.value_of(i)] for i in (1, 3, 3)], axis=1)
     assert abs(l_s - similarity_loss(sa, sv)) < 1e-12
-    want_d = np.mean([
-        difference_loss(table[k].private_audio, table[k].shared_audio,
-                        table[k].private_visual, table[k].shared_visual)
-        for k in keys
-    ])
+    want_d = np.mean([difference_loss(*rows) for rows in zip(pa, sa, pv, sv)])
     assert abs(l_d - want_d) < 1e-12
 
 
@@ -325,13 +326,13 @@ def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
     _, l_d, count = batcher.batch_terms(col)
 
     # the oracle: one difference_loss call per row, summed in row order
+    features = dict(zip(table.keys, table.vectors))
     want, want_count = 0.0, 0
     for i in items:
         key = spec.value_of(int(i))
-        if key in table:
-            fs = table[key]
-            want += difference_loss(fs.private_audio, fs.shared_audio,
-                                    fs.private_visual, fs.shared_visual)
+        if key in features:
+            sa, sv, pa, pv = features[key]
+            want += difference_loss(pa, sa, pv, sv)
             want_count += 1
     assert count == want_count
     assert l_d == want / want_count
@@ -352,7 +353,7 @@ def test_fit_computes_the_difference_table_once(monkeypatch):
     result = fit(ops_for("fm"), schema, examples[:40], examples[40:], config,
                  modality_table=table)
     assert result.epochs_run == 3
-    assert calls == [len(table)]
+    assert calls == [len(table.keys)]
 
 
 def test_modality_batcher_requires_item_field():
@@ -361,12 +362,22 @@ def test_modality_batcher_requires_item_field():
         ModalityBatcher.build(schema, synthesize_modality_features(["x"], 4, 0))
 
 
-def test_modality_batcher_rejects_mixed_dims():
-    schema = make_schema([("user_id", "categorical", 3), ("item_id", "categorical", 3)])
-    table = synthesize_modality_features(["item_id_0"], 4, 0)
-    table.update(synthesize_modality_features(["item_id_1"], 5, 0))
-    with pytest.raises(ConfigError):
-        ModalityBatcher.build(schema, table)
+def test_modality_batcher_maps_keys_to_rows_and_the_later_key_wins():
+    schema = FeatureSchema((FieldSpec("user_id", "categorical", ("u",)),
+                            FieldSpec("movie_id", "categorical", (7, 8))))
+    # "08" and 8 both land on row 2 (text keys fall back to int), and the key
+    # first seen later wins; "x" and "9" are outside the vocabulary
+    keys = ["08", "x", 7, 8, "9"]
+    vectors = np.arange(len(keys) * 4 * 3, dtype=np.float64).reshape(len(keys), 4, 3) / 50.0
+    batcher = ModalityBatcher.build(schema, ModalityTable(keys, vectors))
+    assert batcher.present.tolist() == [False, True, True]
+    assert np.array_equal(batcher.shared_audio, [np.zeros(3), vectors[2, 0], vectors[3, 0]])
+    assert np.array_equal(batcher.shared_visual, [np.zeros(3), vectors[2, 1], vectors[3, 1]])
+    want = [0.0] + [difference_loss(v[2], v[0], v[3], v[1]) for v in vectors[[2, 3]]]
+    assert batcher.difference.tolist() == want
+    # the same keys in the other order: now "08" is seen later and wins row 2
+    batcher = ModalityBatcher.build(schema, ModalityTable(keys[::-1], vectors[::-1]))
+    assert np.array_equal(batcher.shared_audio[2], vectors[0, 0])
 
 
 def test_fit_with_modality_table_reports_terms():
