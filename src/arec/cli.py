@@ -249,7 +249,7 @@ def cmd_prepare(args) -> int:
         raise ConfigError(f"--ratios expects comma-separated numbers, got {args.ratios!r}") from None
     if args.dataset == "movielens":
         base = args.input
-        records = parse_movielens(
+        table = parse_movielens(
             os.path.join(base, "ratings.dat"),
             os.path.join(base, "users.dat"),
             os.path.join(base, "movies.dat"),
@@ -258,18 +258,18 @@ def cmd_prepare(args) -> int:
         path = args.input
         if os.path.isdir(path):
             path = os.path.join(path, "reviews.json")
-        records = parse_amazon(path)
+        table = parse_amazon(path)
     tag = args.tag or args.dataset
-    dataset = prepare_dataset(records, ratios=ratios, seed=args.seed, tag=tag)
+    dataset = prepare_dataset(table, ratios=ratios, seed=args.seed, tag=tag)
     save_cache(args.out, dataset)
+    s = dataset.split
     print(f"dataset: {tag}")
-    print(f"interactions: {len(records)}")
+    print(f"interactions: {len(s.train) + len(s.validation) + len(s.test)}")
     for spec in dataset.schema.fields:
         if spec.kind == "continuous":
             print(f"  field {spec.name}: {spec.kind}, range [{spec.lo}, {spec.hi}]")
         else:
             print(f"  field {spec.name}: {spec.kind}, cardinality {spec.cardinality}")
-    s = dataset.split
     print(f"splits: train={len(s.train)} val={len(s.validation)} test={len(s.test)}")
     print(f"cache written to {args.out}")
     return 0

@@ -286,13 +286,36 @@ def _undecodable_line(path, encoding) -> int:
                 return line_no
 
 
-def parse_movielens(ratings_path, users_path, movies_path) -> list:
-    """Join MovieLens-1M rating, user, and movie files into interaction records.
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
-    One record per rating line, in file order, carrying the user's gender,
-    age bucket and occupation plus the movie's genre set.
+
+def _column(values) -> np.ndarray:
+    """Field values as an array that holds each one exactly: int64 when every
+    value is an int in that type's range, else object.  Not numpy's own
+    choice: it turns -1 next to 2**63 into float64, drops a string's trailing
+    NULs in a 'U' array, and spreads equal-length tuples over a second axis."""
+    values = list(values)
+    if set(map(type, values)) == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def parse_movielens(ratings_path, users_path, movies_path) -> dict:
+    """Join MovieLens-1M rating, user, and movie files into a column table.
+
+    One array per record field, one entry per rating line, in file order:
+    user_id, movie_id, rating and timestamp from the rating, the user's
+    gender, age bucket and occupation, and the movie's genre set.  The side
+    files are read line by line and joined by one gather per field.  The
+    ratings file is parsed in one call when it provably holds only lines of
+    four `::`-separated integers with known ids; any other file is read line
+    by line, which gives the same columns or raises the error of its first
+    bad line.
     """
-    users = {}
+    users, user_fields = {}, []
     for line_no, line in _read_lines(users_path):
         parts = line.split("::")
         if len(parts) != 5:
@@ -303,9 +326,10 @@ def parse_movielens(ratings_path, users_path, movies_path) -> list:
             occupation = int(parts[3])
         except ValueError as exc:
             raise ParseError(f"{users_path}:{line_no}: non-integer id field: {exc}") from None
-        users[uid] = (parts[1], age, occupation)
+        users[uid] = len(user_fields)  # a later line for the same id wins
+        user_fields.append((parts[1], age, occupation))
 
-    movies = {}
+    movies, genre_sets = {}, []
     for line_no, line in _read_lines(movies_path):
         parts = line.split("::")
         if len(parts) != 3:
@@ -314,10 +338,72 @@ def parse_movielens(ratings_path, users_path, movies_path) -> list:
             mid = int(parts[0])
         except ValueError:
             raise ParseError(f"{movies_path}:{line_no}: non-integer movie id {parts[0]!r}") from None
-        genres = tuple(g for g in parts[2].split("|") if g)
-        movies[mid] = genres
+        movies[mid] = len(genre_sets)
+        genre_sets.append(tuple(g for g in parts[2].split("|") if g))
 
-    records = []
+    with open(ratings_path, "r", encoding="latin-1") as fh:
+        fields = _bulk_ratings(fh.read())
+    user_rows = movie_rows = None
+    if fields is not None:
+        user_rows, movie_rows = _rows_of(users, fields[0]), _rows_of(movies, fields[1])
+    if user_rows is None or movie_rows is None:
+        fields, user_rows, movie_rows = _ratings_by_line(ratings_path, users, movies)
+    gender, age, occupation = (_column(map(itemgetter(i), user_fields)) for i in range(3))
+    return {
+        "user_id": fields[0],
+        "movie_id": fields[1],
+        "rating": fields[2],
+        "timestamp": fields[3],
+        "gender": gender[user_rows],
+        "age": age[user_rows],
+        "occupation": occupation[user_rows],
+        "genres": _column(genre_sets)[movie_rows],
+    }
+
+
+def _bulk_ratings(text: str):
+    """The four fields of every ratings line as int64 arrays, parsed by one
+    `np.fromstring` call; None unless each non-empty line is provably four
+    `::`-separated runs of ASCII digits, which `int` reads to the same values.
+    (Signs are left to the line reader: numpy reads a lone `-` as 0.)"""
+    if not text.isascii() or " " in text:
+        return None
+    lines = list(filter(None, text.encode("ascii").replace(b"::", b" ").split(b"\n")))
+    body = b"\n".join(lines) + b"\n"
+    # three separators a line, and nothing but digits besides
+    if body.translate(None, b"0123456789") != b"   \n" * len(lines):
+        return None
+    try:
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:  # not expected after the check above
+        return None
+    # an empty field gives no value, and an overflow saturates silently:
+    # 99999999999999999999 reads as int64 max
+    if values.size != 4 * len(lines) or values.max() == _INT64_MAX:
+        return None
+    return values.reshape(-1, 4).T.copy()
+
+
+def _rows_of(index: dict, ids: np.ndarray):
+    """The row `index` maps each id to, by one search of each distinct id
+    among its sorted keys; None if an id is not a key."""
+    # a key outside int64 can equal no bulk-parsed id
+    keys = sorted(k for k in index if _INT64_MIN < k < _INT64_MAX)
+    if not keys:
+        return None
+    table = np.array(keys, dtype=np.int64)
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    pos = np.minimum(np.searchsorted(table, distinct), len(keys) - 1)
+    if not np.array_equal(table[pos], distinct):
+        return None
+    rows = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+    return rows[pos][inverse]
+
+
+def _ratings_by_line(ratings_path, users: dict, movies: dict) -> tuple:
+    """The ratings fields as columns and each line's user and movie rows, read
+    line by line: the first bad line raises, naming its file and number."""
+    fields, user_rows, movie_rows = [], [], []
     for line_no, line in _read_lines(ratings_path):
         parts = line.split("::")
         if len(parts) != 4:
@@ -330,20 +416,11 @@ def parse_movielens(ratings_path, users_path, movies_path) -> list:
             raise ReferentialError(f"{ratings_path}:{line_no}: unknown user id {uid}")
         if mid not in movies:
             raise ReferentialError(f"{ratings_path}:{line_no}: unknown movie id {mid}")
-        gender, age, occupation = users[uid]
-        records.append(
-            {
-                "user_id": uid,
-                "movie_id": mid,
-                "rating": rating,
-                "timestamp": ts,
-                "gender": gender,
-                "age": age,
-                "occupation": occupation,
-                "genres": movies[mid],
-            }
-        )
-    return records
+        fields.append((uid, mid, rating, ts))
+        user_rows.append(users[uid])
+        movie_rows.append(movies[mid])
+    columns = [_column(map(itemgetter(i), fields)) for i in range(4)]
+    return columns, np.array(user_rows, dtype=np.int64), np.array(movie_rows, dtype=np.int64)
 
 
 def _integral(value):
@@ -439,11 +516,9 @@ _AMAZON_PLAN = (
 )
 
 
-def _plan_for(table) -> tuple:
-    """The field plan of the layout of the table's first record."""
-    if not table:
-        raise DomainError("cannot build a schema from an empty table")
-    keys = set(table[0].keys())
+def _plan_for(layout) -> tuple:
+    """The field plan of a record's, or a column table's, field names."""
+    keys = set(layout)
     if "movie_id" in keys:
         return _MOVIELENS_PLAN
     if "product_id" in keys:
@@ -452,10 +527,9 @@ def _plan_for(table) -> tuple:
 
 
 def _columns(table, names) -> dict:
-    """Each named field of the records as a list of its exact values, in table
-    order.  Lists, not arrays: numpy would round ids at or above 2**63 to
-    floats when a negative id is also present."""
-    return {name: list(map(itemgetter(name), table)) for name in names}
+    """The column table of a list of records: each named field's values, in
+    table order, as an array that holds them exactly (see `_column`)."""
+    return {name: _column(map(itemgetter(name), table)) for name in names}
 
 
 def _float_column(name: str, values) -> np.ndarray:
@@ -465,13 +539,16 @@ def _float_column(name: str, values) -> np.ndarray:
         raise DomainError(f"a {name} value is outside the float range") from None
 
 
-def _fit_schema(plan, columns) -> FeatureSchema:
-    """Vocabularies and normalization bounds of the (training) `columns`: the
-    sorted distinct values of each categorical field, the sorted union of each
-    multi-valued field's sets, and each continuous field's min and max."""
+def build_schema(table) -> FeatureSchema:
+    """Fit vocabularies and normalization bounds on a list of (training)
+    records, field by field: the sorted distinct values of each categorical
+    field, the sorted union of each multi-valued field's sets, and each
+    continuous field's min and max."""
+    if not table:
+        raise DomainError("cannot build a schema from an empty table")
     fields = []
-    for name, kind in plan:
-        col = columns[name]
+    for name, kind in _plan_for(table[0]):
+        col = [row[name] for row in table]
         if kind == CATEGORICAL:
             fields.append(FieldSpec(name=name, kind=kind, vocab=tuple(sorted(set(col)))))
         elif kind == MULTI_CATEGORICAL:
@@ -481,12 +558,6 @@ def _fit_schema(plan, columns) -> FeatureSchema:
             vals = _float_column(name, col)
             fields.append(FieldSpec(name=name, kind=kind, lo=float(vals.min()), hi=float(vals.max())))
     return FeatureSchema(fields=tuple(fields))
-
-
-def build_schema(table) -> FeatureSchema:
-    """Fit vocabularies and normalization bounds on `table` (training rows only)."""
-    plan = _plan_for(table)
-    return _fit_schema(plan, _columns(table, [name for name, _ in plan]))
 
 
 def encode_example(row, schema: FeatureSchema) -> EncodedExample:
@@ -764,27 +835,37 @@ def load_cache(path) -> CachedDataset:
     return CachedDataset(schema=schema, tag=tag, split=split_)
 
 
-def _labels(ratings: list, parts) -> np.ndarray:
+def _labels(ratings: np.ndarray, parts) -> np.ndarray:
     """float64 binary targets of the ratings, in file order.  A rating outside
     [1, 5] raises the DomainError of `binarize_label`, for the first one met in
     train, validation, test order."""
-    if min(ratings) < 1 or max(ratings) > 5:
+    if ratings.min() < 1 or ratings.max() > 5:
         for i in chain(*parts):
             binarize_label(ratings[i])
-    return (np.array(ratings, dtype=np.int64) >= 4).astype(np.float64)
+    return (ratings >= 4).astype(np.float64)
 
 
-def _encode_sets(spec: FieldSpec, col: list) -> tuple:
-    """A multi-valued column as the set id of each row, and the 0-padded sorted
-    distinct indices and the count of each distinct set: each distinct value
-    set is encoded once, an empty or all-unseen one as (0,)."""
-    set_ids = {s: i for i, s in enumerate(dict.fromkeys(col))}
-    row_set = np.fromiter(map(set_ids.__getitem__, col), dtype=np.int64, count=len(col))
-    encoded = [sorted({spec.index_of(v) for v in s}) or [0] for s in set_ids]
+def _factorize(col: np.ndarray) -> tuple:
+    """The distinct values of a column and each row's index among them.  An
+    int64 column goes through np.unique; an object column (strings, sets,
+    ints beyond int64) through a dict, which hashes each row once where
+    np.unique would sort the rows by Python comparisons (4 ms against 18 ms
+    for 48k genders)."""
+    if col.dtype != object:
+        return np.unique(col, return_inverse=True)
+    codes = {value: i for i, value in enumerate(dict.fromkeys(col))}
+    inverse = np.fromiter(map(codes.__getitem__, col), dtype=np.int64, count=len(col))
+    return np.fromiter(codes, dtype=object, count=len(codes)), inverse
+
+
+def _encode_sets(spec: FieldSpec, sets: np.ndarray) -> tuple:
+    """The 0-padded sorted distinct indices and the count of each value set:
+    an empty or all-unseen set is encoded as (0,)."""
+    encoded = [sorted({spec.index_of(v) for v in s}) or [0] for s in sets]
     counts = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     padded = np.zeros((len(encoded), int(counts.max())), dtype=np.int64)
     padded[np.arange(padded.shape[1]) < counts[:, None]] = list(chain(*encoded))
-    return row_set, padded, counts
+    return padded, counts
 
 
 def _take_encoded(schema: FeatureSchema, encoded: list, labels, rows) -> Columnar:
@@ -804,39 +885,47 @@ def _take_encoded(schema: FeatureSchema, encoded: list, labels, rows) -> Columna
     return Columnar(fields=fields, labels=labels[rows], n=len(rows))
 
 
-def prepare_dataset(records, ratios, seed: int, tag: str) -> CachedDataset:
-    """Split raw records, fit the schema on the training part, encode everything.
+def prepare_dataset(table, ratios, seed: int, tag: str) -> CachedDataset:
+    """Split a column table, fit the schema on the training part, encode everything.
 
-    Works on whole columns: each plan field is read out of the records once,
-    the split is a row permutation (that of `split`), and each column is
-    encoded in one pass and then cut into the three splits.
+    `table` maps each record field to an array of its values, as
+    `parse_movielens` returns it; a list of records (`parse_amazon`) becomes
+    one through `_columns`.  The split is a row permutation (that of `split`).
+    Each categorical or multi-valued column is factorized once, so each
+    distinct value is looked up, and each distinct set encoded, once; the
+    timestamp is scaled and clipped as one array.
     """
-    if not records:
+    n = len(table["rating"]) if isinstance(table, dict) else len(table)
+    if not n:
         raise DomainError("no interactions to prepare")
-    parts = _split_rows(len(records), ratios, seed)
-    plan = _plan_for([records[i] for i in parts[0][:1]])  # the first training row's layout
-    columns = _columns(records, [name for name, _ in plan] + ["rating"])
-    train_rows = parts[0].tolist()
+    parts = _split_rows(n, ratios, seed)
+    train = parts[0]
+    if not len(train):
+        raise DomainError("cannot build a schema from an empty table")
+    plan = _plan_for(table if isinstance(table, dict) else table[train[0]])
+    if not isinstance(table, dict):
+        table = _columns(table, [name for name, _ in plan] + ["rating"])
+    fields, encoded = [], []
     for name, kind in plan:
         if kind == CONTINUOUS:
-            columns[name] = _float_column(name, columns[name])
-    schema = _fit_schema(plan, {
-        name: columns[name][parts[0]] if kind == CONTINUOUS
-        else list(map(columns[name].__getitem__, train_rows))
-        for name, kind in plan
-    })
-    labels = _labels(columns["rating"], parts)
-    encoded = []
-    for spec in schema.fields:
-        col = columns[spec.name]
-        if spec.kind == CATEGORICAL:
-            encoded.append(spec.indices(col))
-        elif spec.kind == MULTI_CATEGORICAL:
-            encoded.append(_encode_sets(spec, col))
-        else:
+            vals = _float_column(name, table[name])
+            spec = FieldSpec(name=name, kind=kind, lo=float(vals[train].min()),
+                             hi=float(vals[train].max()))
             span = spec.hi - spec.lo
-            x = np.zeros(len(col)) if span == 0 else (col - spec.lo) / span
+            x = np.zeros(n) if span == 0 else (vals - spec.lo) / span
             encoded.append(np.clip(x, 0.0, 1.0))
+        else:
+            values, inverse = _factorize(table[name])
+            seen = values[np.unique(inverse[train])]
+            if kind == CATEGORICAL:
+                spec = FieldSpec(name=name, kind=kind, vocab=tuple(sorted(seen.tolist())))
+                encoded.append(spec.indices(values.tolist())[inverse])
+            else:
+                spec = FieldSpec(name=name, kind=kind, vocab=tuple(sorted(set().union(*seen))))
+                encoded.append((inverse, *_encode_sets(spec, values)))
+        fields.append(spec)
+    schema = FeatureSchema(fields=tuple(fields))
+    labels = _labels(table["rating"], parts)
     train, validation, test = (_take_encoded(schema, encoded, labels, rows) for rows in parts)
     enc_split = DatasetSplit(train, validation, test, seed=seed, ratios=tuple(ratios))
     return CachedDataset(schema=schema, tag=tag, split=enc_split)

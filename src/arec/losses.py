@@ -1,12 +1,11 @@
 """Training losses and the modality-feature machinery.
 
 Covers the binary cross-entropy objective, the shared-feature similarity
-loss, the private-vs-shared KL difference loss (base-2, over softmax-mapped
-distributions), and user-conditioned attention fusion of modality vectors.
-Modality features arrive precomputed, from a text file or the synthetic
-generator; the upstream audio/visual extractors are out of scope, so the
-two modality losses are reported terms with gradients taken with respect
-to the feature vectors themselves.
+loss, and the private-vs-shared KL difference loss (base-2, over
+softmax-mapped distributions).  Modality features arrive precomputed, from
+a text file or the synthetic generator; the upstream audio/visual
+extractors are out of scope, so the two modality losses are reported terms
+with gradients taken with respect to the feature vectors themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DomainError, ParseError, _read_lines
-from .numerics import Rng, Tensor, relu, softmax, softmax_backward, softmax_rows
+from .numerics import Rng, Tensor, softmax, softmax_backward, softmax_rows
 
 # Predicted probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR]
 # before taking logs, in training and evaluation alike.
@@ -176,12 +175,27 @@ def load_modality_features(path) -> ModalityTable:
 
 
 def save_modality_features(table: ModalityTable, path) -> None:
-    """Write a table as `item tag v1,...` lines: items by their text, values by repr."""
-    order = sorted(range(len(table.keys)), key=lambda i: str(table.keys[i]))
+    """Write a table as `item tag v1,...` lines: items by their text, values by repr.
+
+    A key whose text would not read back as that key (empty, holding
+    whitespace, not UTF-8, or the text of another key too) is a DomainError,
+    raised before the file is opened.
+    """
+    texts = [str(key) for key in table.keys]
+    for text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainError(f"modality key {text!r} is not UTF-8 text") from None
+        if text.split() != [text]:
+            raise DomainError(f"modality key {text!r} is empty or holds whitespace")
+    if len(set(texts)) != len(texts):
+        raise DomainError("two modality keys have the same text")
+    order = sorted(range(len(texts)), key=texts.__getitem__)
     with open(path, "w", encoding="utf-8") as fh:
         for i in order:
             for tag, vec in zip(MODALITY_TAGS, table.vectors[i].tolist()):
-                fh.write(f"{table.keys[i]} {tag} {','.join(map(repr, vec))}\n")
+                fh.write(f"{texts[i]} {tag} {','.join(map(repr, vec))}\n")
 
 
 def synthesize_modality_features(item_keys, dim: int, seed: int) -> ModalityTable:
@@ -198,85 +212,3 @@ def synthesize_modality_features(item_keys, dim: int, seed: int) -> ModalityTabl
                         draws[:, 3], draws[:, 4]], axis=1)
     last = {key: i for i, key in enumerate(keys)}
     return ModalityTable(tuple(last), vectors[list(last.values())])
-
-
-# ---------------------------------------------------------------------------
-# user-conditioned modality fusion
-
-
-@dataclass
-class FusionParams:
-    """Shared scoring MLP over concat(user embedding, modality vector)."""
-
-    w1: Tensor  # (hidden, d_user + d_m)
-    b1: Tensor  # (hidden,)
-    w2: Tensor  # (hidden,)
-    b2: float
-
-    def named_tensors(self):
-        yield "fusion.w1", self.w1
-        yield "fusion.b1", self.b1
-        yield "fusion.w2", self.w2
-
-
-def init_fusion(user_dim: int, modality_dim: int, rng: Rng, hidden: int = 32) -> FusionParams:
-    fan_in = user_dim + modality_dim
-    return FusionParams(
-        w1=rng.normal((hidden, fan_in), std=math.sqrt(2.0 / (fan_in + hidden))),
-        b1=np.zeros(hidden),
-        w2=rng.normal((hidden,), std=0.1),
-        b2=0.0,
-    )
-
-
-@dataclass
-class FusionTrace:
-    user: Tensor
-    modalities: list
-    z: Tensor  # (K, hidden)
-    a: Tensor  # relu(z)
-    weights: Tensor  # (K,)
-    fused: Tensor
-
-
-def fuse_modalities(user_emb: Tensor, modality_vecs, params: FusionParams):
-    """Softmax-weighted combination of modality vectors, scored per user.
-
-    Returns (fused vector, weights, trace).
-    """
-    if len(modality_vecs) < 1:
-        raise DomainError("need at least one modality vector")
-    dims = {np.shape(v) for v in modality_vecs}
-    if len(dims) != 1:
-        raise DomainError(f"modality vectors disagree on shape: {sorted(dims)}")
-    user = np.asarray(user_emb, dtype=np.float64)
-    mods = [np.asarray(v, dtype=np.float64) for v in modality_vecs]
-    inputs = np.stack([np.concatenate([user, m]) for m in mods])  # (K, du+dm)
-    z = np.einsum("hi,ki->kh", params.w1, inputs, optimize=False) + params.b1
-    a = relu(z)
-    logits = np.einsum("kh,h->k", a, params.w2, optimize=False) + params.b2
-    weights = softmax(logits)
-    fused = np.einsum("k,kd->d", weights, np.stack(mods), optimize=False)
-    return fused, weights, FusionTrace(user=user, modalities=mods, z=z, a=a,
-                                       weights=weights, fused=fused)
-
-
-def fuse_modalities_backward(trace: FusionTrace, params: FusionParams, d_fused: Tensor):
-    """Gradients of the fused vector path; returns (param grads, d_user, d_modalities)."""
-    mods = np.stack(trace.modalities)  # (K, dm)
-    d_weights = np.einsum("kd,d->k", mods, d_fused, optimize=False)
-    d_logits = softmax_backward(trace.weights, d_weights)
-    da = d_logits[:, None] * params.w2[None, :]
-    dz = da * (trace.z > 0)
-    inputs = np.stack([np.concatenate([trace.user, m]) for m in trace.modalities])
-    grads = FusionParams(
-        w1=np.einsum("kh,ki->hi", dz, inputs, optimize=False),
-        b1=dz.sum(axis=0),
-        w2=np.einsum("kh,k->h", trace.a, d_logits, optimize=False),
-        b2=float(d_logits.sum()),
-    )
-    d_inputs = np.einsum("kh,hi->ki", dz, params.w1, optimize=False)
-    du = trace.user.shape[0]
-    d_user = d_inputs[:, :du].sum(axis=0)
-    d_mods = [d_inputs[k, du:] + trace.weights[k] * d_fused for k in range(mods.shape[0])]
-    return grads, d_user, d_mods

@@ -233,6 +233,9 @@ class ModalityBatcher:
         # last; row 0 (keys outside the training vocabulary) takes none
         rows, from_end = np.unique(key_rows[::-1], return_index=True)
         known = rows != 0
+        if not known.any():
+            raise ConfigError(f"none of the {len(key_rows)} modality feature keys is an item "
+                              f"of the {spec.name} vocabulary")
         rows, items = rows[known], (len(key_rows) - 1 - from_end)[known]
         sa, sv, pa, pv = (table.vectors[items, t] for t in range(4))  # MODALITY_TAGS order
         card, d_m = spec.cardinality, table.vectors.shape[2]

@@ -84,6 +84,23 @@ def encoded_rows(records, ratios, seed):
     return schema, [[encode_example(r, schema) for r in part] for part in parts]
 
 
+def records_of(table):
+    """The records of a column table, one dict of plain Python values per row."""
+    columns = {name: col.tolist() for name, col in table.items()}
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def assert_tables_equal(got, want):
+    """Two column tables hold the same fields, in order, with equal dtypes and
+    shapes, and values equal in type and value."""
+    assert list(got) == list(want)
+    for name in want:
+        g, w = got[name], want[name]
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        g, w = g.tolist(), w.tolist()
+        assert g == w and list(map(type, g)) == list(map(type, w)), name
+
+
 def assert_columns_equal(got, want):
     """Two Columnar sets hold the same arrays: equal values, dtypes and shapes."""
     assert got.n == want.n and len(got.fields) == len(want.fields)

@@ -365,6 +365,19 @@ def test_train_with_modality_features_adds_curve_columns(workdir, ml_cache, caps
         assert l_s > 0.0 and l_d > 0.0
 
 
+def test_train_with_modality_keys_that_match_no_item_exits_two(workdir, ml_cache, capsys):
+    feats = workdir / "unmatched.txt"
+    save_modality_features(synthesize_modality_features(["zz", "yy"], dim=4, seed=1), str(feats))
+    ckpt = workdir / "unmatched.ckpt"
+    code = cli.main(["train", "--cache", str(ml_cache), "--model", "fm", "--out", str(ckpt),
+                     "--modality-features", str(feats), *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: none of the 2 modality feature keys is an item of the "
+                            "movie_id vocabulary\n")
+    assert not ckpt.exists() and not (workdir / "unmatched.ckpt.curve.csv").exists()
+
+
 # SHA-256 of the modality file that `save_modality_features` writes for the
 # synthesized table (how the benchmark makes its modality input), and of the
 # checkpoint and curve of an `fm` train on it, recorded while the features

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arec.data as data_module
 from arec.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -31,7 +34,14 @@ from arec.data import (
     validate_example,
 )
 
-from helpers import assert_columns_equal, corruptions, encoded_rows
+import mlsynth
+from helpers import (
+    assert_columns_equal,
+    assert_tables_equal,
+    corruptions,
+    encoded_rows,
+    records_of,
+)
 
 USERS = """1::F::1::10::48067
 2::M::56::16::70072
@@ -71,31 +81,37 @@ def parse_fixture(paths):
     return parse_movielens(paths["ratings.dat"], paths["users.dat"], paths["movies.dat"])
 
 
+def fixture_records(paths):
+    return records_of(parse_fixture(paths))
+
+
+ML_FIELDS = ["user_id", "movie_id", "rating", "timestamp", "gender", "age", "occupation", "genres"]
+
+
 def test_movielens_first_line_transcription(ml_files):
-    records = parse_fixture(ml_files)
-    assert len(records) == 10
-    r0 = records[0]
-    assert r0["user_id"] == 1 and r0["movie_id"] == 1193
-    assert r0["rating"] == 5 and r0["timestamp"] == 978300760
-    assert r0["gender"] == "F" and r0["age"] == 1 and r0["occupation"] == 10
-    assert r0["genres"] == ("Drama",)
+    cols = parse_fixture(ml_files)
+    assert list(cols) == ML_FIELDS
+    assert {len(col) for col in cols.values()} == {10}
+    assert cols["user_id"][0] == 1 and cols["movie_id"][0] == 1193
+    assert cols["rating"][0] == 5 and cols["timestamp"][0] == 978300760
+    assert cols["gender"][0] == "F" and cols["age"][0] == 1 and cols["occupation"][0] == 10
+    assert cols["genres"][0] == ("Drama",)
 
 
 def test_movielens_join_hand_transcription(ml_files):
-    records = parse_fixture(ml_files)
-    r5 = records[5]
-    assert r5["user_id"] == 3 and r5["movie_id"] == 661 and r5["rating"] == 1
-    assert r5["gender"] == "M" and r5["age"] == 25 and r5["occupation"] == 15
-    assert r5["genres"] == ("Animation", "Children's", "Musical")
+    cols = parse_fixture(ml_files)
+    assert cols["user_id"][5] == 3 and cols["movie_id"][5] == 661 and cols["rating"][5] == 1
+    assert cols["gender"][5] == "M" and cols["age"][5] == 25 and cols["occupation"][5] == 15
+    assert cols["genres"][5] == ("Animation", "Children's", "Musical")
     # file order preserved
-    assert [r["movie_id"] for r in records[:4]] == [1193, 661, 914, 1193]
+    assert cols["movie_id"][:4].tolist() == [1193, 661, 914, 1193]
 
 
 def test_movielens_empty_ratings_file(ml_files, tmp_path):
     empty = tmp_path / "none.dat"
     empty.write_text("", encoding="latin-1")
-    records = parse_movielens(str(empty), ml_files["users.dat"], ml_files["movies.dat"])
-    assert records == []
+    cols = parse_movielens(str(empty), ml_files["users.dat"], ml_files["movies.dat"])
+    assert list(cols) == ML_FIELDS and all(len(col) == 0 for col in cols.values())
 
 
 def test_movielens_latin1_title(ml_files, tmp_path):
@@ -103,8 +119,8 @@ def test_movielens_latin1_title(ml_files, tmp_path):
     movies.write_bytes("99::Les Mis\xe9rables (1998)::Drama\n".encode("latin-1"))
     ratings = tmp_path / "r2.dat"
     ratings.write_text("1::99::4::978300000\n", encoding="latin-1")
-    records = parse_movielens(str(ratings), ml_files["users.dat"], str(movies))
-    assert records[0]["movie_id"] == 99
+    cols = parse_movielens(str(ratings), ml_files["users.dat"], str(movies))
+    assert cols["movie_id"][0] == 99
 
 
 def test_movielens_malformed_line_reports_position(ml_files, tmp_path):
@@ -199,7 +215,7 @@ def test_binarize_label():
 
 
 def test_build_schema_movielens_layout(ml_files):
-    schema = build_schema(parse_fixture(ml_files))
+    schema = build_schema(fixture_records(ml_files))
     names = [f.name for f in schema.fields]
     assert names == ["user_id", "movie_id", "gender", "age", "occupation", "genres", "timestamp"]
     kinds = {f.name: f.kind for f in schema.fields}
@@ -242,7 +258,7 @@ def test_continuous_field_has_no_cardinality():
 
 
 def test_encode_decode_roundtrip(ml_files):
-    records = parse_fixture(ml_files)
+    records = fixture_records(ml_files)
     schema = build_schema(records)
     for row in records:
         ex = encode_example(row, schema)
@@ -256,7 +272,7 @@ def test_encode_decode_roundtrip(ml_files):
 
 
 def test_encode_out_of_vocabulary_maps_to_zero(ml_files):
-    records = parse_fixture(ml_files)
+    records = fixture_records(ml_files)
     schema = build_schema(records[:4])  # users {1,2}, movies {661,914,1193,3408}
     row = dict(records[0], user_id=999, genres=("Documentary",))
     ex = encode_example(row, schema)
@@ -265,7 +281,7 @@ def test_encode_out_of_vocabulary_maps_to_zero(ml_files):
 
 
 def test_encode_multi_count_is_exact(ml_files):
-    records = parse_fixture(ml_files)
+    records = fixture_records(ml_files)
     schema = build_schema(records)
     ex = encode_example(records[5], schema)  # three genres
     assert len(ex.values[5]) == 3
@@ -273,7 +289,7 @@ def test_encode_multi_count_is_exact(ml_files):
 
 
 def test_encode_continuous_normalized(ml_files):
-    records = parse_fixture(ml_files)
+    records = fixture_records(ml_files)
     schema = build_schema(records)
     spec = schema.field_named("timestamp")
     ts = [r["timestamp"] for r in records]
@@ -288,7 +304,7 @@ def test_encode_continuous_normalized(ml_files):
 
 
 def test_train_only_fitting(ml_files):
-    records = parse_fixture(ml_files)
+    records = fixture_records(ml_files)
     schema = build_schema(records[:4])
     # user 3 never appears in the fitting rows
     assert schema.field_named("user_id").index_of(3) == 0
@@ -297,7 +313,7 @@ def test_train_only_fitting(ml_files):
 
 
 def test_validate_example_errors(ml_files):
-    records = parse_fixture(ml_files)
+    records = fixture_records(ml_files)
     schema = build_schema(records)
     good = encode_example(records[0], schema)
     from arec.data import EncodingError
@@ -365,8 +381,8 @@ def test_split_seed_must_fit_the_cache():
 
 
 def test_prepare_and_cache_roundtrip(ml_files, tmp_path):
-    records = parse_fixture(ml_files)
-    dataset = prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=5, tag="fixture")
+    dataset = prepare_dataset(parse_fixture(ml_files), ratios=(0.8, 0.1, 0.1), seed=5,
+                              tag="fixture")
     assert dataset.tag == "fixture"
     assert len(dataset.split.train) == 8
 
@@ -384,11 +400,11 @@ def test_prepare_and_cache_roundtrip(ml_files, tmp_path):
 
 
 def test_loaded_columns_equal_the_encoded_rows(ml_files, tmp_path):
-    records = parse_fixture(ml_files)
+    table = parse_fixture(ml_files)
     path = tmp_path / "data.cache"
-    save_cache(str(path), prepare_dataset(records, ratios=(0.6, 0.2, 0.2), seed=4, tag="t"))
+    save_cache(str(path), prepare_dataset(table, ratios=(0.6, 0.2, 0.2), seed=4, tag="t"))
     loaded = load_cache(str(path))
-    schema, rows = encoded_rows(records, (0.6, 0.2, 0.2), seed=4)
+    schema, rows = encoded_rows(records_of(table), (0.6, 0.2, 0.2), seed=4)
     assert loaded.schema.to_json() == schema.to_json()
     parts = (loaded.split.train, loaded.split.validation, loaded.split.test)
     for got, want in zip(parts, rows):
@@ -397,8 +413,8 @@ def test_loaded_columns_equal_the_encoded_rows(ml_files, tmp_path):
 
 
 def test_cache_write_is_deterministic(ml_files, tmp_path):
-    records = parse_fixture(ml_files)
-    dataset = prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=5, tag="fixture")
+    dataset = prepare_dataset(parse_fixture(ml_files), ratios=(0.8, 0.1, 0.1), seed=5,
+                              tag="fixture")
     p1, p2 = tmp_path / "a.cache", tmp_path / "b.cache"
     save_cache(str(p1), dataset)
     save_cache(str(p2), dataset)
@@ -406,8 +422,7 @@ def test_cache_write_is_deterministic(ml_files, tmp_path):
 
 
 def test_cache_truncation_detected(ml_files, tmp_path):
-    records = parse_fixture(ml_files)
-    dataset = prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=0, tag="t")
+    dataset = prepare_dataset(parse_fixture(ml_files), ratios=(0.8, 0.1, 0.1), seed=0, tag="t")
     path = tmp_path / "data.cache"
     save_cache(str(path), dataset)
     blob = path.read_bytes()
@@ -417,8 +432,7 @@ def test_cache_truncation_detected(ml_files, tmp_path):
 
 
 def test_cache_corruption_detected(ml_files, tmp_path):
-    records = parse_fixture(ml_files)
-    dataset = prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=0, tag="t")
+    dataset = prepare_dataset(parse_fixture(ml_files), ratios=(0.8, 0.1, 0.1), seed=0, tag="t")
     path = tmp_path / "data.cache"
     save_cache(str(path), dataset)
     blob = bytearray(path.read_bytes())
@@ -435,6 +449,17 @@ def test_cache_bad_magic(tmp_path):
         load_cache(str(path))
 
 
+def test_prepare_keeps_values_apart_that_numpy_arrays_would_merge():
+    # a 'U' array drops trailing NULs, and -1 next to 2**63 makes a float64 array
+    records = [{"user_id": uid, "movie_id": mid, "rating": 4, "timestamp": 1, "gender": gender,
+                "age": 1, "occupation": 0, "genres": ("a",)}
+               for uid, mid, gender in [(-1, 2**63, "a"), (2**63, 2**63 + 1, "a\x00")] * 5]
+    schema = prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=0, tag="t").schema
+    assert schema.field_named("user_id").vocab == (-1, 2**63)
+    assert schema.field_named("movie_id").vocab == (2**63, 2**63 + 1)
+    assert schema.field_named("gender").vocab == ("a", "a\x00")
+
+
 def test_prepare_dataset_rejects_empty():
     with pytest.raises(DomainError):
         prepare_dataset([], ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
@@ -443,9 +468,10 @@ def test_prepare_dataset_rejects_empty():
 def test_prepare_dataset_rejects_unknown_layout_and_empty_train(ml_files):
     with pytest.raises(DomainError, match="unrecognized record layout"):
         prepare_dataset([{"item": 1, "rating": 4}], ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
-    one = parse_fixture(ml_files)[:1]
-    with pytest.raises(DomainError, match="cannot build a schema from an empty table"):
-        prepare_dataset(one, ratios=(0.2, 0.2, 0.6), seed=0, tag="x")
+    table = parse_fixture(ml_files)
+    for one in ({name: col[:1] for name, col in table.items()}, records_of(table)[:1]):
+        with pytest.raises(DomainError, match="cannot build a schema from an empty table"):
+            prepare_dataset(one, ratios=(0.2, 0.2, 0.6), seed=0, tag="x")
 
 
 def test_amazon_accepts_integral_numbers_and_nested_paths(tmp_path):
@@ -498,25 +524,134 @@ def test_amazon_line_gives_a_record_or_a_parse_error(tmp_path_factory, values):
 ML_TEXTS = {"users.dat": USERS, "movies.dat": MOVIES, "ratings.dat": RATINGS}
 
 
-@PROPS
-@given(name=st.sampled_from(sorted(ML_TEXTS)), data=st.data())
-def test_a_damaged_movielens_file_gives_records_or_an_input_error(tmp_path_factory, name, data):
+def damaged_ml_files(tmp_path_factory, name, data) -> dict:
+    """The fixture's three files, with `name` damaged by a drawn corruption."""
     base = tmp_path_factory.getbasetemp() / "ml_property"
     base.mkdir(exist_ok=True)
     for other, text in ML_TEXTS.items():
         (base / other).write_bytes(text.encode("latin-1"))
     (base / name).write_bytes(data.draw(corruptions(ML_TEXTS[name].encode("latin-1"))))
-    paths = {other: str(base / other) for other in ML_TEXTS}
+    return {other: str(base / other) for other in ML_TEXTS}
+
+
+@PROPS
+@given(name=st.sampled_from(sorted(ML_TEXTS)), data=st.data())
+def test_a_damaged_movielens_file_gives_records_or_an_input_error(tmp_path_factory, name, data):
+    paths = damaged_ml_files(tmp_path_factory, name, data)
     try:
-        records = parse_fixture(paths)
+        cols = parse_fixture(paths)
     except (ParseError, ReferentialError) as exc:
         assert str(exc).startswith(tuple(f"{p}:" for p in paths.values()))
         return
     except DomainError:
         return
-    for record in records:
-        assert all(type(record[k]) is int for k in ("user_id", "movie_id", "rating", "timestamp"))
-        assert all(type(g) is str for g in record["genres"])
+    for k in ("user_id", "movie_id", "rating", "timestamp"):
+        assert all(type(v) is int for v in cols[k].tolist())
+    assert all(type(g) is str for genres in cols["genres"] for g in genres)
+
+
+def parse_line_by_line(paths):
+    """`parse_movielens` with the one-call ratings parse turned off."""
+    with mock.patch.object(data_module, "_bulk_ratings", return_value=None):
+        return parse_fixture(paths)
+
+
+def assert_readers_agree(paths):
+    """The bulk and the line-by-line reader give equal column tables, or raise
+    the same exception type with the same message."""
+    outcomes = []
+    for parse in (parse_fixture, parse_line_by_line):
+        try:
+            outcomes.append(parse(paths))
+        except Exception as exc:  # whatever one raises, the other must raise too
+            outcomes.append((type(exc), str(exc)))
+    bulk, lines = outcomes
+    if isinstance(lines, tuple) or isinstance(bulk, tuple):
+        assert bulk == lines
+    else:
+        assert_tables_equal(bulk, lines)
+    return bulk
+
+
+@PROPS
+@given(name=st.sampled_from(sorted(ML_TEXTS)), data=st.data())
+def test_bulk_and_line_readers_agree_on_damaged_files(tmp_path_factory, name, data):
+    assert_readers_agree(damaged_ml_files(tmp_path_factory, name, data))
+
+
+BIG = 2**63
+READER_CASES = {
+    # id: (ratings text, extra users.dat lines, extra movies.dat lines)
+    "plain": (RATINGS, "", ""),
+    "crlf and lone cr": ("1::1193::5::1\r\n2::661::4::2\r3::914::1::3", "", ""),
+    "blank lines mid-file": ("\n1::1193::5::1\n\n\n2::661::4::2\n\n", "", ""),
+    "blank lines then a bad line": ("1::1193::5::1\n\n\n2::661::x::2\n", "", ""),
+    "ids at and above 2**63": (f"{BIG}::1193::5::1\n{BIG - 1}::{BIG + 1}::4::2\n",
+                               f"{BIG}::F::1::2::0\n{BIG - 1}::M::1::2::0\n",
+                               f"{BIG + 1}::X::Drama\n"),
+    "int64 bounds": (f"1::1193::5::{BIG - 1}\n2::661::4::{-BIG}\n", "", ""),
+    "an id beyond int64": ("99999999999999999999::1193::5::1\n", "", ""),
+    "a known id beyond int64": ("99999999999999999999::1193::5::1\n",
+                                "99999999999999999999::F::1::2::0\n", ""),
+    "underscore": ("1_0::1193::5::1\n", "10::F::1::2::0\n", ""),
+    "signs": ("+1::1193::+5::-1\n-2::661::4::2\n", "-2::M::1::2::0\n", ""),
+    "lone sign": ("1::1193::5::-\n", "", ""),
+    "lone sign mid-line": ("1::-::1193::5\n", "", ""),
+    "surrounding whitespace": (" 1::1193 ::5::\t1\n", "", ""),
+    "inner whitespace": ("1::1193::5::1 2\n1::1193::5::1\n", "", ""),
+    "a space for a separator": ("1 1193::5::1\n", "", ""),
+    "unicode digits": ("\u0661::1193::5::1\n", "", ""),
+    "trailing separator": ("1::1193::5::1::\n", "", ""),
+    "empty field": ("1::::5::1\n", "", ""),
+    "empty field beside an extra one": ("1::::5::1\n1::1193::5::1::2\n", "", ""),
+    "triple colon": ("1:::1193::5::1\n", "", ""),
+    "unknown user": ("1::1193::5::1\n77::1193::5::1\n", "", ""),
+    "unknown movie": ("1::1193::5::1\n1::4242::5::1\n", "", ""),
+    "unknown id before a bad line": ("77::1193::5::1\n1::x::5::1\n", "", ""),
+    "bad line before an unknown id": ("1::x::5::1\n77::1193::5::1\n", "", ""),
+    "only blank lines": ("\n\n", "", ""),
+    "empty": ("", "", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_bulk_and_line_readers_agree(tmp_path, case):
+    ratings, users, movies = READER_CASES[case]
+    texts = {"ratings.dat": ratings, "users.dat": USERS + users, "movies.dat": MOVIES + movies}
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    assert_readers_agree({name: str(tmp_path / name) for name in texts})
+
+
+@pytest.mark.parametrize("text, bulk", [
+    (RATINGS, True), ("1::2::3::4", True), ("\n1::2::3::4\n\n5::6::7::8\n", True),
+    (f"1::2::3::{BIG - 2}\n", True), (f"1::2::3::{BIG - 1}\n", False),
+    ("1::2::3::99999999999999999999\n", False), ("+1::2::3::4\n", False),
+    ("-1::2::3::4\n", False), ("1::2::3::-\n", False), ("1_0::2::3::4\n", False),
+    (" 1::2::3::4\n", False), ("1 2::3::4\n", False), ("1::2::3::4::\n", False), ("1::::3::4\n", False),
+    ("1::::3::4\n1 2::3::4::5\n", False), ("1::2::::4\n5::6::7::8::9\n", False),
+    ("1:::2::3::4\n", False), ("\u0661::2::3::4\n", False), ("", False),
+])
+def test_the_bulk_parse_takes_only_what_it_can_prove(text, bulk):
+    fields = data_module._bulk_ratings(text)
+    assert (fields is not None) == bulk
+    if bulk:
+        lines = [line.split("::") for line in text.splitlines() if line]
+        assert fields.dtype == np.int64
+        assert fields.T.tolist() == [[int(v) for v in line] for line in lines]
+
+
+def test_both_column_sources_give_the_same_cache(tmp_path):
+    raw = tmp_path / "raw"
+    mlsynth.write_ml1m(str(raw), n_users=40, n_movies=60, n_ratings=2000, seed=2)
+    paths = {name: str(raw / name) for name in ML_TEXTS}
+    with open(paths["ratings.dat"], encoding="latin-1") as fh:
+        assert data_module._bulk_ratings(fh.read()) is not None
+    blobs = []
+    for table in (parse_fixture(paths), parse_line_by_line(paths)):
+        save_cache(str(tmp_path / "c"), prepare_dataset(table, (0.8, 0.1, 0.1), seed=9, tag="t"))
+        blobs.append((tmp_path / "c").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def _ids():

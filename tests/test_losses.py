@@ -13,9 +13,6 @@ from arec.losses import (
     clamp_probs,
     difference_loss,
     difference_loss_grad,
-    fuse_modalities,
-    fuse_modalities_backward,
-    init_fusion,
     load_modality_features,
     logloss,
     logloss_d_logits,
@@ -333,6 +330,34 @@ def test_a_damaged_modality_file_gives_a_table_or_an_input_error(tmp_path_factor
     assert isinstance(table, ModalityTable) and np.isfinite(table.vectors).all()
 
 
+@pytest.mark.parametrize("keys", [["a b", "c"], ["", "c"], ["a\tb"], ["a\nb"], ["a\x1cb"],
+                                  ["\udc80"], [1, "1"]])
+def test_the_writer_rejects_keys_it_cannot_read_back(tmp_path, keys):
+    table = synthesize_modality_features(keys, dim=2, seed=0)
+    path = tmp_path / "features.txt"
+    with pytest.raises(DomainError):
+        save_modality_features(table, str(path))
+    assert not path.exists()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(keys=st.lists(st.text(max_size=4) | st.integers(), min_size=1, max_size=4, unique=True),
+       dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_every_table_the_writer_accepts_loads_back_equal(tmp_path_factory, keys, dim, seed):
+    table = synthesize_modality_features(keys, dim=dim, seed=seed)
+    path = tmp_path_factory.getbasetemp() / "modality_roundtrip.txt"
+    path.unlink(missing_ok=True)
+    try:
+        save_modality_features(table, str(path))
+    except DomainError:
+        assert not path.exists()
+        return
+    loaded = load_modality_features(str(path))
+    want = sorted(zip(map(str, table.keys), table.vectors), key=lambda kv: kv[0])
+    assert loaded.keys == tuple(text for text, _ in want)
+    assert loaded.vectors.tobytes() == np.array([vec for _, vec in want]).tobytes()
+
+
 def test_synthesized_features_structure():
     table = synthesize_modality_features(["a", "b"], dim=64, seed=0)
     assert table.keys == ("a", "b") and table.vectors.shape == (2, 4, 64)
@@ -358,107 +383,3 @@ def test_synthesized_features_draw_item_by_item():
     # a repeated key keeps its first place and its last draw
     assert table.keys == ("x", "y")
     assert table.vectors.tobytes() == np.array([want[2], want[1]]).tobytes()
-
-
-def test_fusion_single_modality_weight_one():
-    params = init_fusion(3, 4, Rng(10))
-    user = Rng(11).normal((3,))
-    m = Rng(12).normal((4,))
-    fused, weights, _ = fuse_modalities(user, [m], params)
-    assert weights.shape == (1,) and weights[0] == 1.0
-    assert np.array_equal(fused, m)
-
-
-def test_fusion_zero_mlp_is_uniform_mean():
-    params = init_fusion(3, 4, Rng(13))
-    params.w2[:] = 0.0
-    user = Rng(14).normal((3,))
-    mods = [Rng(15).normal((4,)), Rng(16).normal((4,)), Rng(17).normal((4,))]
-    fused, weights, _ = fuse_modalities(user, mods, params)
-    assert np.max(np.abs(weights - 1.0 / 3.0)) < 1e-12
-    assert np.max(np.abs(fused - np.mean(mods, axis=0))) < 1e-12
-
-
-def test_fusion_matches_direct_oracle():
-    params = init_fusion(2, 3, Rng(18), hidden=5)
-    user = Rng(19).normal((2,))
-    mods = [Rng(20).normal((3,)), Rng(21).normal((3,))]
-    fused, weights, _ = fuse_modalities(user, mods, params)
-
-    logits = []
-    for m in mods:
-        x = np.concatenate([user, m])
-        h = np.maximum(params.w1 @ x + params.b1, 0.0)
-        logits.append(float(params.w2 @ h + params.b2))
-    ex = np.exp(np.array(logits) - max(logits))
-    want_w = ex / ex.sum()
-    want_f = want_w[0] * mods[0] + want_w[1] * mods[1]
-    assert np.max(np.abs(weights - want_w)) < 1e-12
-    assert np.max(np.abs(fused - want_f)) < 1e-12
-
-
-def test_fusion_weights_respond_to_user():
-    params = init_fusion(4, 4, Rng(22))
-    mods = [Rng(23).normal((4,)), Rng(24).normal((4,))]
-    _, w_one, _ = fuse_modalities(Rng(25).normal((4,)), mods, params)
-    _, w_two, _ = fuse_modalities(Rng(26).normal((4,)), mods, params)
-    assert np.max(np.abs(w_one - w_two)) > 1e-6
-
-
-def test_fusion_weights_are_distribution():
-    gen = np.random.default_rng(27)
-    for trial in range(20):
-        k = int(gen.integers(1, 5))
-        params = init_fusion(3, 5, Rng(trial))
-        fused, weights, _ = fuse_modalities(
-            gen.normal(size=3), [gen.normal(size=5) for _ in range(k)], params
-        )
-        assert np.all(weights >= 0.0)
-        assert abs(weights.sum() - 1.0) <= 1e-12
-        assert fused.shape == (5,)
-
-
-def test_fusion_input_validation():
-    params = init_fusion(3, 4, Rng(28))
-    with pytest.raises(DomainError):
-        fuse_modalities(np.zeros(3), [], params)
-    with pytest.raises(DomainError):
-        fuse_modalities(np.zeros(3), [np.zeros(4), np.zeros(5)], params)
-
-
-def test_fusion_backward_matches_finite_differences():
-    params = init_fusion(3, 4, Rng(29), hidden=6)
-    user = Rng(30).normal((3,))
-    mods = [Rng(31).normal((4,)), Rng(32).normal((4,)), Rng(33).normal((4,))]
-    upstream = Rng(34).normal((4,))
-
-    def objective():
-        fused, _, _ = fuse_modalities(user, mods, params)
-        return float(fused @ upstream)
-
-    fused, _, trace = fuse_modalities(user, mods, params)
-    grads, d_user, d_mods = fuse_modalities_backward(trace, params, upstream)
-
-    for name, arr in params.named_tensors():
-        def f(x, arr=arr):
-            saved = arr.copy()
-            arr[...] = x.reshape(arr.shape)
-            val = objective()
-            arr[...] = saved
-            return val
-
-        fd = finite_diff_grad(f, arr.ravel()).reshape(arr.shape)
-        assert rel_error(dict(grads.named_tensors())[name], fd) < 1e-4, name
-
-    fd_user = finite_diff_grad(
-        lambda x: float(fuse_modalities(x, mods, params)[0] @ upstream), user
-    )
-    assert rel_error(d_user, fd_user) < 1e-4
-    for k in range(3):
-        def f_mod(x, k=k):
-            probe = list(mods)
-            probe[k] = x
-            return float(fuse_modalities(user, probe, params)[0] @ upstream)
-
-        fd_m = finite_diff_grad(f_mod, mods[k])
-        assert rel_error(d_mods[k], fd_m) < 1e-4

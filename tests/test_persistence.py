@@ -27,7 +27,7 @@ from arec.model import MODEL_KINDS, MODES, ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import assert_columns_equal, encoded_rows
+from helpers import assert_columns_equal, encoded_rows, records_of
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -38,7 +38,7 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def records(workdir):
+def table(workdir):
     raw = workdir / "raw"
     mlsynth.write_ml1m(str(raw), n_users=12, n_movies=16, n_ratings=150, seed=1)
     return parse_movielens(str(raw / "ratings.dat"), str(raw / "users.dat"),
@@ -46,14 +46,14 @@ def records(workdir):
 
 
 @pytest.fixture(scope="module")
-def dataset(records):
-    return prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=3, tag="props")
+def dataset(table):
+    return prepare_dataset(table, ratios=(0.8, 0.1, 0.1), seed=3, tag="props")
 
 
 @pytest.fixture(scope="module")
-def rows(records):
+def rows(table):
     """The dataset's splits as lists of encoded examples."""
-    return encoded_rows(records, (0.8, 0.1, 0.1), seed=3)[1]
+    return encoded_rows(records_of(table), (0.8, 0.1, 0.1), seed=3)[1]
 
 
 def snapshot(ops, schema, config, gen):

@@ -380,6 +380,15 @@ def test_modality_batcher_maps_keys_to_rows_and_the_later_key_wins():
     assert np.array_equal(batcher.shared_audio[2], vectors[0, 0])
 
 
+def test_modality_batcher_rejects_a_table_that_matches_no_item():
+    schema = FeatureSchema((FieldSpec("user_id", "categorical", ("u",)),
+                            FieldSpec("movie_id", "categorical", (7, 8))))
+    table = ModalityTable(["x", "9", "zz"], np.zeros((3, 4, 2)))
+    with pytest.raises(ConfigError, match="none of the 3 modality feature keys is an item "
+                                          "of the movie_id vocabulary"):
+        ModalityBatcher.build(schema, table)
+
+
 def test_fit_with_modality_table_reports_terms():
     schema, examples = tiny_dataset()
     spec = schema.field_named("item_id")
