@@ -45,7 +45,7 @@ from .data import (
 from .losses import load_modality_features
 from .metrics import EVAL_CSV_HEADER, MetricUndefinedError, evaluate
 from .model import MODEL_KINDS, ops_for
-from .numerics import Rng
+from .numerics import ZeroInit
 from .training import (
     BestSnapshot,
     DivergenceError,
@@ -218,10 +218,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def rebuild_params(ckpt: Checkpoint, schema):
-    """Instantiate the model and overwrite every tensor from the checkpoint."""
+    """Build the model's containers, zero-filled, and copy every tensor in
+    from the checkpoint.  No random init is drawn; a tensor the model does
+    not save (the shallow weights in mode=deep) stays zero."""
     ops = ops_for(ckpt.kind)
-    params = ops.init(schema, ckpt.config.dim, Rng(ckpt.config.seed).child(1),
-                      **ckpt.config.model_kwargs())
+    params = ops.init(schema, ckpt.config.dim, ZeroInit(), **ckpt.config.model_kwargs())
     names = set(ckpt.tensors)
     for name, tensor in params.named_tensors():
         if name not in ckpt.tensors:

@@ -132,13 +132,24 @@ def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tenso
     for i, fc in enumerate(col.fields):
         g = upstream[:, i, :]  # (B, d)
         if fc.kind == CATEGORICAL:
-            np.add.at(grads.tables[i], fc.idx, g)
+            _scatter_rows(grads.tables[i], fc.idx, g)
         elif fc.kind == MULTI_CATEGORICAL:
             qmax = fc.padded.shape[1]
             share = g / fc.counts[:, None]  # (B, d)
             mask = (np.arange(qmax) < fc.counts[:, None])[:, :, None]
             contrib = share[:, None, :] * mask  # (B, qmax, d); padding rows add 0
-            np.add.at(grads.tables[i], fc.padded.ravel(), contrib.reshape(-1, params.dim))
+            _scatter_rows(grads.tables[i], fc.padded.ravel(), contrib)
         else:
             grads.tables[i] += fc.vals @ g
     return grads
+
+
+def _scatter_rows(table: Tensor, rows: np.ndarray, values: Tensor):
+    """`np.add.at(table, rows, values)` on the flattened (N, d) table.
+
+    The 1-D scatter is numpy's fast path; each element still receives its
+    additions in row order, so the sums are bit-identical to the 2-D one.
+    """
+    d = table.shape[1]
+    flat = table.reshape(-1)  # a view: the table is a fresh contiguous array
+    np.add.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), values.ravel())

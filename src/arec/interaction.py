@@ -23,6 +23,7 @@ the operand.  The batch path keeps plain vectorized reductions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,12 +113,17 @@ def init_ac(dim: int, hidden: int, rng: Rng) -> AcParams:
 # pairwise crossing
 
 
+@functools.lru_cache(maxsize=None)
 def pair_indices(n: int):
-    """Index arrays (iu, ju) enumerating unordered pairs i<j lexicographically."""
+    """Index arrays (iu, ju) enumerating unordered pairs i<j lexicographically.
+
+    Computed once per n; the arrays are shared, so they are read-only.
+    """
     if n < 2:
         raise DomainError(f"need at least 2 fields to cross, got {n}")
-    iu, ju = np.triu_indices(n, k=1)
-    return iu.astype(np.int64), ju.astype(np.int64)
+    iu, ju = (a.astype(np.int64) for a in np.triu_indices(n, k=1))
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def cross_pairs(emb: Tensor):
@@ -213,7 +219,8 @@ class BatchBranchTrace:
 def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcParams) -> BatchBranchTrace:
     mhsa = self_attention_batch(emb, mhsa_params)
     iu, ju = pair_indices(emb.shape[1])
-    phi = emb[:, iu, :] * emb[:, ju, :]
+    # np.take on the middle axis, not emb[:, iu, :], which is numpy's slow path
+    phi = np.take(emb, iu, axis=1) * np.take(emb, ju, axis=1)
     z, u, logits = _pair_scores(phi, ac_params)
     weights = softmax_rows(logits)
     pooled = (weights[:, None, :] @ phi)[:, 0, :]

@@ -17,8 +17,15 @@ from .losses import logloss
 
 EVAL_CSV_HEADER = "tag,auc,logloss,n_pos,n_neg"
 
-# scoring chunk for evaluation; bounds the (B, n, n) attention buffers
-_EVAL_CHUNK = 4096
+# Scoring runs in chunks whose widest per-row intermediate (`row_floats()`)
+# fills about this many bytes.  A few tensors of about that width are live at
+# once (the pair products, scores and their ReLU, the attention projection),
+# so a chunk's working set stays within a 2 MiB L2 cache.  A chunk holds a multiple of 32 rows, and at least 32: OpenBLAS
+# rounds differently in its small-matrix kernels (chunks of up to about 20
+# rows at the default widths) and in the edge kernels that take the rows past
+# the last full 4-row tile, so other chunk sizes change scores in the last bit.
+_CHUNK_BYTES = 1 << 19
+_CHUNK_QUANTUM = 32
 
 
 class MetricUndefinedError(ValueError):
@@ -75,13 +82,28 @@ class EvalReport:
         return f"{self.tag},{self.auc!r},{self.logloss!r},{self.n_pos},{self.n_neg}"
 
 
+def chunk_rows(params) -> int:
+    """Rows per scoring chunk: a multiple of 32 whose intermediates fit the budget."""
+    fit = _CHUNK_BYTES // (8 * params.row_floats() * _CHUNK_QUANTUM)
+    return _CHUNK_QUANTUM * max(1, fit)
+
+
 def score_columnar(ops, params, col: Columnar) -> np.ndarray:
-    """Predicted probabilities for every row of a columnar split, chunked."""
+    """Predicted probabilities for every row of a columnar split, chunked.
+
+    A tail shorter than 32 rows joins the chunk before it, so only a split
+    that short is scored in a smaller chunk.
+    """
+    rows = chunk_rows(params)
     out = np.empty(col.n, dtype=np.float64)
-    for lo in range(0, col.n, _EVAL_CHUNK):
-        chunk = col.take(np.arange(lo, min(lo + _EVAL_CHUNK, col.n)))
-        probs, _, _ = ops.forward_batch(chunk, params)
-        out[lo : lo + len(probs)] = probs
+    lo = 0
+    while lo < col.n:
+        hi = lo + rows
+        if col.n - hi < _CHUNK_QUANTUM:
+            hi = col.n
+        probs, _, _ = ops.forward_batch(col.take(np.arange(lo, hi)), params)
+        out[lo:hi] = probs
+        lo = hi
     return out
 
 

@@ -56,6 +56,10 @@ class DeepParams:
             yield f"deep.w{l}", w
             yield f"deep.b{l}", b
 
+    def widest(self) -> int:
+        """The largest layer width, input included."""
+        return max(max(w.shape) for w, _ in self.layers)
+
 
 def init_deep(in_dim: int, hidden, rng: Rng) -> DeepParams:
     widths = [in_dim, *hidden, 1]
@@ -127,6 +131,15 @@ class ModelParams:
         if self.first_order is not None:
             for i, t in enumerate(self.first_order.tables):
                 yield f"fo.f{i}", t
+
+    def row_floats(self) -> int:
+        """Floats per row of the widest forward intermediate: the (m, t) pair
+        scores, the fused self-attention projection or a deep layer."""
+        n = self.embedding.n_fields
+        widths = [n * (n - 1) // 2 * self.ac.weight.shape[0], n * self.mhsa.w_in.shape[1]]
+        if self.deep is not None:
+            widths.append(self.deep.widest())
+        return max(widths)
 
 
 def init_model(schema: FeatureSchema, dim: int, rng: Rng, *, heads: int = 2,
@@ -257,6 +270,12 @@ class FmParams:
             yield f"fm.v.f{i}", t
         if self.deep is not None:
             yield from self.deep.named_tensors()
+
+    def row_floats(self) -> int:
+        """Floats per row of the widest forward intermediate: the (n, d)
+        factor embeddings or a deep layer."""
+        width = self.factors.n_fields * self.factors.dim
+        return width if self.deep is None else max(width, self.deep.widest())
 
 
 def init_fm(schema: FeatureSchema, dim: int, rng: Rng, *, deep_hidden=None) -> FmParams:

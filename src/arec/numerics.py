@@ -186,6 +186,14 @@ class Rng:
         self._gen.bit_generator.state = state
 
 
+class ZeroInit:
+    """An Rng stand-in for building parameter containers whose values come
+    from elsewhere: every `normal` draw is zeros, and no random number is made."""
+
+    def normal(self, shape, std: float = 1.0) -> Tensor:
+        return np.zeros(shape, dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 # gradient verification
 

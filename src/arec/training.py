@@ -178,10 +178,14 @@ def init_state(ops: ModelOps, schema: FeatureSchema, config: TrainConfig) -> Tra
 
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale all gradient tensors so their global norm is at most max_norm."""
-    total = 0.0
     tensors = [g for _, g in grads.named_tensors()]
+    # every square goes to one reused contiguous buffer, whose reduction
+    # adds in the same pairwise order as np.sum(g * g)
+    buf = np.empty(max(g.size for g in tensors))
+    total = 0.0
     for g in tensors:
-        total += float(np.sum(g * g))
+        sq = np.square(g, out=buf[: g.size].reshape(g.shape))
+        total += float(np.add.reduce(sq, axis=None))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arec import cli, training
+from arec import cli, metrics, training
 from arec.data import CacheError, ParseError, load_cache, parse_amazon, save_cache, split
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
@@ -483,6 +483,24 @@ def test_eval_val_split_differs_from_test(workdir, ml_cache, ours_ckpt, capsys):
     assert code == 0
     report = json.loads(captured.out.splitlines()[0])
     assert report["tag"] == "val"
+
+
+@pytest.mark.parametrize("model, mode", [("ours", "combined"), ("ours", "deep"),
+                                         ("fm", "combined"), ("deepfm", "combined")])
+def test_eval_val_reproduces_the_trained_val_auc_across_chunkings(ml_cache, tmp_path, monkeypatch,
+                                                                  capsys, model, mode):
+    # train scores the validation split as one chunk; eval in 32-row chunks
+    ckpt = tmp_path / "model.ckpt"
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 1 << 40)
+    assert cli.main(["train", "--cache", str(ml_cache), "--model", model, "--out", str(ckpt),
+                     "--set", f"mode={mode}", *TRAIN_SETTINGS]) == 0
+    trained = json.loads(capsys.readouterr().out.splitlines()[0])
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 1)
+    assert len(load_cache(str(ml_cache)).split.validation.labels) >= 64  # two chunks or more
+    assert cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ckpt), "--split", "val"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert float(shown["auc"]).hex() == float(trained["val_auc"]).hex()
+    assert float(shown["logloss"]).hex() == float(trained["val_logloss"]).hex()
 
 
 def test_eval_rejects_mismatched_schema(workdir, ours_ckpt, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arec.data import EncodedExample, EncodingError
+from arec.data import CATEGORICAL, MULTI_CATEGORICAL, EncodedExample, EncodingError
 from arec.embedding import (
     Columnar,
     EmbeddingParams,
@@ -228,3 +228,41 @@ def test_columnar_take_subsets():
     for row, src in enumerate([5, 1, 6]):
         assert np.max(np.abs(batch[row] - embed(examples[src], params))) < 1e-14
     assert np.array_equal(sub.labels, np.array([examples[i].label for i in [5, 1, 6]], dtype=np.float64))
+
+
+def add_at_2d(col, params, upstream):
+    """The row scatter as `np.add.at` on each 2-D table: the bitwise oracle."""
+    grads = zeros_like_embedding(params)
+    for i, fc in enumerate(col.fields):
+        g = upstream[:, i, :]
+        if fc.kind == CATEGORICAL:
+            np.add.at(grads.tables[i], fc.idx, g)
+        elif fc.kind == MULTI_CATEGORICAL:
+            mask = (np.arange(fc.padded.shape[1]) < fc.counts[:, None])[:, :, None]
+            contrib = (g / fc.counts[:, None])[:, None, :] * mask
+            np.add.at(grads.tables[i], fc.padded.ravel(), contrib.reshape(-1, params.dim))
+        else:
+            grads.tables[i] += fc.vals @ g
+    return grads
+
+
+def test_backward_scatter_equals_2d_add_at_bit_for_bit():
+    # few categories over many rows: every row repeats, and multi-valued rows
+    # of 1 to 5 picks leave padding slots that add zeros to row 0
+    schema = make_schema([
+        ("user", "categorical", 3),
+        ("tags", "multi_categorical", 6),
+        ("when", "continuous", (0.0, 1.0)),
+    ])
+    gen = np.random.default_rng(31)
+    params = init_embedding(schema, 8, Rng(2))
+    col = Columnar.from_examples([random_example(schema, gen) for _ in range(256)], schema)
+    assert col.fields[1].counts.min() < col.fields[1].padded.shape[1]
+    # magnitudes over 16 decades, so any change in addition order shows
+    upstream = gen.standard_normal((256, 3, 8)) * 10.0 ** gen.uniform(-8, 8, (256, 3, 8))
+    got = embed_batch_backward(col, params, upstream)
+    want = add_at_2d(col, params, upstream)
+    for g, w in zip(got.tables, want.tables):
+        assert np.array_equal(g, w)
+    flipped = add_at_2d(col.take(np.arange(255, -1, -1)), params, upstream[::-1])
+    assert not np.array_equal(flipped.tables[0], want.tables[0])

@@ -42,6 +42,15 @@ def test_pair_count_matches_brute_force():
         assert len(pairs) == n * (n - 1) // 2
 
 
+def test_pair_indices_are_shared_and_read_only():
+    iu, ju = pair_indices(7)
+    assert pair_indices(7)[0] is iu and pair_indices(7)[1] is ju
+    with pytest.raises(ValueError):
+        iu[0] = 3
+    with pytest.raises(ValueError):
+        ju[0] = 3
+
+
 def test_pairs_need_two_fields():
     with pytest.raises(DomainError):
         pair_indices(1)

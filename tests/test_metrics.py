@@ -1,14 +1,26 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from arec.data import DomainError
-from arec.metrics import EVAL_CSV_HEADER, EvalReport, MetricUndefinedError, auc, evaluate
-from arec.model import ops_for
+import arec.metrics as metrics
+from arec.data import Columnar, DomainError, parse_movielens, prepare_dataset
+from arec.metrics import (
+    EVAL_CSV_HEADER,
+    EvalReport,
+    MetricUndefinedError,
+    auc,
+    chunk_rows,
+    evaluate,
+    score_columnar,
+)
+from arec.model import MODES, ops_for
 from arec.numerics import Rng
+from arec.training import TrainConfig
 
+import mlsynth
 from helpers import make_schema, random_example, separable_examples
 
 
@@ -181,3 +193,86 @@ def test_evaluate_matches_per_example_scoring():
 
         assert abs(report.auc - auc(scores, labels)) < 1e-10
         assert abs(report.logloss - logloss(scores, labels)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# chunked scoring
+
+
+@pytest.fixture(scope="module")
+def ml_dataset(tmp_path_factory):
+    raw = tmp_path_factory.mktemp("chunks") / "raw"
+    mlsynth.write_ml1m(str(raw), n_users=40, n_movies=60, n_ratings=1500, seed=4)
+    table = parse_movielens(str(raw / "ratings.dat"), str(raw / "users.dat"),
+                            str(raw / "movies.dat"))
+    return prepare_dataset(table, ratios=(0.8, 0.1, 0.1), seed=3, tag="chunks")
+
+
+MODEL_CONFIGS = [("ours", TrainConfig(mode=mode)) for mode in MODES] + [
+    ("fm", TrainConfig()),
+    ("deepfm", TrainConfig()),
+]
+
+
+def scored_in_chunks(ops, params, col, monkeypatch, budget):
+    """score_columnar under a byte budget, and the row count of each chunk."""
+    sizes = []
+
+    def forward(chunk, p):
+        sizes.append(chunk.n)
+        return ops.forward_batch(chunk, p)
+
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
+    return score_columnar(dataclasses.replace(ops, forward_batch=forward), params, col), sizes
+
+
+def assert_chunking_is_exact(ops, params, col, monkeypatch):
+    """The rule's chunks and 32-row chunks score as 4096-row chunks do, bit for bit."""
+    rows = chunk_rows(params)
+    rule = metrics._CHUNK_BYTES
+    parent, sizes = scored_in_chunks(ops, params, col, monkeypatch,
+                                     4096 * 8 * params.row_floats())
+    assert sizes == [col.n]  # the split fits one 4096-row chunk
+    for budget, want in ((rule, rows), (1, 32)):
+        scores, sizes = scored_in_chunks(ops, params, col, monkeypatch, budget)
+        assert sum(sizes) == col.n and min(sizes) >= 32
+        assert sizes[:-1] == [want] * (len(sizes) - 1)
+        assert np.array_equal(scores, parent)
+    return rows
+
+
+@pytest.mark.parametrize("kind, config", MODEL_CONFIGS,
+                         ids=[f"{k}-{c.mode}" for k, c in MODEL_CONFIGS])
+def test_chunked_scores_equal_one_chunk_bit_for_bit(ml_dataset, monkeypatch, kind, config):
+    ops = ops_for(kind)
+    schema = ml_dataset.schema
+    params = ops.init(schema, 16, Rng(5), **config.model_kwargs())
+    col = Columnar.from_examples(ml_dataset.split.train, schema)
+    rows = assert_chunking_is_exact(ops, params, col, monkeypatch)
+    # the benchmark's shapes: 7 fields at d=16, 21 pairs scored by a 32-wide
+    # network, so 512 KiB holds 97 rows of `ours` and 585 of FM, rounded down
+    assert schema.n_fields == 7
+    assert rows == {"ours": 96, "fm": 576, "deepfm": 576}[kind]
+
+
+def test_a_wide_schema_scores_at_the_32_row_floor(monkeypatch):
+    # 40 fields cross as 780 pairs: 780 * 32 floats a row, 2 rows to 512 KiB
+    schema = make_schema([(f"f{i}", "categorical", 5) for i in range(40)])
+    ops = ops_for("ours")
+    params = ops.init(schema, 8, Rng(6), **TrainConfig().model_kwargs())
+    gen = np.random.default_rng(7)
+    col = Columnar.from_examples([random_example(schema, gen) for _ in range(150)], schema)
+    assert params.row_floats() == 780 * 32
+    assert assert_chunking_is_exact(ops, params, col, monkeypatch) == 32
+
+
+def test_a_short_tail_joins_the_chunk_before_it(monkeypatch):
+    schema = make_schema([("u", "categorical", 4), ("i", "categorical", 4)])
+    ops = ops_for("fm")
+    params = ops.init(schema, 4, Rng(3))
+    gen = np.random.default_rng(8)
+    examples = [random_example(schema, gen) for _ in range(100)]
+    for n, want in ((31, [31]), (64, [32, 32]), (95, [32, 63]), (100, [32, 32, 36])):
+        col = Columnar.from_examples(examples[:n], schema)
+        _, sizes = scored_in_chunks(ops, params, col, monkeypatch, 1)
+        assert sizes == want

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arec.cli import CKPT_MAGIC, load_checkpoint, save_checkpoint
+from arec.cli import CKPT_MAGIC, load_checkpoint, rebuild_params, save_checkpoint
 from arec.data import (
     CACHE_MAGIC,
     CacheError,
@@ -24,6 +24,7 @@ from arec.data import (
     save_cache,
 )
 from arec.model import MODEL_KINDS, MODES, ops_for
+from arec.numerics import Rng
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
@@ -204,3 +205,47 @@ def test_impossible_tensor_shape_is_a_cache_error(workdir, files):
     path.write_bytes(bad)
     with pytest.raises(CacheError, match="impossible shape"):
         load_checkpoint(str(path))
+
+
+REBUILDS = [
+    ("ours", TrainConfig(dim=4, heads=2, ac_hidden=3, deep_hidden=(5,), first_order=True)),
+    ("ours", TrainConfig(dim=4, heads=2, ac_hidden=3, deep_hidden=(5,), mode="deep")),
+    ("fm", TrainConfig(dim=4)),
+    ("deepfm", TrainConfig(dim=4, deep_hidden=(5, 3))),
+]
+
+
+@pytest.fixture(params=REBUILDS, ids=[f"{k}-{c.mode}" for k, c in REBUILDS])
+def saved(request, workdir, dataset):
+    kind, config = request.param
+    path = workdir / f"rebuild-{kind}-{config.mode}.ckpt"
+    save_checkpoint(str(path), kind, config, dataset.schema.hash_hex(),
+                    snapshot(ops_for(kind), dataset.schema, config, np.random.default_rng(4)))
+    return load_checkpoint(str(path))
+
+
+def test_rebuild_draws_nothing_and_copies_every_tensor(saved, dataset, monkeypatch):
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("rebuild_params drew a random number")
+
+    monkeypatch.setattr(Rng, "normal", no_draw)
+    _, params = rebuild_params(saved, dataset.schema)
+    named = dict(params.named_tensors())
+    assert list(named) == list(saved.tensors)
+    for name, stored in saved.tensors.items():
+        assert np.array_equal(named[name], stored)
+    if saved.config.mode == "deep":  # shallow weights are not saved: zeros, not garbage
+        for t in (params.w_internal, params.w_cross, params.bias):
+            assert not t.any()
+
+
+def test_rebuild_rejects_a_tensor_the_model_does_not_fit(saved, dataset):
+    name, first = next(iter(saved.tensors.items()))
+    damaged = {
+        "missing tensor": {k: v for k, v in saved.tensors.items() if k != name},
+        "unknown tensors": {**saved.tensors, "extra.w": np.zeros(3)},
+        "has shape": {**saved.tensors, name: np.zeros(first.shape + (1,))},
+    }
+    for message, tensors in damaged.items():
+        with pytest.raises(CacheError, match=message):
+            rebuild_params(dataclasses.replace(saved, tensors=tensors), dataset.schema)

@@ -229,6 +229,25 @@ def test_clip_gradients_scales_to_max_norm():
     assert abs(post2 - 1.0) < 1e-12
 
 
+def test_clip_norm_equals_the_sum_of_per_tensor_squares_bit_for_bit():
+    # one table as tall as the 6040-user one, and MHSA maps that are column views
+    schema = make_schema([("user_id", "categorical", 6027), ("item_id", "categorical", 40),
+                          ("tags", "multi_categorical", 5)])
+    gen = np.random.default_rng(12)
+    for kind in ("fm", "ours"):
+        ops = ops_for(kind)
+        grads = ops.init(schema, 16, Rng(3), **tiny_config(mode="combined", dim=16).model_kwargs())
+        named = dict(grads.named_tensors())
+        for t in named.values():
+            t[...] = gen.standard_normal(t.shape) * 10.0 ** gen.uniform(-6, 6, t.shape)
+        if kind == "ours":
+            assert not named["mhsa.q0"].flags.c_contiguous
+        total = 0.0
+        for t in named.values():
+            total += float(np.sum(t * t))
+        assert clip_gradients(grads, 0.0) == float(np.sqrt(total))
+
+
 def test_adam_single_step_closed_form():
     schema = make_schema([("user_id", "categorical", 2), ("item_id", "categorical", 2)])
     ops = ops_for("ours")
