@@ -5,13 +5,13 @@ Configuration is `TrainConfig`: its fields are the keys of a `--config`
 key=value file and of `--set`, each value parsed by the field's type, and
 `validate()` rejects any out-of-range value before training starts.
 
-Checkpoints are single little-endian binary files ("ARECKPT1"): schema
-hash, a JSON header with the model kind and the config, every parameter
-tensor by name, both Adam moment sets, the RNG state, and best-epoch
-metadata.  Round-tripping a checkpoint reproduces parameters and optimizer
-state bit for bit.  Checkpoints and dataset caches are read by the same
-`data.BinaryReader`, so a truncated or corrupt file, or a header config
-with an unknown, missing or bad key, is a CacheError.
+Checkpoints are the magic "ARECKPT1", the u32 version 2, then the dataset
+cache's SHA-256 sections (`data.write_section`): a JSON header with the model
+kind, config, schema hash, best-epoch metrics and each tensor's name and
+shape, then one `<f8` section per parameter tensor.  They hold the model
+only; no command resumes training, so no optimizer state is saved.  A
+truncated or corrupt file, an older version, or a header field of the wrong
+type or range (config keys included) is a CacheError.
 
 Exit codes: 0 success, 2 input or config error, 3 numeric divergence.
 """
@@ -23,10 +23,7 @@ import dataclasses
 import json
 import math
 import os
-import struct
 import sys
-
-import numpy as np
 
 from .data import (
     BinaryReader,
@@ -41,6 +38,7 @@ from .data import (
     parse_movielens,
     prepare_dataset,
     save_cache,
+    write_section,
 )
 from .losses import load_modality_features
 from .metrics import EVAL_CSV_HEADER, MetricUndefinedError, evaluate
@@ -58,7 +56,7 @@ from .training import (
 )
 
 CKPT_MAGIC = b"ARECKPT1"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 _INPUT_ERRORS = (
     ParseError,
@@ -121,49 +119,12 @@ def _config_from_args(args) -> TrainConfig:
 # checkpoint format
 
 
-def _w_block(fh, payload: bytes):
-    fh.write(struct.pack("<Q", len(payload)))
-    fh.write(payload)
-
-
-def _w_tensors(fh, named):
-    named = list(named)
-    fh.write(struct.pack("<I", len(named)))
-    for name, arr in named:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<Q", dim))
-        fh.write(arr.tobytes())
-
-
-def _r_tensors(r: BinaryReader) -> dict:
-    out = {}
-    for _ in range(r.take("<I")[0]):
-        name = r.text("<H")
-        (ndim,) = r.take("<B")
-        shape = r.take(f"<{ndim}Q")
-        data = r.take_bytes(8 * math.prod(shape))
-        try:
-            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        except ValueError:
-            raise r.error(f"tensor {name} has an impossible shape {shape}") from None
-    return out
-
-
 @dataclasses.dataclass
 class Checkpoint:
     kind: str
     config: TrainConfig
     schema_hash: str
     tensors: dict
-    m: dict
-    v: dict
-    t: int
-    rng_state: dict
     best_epoch: int
     val_auc: float
     val_logloss: float
@@ -171,26 +132,60 @@ class Checkpoint:
 
 def save_checkpoint(path, kind: str, config: TrainConfig, schema_hash: str,
                     best: BestSnapshot) -> None:
+    named = list(best.params.named_tensors())
     header = {
         "kind": kind,
         "config": dataclasses.asdict(config),
+        "schema_hash": schema_hash,
         "best_epoch": best.epoch,
         "val_auc": best.val_auc,
         "val_logloss": best.val_logloss,
-        "t": best.t,
+        "tensors": [[name, list(t.shape)] for name, t in named],
     }
+    out = bytearray(CKPT_MAGIC)
+    out += CKPT_VERSION.to_bytes(4, "little")
+    write_section(out, json.dumps(header, sort_keys=True).encode("utf-8"))
+    for _, t in named:
+        write_section(out, t.astype("<f8", copy=False).tobytes())
     with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(bytes.fromhex(schema_hash))
-        _w_block(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
-        _w_block(fh, json.dumps(best.rng_state, sort_keys=True).encode("utf-8"))
-        _w_tensors(fh, best.params.named_tensors())
-        _w_tensors(fh, best.m.items())
-        _w_tensors(fh, best.v.items())
+        fh.write(out)
 
 
-_HEADER_KEYS = {"kind", "config", "best_epoch", "val_auc", "val_logloss", "t"}
+_HEADER_KEYS = {"kind", "config", "schema_hash", "best_epoch", "val_auc", "val_logloss",
+                "tensors"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_tensor_list(entries) -> bool:
+    """`[[name, shape], ...]` with distinct names and non-negative integer dims."""
+    return isinstance(entries, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+        and isinstance(e[1], list) and all(type(d) is int and d >= 0 for d in e[1])
+        for e in entries
+    ) and len({e[0] for e in entries}) == len(entries)
+
+
+def _check_header(r: BinaryReader, header) -> None:
+    """The header is outside input even when its checksum holds: every field
+    must have the type and range that `save_checkpoint` writes."""
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise r.error("bad checkpoint header")
+    digest = header["schema_hash"]
+    bad = [key for key, ok in (
+        ("kind", header["kind"] in MODEL_KINDS),
+        ("config", isinstance(header["config"], dict)),
+        ("schema_hash", isinstance(digest, str) and len(digest) == 64
+         and set(digest) <= set("0123456789abcdef")),
+        ("best_epoch", type(header["best_epoch"]) is int),
+        ("val_auc", _is_number(header["val_auc"])),
+        ("val_logloss", _is_number(header["val_logloss"])),
+        ("tensors", _is_tensor_list(header["tensors"])),
+    ) if not ok]
+    if bad:
+        raise r.error(f"bad checkpoint header: {', '.join(bad)}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -200,21 +195,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise r.error("not a checkpoint file")
     (version,) = r.take("<I")
     if version != CKPT_VERSION:
-        raise r.error(f"unsupported checkpoint version {version}")
-    schema_hash = r.take_bytes(32).hex()
-    header = r.json("<Q")
-    rng_state = r.json("<Q")
-    tensors, m, v = (_r_tensors(r) for _ in range(3))  # parameters, Adam m, Adam v
-    r.end()
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS \
-            or header["kind"] not in MODEL_KINDS or not isinstance(header["config"], dict):
-        raise r.error("bad checkpoint header")
+        raise r.error(
+            f"checkpoint version {version} is not the supported version {CKPT_VERSION}; "
+            "re-run train"
+        )
     try:
-        config = TrainConfig.from_dict(header["config"]).validate()
+        header = json.loads(r.section("header"))
+    except (ValueError, RecursionError) as exc:
+        raise r.error(f"bad JSON in checkpoint ({exc})") from None
+    _check_header(r, header)
+    try:
+        config = TrainConfig.from_dict(header.pop("config")).validate()
     except ConfigError as exc:
         raise r.error(f"bad config in checkpoint: {exc}") from None
-    return Checkpoint(**dict(header, config=config), schema_hash=schema_hash,
-                      tensors=tensors, m=m, v=v, rng_state=rng_state)
+    tensors = {}
+    for name, shape in header.pop("tensors"):
+        values = r.array(f"tensor {name}", "<f8", math.prod(shape))
+        try:
+            tensors[name] = values.reshape(shape)
+        except ValueError:
+            raise r.error(f"tensor {name} has an impossible shape {tuple(shape)}") from None
+    r.end()
+    return Checkpoint(**header, config=config, tensors=tensors)
 
 
 def rebuild_params(ckpt: Checkpoint, schema):

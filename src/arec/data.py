@@ -662,8 +662,9 @@ class CachedDataset:
 
 
 class BinaryReader:
-    """Little-endian reader over one cache or checkpoint file's bytes.  A short
-    read, or text that is not UTF-8 or JSON, is a CacheError naming the file."""
+    """Little-endian reader over one cache or checkpoint file's bytes, framed
+    by `write_section`.  A short read, a section whose SHA-256 or length does
+    not match, or text that is not UTF-8 is a CacheError naming the file."""
 
     def __init__(self, blob: bytes, path, what: str):
         self.blob = blob
@@ -697,12 +698,6 @@ class BinaryReader:
         except UnicodeDecodeError as exc:
             raise self.error(f"undecodable text in {self.what} ({exc.reason})") from None
 
-    def json(self, size_fmt: str):
-        try:
-            return json.loads(self.text(size_fmt))
-        except ValueError as exc:
-            raise self.error(f"bad JSON in {self.what} ({exc})") from None
-
     def section(self, name: str) -> bytes:
         """The bytes of a section: a u64 length, the bytes, then their SHA-256."""
         payload = self.take_bytes(self.take("<Q")[0])
@@ -728,11 +723,12 @@ class BinaryReader:
 
 # Cache v2 layout, after the magic, the u32 version, the schema's SHA-256 and
 # its u64-length-prefixed JSON: a header section (tag, seed, ratios), then per
-# split a row-count section and one section per column.  A section is a u64
-# byte length, the bytes, and their SHA-256.
+# split a row-count section and one section per column.
 
 
-def _section(out: bytearray, payload: bytes) -> None:
+def write_section(out: bytearray, payload: bytes) -> None:
+    """Append one section, the framing of caches and checkpoints alike: a u64
+    byte length, the bytes, and their SHA-256."""
     out += struct.pack("<Q", len(payload))
     out += payload
     out += hashlib.sha256(payload).digest()
@@ -747,19 +743,19 @@ def _int_bytes(values: np.ndarray, dtype: str) -> bytes:
 
 
 def _pack_columns(col: Columnar, out: bytearray) -> None:
-    _section(out, struct.pack("<Q", col.n))
+    write_section(out, struct.pack("<Q", col.n))
     for fc in col.fields:
         if fc.kind == CATEGORICAL:
-            _section(out, _int_bytes(fc.idx, "<u4"))
+            write_section(out, _int_bytes(fc.idx, "<u4"))
         elif fc.kind == MULTI_CATEGORICAL:
             offsets = np.zeros(col.n + 1, dtype=np.int64)
             np.cumsum(fc.counts, out=offsets[1:])
             active = np.arange(fc.padded.shape[1]) < fc.counts[:, None]
-            _section(out, _int_bytes(offsets, "<u8"))
-            _section(out, _int_bytes(fc.padded[active], "<u4"))
+            write_section(out, _int_bytes(offsets, "<u8"))
+            write_section(out, _int_bytes(fc.padded[active], "<u4"))
         else:
-            _section(out, fc.vals.astype("<f8").tobytes())
-    _section(out, _int_bytes(col.labels, "u1"))
+            write_section(out, fc.vals.astype("<f8").tobytes())
+    write_section(out, _int_bytes(col.labels, "u1"))
 
 
 def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str) -> Columnar:
@@ -800,7 +796,7 @@ def save_cache(path, cached: CachedDataset):
     out += schema_json
     tag = cached.tag.encode("utf-8")
     sp = cached.split
-    _section(out, struct.pack("<H", len(tag)) + tag + struct.pack("<Q3d", sp.seed, *sp.ratios))
+    write_section(out, struct.pack("<H", len(tag)) + tag + struct.pack("<Q3d", sp.seed, *sp.ratios))
     for part in (sp.train, sp.validation, sp.test):
         _pack_columns(Columnar.from_examples(part, cached.schema), out)
     with open(path, "wb") as fh:

@@ -144,10 +144,6 @@ class TrainConfig:
 @dataclass
 class BestSnapshot:
     params: object
-    m: dict
-    v: dict
-    t: int
-    rng_state: dict
     epoch: int
     val_auc: float
     val_logloss: float
@@ -416,10 +412,6 @@ def fit(ops: ModelOps, schema: FeatureSchema, train_examples, val_examples,
         if state.best is None or val_auc > state.best.val_auc:
             state.best = BestSnapshot(
                 params=copy.deepcopy(state.params),
-                m=copy.deepcopy(state.m),
-                v=copy.deepcopy(state.v),
-                t=state.t,
-                rng_state=state.rng.get_state(),
                 epoch=state.epoch,
                 val_auc=val_auc,
                 val_logloss=val_ll,

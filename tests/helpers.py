@@ -1,11 +1,14 @@
 """Shared utilities for the test suite: random schema/example generators,
 finite-difference sweeps over whole parameter sets, and small fixtures."""
 
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
+from arec.cli import CKPT_MAGIC
 from arec.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -16,6 +19,7 @@ from arec.data import (
     build_schema,
     encode_example,
     split,
+    write_section,
 )
 from arec.embedding import _one_row
 from arec.losses import logloss, logloss_d_logits
@@ -30,6 +34,22 @@ def corruptions(blob: bytes):
 
     return (st.integers(0, len(blob) - 1).map(lambda cut: blob[:cut])
             | st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(flip))
+
+
+def rewrite_checkpoint(blob: bytes, edit) -> bytes:
+    """`blob` after `edit(header, tensors)` changes its header JSON or its list
+    of tensor section payloads in place, every section with a fresh SHA-256."""
+    pos, payloads = len(CKPT_MAGIC) + 4, []  # sections follow the magic and version
+    while pos < len(blob):
+        (size,) = struct.unpack_from("<Q", blob, pos)
+        payloads.append(blob[pos + 8 : pos + 8 + size])
+        pos += 8 + size + 32
+    header, tensors = json.loads(payloads[0]), payloads[1:]
+    edit(header, tensors)
+    out = bytearray(blob[: len(CKPT_MAGIC) + 4])
+    for payload in [json.dumps(header, sort_keys=True).encode("utf-8"), *tensors]:
+        write_section(out, payload)
+    return bytes(out)
 
 
 def make_schema(field_plan):

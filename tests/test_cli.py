@@ -20,7 +20,7 @@ from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import corruptions
+from helpers import corruptions, rewrite_checkpoint
 
 
 USERS = [
@@ -379,13 +379,24 @@ def test_train_with_modality_keys_that_match_no_item_exits_two(workdir, ml_cache
 
 
 # SHA-256 of the modality file that `save_modality_features` writes for the
-# synthesized table (how the benchmark makes its modality input), and of the
-# checkpoint and curve of an `fm` train on it, recorded while the features
-# were still held as one object per item.  Movies 41-45 are not in the
-# vocabulary, so the batcher's skip path is pinned too.
+# synthesized table (how the benchmark makes its modality input), of the
+# trained parameters of an `fm` train on it, and of its curve.  The file and
+# curve digests were recorded while the features were still held as one
+# object per item; the parameter digest (each tensor's name, then its `<f8`
+# bytes, in checkpoint order) was recorded from the version-1 checkpoint, so
+# it pins the trained values across the change of file format.  Movies 41-45
+# are not in the vocabulary, so the batcher's skip path is pinned too.
 GOLDEN_MODALITY = ("589e26954a22a7cb11a6c1d69f9604c6b75647aa33bb18a136475c193319f536",
-                   "82749341356c378f872e5253034a3a81d44dacb406dd799781967dedd83d607e",
+                   "22d798f0583afe3177ee229d8ec65c391a63b3ebda2e3195c2b8f06d98935f47",
                    "ed020e91b3f8c82255daaa1c23a62d55d828c3a9c3f20010dc2cb50768ef93c3")
+
+
+def params_digest(path) -> str:
+    digest = hashlib.sha256()
+    for name, tensor in cli.load_checkpoint(str(path)).tensors.items():
+        digest.update(name.encode("utf-8"))
+        digest.update(tensor.astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 def test_modality_train_bytes_are_golden(ml_cache, tmp_path, monkeypatch, capsys):
@@ -396,8 +407,9 @@ def test_modality_train_bytes_are_golden(ml_cache, tmp_path, monkeypatch, capsys
                      "--seed", "3", "--modality-features", "modality.txt", *TRAIN_SETTINGS])
     capsys.readouterr()
     assert code == 0
-    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in ("modality.txt", "golden.ckpt", "golden.ckpt.curve.csv"))
+    file_digest = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("modality.txt", "golden.ckpt.curve.csv")]
+    got = (file_digest[0], params_digest(tmp_path / "golden.ckpt"), file_digest[1])
     assert got == GOLDEN_MODALITY
 
 
@@ -723,9 +735,7 @@ def test_eval_of_a_diverged_checkpoint_exits_three(ml_cache, tmp_path, capsys):
     dataset = load_cache(str(ml_cache))
     config = TrainConfig(dim=8)
     state = init_state(ops_for("fm"), dataset.schema, config)
-    best = BestSnapshot(params=state.params, m=state.m, v=state.v, t=0,
-                        rng_state=state.rng.get_state(), epoch=1, val_auc=0.5,
-                        val_logloss=0.7)
+    best = BestSnapshot(params=state.params, epoch=1, val_auc=0.5, val_logloss=0.7)
     ckpt = tmp_path / "nan.ckpt"
     cli.save_checkpoint(str(ckpt), "fm", config, dataset.schema.hash_hex(), best)
     _, params = rebuild_params(load_checkpoint(str(ckpt)), dataset.schema)
@@ -761,6 +771,20 @@ def test_version_one_cache_exits_two_asking_for_prepare(ml_cache, tmp_path, caps
         assert code == 2
         assert str(old) in captured.err and "re-run prepare" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_version_one_checkpoint_exits_two_asking_for_retrain(ml_cache, tmp_path, capsys):
+    # the version-1 layout: schema hash, then length-prefixed header JSON
+    header = json.dumps({"kind": "fm", "config": {}}).encode("utf-8")
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(cli.CKPT_MAGIC + struct.pack("<I", 1)
+                    + bytes.fromhex(load_cache(str(ml_cache)).schema.hash_hex())
+                    + struct.pack("<Q", len(header)) + header)
+    code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(old)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(old) in captured.err and "re-run train" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_checkpoint_roundtrip_matches_library_eval(workdir, ml_cache, ours_ckpt, capsys):
@@ -814,22 +838,10 @@ def test_every_config_field_roundtrips_through_checkpoint(ml_cache, tmp_path):
 
     dataset = load_cache(str(ml_cache))
     state = init_state(ops_for("ours"), dataset.schema, config)
-    best = BestSnapshot(params=state.params, m=state.m, v=state.v, t=0,
-                        rng_state=state.rng.get_state(), epoch=1, val_auc=0.5,
-                        val_logloss=0.7)
+    best = BestSnapshot(params=state.params, epoch=1, val_auc=0.5, val_logloss=0.7)
     path = tmp_path / "all.ckpt"
     cli.save_checkpoint(str(path), "ours", config, dataset.schema.hash_hex(), best)
     assert cli.load_checkpoint(str(path)).config == config
-
-
-def _rewrite_header_config(src, dst, edit):
-    blob = src.read_bytes()
-    start = len(cli.CKPT_MAGIC) + 4 + 32  # magic, version, schema hash
-    (size,) = struct.unpack_from("<Q", blob, start)
-    header = json.loads(blob[start + 8 : start + 8 + size])
-    edit(header["config"])
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    dst.write_bytes(blob[:start] + struct.pack("<Q", len(raw)) + raw + blob[start + 8 + size :])
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -840,7 +852,7 @@ def _rewrite_header_config(src, dst, edit):
 ], ids=["unknown", "missing", "unparseable"])
 def test_eval_rejects_bad_checkpoint_config(ml_cache, ours_ckpt, tmp_path, capsys, edit, key):
     bad = tmp_path / "bad.ckpt"
-    _rewrite_header_config(ours_ckpt, bad, edit)
+    bad.write_bytes(rewrite_checkpoint(ours_ckpt.read_bytes(), lambda h, _: edit(h["config"])))
     code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(bad)])
     captured = capsys.readouterr()
     assert code == 2

@@ -1,7 +1,7 @@
 """Property tests for the two binary formats: the dataset cache and the
-checkpoint.  Writes round-trip and every truncated prefix is a CacheError.  A
-single corrupted byte makes a cache a CacheError, and a checkpoint a CacheError
-or a clean load."""
+checkpoint, both framed in checksummed sections.  Writes round-trip, and every
+truncated prefix or single corrupted byte of either file is a CacheError, as
+is a checkpoint header whose checksum holds but whose values are wrong."""
 
 import dataclasses
 import hashlib
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arec import cli
 from arec.cli import CKPT_MAGIC, load_checkpoint, rebuild_params, save_checkpoint
 from arec.data import (
     CACHE_MAGIC,
@@ -22,13 +23,14 @@ from arec.data import (
     parse_movielens,
     prepare_dataset,
     save_cache,
+    write_section,
 )
 from arec.model import MODEL_KINDS, MODES, ops_for
 from arec.numerics import Rng
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import assert_columns_equal, encoded_rows, records_of
+from helpers import assert_columns_equal, encoded_rows, records_of, rewrite_checkpoint
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -58,12 +60,11 @@ def rows(table):
 
 
 def snapshot(ops, schema, config, gen):
-    """A best-epoch snapshot with random moments, so every block carries data."""
-    state = init_state(ops, schema, config)
-    m = {name: gen.standard_normal(t.shape) for name, t in state.m.items()}
-    v = {name: gen.random(t.shape) for name, t in state.v.items()}
-    return BestSnapshot(params=state.params, m=m, v=v, t=int(gen.integers(0, 1000)),
-                        rng_state=state.rng.get_state(), epoch=int(gen.integers(1, 20)),
+    """A best-epoch snapshot with random parameters, so every tensor carries data."""
+    params = init_state(ops, schema, config).params
+    for _, t in params.named_tensors():
+        t[...] = gen.standard_normal(t.shape)
+    return BestSnapshot(params=params, epoch=int(gen.integers(1, 20)),
                         val_auc=float(gen.random()), val_logloss=float(gen.random() * 3))
 
 
@@ -82,9 +83,8 @@ def files(workdir, dataset):
                     snapshot(ops_for("ours"), dataset.schema, config,
                              np.random.default_rng(0)))
     blob = ckpt.read_bytes()
-    pos = len(CKPT_MAGIC) + 4 + 32
-    for _ in range(2):  # the header and RNG-state JSON blocks
-        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    pos = len(CKPT_MAGIC) + 4  # magic, version, then the header section
+    pos += 8 + struct.unpack_from("<Q", blob, pos)[0] + 32
     return {
         "cache": (load_cache, cache.read_bytes(), (workdir / "empty.cache").stat().st_size),
         "checkpoint": (load_checkpoint, blob, pos),
@@ -136,13 +136,13 @@ def test_checkpoint_roundtrip(workdir, dataset, kind, config, data_seed):
     save_checkpoint(str(path), kind, config, dataset.schema.hash_hex(), best)
     ckpt = load_checkpoint(str(path))
     assert (ckpt.kind, ckpt.config, ckpt.schema_hash) == (kind, config, dataset.schema.hash_hex())
-    assert (ckpt.t, ckpt.best_epoch, ckpt.val_auc, ckpt.val_logloss, ckpt.rng_state) == (
-        best.t, best.epoch, best.val_auc, best.val_logloss, best.rng_state)
+    assert (ckpt.best_epoch, ckpt.val_auc, ckpt.val_logloss) == (
+        best.epoch, best.val_auc, best.val_logloss)
     named = dict(best.params.named_tensors())
-    for stored, want in ((ckpt.tensors, named), (ckpt.m, best.m), (ckpt.v, best.v)):
-        assert list(stored) == list(want)
-        for name, arr in want.items():
-            assert np.array_equal(stored[name], arr)
+    assert list(ckpt.tensors) == list(named)
+    for name, arr in named.items():
+        assert ckpt.tensors[name].dtype == np.float64
+        assert np.array_equal(ckpt.tensors[name], arr)
 
 
 @pytest.mark.parametrize("kind", ["cache", "checkpoint"])
@@ -160,7 +160,7 @@ def test_every_truncated_prefix_is_a_cache_error(workdir, files, kind, data):
 @pytest.mark.parametrize("kind", ["cache", "checkpoint"])
 @settings(PROPS, max_examples=300)
 @given(data=st.data())
-def test_single_byte_corruption_is_a_cache_error_or_a_clean_load(workdir, files, kind, data):
+def test_single_byte_corruption_is_a_cache_error(workdir, files, kind, data):
     load, blob, head = files[kind]
     # half the draws land in the header, where a flip changes structure
     pos = data.draw(st.integers(0, head - 1) | st.integers(0, len(blob) - 1), label="pos")
@@ -169,14 +169,9 @@ def test_single_byte_corruption_is_a_cache_error_or_a_clean_load(workdir, files,
     corrupt[pos] ^= mask
     path = workdir / f"corrupt.{kind}"
     path.write_bytes(bytes(corrupt))
-    if kind == "cache":  # every cache byte is checked, by a SHA-256 or a header test
-        with pytest.raises(CacheError):
-            load(str(path))
-        return
-    try:
+    # every byte after the version is under a SHA-256; the magic and version are tested
+    with pytest.raises(CacheError):
         load(str(path))
-    except CacheError:
-        pass
 
 
 def test_huge_row_count_is_a_cache_error_before_any_allocation(workdir, files):
@@ -194,16 +189,56 @@ def test_huge_row_count_is_a_cache_error_before_any_allocation(workdir, files):
         load_cache(str(path))
 
 
-def test_impossible_tensor_shape_is_a_cache_error(workdir, files):
-    _, blob, head = files["checkpoint"]
-    pos = head + 4  # past the tensor count, at the first tensor's name
-    pos += 2 + struct.unpack_from("<H", blob, pos)[0]
-    assert blob[pos] == 2  # a table: two dims follow
+def _impossible_shape(header, tensors):
     # zero rows need no data bytes, so only the reshape can see the shape
-    bad = blob[: pos + 1] + struct.pack("<2Q", 0, 2**64 - 1) + blob[pos + 17 :]
-    path = workdir / "bad_shape.ckpt"
-    path.write_bytes(bad)
-    with pytest.raises(CacheError, match="impossible shape"):
+    header["tensors"][0][1] = [0, 2**64 - 1]
+    tensors[0] = b""
+
+
+# each edit keeps the header valid JSON under a valid checksum
+BAD_HEADERS = {
+    "short-schema_hash": lambda h, _: h.update(schema_hash="ab" * 31),
+    "non-hex-schema_hash": lambda h, _: h.update(schema_hash="z" * 64),
+    "numeric-schema_hash": lambda h, _: h.update(schema_hash=7),
+    "tensor-entry-not-a-pair": lambda h, _: h["tensors"][0].append([]),
+    "tensor-name-not-a-string": lambda h, _: h["tensors"][0].__setitem__(0, 5),
+    "shape-not-a-list": lambda h, _: h["tensors"][0].__setitem__(1, 3),
+    "tensors-not-a-list": lambda h, _: h.update(tensors={}),
+    "duplicate-tensor-name": lambda h, _: h["tensors"][1].__setitem__(0, h["tensors"][0][0]),
+    "negative-dimension": lambda h, _: h["tensors"][0][1].__setitem__(0, -1),
+    "fractional-dimension": lambda h, _: h["tensors"][0][1].__setitem__(0, 2.0),
+    "boolean-dimension": lambda h, _: h["tensors"][0][1].__setitem__(0, True),
+    "impossible-shape": _impossible_shape,
+    "string-best_epoch": lambda h, _: h.update(best_epoch="3"),
+    "fractional-best_epoch": lambda h, _: h.update(best_epoch=1.5),
+    "string-val_auc": lambda h, _: h.update(val_auc="0.5"),
+    "null-val_logloss": lambda h, _: h.update(val_logloss=None),
+    "unknown-kind": lambda h, _: h.update(kind="lr"),
+    "extra-key": lambda h, _: h.update(t=3),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_bad_header_value_is_a_cache_error_and_eval_exits_two(workdir, files, edit, capsys):
+    _, blob, _ = files["checkpoint"]
+    path = workdir / "bad_header.ckpt"
+    path.write_bytes(rewrite_checkpoint(blob, edit))
+    with pytest.raises(CacheError, match="bad checkpoint header|impossible shape"):
+        load_checkpoint(str(path))
+    code = cli.main(["eval", "--cache", str(workdir / "base.cache"), "--ckpt", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("payload", [b"{", b"\xff", b"[" * 100_000, b"[]"],
+                         ids=["truncated", "not-utf8", "deeply-nested", "not-an-object"])
+def test_header_that_is_not_a_json_object_is_a_cache_error(workdir, payload):
+    blob = bytearray(CKPT_MAGIC + cli.CKPT_VERSION.to_bytes(4, "little"))
+    write_section(blob, payload)
+    path = workdir / "bad_json.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheError, match="bad JSON in checkpoint|bad checkpoint header"):
         load_checkpoint(str(path))
 
 
