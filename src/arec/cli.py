@@ -5,13 +5,13 @@ Configuration is `TrainConfig`: its fields are the keys of a `--config`
 key=value file and of `--set`, each value parsed by the field's type, and
 `validate()` rejects any out-of-range value before training starts.
 
-Checkpoints are the magic "ARECKPT1", the u32 version 2, then the dataset
-cache's SHA-256 sections (`data.write_section`): a JSON header with the model
-kind, config, schema hash, best-epoch metrics and each tensor's name and
-shape, then one `<f8` section per parameter tensor.  They hold the model
-only; no command resumes training, so no optimizer state is saved.  A
-truncated or corrupt file, an older version, or a header field of the wrong
-type or range (config keys included) is a CacheError.
+Checkpoints have the dataset cache's layout (`data.write_file` and
+`data.read_file`): the magic "ARECKPT1", the u32 version 2, a JSON header
+section with the model kind, config, schema hash, best-epoch metrics and
+each tensor's name and shape, then one `<f8` section per parameter tensor.
+They hold the model only; no command resumes training, so no optimizer state
+is saved.  A truncated or corrupt file, an older version, or a header field
+of the wrong type or range (config keys included) is a CacheError.
 
 Exit codes: 0 success, 2 input or config error, 3 numeric divergence.
 """
@@ -26,19 +26,20 @@ import os
 import sys
 
 from .data import (
-    BinaryReader,
     CacheError,
     ConfigError,
     DomainError,
     EncodingError,
     ParseError,
     ReferentialError,
+    check_header,
     load_cache,
     parse_amazon,
     parse_movielens,
     prepare_dataset,
+    read_file,
     save_cache,
-    write_section,
+    write_file,
 )
 from .losses import load_modality_features
 from .metrics import EVAL_CSV_HEADER, MetricUndefinedError, evaluate
@@ -142,17 +143,8 @@ def save_checkpoint(path, kind: str, config: TrainConfig, schema_hash: str,
         "val_logloss": best.val_logloss,
         "tensors": [[name, list(t.shape)] for name, t in named],
     }
-    out = bytearray(CKPT_MAGIC)
-    out += CKPT_VERSION.to_bytes(4, "little")
-    write_section(out, json.dumps(header, sort_keys=True).encode("utf-8"))
-    for _, t in named:
-        write_section(out, t.astype("<f8", copy=False).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(out)
-
-
-_HEADER_KEYS = {"kind", "config", "schema_hash", "best_epoch", "val_auc", "val_logloss",
-                "tensors"}
+    write_file(path, CKPT_MAGIC, CKPT_VERSION, header,
+               (t.astype("<f8", copy=False).tobytes() for _, t in named))
 
 
 def _is_number(value) -> bool:
@@ -168,42 +160,22 @@ def _is_tensor_list(entries) -> bool:
     ) and len({e[0] for e in entries}) == len(entries)
 
 
-def _check_header(r: BinaryReader, header) -> None:
-    """The header is outside input even when its checksum holds: every field
-    must have the type and range that `save_checkpoint` writes."""
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
-        raise r.error("bad checkpoint header")
-    digest = header["schema_hash"]
-    bad = [key for key, ok in (
-        ("kind", header["kind"] in MODEL_KINDS),
-        ("config", isinstance(header["config"], dict)),
-        ("schema_hash", isinstance(digest, str) and len(digest) == 64
-         and set(digest) <= set("0123456789abcdef")),
-        ("best_epoch", type(header["best_epoch"]) is int),
-        ("val_auc", _is_number(header["val_auc"])),
-        ("val_logloss", _is_number(header["val_logloss"])),
-        ("tensors", _is_tensor_list(header["tensors"])),
-    ) if not ok]
-    if bad:
-        raise r.error(f"bad checkpoint header: {', '.join(bad)}")
+# every header field with the type and range that `save_checkpoint` writes
+_HEADER_CHECKS = {
+    "kind": lambda kind: kind in MODEL_KINDS,
+    "config": lambda config: isinstance(config, dict),
+    "schema_hash": lambda digest: isinstance(digest, str) and len(digest) == 64
+    and set(digest) <= set("0123456789abcdef"),
+    "best_epoch": lambda epoch: type(epoch) is int,
+    "val_auc": _is_number,
+    "val_logloss": _is_number,
+    "tensors": _is_tensor_list,
+}
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        r = BinaryReader(fh.read(), path, "checkpoint")
-    if r.take_bytes(len(CKPT_MAGIC)) != CKPT_MAGIC:
-        raise r.error("not a checkpoint file")
-    (version,) = r.take("<I")
-    if version != CKPT_VERSION:
-        raise r.error(
-            f"checkpoint version {version} is not the supported version {CKPT_VERSION}; "
-            "re-run train"
-        )
-    try:
-        header = json.loads(r.section("header"))
-    except (ValueError, RecursionError) as exc:
-        raise r.error(f"bad JSON in checkpoint ({exc})") from None
-    _check_header(r, header)
+    header, r = read_file(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint", "re-run train")
+    check_header(r, header, _HEADER_CHECKS)
     try:
         config = TrainConfig.from_dict(header.pop("config")).validate()
     except ConfigError as exc:
@@ -250,6 +222,11 @@ def cmd_prepare(args) -> int:
         ratios = tuple(float(tok) for tok in args.ratios.split(","))
     except ValueError:
         raise ConfigError(f"--ratios expects comma-separated numbers, got {args.ratios!r}") from None
+    tag = args.tag or args.dataset
+    try:
+        tag.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate-escaped argv byte
+        raise ConfigError(f"--tag must be UTF-8 text, got {tag!r}") from None
     if args.dataset == "movielens":
         base = args.input
         table = parse_movielens(
@@ -262,7 +239,6 @@ def cmd_prepare(args) -> int:
         if os.path.isdir(path):
             path = os.path.join(path, "reviews.json")
         table = parse_amazon(path)
-    tag = args.tag or args.dataset
     dataset = prepare_dataset(table, ratios=ratios, seed=args.seed, tag=tag)
     save_cache(args.out, dataset)
     s = dataset.split

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -27,7 +27,7 @@ MULTI_CATEGORICAL = "multi_categorical"
 CONTINUOUS = "continuous"
 
 CACHE_MAGIC = b"AREC1"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class ParseError(ValueError):
@@ -121,35 +121,25 @@ class FeatureSchema:
                 return f
         raise KeyError(name)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "fields": [
-                {
-                    "name": f.name,
-                    "kind": f.kind,
-                    "vocab": list(f.vocab),
-                    "lo": f.lo,
-                    "hi": f.hi,
-                }
+                {"name": f.name, "kind": f.kind, "vocab": list(f.vocab), "lo": f.lo, "hi": f.hi}
                 for f in self.fields
             ]
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str) -> "FeatureSchema":
-        payload = json.loads(text)
-        fields = tuple(
-            FieldSpec(
-                name=f["name"],
-                kind=f["kind"],
-                vocab=tuple(f["vocab"]),
-                lo=f["lo"],
-                hi=f["hi"],
-            )
+    def from_dict(payload: dict) -> "FeatureSchema":
+        """The schema that `to_dict` describes."""
+        return FeatureSchema(fields=tuple(
+            FieldSpec(name=f["name"], kind=f["kind"], vocab=tuple(f["vocab"]), lo=f["lo"],
+                      hi=f["hi"])
             for f in payload["fields"]
-        )
-        return FeatureSchema(fields=fields)
+        ))
 
     def hash_hex(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
@@ -663,8 +653,8 @@ class CachedDataset:
 
 class BinaryReader:
     """Little-endian reader over one cache or checkpoint file's bytes, framed
-    by `write_section`.  A short read, a section whose SHA-256 or length does
-    not match, or text that is not UTF-8 is a CacheError naming the file."""
+    by `write_section`.  A short read or a section whose SHA-256 or length
+    does not match is a CacheError naming the file."""
 
     def __init__(self, blob: bytes, path, what: str):
         self.blob = blob
@@ -675,14 +665,6 @@ class BinaryReader:
     def error(self, message: str) -> CacheError:
         return CacheError(f"{self.path}: {message}")
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.blob):
-            raise self.error(f"truncated {self.what}")
-        vals = struct.unpack_from(fmt, self.blob, self.pos)
-        self.pos += size
-        return vals
-
     def take_bytes(self, size: int) -> bytes:
         if self.pos + size > len(self.blob):
             raise self.error(f"truncated {self.what}")
@@ -690,17 +672,9 @@ class BinaryReader:
         self.pos += size
         return chunk
 
-    def text(self, size_fmt: str) -> str:
-        """UTF-8 text behind a length of struct format `size_fmt`."""
-        (size,) = self.take(size_fmt)
-        try:
-            return self.take_bytes(size).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"undecodable text in {self.what} ({exc.reason})") from None
-
     def section(self, name: str) -> bytes:
         """The bytes of a section: a u64 length, the bytes, then their SHA-256."""
-        payload = self.take_bytes(self.take("<Q")[0])
+        payload = self.take_bytes(int.from_bytes(self.take_bytes(8), "little"))
         if hashlib.sha256(payload).digest() != self.take_bytes(32):
             raise self.error(f"checksum mismatch in the {name} section of the {self.what}")
         return payload
@@ -721,17 +695,83 @@ class BinaryReader:
             raise self.error(f"trailing bytes in {self.what}")
 
 
-# Cache v2 layout, after the magic, the u32 version, the schema's SHA-256 and
-# its u64-length-prefixed JSON: a header section (tag, seed, ratios), then per
-# split a row-count section and one section per column.
+# Caches and checkpoints share one layout: the magic, the u32 version, a
+# sorted-key JSON header section, then one section per array.  A cache's
+# header holds the schema, tag, seed, ratios and each split's row count; its
+# arrays are, split by split, one section per field column, then the labels.
 
 
 def write_section(out: bytearray, payload: bytes) -> None:
-    """Append one section, the framing of caches and checkpoints alike: a u64
-    byte length, the bytes, and their SHA-256."""
-    out += struct.pack("<Q", len(payload))
+    """Append one section: a u64 byte length, the bytes, and their SHA-256."""
+    out += len(payload).to_bytes(8, "little")
     out += payload
     out += hashlib.sha256(payload).digest()
+
+
+def write_file(path, magic: bytes, version: int, header: dict, payloads) -> None:
+    """Write a cache or checkpoint: magic, version, the header and each payload."""
+    out = bytearray(magic)
+    out += version.to_bytes(4, "little")
+    write_section(out, json.dumps(header, sort_keys=True).encode("utf-8"))
+    for payload in payloads:
+        write_section(out, payload)
+    with open(path, "wb") as fh:
+        fh.write(out)
+
+
+def read_file(path, magic: bytes, version: int, what: str, remedy: str) -> tuple:
+    """The header object of a file `write_file` wrote and a reader at its first
+    payload.  A wrong magic or version, or a header that is not JSON, is a
+    CacheError; the header's values are the caller's to check."""
+    with open(path, "rb") as fh:
+        rd = BinaryReader(fh.read(), path, what)
+    if rd.take_bytes(len(magic)) != magic:
+        raise rd.error(f"not a {what} file (bad magic)")
+    found = int.from_bytes(rd.take_bytes(4), "little")
+    if found != version:
+        raise rd.error(f"{what} version {found} is not the supported version {version}; {remedy}")
+    payload = rd.section("header")
+    try:
+        return json.loads(payload), rd
+    except (ValueError, RecursionError) as exc:
+        raise rd.error(f"bad JSON in {what} ({exc})") from None
+
+
+def check_header(rd: BinaryReader, header, checks: dict) -> None:
+    """A header is outside input even when its checksum holds: it must be an
+    object with exactly the keys of `checks`, each value passing its check."""
+    if not isinstance(header, dict) or set(header) != set(checks):
+        raise rd.error(f"bad {rd.what} header")
+    bad = [key for key, ok in checks.items() if not ok(header[key])]
+    if bad:
+        raise rd.error(f"bad {rd.what} header: {', '.join(bad)}")
+
+
+def _is_field(f) -> bool:
+    """A field as `FeatureSchema.to_dict` writes it."""
+    return (isinstance(f, dict) and set(f) == {"name", "kind", "vocab", "lo", "hi"}
+            and isinstance(f["name"], str)
+            and f["kind"] in (CATEGORICAL, MULTI_CATEGORICAL, CONTINUOUS)
+            and isinstance(f["vocab"], list) and set(map(type, f["vocab"])) <= {str, int}
+            and not (f["kind"] == CONTINUOUS and f["vocab"])
+            and all(type(f[k]) is float and math.isfinite(f[k]) for k in ("lo", "hi")))
+
+
+def _is_schema(s) -> bool:
+    return (isinstance(s, dict) and set(s) == {"fields"} and isinstance(s["fields"], list)
+            and all(map(_is_field, s["fields"]))
+            and len({f["name"] for f in s["fields"]}) == len(s["fields"]))
+
+
+_CACHE_HEADER = {
+    "schema": _is_schema,
+    "tag": lambda tag: isinstance(tag, str),
+    "seed": lambda seed: type(seed) is int and 0 <= seed < 2**64,
+    "ratios": lambda ratios: isinstance(ratios, list) and len(ratios) == 3
+    and all(type(r) is float and 0.0 <= r <= 1.0 for r in ratios),
+    "rows": lambda rows: isinstance(rows, list) and len(rows) == 3
+    and all(type(n) is int and n >= 0 for n in rows),
+}
 
 
 def _int_bytes(values: np.ndarray, dtype: str) -> bytes:
@@ -742,25 +782,24 @@ def _int_bytes(values: np.ndarray, dtype: str) -> bytes:
     return stored.tobytes()
 
 
-def _pack_columns(col: Columnar, out: bytearray) -> None:
-    write_section(out, struct.pack("<Q", col.n))
+def _column_payloads(col: Columnar):
+    """The sections of one split: each field's column, then the labels."""
     for fc in col.fields:
         if fc.kind == CATEGORICAL:
-            write_section(out, _int_bytes(fc.idx, "<u4"))
+            yield _int_bytes(fc.idx, "<u4")
         elif fc.kind == MULTI_CATEGORICAL:
             offsets = np.zeros(col.n + 1, dtype=np.int64)
             np.cumsum(fc.counts, out=offsets[1:])
             active = np.arange(fc.padded.shape[1]) < fc.counts[:, None]
-            write_section(out, _int_bytes(offsets, "<u8"))
-            write_section(out, _int_bytes(fc.padded[active], "<u4"))
+            yield _int_bytes(offsets, "<u8")
+            yield _int_bytes(fc.padded[active], "<u4")
         else:
-            write_section(out, fc.vals.astype("<f8").tobytes())
-    write_section(out, _int_bytes(col.labels, "u1"))
+            yield fc.vals.astype("<f8").tobytes()
+    yield _int_bytes(col.labels, "u1")
 
 
-def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str) -> Columnar:
-    """One split's columns.  Every length is checked before anything is allocated."""
-    n = int(rd.array(f"{part} row count", "<u8", 1)[0])
+def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str, n: int) -> Columnar:
+    """One split's `n` rows.  Every length is checked before anything is allocated."""
     cols = []
     for spec in schema.fields:
         name = f"{part} {spec.name}"
@@ -787,48 +826,29 @@ def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str) -> Colum
 
 def save_cache(path, cached: CachedDataset):
     """Write the versioned binary cache; byte-identical for identical inputs."""
-    schema_json = cached.schema.to_json().encode("utf-8")
-    out = bytearray()
-    out += CACHE_MAGIC
-    out += struct.pack("<I", CACHE_VERSION)
-    out += hashlib.sha256(schema_json).digest()
-    out += struct.pack("<Q", len(schema_json))
-    out += schema_json
-    tag = cached.tag.encode("utf-8")
     sp = cached.split
-    write_section(out, struct.pack("<H", len(tag)) + tag + struct.pack("<Q3d", sp.seed, *sp.ratios))
-    for part in (sp.train, sp.validation, sp.test):
-        _pack_columns(Columnar.from_examples(part, cached.schema), out)
-    with open(path, "wb") as fh:
-        fh.write(out)
+    parts = [Columnar.from_examples(p, cached.schema) for p in (sp.train, sp.validation, sp.test)]
+    header = {
+        "schema": cached.schema.to_dict(),
+        "tag": cached.tag,
+        "seed": index(sp.seed),  # a numpy integer seed too
+        "ratios": [float(r) for r in sp.ratios],
+        "rows": [part.n for part in parts],
+    }
+    write_file(path, CACHE_MAGIC, CACHE_VERSION, header,
+               chain.from_iterable(map(_column_payloads, parts)))
 
 
 def load_cache(path) -> CachedDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    rd = BinaryReader(blob, path, "cache")
-    if rd.take_bytes(len(CACHE_MAGIC)) != CACHE_MAGIC:
-        raise rd.error("not a dataset cache (bad magic)")
-    (version,) = rd.take("<I")
-    if version != CACHE_VERSION:
-        raise rd.error(
-            f"cache version {version} is not the supported version {CACHE_VERSION}; re-run prepare"
-        )
-    stored_hash = rd.take_bytes(32)
-    schema_json = rd.text("<Q")
-    if hashlib.sha256(schema_json.encode("utf-8")).digest() != stored_hash:
-        raise rd.error("schema hash mismatch, cache is corrupt or stale")
-    schema = FeatureSchema.from_json(schema_json)
-    header = BinaryReader(rd.section("header"), path, "cache header")
-    tag = header.text("<H")
-    (seed, *ratios) = header.take("<Q3d")
-    header.end()
-    parts = [_unpack_columns(rd, schema, part) for part in ("train", "validation", "test")]
+    header, rd = read_file(path, CACHE_MAGIC, CACHE_VERSION, "cache", "re-run prepare")
+    check_header(rd, header, _CACHE_HEADER)
+    schema = FeatureSchema.from_dict(header["schema"])
+    parts = [_unpack_columns(rd, schema, part, n)
+             for part, n in zip(("train", "validation", "test"), header["rows"])]
     rd.end()
-    split_ = DatasetSplit(
-        train=parts[0], validation=parts[1], test=parts[2], seed=seed, ratios=tuple(ratios)
-    )
-    return CachedDataset(schema=schema, tag=tag, split=split_)
+    split_ = DatasetSplit(train=parts[0], validation=parts[1], test=parts[2],
+                          seed=header["seed"], ratios=tuple(header["ratios"]))
+    return CachedDataset(schema=schema, tag=header["tag"], split=split_)
 
 
 def _labels(ratings: np.ndarray, parts) -> np.ndarray:

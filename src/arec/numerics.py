@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-# A tensor is a C-contiguous float64 ndarray; `tensor()` is the checked
-# constructor, everything else assumes its output.
+# A tensor is a C-contiguous float64 ndarray.
 Tensor = np.ndarray
 
 
@@ -27,23 +26,6 @@ class DimensionError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced NaN/Inf from finite inputs."""
-
-
-def tensor(values, shape=None) -> Tensor:
-    """Build a float64 row-major tensor, optionally reshaped to `shape`."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(int(s) for s in shape)
-        if math.prod(shape) != arr.size:
-            raise DimensionError(
-                f"cannot view {arr.size} values as shape {shape}"
-            )
-        arr = arr.reshape(shape)
-    return arr
-
-
-def zeros(shape) -> Tensor:
-    return np.zeros(shape, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +143,6 @@ class Rng:
     def normal(self, shape, std: float = 1.0) -> Tensor:
         return self._gen.standard_normal(shape, dtype=np.float64) * std
 
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> Tensor:
-        return self._gen.uniform(low, high, size=shape)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
@@ -178,12 +154,6 @@ class Rng:
             np.random.PCG64(np.random.SeedSequence([self.seed, int(tag)]))
         )
         return rng
-
-    def get_state(self) -> dict:
-        return self._gen.bit_generator.state
-
-    def set_state(self, state: dict):
-        self._gen.bit_generator.state = state
 
 
 class ZeroInit:

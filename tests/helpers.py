@@ -1,8 +1,11 @@
 """Shared utilities for the test suite: random schema/example generators,
 finite-difference sweeps over whole parameter sets, and small fixtures."""
 
+import importlib.util
 import json
+import pathlib
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from arec.cli import CKPT_MAGIC
 from arec.data import (
+    CACHE_MAGIC,
     CATEGORICAL,
     CONTINUOUS,
     MULTI_CATEGORICAL,
@@ -36,20 +40,61 @@ def corruptions(blob: bytes):
             | st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(flip))
 
 
-def rewrite_checkpoint(blob: bytes, edit) -> bytes:
-    """`blob` after `edit(header, tensors)` changes its header JSON or its list
-    of tensor section payloads in place, every section with a fresh SHA-256."""
-    pos, payloads = len(CKPT_MAGIC) + 4, []  # sections follow the magic and version
+def _sections(blob: bytes) -> tuple:
+    """A cache's or checkpoint's magic and version, and the payload of each of
+    its sections, the header first."""
+    pos = len(CKPT_MAGIC if blob.startswith(CKPT_MAGIC) else CACHE_MAGIC) + 4
+    head, payloads = blob[:pos], []
     while pos < len(blob):
         (size,) = struct.unpack_from("<Q", blob, pos)
         payloads.append(blob[pos + 8 : pos + 8 + size])
         pos += 8 + size + 32
-    header, tensors = json.loads(payloads[0]), payloads[1:]
-    edit(header, tensors)
-    out = bytearray(blob[: len(CKPT_MAGIC) + 4])
-    for payload in [json.dumps(header, sort_keys=True).encode("utf-8"), *tensors]:
+    return head, payloads
+
+
+def header_end(blob: bytes) -> int:
+    """The offset at which a cache's or checkpoint's header section ends."""
+    head, payloads = _sections(blob)
+    return len(head) + 8 + len(payloads[0]) + 32
+
+
+def rewrite_file(blob: bytes, edit) -> bytes:
+    """A cache or checkpoint `blob` after `edit(header, arrays)` changes its
+    header object or its list of array section payloads in place, every
+    section with a fresh SHA-256."""
+    head, payloads = _sections(blob)
+    header, arrays = json.loads(payloads[0]), payloads[1:]
+    edit(header, arrays)
+    out = bytearray(head)
+    for payload in [json.dumps(header, sort_keys=True).encode("utf-8"), *arrays]:
         write_section(out, payload)
     return bytes(out)
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(stem: str):
+    """`bench/<stem>.py` as the module `arec_bench_<stem>`.  Its imports of
+    `mlsynth` and `tracing` get the benchmark's own copies (this directory has
+    another `mlsynth`), and no bytecode is written next to the benchmark."""
+    spec = importlib.util.spec_from_file_location(f"arec_bench_{stem}", BENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    shadowed = {name: sys.modules.pop(name, None) for name in ("mlsynth", "tracing")}
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = saved
+        for name, shadow in shadowed.items():
+            sys.modules.pop(name, None)
+            if shadow is not None:
+                sys.modules[name] = shadow
+    return module
 
 
 def make_schema(field_plan):

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arec import cli, metrics, training
-from arec.data import CacheError, ParseError, load_cache, parse_amazon, save_cache, split
+from arec.data import (CacheError, ParseError, load_cache, parse_amazon, save_cache, split,
+                       write_section)
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import corruptions, rewrite_checkpoint
+from helpers import corruptions, rewrite_file
 
 
 USERS = [
@@ -166,18 +167,39 @@ def _golden_amazon(base):
             "--ratios", "0.6,0.2,0.2"]
 
 
-# SHA-256 of the cache and of the stdout that `arec prepare` writes for each
-# input, recorded before `prepare_dataset` encoded whole columns: the
-# columnar path must reproduce the row-by-row encoder's bytes.
+def cache_digest(path) -> str:
+    """SHA-256 of what a cache loads to: the schema JSON, then the tag, seed
+    and ratios, then each column's dtype, shape and bytes, split by split and
+    field by field, each split's labels last."""
+    dataset = load_cache(str(path))
+    digest = hashlib.sha256(dataset.schema.to_json().encode("utf-8"))
+    sp = dataset.split
+    digest.update(json.dumps([dataset.tag, sp.seed, list(sp.ratios)]).encode("utf-8"))
+    for part in (sp.train, sp.validation, sp.test):
+        for col in part.fields:
+            for a in (col.idx, col.padded, col.counts, col.vals):
+                if a is not None:
+                    digest.update(f"{a.dtype.str}{a.shape}".encode("utf-8"))
+                    digest.update(a.tobytes())
+        digest.update(part.labels.tobytes())
+    return digest.hexdigest()
+
+
+# `cache_digest` of the cache, and SHA-256 of the stdout, that `arec prepare`
+# writes for each input.  The stdout digests were recorded before
+# `prepare_dataset` encoded whole columns: the columnar path must reproduce
+# the row-by-row encoder's output.  The cache digests were computed with the
+# version-2 loader from the version-2 caches, whose file digests were recorded
+# in the same way, so they pin the cached content across the change of layout.
 GOLDEN_PREPARE = {
     "tiny": (_golden_tiny,
-             "0ff123b589999fb34d640342375502594941bf4ad43e25352d0a970fefed3fb5",
+             "d95ae900e42aedebbc0a1524b94c9e49dfbdc1fea207d06853b972fb37db6e3f",
              "3c9fcadb1a586c2c19be75a43499e9496b1a89d48cfd2ad78d791228605b9d6b"),
     "mlsynth": (_golden_mlsynth,
-                "1546ac8f7923c9bbd8c5e7808c894c4050b0a07f43eabf01a0377f2039427fa5",
+                "aef7774934513733334ebcf4b1e5ed6434946758eedaf56aeb2a4527ae724575",
                 "7008a3a9dd1e897af78c3863c03b8eb4202ce8e168d483bce2a8199d09c6cecc"),
     "amazon": (_golden_amazon,
-               "bf563529779b8ea800cf03a15fcaa99476baaec0cfc0b0ffd3977fcf9c86977b",
+               "b245fd9758a7c695bc573bc311428abe5f1b8ab7df2103711c721cdf1a5b3bf4",
                "9526b84990627f20a5031bc2e8762d51d6f56b8155b9548e3ee32703f43bb491"),
 }
 
@@ -189,9 +211,24 @@ def test_prepare_bytes_are_golden(tmp_path, monkeypatch, capsys, name):
     code = cli.main(["prepare", *write_input(tmp_path), "--out", "golden.cache"])
     out = capsys.readouterr().out
     assert code == 0
-    got = (hashlib.sha256((tmp_path / "golden.cache").read_bytes()).hexdigest(),
-           hashlib.sha256(out.encode("utf-8")).hexdigest())
+    got = (cache_digest(tmp_path / "golden.cache"), hashlib.sha256(out.encode("utf-8")).hexdigest())
     assert got == (cache_sha, stdout_sha)
+
+
+def test_prepare_rejects_a_tag_that_is_not_utf8_before_reading(tmp_path, monkeypatch, capsys):
+    raw = write_raw(tmp_path / "raw")
+
+    def no_read(*_args):
+        raise AssertionError("prepare read its input")
+
+    monkeypatch.setattr(cli, "parse_movielens", no_read)
+    out = tmp_path / "never.cache"
+    code = cli.main(["prepare", "--dataset", "movielens", "--input", str(raw),
+                     "--out", str(out), "--tag", "ab\udcff"])  # argv byte 0xff, escaped
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --tag must be UTF-8 text")
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -756,21 +793,40 @@ def test_eval_of_a_diverged_checkpoint_exits_three(ml_cache, tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def _old_cache(version: int, schema) -> bytes:
+    """A cache in the version-1 or version-2 layout: schema, tag "ml", seed
+    and ratios, then three empty splits."""
+    schema_json = schema.to_json().encode("utf-8")
+    head = (b"AREC1" + struct.pack("<I", version) + hashlib.sha256(schema_json).digest()
+            + struct.pack("<Q", len(schema_json)) + schema_json)
+    header = struct.pack("<H", 2) + b"ml" + struct.pack("<Q3d", 7, 0.8, 0.1, 0.1)
+    if version == 1:
+        return head + header + struct.pack("<3Q", 0, 0, 0)
+    out = bytearray(head)
+    write_section(out, header)
+    for _ in range(3):  # a row count, each field's columns, then the labels
+        write_section(out, struct.pack("<Q", 0))
+        for spec in schema.fields:
+            if spec.kind == "multi_categorical":
+                write_section(out, struct.pack("<Q", 0))  # the offsets
+            write_section(out, b"")
+        write_section(out, b"")
+    return bytes(out)
+
+
 def test_version_one_cache_exits_two_asking_for_prepare(ml_cache, tmp_path, capsys):
-    # the version-1 layout: schema, tag, seed, ratios, then three empty splits
-    schema_json = load_cache(str(ml_cache)).schema.to_json().encode("utf-8")
-    old = tmp_path / "v1.cache"
-    old.write_bytes(b"AREC1" + struct.pack("<I", 1) + hashlib.sha256(schema_json).digest()
-                    + struct.pack("<Q", len(schema_json)) + schema_json
-                    + struct.pack("<H", 2) + b"ml" + struct.pack("<Q3d", 7, 0.8, 0.1, 0.1)
-                    + struct.pack("<3Q", 0, 0, 0))
-    for argv in (["train", "--out", str(tmp_path / "v1.ckpt")],
-                 ["eval", "--ckpt", str(tmp_path / "never-read.ckpt")]):
-        code = cli.main([argv[0], "--cache", str(old), *argv[1:]])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert str(old) in captured.err and "re-run prepare" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
+    # and a version-2 cache
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.cache"
+        old.write_bytes(_old_cache(version, load_cache(str(ml_cache)).schema))
+        for argv in (["train", "--out", str(tmp_path / "old.ckpt")],
+                     ["eval", "--ckpt", str(tmp_path / "never-read.ckpt")]):
+            code = cli.main([argv[0], "--cache", str(old), *argv[1:]])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert str(old) in captured.err and f"cache version {version} " in captured.err
+            assert "re-run prepare" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_version_one_checkpoint_exits_two_asking_for_retrain(ml_cache, tmp_path, capsys):
@@ -852,7 +908,7 @@ def test_every_config_field_roundtrips_through_checkpoint(ml_cache, tmp_path):
 ], ids=["unknown", "missing", "unparseable"])
 def test_eval_rejects_bad_checkpoint_config(ml_cache, ours_ckpt, tmp_path, capsys, edit, key):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(rewrite_checkpoint(ours_ckpt.read_bytes(), lambda h, _: edit(h["config"])))
+    bad.write_bytes(rewrite_file(ours_ckpt.read_bytes(), lambda h, _: edit(h["config"])))
     code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(bad)])
     captured = capsys.readouterr()
     assert code == 2

@@ -436,7 +436,7 @@ def test_cache_corruption_detected(ml_files, tmp_path):
     path = tmp_path / "data.cache"
     save_cache(str(path), dataset)
     blob = bytearray(path.read_bytes())
-    blob[60] ^= 0xFF  # inside the schema JSON block
+    blob[60] ^= 0xFF  # inside the header section
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheError):
         load_cache(str(path))

@@ -1,11 +1,10 @@
-"""Property tests for the two binary formats: the dataset cache and the
-checkpoint, both framed in checksummed sections.  Writes round-trip, and every
-truncated prefix or single corrupted byte of either file is a CacheError, as
-is a checkpoint header whose checksum holds but whose values are wrong."""
+"""Property tests for the two binary files, the dataset cache and the
+checkpoint, which share one layout: magic, version, a JSON header section and
+checksummed array sections.  Writes round-trip, and every truncated prefix or
+single corrupted byte of either file is a CacheError, as is a header whose
+checksum holds but whose values are wrong."""
 
 import dataclasses
-import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from arec import cli
 from arec.cli import CKPT_MAGIC, load_checkpoint, rebuild_params, save_checkpoint
 from arec.data import (
     CACHE_MAGIC,
+    CACHE_VERSION,
     CacheError,
     CachedDataset,
     Columnar,
@@ -30,7 +30,7 @@ from arec.numerics import Rng
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import assert_columns_equal, encoded_rows, records_of, rewrite_checkpoint
+from helpers import assert_columns_equal, encoded_rows, header_end, records_of, rewrite_file
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -70,30 +70,23 @@ def snapshot(ops, schema, config, gen):
 
 @pytest.fixture(scope="module")
 def files(workdir, dataset):
-    """(loader, bytes, length of the part before the bulk data) per format."""
+    """(loader, bytes, where the header section ends) per file kind."""
     cache = workdir / "base.cache"
     save_cache(str(cache), dataset)
-    empty = dataclasses.replace(dataset, split=dataclasses.replace(
-        dataset.split, train=[], validation=[], test=[]))
-    save_cache(str(workdir / "empty.cache"), empty)
-
     ckpt = workdir / "base.ckpt"
     config = TrainConfig(dim=4, heads=2, ac_hidden=3, deep_hidden=(5,), first_order=True)
     save_checkpoint(str(ckpt), "ours", config, dataset.schema.hash_hex(),
                     snapshot(ops_for("ours"), dataset.schema, config,
                              np.random.default_rng(0)))
-    blob = ckpt.read_bytes()
-    pos = len(CKPT_MAGIC) + 4  # magic, version, then the header section
-    pos += 8 + struct.unpack_from("<Q", blob, pos)[0] + 32
-    return {
-        "cache": (load_cache, cache.read_bytes(), (workdir / "empty.cache").stat().st_size),
-        "checkpoint": (load_checkpoint, blob, pos),
-    }
+    return {kind: (load, path.read_bytes(), header_end(path.read_bytes()))
+            for kind, load, path in (("cache", load_cache, cache),
+                                     ("checkpoint", load_checkpoint, ckpt))}
 
 
 @PROPS
 # one-, two-, three- and four-byte UTF-8 characters
-@given(tag=st.text(alphabet="a :\x00é€😀", max_size=12), seed=st.integers(0, 2**64 - 1),
+@given(tag=st.text(alphabet="a :\x00é€😀", max_size=12),
+       seed=st.integers(0, 2**64 - 1) | st.integers(0, 2**64 - 1).map(np.uint64),
        keep=st.integers(0, 120), ratios=st.tuples(*[st.floats(0, 1)] * 3))
 def test_cache_roundtrip(workdir, dataset, rows, tag, seed, keep, ratios):
     train, validation, test = rows
@@ -176,13 +169,8 @@ def test_single_byte_corruption_is_a_cache_error(workdir, files, kind, data):
 
 def test_huge_row_count_is_a_cache_error_before_any_allocation(workdir, files):
     _, blob, _ = files["cache"]
-    pos = len(CACHE_MAGIC) + 4 + 32  # magic, version, schema hash
-    pos += 8 + struct.unpack_from("<Q", blob, pos)[0]  # schema JSON
-    pos += 8 + struct.unpack_from("<Q", blob, pos)[0] + 32  # header section
-    assert struct.unpack_from("<Q", blob, pos)[0] == 8  # the train row-count section
-    count = struct.pack("<Q", 2**63)
     # a valid checksum, so only the section-length check stands in the way
-    bad = blob[: pos + 8] + count + hashlib.sha256(count).digest() + blob[pos + 48 :]
+    bad = rewrite_file(blob, lambda h, _: h["rows"].__setitem__(0, 2**63))
     path = workdir / "huge.cache"
     path.write_bytes(bad)
     with pytest.raises(CacheError, match=f"expected {2**63} values"):
@@ -222,7 +210,7 @@ BAD_HEADERS = {
 def test_bad_header_value_is_a_cache_error_and_eval_exits_two(workdir, files, edit, capsys):
     _, blob, _ = files["checkpoint"]
     path = workdir / "bad_header.ckpt"
-    path.write_bytes(rewrite_checkpoint(blob, edit))
+    path.write_bytes(rewrite_file(blob, edit))
     with pytest.raises(CacheError, match="bad checkpoint header|impossible shape"):
         load_checkpoint(str(path))
     code = cli.main(["eval", "--cache", str(workdir / "base.cache"), "--ckpt", str(path)])
@@ -234,12 +222,60 @@ def test_bad_header_value_is_a_cache_error_and_eval_exits_two(workdir, files, ed
 @pytest.mark.parametrize("payload", [b"{", b"\xff", b"[" * 100_000, b"[]"],
                          ids=["truncated", "not-utf8", "deeply-nested", "not-an-object"])
 def test_header_that_is_not_a_json_object_is_a_cache_error(workdir, payload):
-    blob = bytearray(CKPT_MAGIC + cli.CKPT_VERSION.to_bytes(4, "little"))
-    write_section(blob, payload)
-    path = workdir / "bad_json.ckpt"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match="bad JSON in checkpoint|bad checkpoint header"):
-        load_checkpoint(str(path))
+    for magic, version, load, what in ((CKPT_MAGIC, cli.CKPT_VERSION, load_checkpoint, "checkpoint"),
+                                       (CACHE_MAGIC, CACHE_VERSION, load_cache, "cache")):
+        blob = bytearray(magic + version.to_bytes(4, "little"))
+        write_section(blob, payload)
+        path = workdir / f"bad_json.{what}"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheError, match=f"bad JSON in {what}|bad {what} header"):
+            load(str(path))
+
+
+def _field(name):
+    return lambda h: next(f for f in h["schema"]["fields"] if f["name"] == name)
+
+
+# each edit keeps the cache header valid JSON under a valid checksum
+BAD_CACHE_HEADERS = {
+    "schema-not-json-text": lambda h, _: h.update(schema='{"fields": ['),
+    "schema-empty-object": lambda h, _: h.update(schema={}),
+    "schema-a-list": lambda h, _: h.update(schema=[]),
+    "vocab-not-a-list": lambda h, _: _field("gender")(h).update(vocab="FM"),
+    "unknown-field-kind": lambda h, _: _field("age")(h).update(kind="ordinal"),
+    "vocab-of-lists": lambda h, _: _field("genres")(h).update(vocab=[["Drama"]]),
+    "continuous-with-vocab": lambda h, _: _field("timestamp")(h).update(vocab=["x"]),
+    "string-bound": lambda h, _: _field("timestamp")(h).update(hi="9"),
+    "field-missing-key": lambda h, _: _field("age")(h).pop("lo"),
+    "duplicate-field-name": lambda h, _: _field("age")(h).update(name="gender"),
+    "tag-not-a-string": lambda h, _: h.update(tag=5),
+    "negative-seed": lambda h, _: h.update(seed=-1),
+    "boolean-seed": lambda h, _: h.update(seed=True),
+    "seed-past-u64": lambda h, _: h.update(seed=2**64),
+    "two-ratios": lambda h, _: h.update(ratios=[0.5, 0.5]),
+    "negative-row-count": lambda h, _: h["rows"].__setitem__(0, -1),
+    "fractional-row-count": lambda h, _: h["rows"].__setitem__(1, 2.0),
+    "row-count-off-by-one": lambda h, _: h["rows"].__setitem__(2, h["rows"][2] + 1),
+    "missing-key": lambda h, _: h.pop("tag"),
+    "extra-key": lambda h, _: h.update(version=3),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_CACHE_HEADERS.values(), ids=BAD_CACHE_HEADERS.keys())
+def test_bad_cache_header_is_a_cache_error_and_train_and_eval_exit_two(workdir, files, edit,
+                                                                        capsys):
+    _, blob, _ = files["cache"]
+    path = workdir / "bad_header.cache"
+    path.write_bytes(rewrite_file(blob, edit))
+    with pytest.raises(CacheError, match="bad cache header|expected"):
+        load_cache(str(path))
+    for argv in (["train", "--out", str(workdir / "never-written.ckpt")],
+                 ["eval", "--ckpt", str(workdir / "base.ckpt")]):
+        code = cli.main([argv[0], "--cache", str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+    assert not (workdir / "never-written.ckpt").exists()
 
 
 REBUILDS = [

@@ -1,10 +1,6 @@
 """The benchmark's span tracer wraps arec attributes by name; these tests fail
 as soon as one of those names is deleted or renamed."""
 
-import importlib.util
-import pathlib
-import sys
-
 import numpy as np
 
 import arec
@@ -13,26 +9,11 @@ from arec.embedding import Columnar
 from arec.model import ops_for
 from arec.numerics import Rng
 
-from helpers import make_schema, random_example
-
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("arec_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache files next to the benchmark
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
+from helpers import load_bench, make_schema, random_example
 
 
 def test_every_traced_hook_exists_and_is_restored():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     targets = [(owner, attr) for owner, attr, _, _ in tracing._targets(arec)]
     before = [owner.__dict__[attr] for owner, attr in targets]
     with tracing.installed(tracing.Recorder(), arec):
@@ -42,7 +23,7 @@ def test_every_traced_hook_exists_and_is_restored():
 
 
 def test_traced_forward_records_layer_spans():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 5),
                           ("tags", "multi_categorical", 3)])
     gen = np.random.default_rng(0)
