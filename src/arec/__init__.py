@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .data import FeatureSchema, FieldSpec, prepare_dataset, load_cache, save_cache
 from .metrics import EvalReport, auc, evaluate
-from .model import ops_for, predict, predict_fm
+from .model import ops_for
 from .numerics import Rng
 from .training import TrainConfig, fit, sweep
 
@@ -25,8 +25,6 @@ __all__ = [
     "auc",
     "evaluate",
     "ops_for",
-    "predict",
-    "predict_fm",
     "Rng",
     "TrainConfig",
     "fit",

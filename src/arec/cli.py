@@ -261,12 +261,8 @@ def cmd_train(args) -> int:
     if args.modality_features:
         modality = load_modality_features(args.modality_features)
     ops = ops_for(args.model)
-    try:
-        result = fit(ops, dataset.schema, dataset.split.train, dataset.split.validation,
-                     config, modality_table=modality)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
+    result = fit(ops, dataset.schema, dataset.split.train, dataset.split.validation,
+                 config, modality_table=modality)
     best = result.state.best
     save_checkpoint(args.out, args.model, config, dataset.schema.hash_hex(), best)
     curve_path = args.curve or args.out + ".curve.csv"

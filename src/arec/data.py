@@ -6,7 +6,7 @@ Supports the two public rating corpora this engine targets: MovieLens-1M
 Vocabularies are always fitted on training rows only; anything unseen at
 encode time maps to the reserved index 0 of its field.  `prepare_dataset`
 splits, fits and encodes whole columns; `encode_example` is the one-row
-encoder that `predict` and the tests use.
+encoder that the tests use as its oracle.
 """
 
 from __future__ import annotations
@@ -180,12 +180,15 @@ class Columnar:
 
     @staticmethod
     def from_examples(examples, schema: FeatureSchema) -> "Columnar":
-        """Columns of a list of encoded examples; a Columnar is returned as it is.
+        """Columns of a list of encoded examples, each checked by
+        `validate_example`; a Columnar is returned as it is.
 
         Over `encode_example` rows, this is the tests' oracle for the columns
         that `prepare_dataset` builds."""
         if isinstance(examples, Columnar):
             return examples
+        for ex in examples:
+            validate_example(ex, schema)
         n = len(examples)
         cols = []
         for i, spec in enumerate(schema.fields):
@@ -798,20 +801,33 @@ def _column_payloads(col: Columnar):
     yield _int_bytes(col.labels, "u1")
 
 
+def _check_indices(rd: BinaryReader, stored: np.ndarray, cardinality: int, field: int,
+                   part: str) -> None:
+    """A stored `<u4` index column fits its field's table: one max() pass."""
+    if stored.size and stored.max() >= cardinality:
+        bad = stored[stored >= cardinality][0]
+        raise rd.error(f"field {field}: index {bad} outside [0, {cardinality}) in the {part} split")
+
+
 def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str, n: int) -> Columnar:
-    """One split's `n` rows.  Every length is checked before anything is allocated."""
+    """One split's `n` rows.  Every length is checked before anything is
+    allocated, and every index against its field's cardinality."""
     cols = []
-    for spec in schema.fields:
+    for i, spec in enumerate(schema.fields):
         name = f"{part} {spec.name}"
         if spec.kind == CATEGORICAL:
-            idx = rd.array(name, "<u4", n).astype(np.int64)
-            cols.append(FieldColumn(kind=spec.kind, idx=idx))
+            stored = rd.array(name, "<u4", n)
+            _check_indices(rd, stored, spec.cardinality, i, part)
+            cols.append(FieldColumn(kind=spec.kind, idx=stored.astype(np.int64)))
         elif spec.kind == MULTI_CATEGORICAL:
             offsets = rd.array(f"{name} offsets", "<u8", n + 1)
             if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
                 raise rd.error(f"the {name} offsets do not rise from 0")
             values = rd.array(f"{name} values", "<u4", int(offsets[-1]))
             counts = np.diff(offsets.astype(np.int64))
+            if n and counts.min() < 1:
+                raise rd.error(f"field {i}: a multi-valued row with no indices in the {part} split")
+            _check_indices(rd, values, spec.cardinality, i, part)
             padded = np.zeros((n, int(counts.max()) if n else 1), dtype=np.int64)
             padded[np.arange(padded.shape[1]) < counts[:, None]] = values
             cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))

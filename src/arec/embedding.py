@@ -5,11 +5,9 @@ rows of their active categories, and continuous fields scale one learned
 vector by the normalized value.  All fields share the same output dimension
 so the crossing layer downstream can multiply rows elementwise.
 
-Lookups run on columnar batches; `embed` is the one-example view of the
-same code.  `embed_batch` rejects indices outside a table and empty
-multi-valued fields, since numpy would otherwise wrap or divide by zero.
-`lookup_batch` skips that check, so a model embeds a checked batch into
-its second table set (first-order weights) without checking it twice.
+Lookups run on columnar batches, whose indices were checked once where the
+columns were built from outside input: `Columnar.from_examples` validates
+each example against the schema and `load_cache` each stored column.
 """
 
 from __future__ import annotations
@@ -18,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    CATEGORICAL,
-    CONTINUOUS,
-    MULTI_CATEGORICAL,
-    Columnar,
-    EncodingError,
-    FeatureSchema,
-    FieldColumn,
-)
+from .data import CATEGORICAL, CONTINUOUS, MULTI_CATEGORICAL, Columnar, FeatureSchema
 from .numerics import Rng, Tensor
 
 # Normal(0, 0.01): read as variance, i.e. std 0.1.
@@ -63,49 +53,8 @@ def zeros_like_embedding(params: EmbeddingParams) -> EmbeddingParams:
     return EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
 
 
-def _one_row(example) -> Columnar:
-    """One-row batch of `example`; each field's kind follows its payload type."""
-    fields = []
-    for payload in example.values:
-        if isinstance(payload, tuple):
-            fields.append(FieldColumn(
-                kind=MULTI_CATEGORICAL,
-                padded=np.array(payload, dtype=np.int64).reshape(1, -1),
-                counts=np.array([len(payload)], dtype=np.int64),
-            ))
-        elif isinstance(payload, (int, np.integer)):
-            fields.append(FieldColumn(kind=CATEGORICAL, idx=np.array([payload], dtype=np.int64)))
-        else:
-            fields.append(FieldColumn(kind=CONTINUOUS, vals=np.array([float(payload)])))
-    return Columnar(fields=fields, labels=np.array([float(example.label)]), n=1)
-
-
-def _check_rows(rows: np.ndarray, table: Tensor, field: int):
-    n_rows = table.shape[0]
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        bad = rows[(rows < 0) | (rows >= n_rows)].flat[0]
-        raise EncodingError(f"field {field}: index {bad} outside [0, {n_rows})")
-
-
 def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
-    """(B, n_fields, d) embeddings for a columnar batch, after checking its indices."""
-    for i, fc in enumerate(col.fields):
-        table = params.tables[i]
-        if fc.kind == CATEGORICAL:
-            _check_rows(fc.idx, table, i)
-        elif fc.kind == MULTI_CATEGORICAL:
-            if col.n and fc.counts.min() < 1:
-                raise EncodingError(f"field {i}: multi-valued field with no indices")
-            _check_rows(fc.padded, table, i)  # padding slots hold 0, always in range
-    return lookup_batch(col, params)
-
-
-def lookup_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
-    """`embed_batch` without the index check.
-
-    Only for a batch that `embed_batch` has already accepted against a table
-    set of the same schema, such as a model's first-order tables.
-    """
+    """(B, n_fields, d) embeddings for a columnar batch of the tables' schema."""
     B = col.n
     out = np.empty((B, params.n_fields, params.dim), dtype=np.float64)
     for i, fc in enumerate(col.fields):
@@ -119,11 +68,6 @@ def lookup_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
         else:
             out[:, i, :] = fc.vals[:, None] * table[None, :]
     return out
-
-
-def embed(example, params: EmbeddingParams) -> Tensor:
-    """Dense (n_fields, d) representation of one encoded example."""
-    return embed_batch(_one_row(example), params)[0]
 
 
 def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tensor) -> EmbeddingParams:

@@ -4,11 +4,11 @@ data pipeline and embedding machinery.  DeepFM is the FM model with a deep
 MLP over its flattened factor embeddings, so both run one forward/backward.
 
 Every model kind has one implementation: a columnar batch forward and its
-backward, which the trainer, the evaluator and the gradient checks all run.
-`predict` and `predict_fm` score one example as a one-row batch.  Each
-backward builds its gradient container, a parameter dataclass, from the
-gradients of its parts, so optimizer code can walk (name, tensor) pairs in
-the parameters' order without caring which model it updates.
+backward, which the trainer, the evaluator and the gradient checks all run;
+one example is scored as a one-row batch.  Each backward builds its gradient
+container, a parameter dataclass, from the gradients of its parts, so
+optimizer code can walk (name, tensor) pairs in the parameters' order
+without caring which model it updates.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EncodingError, FeatureSchema
+from .data import FeatureSchema
 from .embedding import (
     Columnar,
     EmbeddingParams,
-    _one_row,
     embed_batch,
     embed_batch_backward,
     init_embedding,
-    lookup_batch,
 )
 from .interaction import (
     AcParams,
@@ -163,30 +161,6 @@ def init_model(schema: FeatureSchema, dim: int, rng: Rng, *, heads: int = 2,
 
 
 @dataclass
-class Prediction:
-    probability: float
-    logit: float
-    trace: object  # the batch forward's trace of the one-row batch
-
-
-def _check_example(example, n_fields: int):
-    if len(example.values) != n_fields:
-        raise EncodingError(
-            f"example has {len(example.values)} fields, model expects {n_fields}"
-        )
-
-
-def _predict_one(forward, example, n_fields: int, params) -> Prediction:
-    _check_example(example, n_fields)
-    probs, logits, trace = forward(_one_row(example), params)
-    return Prediction(probability=float(probs[0]), logit=float(logits[0]), trace=trace)
-
-
-def predict(example, params: ModelParams) -> Prediction:
-    return _predict_one(forward_batch, example, params.embedding.n_fields, params)
-
-
-@dataclass
 class BatchTrace:
     col: Columnar
     emb: Tensor
@@ -212,7 +186,7 @@ def forward_batch(col: Columnar, params: ModelParams):
         )
         logits += deep_logits
     if params.first_order is not None:
-        logits += lookup_batch(col, params.first_order).sum(axis=(1, 2))
+        logits += embed_batch(col, params.first_order).sum(axis=(1, 2))
     probs = sigmoid(logits)
     trace = BatchTrace(col=col, emb=emb, branch=btrace, internal=internal,
                        crossed=crossed, deep=deep_trace)
@@ -287,10 +261,6 @@ def init_fm(schema: FeatureSchema, dim: int, rng: Rng, *, deep_hidden=None) -> F
     )
 
 
-def predict_fm(example, params: FmParams) -> Prediction:
-    return _predict_one(forward_batch_fm, example, params.factors.n_fields, params)
-
-
 @dataclass
 class FmBatchTrace:
     col: Columnar
@@ -303,7 +273,7 @@ def forward_batch_fm(col: Columnar, params: FmParams):
     B, n, dim = emb.shape
     s = emb.sum(axis=1)  # (B, d)
     second = 0.5 * (np.sum(s * s, axis=1) - np.sum(emb * emb, axis=(1, 2)))
-    fo = lookup_batch(col, params.first_order).sum(axis=(1, 2))
+    fo = embed_batch(col, params.first_order).sum(axis=(1, 2))
     logits = params.bias[0] + fo + second
     deep_trace = None
     if params.deep is not None:
@@ -339,20 +309,19 @@ def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor) -
 class ModelOps:
     kind: str
     init: object
-    predict: object
     forward_batch: object
     backward_batch: object
 
 
 _OPS = {
-    "ours": ModelOps("ours", init_model, predict, forward_batch, backward_batch),
+    "ours": ModelOps("ours", init_model, forward_batch, backward_batch),
     "fm": ModelOps("fm", lambda schema, dim, rng, **kw: init_fm(schema, dim, rng),
-                   predict_fm, forward_batch_fm, backward_batch_fm),
+                   forward_batch_fm, backward_batch_fm),
     "deepfm": ModelOps("deepfm",
                        lambda schema, dim, rng, **kw: init_fm(
                            schema, dim, rng, deep_hidden=kw.get("deep_hidden", (64, 64))
                        ),
-                       predict_fm, forward_batch_fm, backward_batch_fm),
+                       forward_batch_fm, backward_batch_fm),
 }
 MODEL_KINDS = tuple(_OPS)
 

@@ -17,6 +17,7 @@ from arec.data import (
     CATEGORICAL,
     CONTINUOUS,
     MULTI_CATEGORICAL,
+    Columnar,
     EncodedExample,
     FeatureSchema,
     FieldSpec,
@@ -25,7 +26,7 @@ from arec.data import (
     split,
     write_section,
 )
-from arec.embedding import _one_row
+from arec.embedding import embed_batch
 from arec.losses import logloss, logloss_d_logits
 from arec.numerics import finite_diff_grad, rel_error
 
@@ -184,9 +185,22 @@ def named_arrays(params):
     return list(params.named_tensors())
 
 
-def one_row(example, label):
-    """The one-row batch `ops.predict` scores for `example`, labelled `label`."""
-    return _one_row(replace(example, label=float(label)))
+def one_row(example, schema, label=None):
+    """The one-row batch of `example` under `schema`, relabelled `label` if given."""
+    if label is not None:
+        example = replace(example, label=float(label))
+    return Columnar.from_examples([example], schema)
+
+
+def embed_one(tables, schema, example):
+    """(n_fields, d) embeddings of `example` looked up as a one-row batch."""
+    return embed_batch(one_row(example, schema), tables)[0]
+
+
+def score_one(ops, params, schema, example):
+    """(probability, logit, trace) of `example` scored as a one-row batch."""
+    probs, logits, trace = ops.forward_batch(one_row(example, schema), params)
+    return float(probs[0]), float(logits[0]), trace
 
 
 def batch_loss(ops, params, col) -> float:
@@ -194,14 +208,13 @@ def batch_loss(ops, params, col) -> float:
     return logloss(probs, col.labels)
 
 
-def relu_kink_margin(pred) -> float:
-    """Smallest |pre-activation| across every relu in the forward trace.
+def relu_kink_margin(tr) -> float:
+    """Smallest |pre-activation| across every relu in a forward trace.
 
     Central differences are only trustworthy when no perturbation can flip a
     relu gate, so finite-difference sweeps skip draws with a tiny margin.
     """
     margin = float("inf")
-    tr = pred.trace
     branch = getattr(tr, "branch", None)
     if branch is not None:
         margin = min(margin, float(np.min(np.abs(branch.mhsa.pre))))
@@ -214,11 +227,11 @@ def relu_kink_margin(pred) -> float:
     return margin
 
 
-def fd_check_all_tensors(ops, params, example, label, eps=1e-5, floor=1e-3):
+def fd_check_all_tensors(ops, params, schema, example, label, eps=1e-5, floor=1e-3):
     """Worst relative error between the trainer's analytic gradients and
     central differences of the logloss, over every named tensor of `params`,
     on a one-row batch."""
-    col = one_row(example, label)
+    col = one_row(example, schema, label)
     probs, _, trace = ops.forward_batch(col, params)
     d_logits = logloss_d_logits(probs, col.labels)
     grads = dict(ops.backward_batch(trace, params, d_logits).named_tensors())

@@ -18,7 +18,7 @@ import pytest
 
 from arec import cli
 from arec.data import load_cache
-from arec.embedding import Columnar, embed
+from arec.embedding import Columnar
 from arec.interaction import ac_attention, cross_pairs, init_ac, pair_indices
 from arec.losses import (
     difference_loss,
@@ -28,17 +28,19 @@ from arec.losses import (
     similarity_loss_grad,
 )
 from arec.metrics import auc, evaluate
-from arec.model import init_model, ops_for, predict
+from arec.model import init_model, ops_for
 from arec.numerics import Rng, finite_diff_grad, rel_error, softmax
 from arec.training import TrainConfig, fit, init_state, train_epoch
 from arec.data import EncodedExample
 
 from helpers import (
+    embed_one,
     fd_check_all_tensors,
     make_schema,
     random_example,
     random_schema,
     relu_kink_margin,
+    score_one,
     separable_examples,
 )
 import mlsynth
@@ -116,9 +118,9 @@ def test_criterion_1_gradients_match_finite_differences():
         )
         example = random_example(schema, gen)
         label = float(gen.integers(0, 2))
-        if relu_kink_margin(ops.predict(example, params)) < 1e-4:
+        if relu_kink_margin(score_one(ops, params, schema, example)[2]) < 1e-4:
             continue  # a central difference here would flip a relu gate
-        worst = max(worst, fd_check_all_tensors(ops, params, example, label))
+        worst = max(worst, fd_check_all_tensors(ops, params, schema, example, label))
         checked += 1
 
         # modality loss gradients at the same budget
@@ -228,11 +230,11 @@ def test_criterion_3_pairwise_machine_reduction():
         params.w_cross[:] = float(m)
         params.bias[0] = 0.0
         ex = random_example(schema, gen)
-        emb = embed(ex, params.embedding)
+        emb = embed_one(params.embedding, schema, ex)
         pairwise = sum(
             float(emb[i] @ emb[j]) for i in range(n) for j in range(i + 1, n)
         )
-        worst = max(worst, abs(predict(ex, params).logit - pairwise))
+        worst = max(worst, abs(score_one(ops_for("ours"), params, schema, ex)[1] - pairwise))
     assert worst <= 1e-10, f"worst reduction gap {worst:.3e}"
     print(f"criterion 3: PASS: 100 instances, worst gap {worst:.2e}")
 
@@ -404,7 +406,7 @@ def test_criterion_8_convergence_sanity():
     col = Columnar.from_examples([EncodedExample(values=(1, 2), label=1.0)], schema)
     for _ in range(200):
         train_epoch(ops, state, col, config)
-    prob = ops.predict(EncodedExample(values=(1, 2), label=1.0), state.params).probability
+    prob = score_one(ops, state.params, schema, EncodedExample(values=(1, 2), label=1.0))[0]
     memo_ll = logloss([prob], [1.0])
     assert memo_ll < 0.01, f"memorization logloss {memo_ll:.4f}"
 

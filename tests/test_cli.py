@@ -552,6 +552,22 @@ def test_eval_val_reproduces_the_trained_val_auc_across_chunkings(ml_cache, tmp_
     assert float(shown["logloss"]).hex() == float(trained["val_logloss"]).hex()
 
 
+@pytest.mark.parametrize("model", ["ours", "deepfm"])
+def test_eval_val_reproduces_the_trained_val_auc_at_a_narrow_width(ml_cache, tmp_path,
+                                                                     monkeypatch, capsys, model):
+    # at deep_hidden=16 chunked scores may differ in their last bits from
+    # one-batch scores, so train and eval score the split in the same chunks
+    ckpt = tmp_path / "narrow.ckpt"
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 1)
+    assert cli.main(["train", "--cache", str(ml_cache), "--model", model, "--out", str(ckpt),
+                     "--set", "deep_hidden=16", *TRAIN_SETTINGS]) == 0
+    trained = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ckpt), "--split", "val"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert float(shown["auc"]).hex() == float(trained["val_auc"]).hex()
+    assert float(shown["logloss"]).hex() == float(trained["val_logloss"]).hex()
+
+
 def test_eval_rejects_mismatched_schema(workdir, ours_ckpt, tmp_path, capsys):
     raw = tmp_path / "raw2"
     mlsynth.write_ml1m(str(raw), n_users=25, n_movies=30, n_ratings=400, seed=5)
@@ -681,9 +697,18 @@ def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, 
         column.idx[0] = payload
     bad = tmp_path / "bad.cache"
     save_cache(str(bad), dataset)
+    with pytest.raises(CacheError) as err:
+        load_cache(str(bad))
+    assert f"field {i}:" in str(err.value)
 
     code = cli.main(["train", "--cache", str(bad), "--model", model,
                      "--out", str(tmp_path / "bad.ckpt"), *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"field {i}:" in captured.err and "Traceback" not in captured.err
+
+    # the cache is refused before any checkpoint is read
+    code = cli.main(["eval", "--cache", str(bad), "--ckpt", str(tmp_path / "none.ckpt")])
     captured = capsys.readouterr()
     assert code == 2
     assert f"field {i}:" in captured.err and "Traceback" not in captured.err

@@ -5,7 +5,6 @@ from arec.data import CATEGORICAL, MULTI_CATEGORICAL, EncodedExample, EncodingEr
 from arec.embedding import (
     Columnar,
     EmbeddingParams,
-    embed,
     embed_batch,
     embed_batch_backward,
     init_embedding,
@@ -13,7 +12,7 @@ from arec.embedding import (
 )
 from arec.numerics import Rng, finite_diff_grad, rel_error
 
-from helpers import make_schema, random_example, random_schema
+from helpers import embed_one, make_schema, random_example, random_schema
 
 
 def small_setup(dim=4, seed=0):
@@ -47,14 +46,14 @@ def test_init_statistics_match_declared_std():
 def test_categorical_row_lookup_exact():
     schema, params = small_setup()
     ex = EncodedExample(values=(3, (1,), 0.5), label=1)
-    out = embed(ex, params)
+    out = embed_one(params, schema, ex)
     assert np.array_equal(out[0], params.tables[0][3])
 
 
 def test_multi_hot_average_of_rows():
     schema, params = small_setup()
     ex = EncodedExample(values=(0, (2, 5), 0.0), label=0)
-    out = embed(ex, params)
+    out = embed_one(params, schema, ex)
     want = (params.tables[1][2] + params.tables[1][5]) / 2.0
     assert np.max(np.abs(out[1] - want)) < 1e-15
 
@@ -62,10 +61,10 @@ def test_multi_hot_average_of_rows():
 def test_continuous_zero_gives_zero_row():
     schema, params = small_setup()
     ex = EncodedExample(values=(0, (1,), 0.0), label=0)
-    out = embed(ex, params)
+    out = embed_one(params, schema, ex)
     assert np.all(out[2] == 0.0)
     ex2 = EncodedExample(values=(0, (1,), 0.25), label=0)
-    out2 = embed(ex2, params)
+    out2 = embed_one(params, schema, ex2)
     assert np.max(np.abs(out2[2] - 0.25 * params.tables[2])) < 1e-15
 
 
@@ -73,7 +72,7 @@ def test_output_shape_independent_of_multi_count():
     schema, params = small_setup(dim=5)
     for payload in [(1,), (1, 2), (1, 2, 3, 4)]:
         ex = EncodedExample(values=(0, payload, 0.3), label=0)
-        assert embed(ex, params).shape == (3, 5)
+        assert embed_one(params, schema, ex).shape == (3, 5)
 
 
 def one_row_grads(schema, ex, params, upstream):
@@ -82,7 +81,8 @@ def one_row_grads(schema, ex, params, upstream):
 
 
 def test_embed_rejects_out_of_range_index():
-    schema, params = small_setup()
+    # the columns refuse such a row before any lookup runs
+    schema, _ = small_setup()
     bad = [
         EncodedExample(values=(99, (1,), 0.0), label=0),
         EncodedExample(values=(-1, (1,), 0.0), label=0),
@@ -92,9 +92,9 @@ def test_embed_rejects_out_of_range_index():
     good = EncodedExample(values=(1, (2,), 0.5), label=0)
     for ex in bad:
         with pytest.raises(EncodingError):
-            embed(ex, params)
+            Columnar.from_examples([ex], schema)
         with pytest.raises(EncodingError):
-            embed_batch(Columnar.from_examples([good, ex], schema), params)
+            Columnar.from_examples([good, ex], schema)
 
 
 def test_backward_single_row_equals_upstream():
@@ -148,7 +148,7 @@ def test_backward_matches_finite_differences_50_draws():
         def objective_at(values, field):
             saved = params.tables[field]
             params.tables[field] = values.reshape(saved.shape)
-            out = float(np.sum(embed(ex, params) * target))
+            out = float(np.sum(embed_one(params, schema, ex) * target))
             params.tables[field] = saved
             return out
 
@@ -195,7 +195,13 @@ def test_batched_forward_matches_per_example():
         batch = embed_batch(col, params)
         assert batch.shape == (7, schema.n_fields, dim)
         for b, ex in enumerate(examples):
-            assert np.max(np.abs(batch[b] - embed(ex, params))) < 1e-14
+            assert np.max(np.abs(batch[b] - embed_one(params, schema, ex))) < 1e-14
+    # an int continuous payload embeds as the float it equals, bit for bit
+    schema, params = small_setup()
+    for x in (0, 1):
+        as_int = EncodedExample(values=(2, (1, 3), x), label=1)
+        as_float = EncodedExample(values=(2, (1, 3), float(x)), label=1)
+        assert np.array_equal(embed_one(params, schema, as_int), embed_one(params, schema, as_float))
 
 
 def test_batched_backward_matches_per_example_sum():
@@ -226,7 +232,7 @@ def test_columnar_take_subsets():
     sub = col.take(np.array([5, 1, 6]))
     batch = embed_batch(sub, params)
     for row, src in enumerate([5, 1, 6]):
-        assert np.max(np.abs(batch[row] - embed(examples[src], params))) < 1e-14
+        assert np.max(np.abs(batch[row] - embed_one(params, schema, examples[src]))) < 1e-14
     assert np.array_equal(sub.labels, np.array([examples[i].label for i in [5, 1, 6]], dtype=np.float64))
 
 

@@ -21,7 +21,7 @@ from arec.numerics import Rng
 from arec.training import TrainConfig
 
 import mlsynth
-from helpers import make_schema, random_example, separable_examples
+from helpers import make_schema, random_example, score_one, separable_examples
 
 
 def pairwise_auc(scores, labels):
@@ -188,7 +188,7 @@ def test_evaluate_matches_per_example_scoring():
         if labels.sum() in (0, len(labels)):
             continue
         report = evaluate(ops, params, examples, schema, tag=kind)
-        scores = np.array([ops.predict(ex, params).probability for ex in examples])
+        scores = np.array([score_one(ops, params, schema, ex)[0] for ex in examples])
         from arec.losses import logloss
 
         assert abs(report.auc - auc(scores, labels)) < 1e-10

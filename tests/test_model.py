@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arec.data import EncodedExample, EncodingError
-from arec.embedding import Columnar, embed
+from arec.embedding import Columnar
 from arec.interaction import branches_forward_batch
 from arec.losses import logloss_d_logits
 from arec.model import (
@@ -18,17 +18,17 @@ from arec.model import (
     init_fm,
     init_model,
     ops_for,
-    predict,
-    predict_fm,
 )
 from arec.numerics import Rng, matmul, mm_nt, mm_tn, relu
 
 from helpers import (
+    embed_one,
     fd_check_all_tensors,
     make_schema,
     random_example,
     random_schema,
     relu_kink_margin,
+    score_one,
 )
 
 SCHEMA = make_schema([
@@ -36,6 +36,13 @@ SCHEMA = make_schema([
     ("item", "categorical", 5),
     ("tags", "multi_categorical", 3),
 ])
+
+
+OURS, FM = ops_for("ours"), ops_for("fm")  # DeepFM runs the FM forward
+
+
+def logit(ops, params, ex, schema=SCHEMA) -> float:
+    return score_one(ops, params, schema, ex)[1]
 
 
 def zeroed(params):
@@ -49,8 +56,8 @@ def test_all_zero_parameters_predict_half():
         ops = ops_for(kind)
         params = zeroed(ops.init(SCHEMA, 4, Rng(0)))
         ex = EncodedExample(values=(1, 2, (1, 2)), label=1.0)
-        pred = ops.predict(ex, params)
-        assert pred.probability == 0.5 and pred.logit == 0.0
+        prob, z, _ = score_one(ops, params, SCHEMA, ex)
+        assert prob == 0.5 and z == 0.0
 
 
 def test_probability_is_sigmoid_of_logit():
@@ -60,8 +67,8 @@ def test_probability_is_sigmoid_of_logit():
         params = ops.init(SCHEMA, 4, Rng(1))
         for _ in range(10):
             ex = random_example(SCHEMA, gen)
-            pred = ops.predict(ex, params)
-            assert abs(pred.probability - 1.0 / (1.0 + math.exp(-pred.logit))) < 1e-12
+            prob, z, _ = score_one(ops, params, SCHEMA, ex)
+            assert abs(prob - 1.0 / (1.0 + math.exp(-z))) < 1e-12
 
 
 def test_ablation_cross_branch_removable():
@@ -69,10 +76,10 @@ def test_ablation_cross_branch_removable():
     params = init_model(SCHEMA, 4, Rng(2), mode="shallow")
     params.w_cross[:] = 0.0
     ex = EncodedExample(values=(2, 3, (1,)), label=1.0)
-    before = predict(ex, params).logit
+    before = logit(OURS, params, ex)
     params.ac.weight[:] += 3.7
     params.ac.proj[:] -= 1.9
-    after = predict(ex, params).logit
+    after = logit(OURS, params, ex)
     assert before == after
 
 
@@ -81,9 +88,9 @@ def test_straight_line_forward_oracle():
     params = init_model(SCHEMA, dim, Rng(3), mode="combined", heads=2, ac_hidden=6,
                         deep_hidden=(5, 3))
     ex = EncodedExample(values=(1, 4, (1, 3)), label=1.0)
-    pred = predict(ex, params)
+    z = logit(OURS, params, ex)
 
-    emb = embed(ex, params.embedding)
+    emb = embed_one(params.embedding, SCHEMA, ex)
     branch = branches_forward_batch(emb[None], params.mhsa, params.ac)
     internal, crossed = branch.mhsa.out[0].reshape(-1), branch.ac.pooled[0]
     shallow = (params.w_internal @ internal + params.w_cross @ crossed
@@ -94,7 +101,7 @@ def test_straight_line_forward_oracle():
         if l < len(params.deep.layers) - 1:
             a = relu(a)
     want = shallow + a[0]
-    assert abs(pred.logit - want) < 1e-10
+    assert abs(z - want) < 1e-10
 
 
 def test_combined_equals_shallow_plus_deep():
@@ -110,8 +117,8 @@ def test_combined_equals_shallow_plus_deep():
             for tname, t in target.named_tensors():
                 if tname == name:
                     t[...] = src
-    total = predict(ex, shallow).logit + predict(ex, deep).logit
-    assert predict(ex, combined).logit == total
+    total = logit(OURS, shallow, ex) + logit(OURS, deep, ex)
+    assert logit(OURS, combined, ex) == total
 
 
 def test_shallow_mode_has_no_deep_block():
@@ -130,20 +137,19 @@ def test_mode_validation():
 
 
 def test_field_count_mismatch_rejected():
-    params = init_model(SCHEMA, 4, Rng(6))
     with pytest.raises(EncodingError):
-        predict(EncodedExample(values=(1, 2), label=0.0), params)
+        Columnar.from_examples([EncodedExample(values=(1, 2), label=0.0)], SCHEMA)
 
 
 def test_first_order_term_adds_row_sum():
     params = init_model(SCHEMA, 4, Rng(7), first_order=True)
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
-    with_fo = predict(ex, params).logit
-    fo_rows = embed(ex, params.first_order)
+    with_fo = logit(OURS, params, ex)
+    fo_rows = embed_one(params.first_order, SCHEMA, ex)
     params_no = init_model(SCHEMA, 4, Rng(7), first_order=True)
     for i in range(len(params_no.first_order.tables)):
         params_no.first_order.tables[i][...] = 0.0
-    without = predict(ex, params_no).logit
+    without = logit(OURS, params_no, ex)
     assert abs(with_fo - (without + fo_rows.sum())) < 1e-12
 
 
@@ -152,9 +158,9 @@ def test_fm_zero_factors_is_linear_model():
     for t in params.factors.tables:
         t[...] = 0.0
     ex = EncodedExample(values=(2, 1, (1, 2)), label=1.0)
-    fo = embed(ex, params.first_order)
+    fo = embed_one(params.first_order, SCHEMA, ex)
     want = params.bias[0] + fo.sum()
-    assert abs(predict_fm(ex, params).logit - want) < 1e-12
+    assert abs(logit(FM, params, ex) - want) < 1e-12
 
 
 def test_fm_matches_pairwise_double_loop():
@@ -163,14 +169,14 @@ def test_fm_matches_pairwise_double_loop():
         schema = random_schema(gen)
         params = init_fm(schema, 3, Rng(trial))
         ex = random_example(schema, gen)
-        emb = embed(ex, params.factors)
+        emb = embed_one(params.factors, schema, ex)
         n = emb.shape[0]
         pairwise = sum(
             float(emb[i] @ emb[j]) for i in range(n) for j in range(i + 1, n)
         )
-        fo = embed(ex, params.first_order)
+        fo = embed_one(params.first_order, schema, ex)
         want = float(params.bias[0]) + float(fo.sum()) + pairwise
-        assert abs(predict_fm(ex, params).logit - want) < 1e-10
+        assert abs(logit(FM, params, ex, schema) - want) < 1e-10
 
 
 def test_fm_bias_only_example():
@@ -182,9 +188,9 @@ def test_fm_bias_only_example():
         t[...] = 0.0
     params.bias[0] = 1.25
     ex = EncodedExample(values=(1, 1, (1,)), label=1.0)
-    pred = predict_fm(ex, params)
-    assert abs(pred.logit - 1.25) < 1e-15
-    assert abs(pred.probability - 1.0 / (1.0 + math.exp(-1.25))) < 1e-12
+    prob, z, _ = score_one(FM, params, SCHEMA, ex)
+    assert abs(z - 1.25) < 1e-15
+    assert abs(prob - 1.0 / (1.0 + math.exp(-1.25))) < 1e-12
 
 
 def test_deepfm_zero_mlp_equals_fm():
@@ -195,7 +201,7 @@ def test_deepfm_zero_mlp_equals_fm():
     gen = np.random.default_rng(12)
     for _ in range(10):
         ex = random_example(SCHEMA, gen)
-        assert predict_fm(ex, params).logit == predict_fm(ex, replace(params, deep=None)).logit
+        assert logit(FM, params, ex) == logit(FM, replace(params, deep=None), ex)
 
 
 def test_deepfm_zero_fm_is_pure_deep():
@@ -204,12 +210,12 @@ def test_deepfm_zero_fm_is_pure_deep():
     for t in params.first_order.tables:
         t[...] = 0.0
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
-    emb = embed(ex, params.factors)
+    emb = embed_one(params.factors, SCHEMA, ex)
     deep_logit = deep_forward_batch(emb.reshape(1, -1), params.deep)[0][0]
     want = deep_logit + 0.5 * float(
         np.sum(emb.sum(axis=0) ** 2) - np.sum(emb * emb)
     )
-    assert abs(predict_fm(ex, params).logit - want) < 1e-10
+    assert abs(logit(FM, params, ex) - want) < 1e-10
 
 
 def test_deepfm_composition_oracle():
@@ -217,31 +223,31 @@ def test_deepfm_composition_oracle():
     params = init_fm(SCHEMA, 3, Rng(15), deep_hidden=(6, 4))
     for _ in range(10):
         ex = random_example(SCHEMA, gen)
-        fm_logit = predict_fm(ex, replace(params, deep=None)).logit
-        emb = embed(ex, params.factors)
+        fm_logit = logit(FM, replace(params, deep=None), ex)
+        emb = embed_one(params.factors, SCHEMA, ex)
         deep_logit = deep_forward_batch(emb.reshape(1, -1), params.deep)[0][0]
-        assert abs(predict_fm(ex, params).logit - (fm_logit + deep_logit)) < 1e-10
+        assert abs(logit(FM, params, ex) - (fm_logit + deep_logit)) < 1e-10
 
 
 def test_bias_gradient_is_residual():
     params = init_model(SCHEMA, 4, Rng(16), mode="shallow")
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
-    pred = predict(ex, params)
-    probs = np.array([pred.probability])
-    grads = backward_batch(pred.trace, params, logloss_d_logits(probs, np.array([1.0])))
-    assert abs(grads.bias[0] - (pred.probability - 1.0)) < 1e-12
-    grads0 = backward_batch(pred.trace, params, logloss_d_logits(probs, np.array([0.0])))
-    assert abs(grads0.bias[0] - pred.probability) < 1e-12
+    prob, _, trace = score_one(OURS, params, SCHEMA, ex)
+    probs = np.array([prob])
+    grads = backward_batch(trace, params, logloss_d_logits(probs, np.array([1.0])))
+    assert abs(grads.bias[0] - (prob - 1.0)) < 1e-12
+    grads0 = backward_batch(trace, params, logloss_d_logits(probs, np.array([0.0])))
+    assert abs(grads0.bias[0] - prob) < 1e-12
 
 
 def test_saturated_prediction_has_zero_gradient():
     params = init_model(SCHEMA, 4, Rng(17), mode="shallow")
     params.bias[0] = 60.0  # sigmoid rounds to 1.0, where the clamp zeroes the gradient
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
-    pred = predict(ex, params)
-    assert pred.probability == 1.0
-    d_logits = logloss_d_logits(np.array([pred.probability]), np.array([1.0]))
-    grads = backward_batch(pred.trace, params, d_logits)
+    prob, _, trace = score_one(OURS, params, SCHEMA, ex)
+    assert prob == 1.0
+    d_logits = logloss_d_logits(np.array([prob]), np.array([1.0]))
+    grads = backward_batch(trace, params, d_logits)
     for _, t in grads.named_tensors():
         assert np.all(t == 0.0)
 
@@ -262,10 +268,10 @@ def test_gradients_match_finite_differences_all_kinds():
             schema = random_schema(gen)
             params = ops.init(schema, 4, Rng(trial), **kwargs)
             ex = random_example(schema, gen)
-            if relu_kink_margin(ops.predict(ex, params)) < 1e-4:
+            if relu_kink_margin(score_one(ops, params, schema, ex)[2]) < 1e-4:
                 continue
             checked += 1
-            worst = max(worst, fd_check_all_tensors(ops, params, ex, ex.label))
+            worst = max(worst, fd_check_all_tensors(ops, params, schema, ex, ex.label))
         assert checked == 8
         assert worst <= 1e-4, f"{kind}: worst fd mismatch {worst}"
 
@@ -278,9 +284,9 @@ def test_gradients_for_every_mode():
             params = init_model(SCHEMA, 4, Rng(20 + attempt), mode=mode, ac_hidden=5,
                                 deep_hidden=(6,), first_order=True)
             ex = random_example(SCHEMA, gen)
-            if relu_kink_margin(predict(ex, params)) >= 1e-4:
+            if relu_kink_margin(score_one(ops, params, SCHEMA, ex)[2]) >= 1e-4:
                 break
-        worst = fd_check_all_tensors(ops, params, ex, ex.label)
+        worst = fd_check_all_tensors(ops, params, SCHEMA, ex, ex.label)
         assert worst <= 1e-4, f"mode {mode}: {worst}"
 
 
@@ -299,11 +305,11 @@ def test_fm_reduction_of_the_two_branch_model():
         params.w_cross[:] = float(m)
         params.bias[0] = 0.0
         ex = random_example(schema, gen)
-        emb = embed(ex, params.embedding)
+        emb = embed_one(params.embedding, schema, ex)
         pairwise = sum(
             float(emb[i] @ emb[j]) for i in range(n) for j in range(i + 1, n)
         )
-        assert abs(predict(ex, params).logit - pairwise) < 1e-10
+        assert abs(logit(OURS, params, ex, schema) - pairwise) < 1e-10
 
 
 def test_batched_forward_matches_per_example():
@@ -315,9 +321,16 @@ def test_batched_forward_matches_per_example():
         col = Columnar.from_examples(examples, SCHEMA)
         probs, logits, _ = ops.forward_batch(col, params)
         for b, ex in enumerate(examples):
-            pred = ops.predict(ex, params)
-            assert abs(logits[b] - pred.logit) < 1e-10
-            assert abs(probs[b] - pred.probability) < 1e-12
+            prob, z, _ = score_one(ops, params, SCHEMA, ex)
+            assert abs(logits[b] - z) < 1e-10
+            assert abs(probs[b] - prob) < 1e-12
+        # an int continuous payload scores as the float it equals, bit for bit
+        params = ops.init(MIXED, 4, Rng(23))
+        for x in (0, 1):
+            as_int = EncodedExample(values=(1, 2, (1, 2), x), label=1)
+            as_float = EncodedExample(values=(1, 2, (1, 2), float(x)), label=1)
+            got = score_one(ops, params, MIXED, as_int)[:2]
+            assert got == score_one(ops, params, MIXED, as_float)[:2], kind
 
 
 def test_batched_backward_matches_per_example_sum():

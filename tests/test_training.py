@@ -30,7 +30,7 @@ from arec.training import (
     train_epoch,
 )
 
-from helpers import make_schema, random_example, separable_examples
+from helpers import make_schema, random_example, score_one, separable_examples
 
 
 def tiny_config(**kw):
@@ -109,7 +109,7 @@ def test_single_example_memorization():
     col = Columnar.from_examples([ex], schema)
     for _ in range(200):
         train_epoch(ops, state, col, config)
-    prob = ops.predict(ex, state.params).probability
+    prob = score_one(ops, state.params, schema, ex)[0]
     assert logloss([prob], [1.0]) < 0.01
 
 
