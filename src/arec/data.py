@@ -1,12 +1,13 @@
-"""Raw interaction parsing, feature schema, encoding, the columnar row
-layout, and dataset caching.
+"""Raw interaction parsing, the feature schema, the columnar row layout and
+its one check, and dataset caching.
 
 Supports the two public rating corpora this engine targets: MovieLens-1M
 ("::"-delimited triplet files) and Amazon product reviews (JSON lines).
 Vocabularies are always fitted on training rows only; anything unseen at
 encode time maps to the reserved index 0 of its field.  `prepare_dataset`
-splits, fits and encodes whole columns; `encode_example` is the one-row
-encoder that the tests use as its oracle.
+splits, fits and encodes whole columns into `Columnar` splits, the one row
+type the engine takes, and `Columnar.from_examples` is the one check of a
+split against its schema.
 """
 
 from __future__ import annotations
@@ -95,12 +96,6 @@ class FieldSpec:
         lookup = map(self._table().get, values, repeat(0))
         return np.fromiter(lookup, dtype=np.int64, count=len(values))
 
-    def value_of(self, index: int):
-        """Inverse of index_of for in-vocabulary indices; None for the reserved slot."""
-        if index == 0:
-            return None
-        return self.vocab[index - 1]
-
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -145,19 +140,6 @@ class FeatureSchema:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
-@dataclass(slots=True)
-class EncodedExample:
-    """One interaction under a schema.
-
-    `values` holds one payload per schema field, in schema order:
-    an int index for categorical, a sorted tuple of indices for
-    multi-categorical (never empty), a float in [0,1] for continuous.
-    """
-
-    values: tuple
-    label: int
-
-
 @dataclass
 class FieldColumn:
     kind: str
@@ -179,49 +161,46 @@ class Columnar:
         return self.n
 
     @staticmethod
-    def from_examples(examples, schema: FeatureSchema) -> "Columnar":
-        """Columns of a list of encoded examples, each checked by
-        `validate_example`; a Columnar is returned as it is.
+    def from_examples(rows, schema: FeatureSchema) -> "Columnar":
+        """`rows` itself, once it passes the one check of a split against
+        `schema`: `load_cache` runs it on each split it reads, and
+        `save_cache`, `fit`, `sweep` and `evaluate` on each split they take.
 
-        Over `encode_example` rows, this is the tests' oracle for the columns
-        that `prepare_dataset` builds."""
-        if isinstance(examples, Columnar):
-            return examples
-        for ex in examples:
-            validate_example(ex, schema)
-        n = len(examples)
-        cols = []
-        for i, spec in enumerate(schema.fields):
+        `rows` is a Columnar of an integer `n` rows, with one column of its
+        field's kind per schema field: int64 indices in [0, cardinality), for
+        a multi-valued field int64 counts in [1, qmax] with the first `count`
+        indices of each row strictly increasing, float64 values in [0, 1],
+        and float64 labels of 0 or 1.  Anything else (NaN included) is an
+        EncodingError naming the first field that breaks a rule."""
+        if not isinstance(rows, Columnar):
+            raise EncodingError(f"a split must be a Columnar, not a {type(rows).__name__}")
+        if len(rows.fields) != schema.n_fields:
+            raise EncodingError(f"the split has {len(rows.fields)} fields, the schema "
+                                f"{schema.n_fields}")
+        n = rows.n
+        if not isinstance(n, (int, np.integer)):
+            raise EncodingError(f"the row count {n!r} is not an integer")
+        for i, (spec, fc) in enumerate(zip(schema.fields, rows.fields)):
+            where = f"field {i}"
+            if fc.kind != spec.kind:
+                raise EncodingError(f"{where}: a {fc.kind} column for the {spec.kind} field "
+                                    f"{spec.name!r}")
             if spec.kind == CATEGORICAL:
-                cols.append(
-                    FieldColumn(
-                        kind=spec.kind,
-                        idx=np.fromiter(
-                            (ex.values[i] for ex in examples), dtype=np.int64, count=n
-                        ),
-                    )
-                )
+                _check_index_range(_typed(fc.idx, np.int64, 1, n, where), spec.cardinality, where)
             elif spec.kind == MULTI_CATEGORICAL:
-                counts = np.fromiter(
-                    (len(ex.values[i]) for ex in examples), dtype=np.int64, count=n
-                )
-                qmax = int(counts.max()) if n else 1
-                padded = np.zeros((n, qmax), dtype=np.int64)
-                for b, ex in enumerate(examples):
-                    active = ex.values[i]
-                    padded[b, : len(active)] = active
-                cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
+                _check_sets(_typed(fc.padded, np.int64, 2, n, where),
+                            _typed(fc.counts, np.int64, 1, n, where), spec.cardinality, where)
             else:
-                cols.append(
-                    FieldColumn(
-                        kind=spec.kind,
-                        vals=np.fromiter(
-                            (ex.values[i] for ex in examples), dtype=np.float64, count=n
-                        ),
-                    )
-                )
-        labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
-        return Columnar(fields=cols, labels=labels, n=n)
+                vals = _typed(fc.vals, np.float64, 1, n, where)
+                # NaN fails both comparisons
+                if n and not (vals.min() >= 0.0 and vals.max() <= 1.0):
+                    bad = vals[~((vals >= 0.0) & (vals <= 1.0))][0]
+                    raise EncodingError(f"{where}: value {bad} outside [0, 1]")
+        labels = _typed(rows.labels, np.float64, 1, n, "labels")
+        bad = (labels != 0.0) & (labels != 1.0)
+        if np.count_nonzero(bad):
+            raise EncodingError(f"label {labels[bad][0]:g}; labels are 0 or 1")
+        return rows
 
     def take(self, indices) -> "Columnar":
         """Row subset in the given order (a mini-batch)."""
@@ -242,9 +221,48 @@ class Columnar:
         return Columnar(fields=out, labels=self.labels[indices], n=len(self.labels[indices]))
 
 
+def _typed(a, dtype, ndim: int, n: int, where: str) -> np.ndarray:
+    """`a`, if it is an `ndim`-D array of `dtype` with `n` rows."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim and len(a) == n):
+        got = f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise EncodingError(f"{where}: expected a {ndim}-D {np.dtype(dtype)} array of {n} rows, "
+                            f"got {got}")
+    return a
+
+
+def _check_index_range(idx: np.ndarray, cardinality: int, where: str) -> None:
+    """Every int64 index lies in [0, cardinality): one max() pass, since a
+    negative index read as uint64 lies above any cardinality."""
+    if idx.size and idx.view(np.uint64).max() >= cardinality:
+        bad = idx[(idx < 0) | (idx >= cardinality)][0]
+        raise EncodingError(f"{where}: index {bad} outside [0, {cardinality})")
+
+
+def _check_sets(padded: np.ndarray, counts: np.ndarray, cardinality: int, where: str) -> None:
+    """Each row of a multi-valued column holds 1 to qmax indices, strictly
+    increasing; every entry, padding included, is a valid table row."""
+    if not len(counts):
+        return
+    qmax = padded.shape[1]
+    if counts.min() < 1 or counts.max() > qmax:
+        bad = counts[(counts < 1) | (counts > qmax)][0]
+        raise EncodingError(f"{where}: a multi-valued row of {bad} indices; a row holds 1 to {qmax}")
+    _check_index_range(padded, cardinality, where)
+    # column by column, since a (B, qmax - 1) comparison runs numpy's inner
+    # loop once per row; count_nonzero, since any() on a bool array is no faster
+    # than a reduction over every element
+    for j in range(1, qmax):
+        falls = (padded[:, j] <= padded[:, j - 1]) & (counts > j)
+        if np.count_nonzero(falls):
+            row = int(np.argmax(falls))
+            raise EncodingError(f"{where}: the indices {padded[row, :counts[row]].tolist()} do "
+                                f"not strictly increase")
+
+
 @dataclass
 class DatasetSplit:
-    """Three row sets: raw records from `split`, Columnar in a prepared dataset."""
+    """The train, validation and test Columnar splits of a dataset, and the
+    seed and ratios of the shuffle that made them."""
 
     train: object
     validation: object
@@ -532,85 +550,6 @@ def _float_column(name: str, values) -> np.ndarray:
         raise DomainError(f"a {name} value is outside the float range") from None
 
 
-def build_schema(table) -> FeatureSchema:
-    """Fit vocabularies and normalization bounds on a list of (training)
-    records, field by field: the sorted distinct values of each categorical
-    field, the sorted union of each multi-valued field's sets, and each
-    continuous field's min and max."""
-    if not table:
-        raise DomainError("cannot build a schema from an empty table")
-    fields = []
-    for name, kind in _plan_for(table[0]):
-        col = [row[name] for row in table]
-        if kind == CATEGORICAL:
-            fields.append(FieldSpec(name=name, kind=kind, vocab=tuple(sorted(set(col)))))
-        elif kind == MULTI_CATEGORICAL:
-            vocab = tuple(sorted(set().union(*set(col))))
-            fields.append(FieldSpec(name=name, kind=kind, vocab=vocab))
-        else:
-            vals = _float_column(name, col)
-            fields.append(FieldSpec(name=name, kind=kind, lo=float(vals.min()), hi=float(vals.max())))
-    return FeatureSchema(fields=tuple(fields))
-
-
-def encode_example(row, schema: FeatureSchema) -> EncodedExample:
-    """Encode one raw record; out-of-vocabulary values land on index 0."""
-    values = []
-    for spec in schema.fields:
-        if spec.kind == CATEGORICAL:
-            values.append(spec.index_of(row[spec.name]))
-        elif spec.kind == MULTI_CATEGORICAL:
-            indices = sorted({spec.index_of(v) for v in row[spec.name]})
-            if not indices:
-                indices = [0]
-            values.append(tuple(indices))
-        else:
-            span = spec.hi - spec.lo
-            x = 0.0 if span == 0 else (float(row[spec.name]) - spec.lo) / span
-            values.append(min(max(x, 0.0), 1.0))
-    return EncodedExample(values=tuple(values), label=binarize_label(row["rating"]))
-
-
-def decode_example(example: EncodedExample, schema: FeatureSchema) -> dict:
-    """Recover raw values from an encoded example (None for reserved indices)."""
-    out = {}
-    for spec, payload in zip(schema.fields, example.values):
-        if spec.kind == CATEGORICAL:
-            out[spec.name] = spec.value_of(payload)
-        elif spec.kind == MULTI_CATEGORICAL:
-            out[spec.name] = tuple(spec.value_of(i) for i in payload)
-        else:
-            out[spec.name] = spec.lo + payload * (spec.hi - spec.lo)
-    return out
-
-
-def validate_example(example: EncodedExample, schema: FeatureSchema):
-    """Raise EncodingError unless `example` conforms to `schema`."""
-    if len(example.values) != schema.n_fields:
-        raise EncodingError(
-            f"example has {len(example.values)} fields, schema has {schema.n_fields}"
-        )
-    for spec, payload in zip(schema.fields, example.values):
-        if spec.kind == CATEGORICAL:
-            if not 0 <= payload < spec.cardinality:
-                raise EncodingError(
-                    f"{spec.name}: index {payload} outside [0, {spec.cardinality})"
-                )
-        elif spec.kind == MULTI_CATEGORICAL:
-            if len(payload) < 1:
-                raise EncodingError(f"{spec.name}: multi-valued field with no indices")
-            for idx in payload:
-                if not 0 <= idx < spec.cardinality:
-                    raise EncodingError(
-                        f"{spec.name}: index {idx} outside [0, {spec.cardinality})"
-                    )
-        else:
-            if not 0.0 <= payload <= 1.0:
-                raise EncodingError(f"{spec.name}: value {payload} outside [0, 1]")
-    if example.label not in (0, 1):
-        raise EncodingError(f"label {example.label} is not binary")
-
-
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -629,14 +568,6 @@ def _split_rows(n: int, ratios, seed: int) -> tuple:
     c1 = int(round(n * ratios[0]))
     c2 = int(round(n * (ratios[0] + ratios[1])))
     return order[:c1], order[c1:c2], order[c2:]
-
-
-def split(table, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
-    """Seeded uniform shuffle followed by a contiguous three-way cut."""
-    train, validation, test = (
-        [table[i] for i in rows] for rows in _split_rows(len(table), ratios, seed)
-    )
-    return DatasetSplit(train, validation, test, seed=seed, ratios=tuple(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -801,47 +732,37 @@ def _column_payloads(col: Columnar):
     yield _int_bytes(col.labels, "u1")
 
 
-def _check_indices(rd: BinaryReader, stored: np.ndarray, cardinality: int, field: int,
-                   part: str) -> None:
-    """A stored `<u4` index column fits its field's table: one max() pass."""
-    if stored.size and stored.max() >= cardinality:
-        bad = stored[stored >= cardinality][0]
-        raise rd.error(f"field {field}: index {bad} outside [0, {cardinality}) in the {part} split")
-
-
 def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str, n: int) -> Columnar:
-    """One split's `n` rows.  Every length is checked before anything is
-    allocated, and every index against its field's cardinality."""
+    """One split's `n` rows, as stored.  Every length is checked before
+    anything is allocated; the values are `Columnar.from_examples`'s to check."""
     cols = []
-    for i, spec in enumerate(schema.fields):
+    for spec in schema.fields:
         name = f"{part} {spec.name}"
         if spec.kind == CATEGORICAL:
-            stored = rd.array(name, "<u4", n)
-            _check_indices(rd, stored, spec.cardinality, i, part)
-            cols.append(FieldColumn(kind=spec.kind, idx=stored.astype(np.int64)))
+            cols.append(FieldColumn(kind=spec.kind, idx=rd.array(name, "<u4", n).astype(np.int64)))
         elif spec.kind == MULTI_CATEGORICAL:
             offsets = rd.array(f"{name} offsets", "<u8", n + 1)
             if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
                 raise rd.error(f"the {name} offsets do not rise from 0")
             values = rd.array(f"{name} values", "<u4", int(offsets[-1]))
             counts = np.diff(offsets.astype(np.int64))
-            if n and counts.min() < 1:
-                raise rd.error(f"field {i}: a multi-valued row with no indices in the {part} split")
-            _check_indices(rd, values, spec.cardinality, i, part)
             padded = np.zeros((n, int(counts.max()) if n else 1), dtype=np.int64)
             padded[np.arange(padded.shape[1]) < counts[:, None]] = values
             cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
         else:
             vals = rd.array(name, "<f8", n).astype(np.float64)
             cols.append(FieldColumn(kind=spec.kind, vals=vals))
-    labels = rd.array(f"{part} labels", "u1", n)
-    if n and labels.max() > 1:
-        raise rd.error(f"label {labels[labels > 1][0]} in the {part} split; labels are 0 or 1")
-    return Columnar(fields=cols, labels=labels.astype(np.float64), n=n)
+    labels = rd.array(f"{part} labels", "u1", n).astype(np.float64)
+    col = Columnar(fields=cols, labels=labels, n=n)
+    try:
+        return Columnar.from_examples(col, schema)
+    except EncodingError as exc:
+        raise rd.error(f"the {part} split: {exc}") from None
 
 
 def save_cache(path, cached: CachedDataset):
-    """Write the versioned binary cache; byte-identical for identical inputs."""
+    """Write the versioned binary cache; byte-identical for identical inputs.
+    Each split must pass `Columnar.from_examples`."""
     sp = cached.split
     parts = [Columnar.from_examples(p, cached.schema) for p in (sp.train, sp.validation, sp.test)]
     header = {

@@ -5,9 +5,9 @@ rows of their active categories, and continuous fields scale one learned
 vector by the normalized value.  All fields share the same output dimension
 so the crossing layer downstream can multiply rows elementwise.
 
-Lookups run on columnar batches, whose indices were checked once where the
-columns were built from outside input: `Columnar.from_examples` validates
-each example against the schema and `load_cache` each stored column.
+Lookups run on columnar batches, whose indices were checked against the
+schema by `Columnar.from_examples`, the one check every split passes when
+`load_cache` reads it and when `fit` or `evaluate` takes it.
 """
 
 from __future__ import annotations

@@ -13,12 +13,9 @@ loop.  The self-attention query, key, value and residual maps are stored as
 the one (d, 3*H*d_k + d) input map that runs them as one GEMM; their
 gradient is one GEMM too, and each named map is a column view of it.
 
-`ac_attention` scores one example's pairs with einsum instead, and takes its
-softmax denominator and pooled sum by exact (correctly rounded) summation,
-so its pooled vector does not depend on pair enumeration order: permuting
-the fields leaves it bitwise unchanged.  A BLAS product gives no such
-guarantee, since the rounding of a row can depend on where the row sits in
-the operand.  The batch path keeps plain vectorized reductions.
+The tests check the crossing branch against a one-example form of it that
+scores by einsum and sums exactly, so its pooled vector does not depend on
+the order of the pairs.
 """
 
 from __future__ import annotations
@@ -126,13 +123,6 @@ def pair_indices(n: int):
     return iu, ju
 
 
-def cross_pairs(emb: Tensor):
-    """All elementwise products of distinct embedding rows, as (i, j, product) triples."""
-    iu, ju = pair_indices(emb.shape[0])
-    prods = emb[iu] * emb[ju]
-    return [(int(i), int(j), prods[p]) for p, (i, j) in enumerate(zip(iu, ju))]
-
-
 def _pair_scores(phi: Tensor, params: AcParams):
     """(z, relu(z), logits) of the scoring network over (B, m, d) pair products."""
     B, m, d = phi.shape
@@ -140,25 +130,6 @@ def _pair_scores(phi: Tensor, params: AcParams):
     z += params.bias
     u = relu(z)
     return z.reshape(B, m, -1), u.reshape(B, m, -1), (u @ params.proj).reshape(B, m)
-
-
-def ac_attention(pairs, params: AcParams):
-    """Softmax attention over crossed pairs; returns (weights, pooled vector).
-
-    `pairs` is the output of cross_pairs.  Each logit is contracted on its own
-    and the softmax denominator and the pooled sum are computed with exact
-    summation, so the result is the same for any enumeration order of the
-    same pair set.
-    """
-    if len(pairs) < 1:
-        raise DomainError("attention over an empty pair set")
-    phi = np.stack([p[2] for p in pairs])
-    z = np.einsum("bmd,td->bmt", phi[None], params.weight, optimize=False) + params.bias
-    logits = np.einsum("bmt,t->bm", relu(z), params.proj, optimize=False)[0]
-    ex = np.exp(logits - np.max(logits))
-    weights = ex / math.fsum(ex)
-    pooled = np.array([math.fsum(weights * phi[:, k]) for k in range(phi.shape[1])])
-    return weights, pooled
 
 
 @dataclass

@@ -88,7 +88,7 @@ def chunk_rows(params) -> int:
     return _CHUNK_QUANTUM * max(1, fit)
 
 
-def score_columnar(ops, params, col: Columnar) -> np.ndarray:
+def score_split(ops, params, col: Columnar) -> np.ndarray:
     """Predicted probabilities for every row of a columnar split, chunked.
 
     A tail shorter than 32 rows joins the chunk before it, so only a split
@@ -107,19 +107,15 @@ def score_columnar(ops, params, col: Columnar) -> np.ndarray:
     return out
 
 
-def score_split(ops, params, examples, schema) -> np.ndarray:
-    """Predicted probabilities for a split (Columnar or encoded examples), chunked."""
-    return score_columnar(ops, params, Columnar.from_examples(examples, schema))
-
-
-def evaluate(ops, params, examples, schema, tag: str = "") -> EvalReport:
-    """AUC and logloss of a split; non-finite scores raise DivergenceError."""
-    col = Columnar.from_examples(examples, schema)
+def evaluate(ops, params, col: Columnar, schema, tag: str = "") -> EvalReport:
+    """AUC and logloss of a split that passes `Columnar.from_examples`;
+    non-finite scores raise DivergenceError."""
+    Columnar.from_examples(col, schema)
     if col.n == 0:
         raise DomainError("cannot evaluate an empty split")
     # diverged parameters give NaN scores: one error, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = score_split(ops, params, col, schema)
+        scores = score_split(ops, params, col)
     bad = int(np.count_nonzero(~np.isfinite(scores)))
     if bad:
         raise DivergenceError(f"{bad} of {col.n} scores are not finite")

@@ -23,7 +23,7 @@ from .losses import (
     logloss_d_logits,
     similarity_loss,
 )
-from .metrics import DivergenceError, auc as compute_auc, score_columnar
+from .metrics import DivergenceError, auc as compute_auc, score_split
 from .model import MODES, ModelOps, ops_for
 from .numerics import Rng
 
@@ -378,18 +378,20 @@ class FitResult:
 
 
 def _eval_columnar(ops, params, col: Columnar):
-    probs = score_columnar(ops, params, col)
+    probs = score_split(ops, params, col)
     return compute_auc(probs, col.labels), logloss(probs, col.labels)
 
 
-def fit(ops: ModelOps, schema: FeatureSchema, train_examples, val_examples,
+def fit(ops: ModelOps, schema: FeatureSchema, train: Columnar, validation: Columnar,
         config: TrainConfig, modality_table: ModalityTable = None) -> FitResult:
+    """Train on the `train` split, scoring `validation` after each epoch; both
+    must pass `Columnar.from_examples`."""
     config.validate()
-    if not train_examples:
+    train_col = Columnar.from_examples(train, schema)
+    val_col = Columnar.from_examples(validation, schema)
+    if not train_col.n:
         raise ConfigError("the train split is empty; there is nothing to train on")
     state = init_state(ops, schema, config)
-    train_col = Columnar.from_examples(train_examples, schema)
-    val_col = Columnar.from_examples(val_examples, schema)
     modality = None
     if modality_table is not None:
         modality = ModalityBatcher.build(schema, modality_table)
@@ -448,19 +450,19 @@ class SweepResult:
     failures: list  # (dim, message)
 
 
-def sweep(kind: str, schema: FeatureSchema, train_examples, val_examples,
-          test_examples, config: TrainConfig, dims) -> SweepResult:
+def sweep(kind: str, schema: FeatureSchema, train: Columnar, validation: Columnar,
+          test: Columnar, config: TrainConfig, dims) -> SweepResult:
     dims = list(dims)
     if not dims:
         raise ConfigError("sweep needs a non-empty list of dims")
     # every dim's config is checked before the first fit spends any time
     configs = [replace(config, dim=int(d)).validate() for d in dims]
     ops = ops_for(kind)
-    test_col = Columnar.from_examples(test_examples, schema)
+    test_col = Columnar.from_examples(test, schema)
     rows, curves, failures = [], {}, []
     for cfg in configs:
         try:
-            result = fit(ops, schema, train_examples, val_examples, cfg)
+            result = fit(ops, schema, train, validation, cfg)
             test_auc, test_ll = _eval_columnar(ops, result.state.best.params, test_col)
         except (DivergenceError, ArithmeticError) as exc:
             failures.append((cfg.dim, str(exc)))

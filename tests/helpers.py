@@ -17,18 +17,15 @@ from arec.data import (
     CATEGORICAL,
     CONTINUOUS,
     MULTI_CATEGORICAL,
-    Columnar,
-    EncodedExample,
     FeatureSchema,
     FieldSpec,
-    build_schema,
-    encode_example,
-    split,
     write_section,
 )
 from arec.embedding import embed_batch
 from arec.losses import logloss, logloss_d_logits
 from arec.numerics import finite_diff_grad, rel_error
+
+from oracle import EncodedExample, build_schema, columnar, encode_example, split
 
 
 def corruptions(blob: bytes):
@@ -70,6 +67,29 @@ def rewrite_file(blob: bytes, edit) -> bytes:
     for payload in [json.dumps(header, sort_keys=True).encode("utf-8"), *arrays]:
         write_section(out, payload)
     return bytes(out)
+
+
+# the stored arrays of one field of a cache split, as `_column_payloads` writes them
+_STORED = {CATEGORICAL: ("<u4",), MULTI_CATEGORICAL: ("<u8", "<u4"), CONTINUOUS: ("<f8",)}
+
+
+def rewrite_split(blob: bytes, part: str, edit) -> bytes:
+    """A cache `blob` after `edit(columns)` changes the stored arrays of split
+    `part`, every checksum fresh.  `columns` holds a list of writable arrays
+    per field (a multi-valued field's offsets and values), then [labels]; an
+    entry may be replaced by an array of another length."""
+    def apply(header, arrays):
+        dtypes = [_STORED[f["kind"]] for f in header["schema"]["fields"]] + [("u1",)]
+        start = ("train", "validation", "test").index(part) * sum(map(len, dtypes))
+        pos, columns = start, []
+        for kinds in dtypes:
+            columns.append([np.frombuffer(arrays[pos + k], dt).copy() for k, dt in enumerate(kinds)])
+            pos += len(kinds)
+        edit(columns)
+        stored = [a.tobytes() for column in columns for a in column]
+        arrays[start : start + len(stored)] = stored
+
+    return rewrite_file(blob, apply)
 
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -181,6 +201,12 @@ def assert_columns_equal(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
+def parts(schema, examples, *cuts):
+    """`examples` cut at the row numbers `cuts` into consecutive Columnar splits."""
+    bounds = (0, *cuts, len(examples))
+    return [columnar(examples[lo:hi], schema) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def named_arrays(params):
     return list(params.named_tensors())
 
@@ -189,7 +215,7 @@ def one_row(example, schema, label=None):
     """The one-row batch of `example` under `schema`, relabelled `label` if given."""
     if label is not None:
         example = replace(example, label=float(label))
-    return Columnar.from_examples([example], schema)
+    return columnar([example], schema)
 
 
 def embed_one(tables, schema, example):

@@ -18,8 +18,7 @@ import pytest
 
 from arec import cli
 from arec.data import load_cache
-from arec.embedding import Columnar
-from arec.interaction import ac_attention, cross_pairs, init_ac, pair_indices
+from arec.interaction import init_ac, pair_indices
 from arec.losses import (
     difference_loss,
     difference_loss_grad,
@@ -31,12 +30,12 @@ from arec.metrics import auc, evaluate
 from arec.model import init_model, ops_for
 from arec.numerics import Rng, finite_diff_grad, rel_error, softmax
 from arec.training import TrainConfig, fit, init_state, train_epoch
-from arec.data import EncodedExample
 
 from helpers import (
     embed_one,
     fd_check_all_tensors,
     make_schema,
+    parts,
     random_example,
     random_schema,
     relu_kink_margin,
@@ -44,6 +43,7 @@ from helpers import (
     separable_examples,
 )
 import mlsynth
+from oracle import EncodedExample, ac_attention, columnar, cross_pairs
 
 TABLE2 = {
     "fm": (0.6548, 0.5766),
@@ -403,7 +403,7 @@ def test_criterion_8_convergence_sanity():
                          batch_size=1, max_epochs=200, patience=200,
                          ac_hidden=4)
     state = init_state(ops, schema, config)
-    col = Columnar.from_examples([EncodedExample(values=(1, 2), label=1.0)], schema)
+    col = columnar([EncodedExample(values=(1, 2), label=1.0)], schema)
     for _ in range(200):
         train_epoch(ops, state, col, config)
     prob = score_one(ops, state.params, schema, EncodedExample(values=(1, 2), label=1.0))[0]
@@ -415,7 +415,7 @@ def test_criterion_8_convergence_sanity():
     sep_config = TrainConfig(seed=0, dim=4, mode="shallow", learning_rate=0.05,
                              batch_size=32, max_epochs=25, patience=25,
                              ac_hidden=4)
-    result = fit(ops_for("ours"), sep_schema, examples[:160], examples[160:],
+    result = fit(ops_for("ours"), sep_schema, *parts(sep_schema, examples, 160),
                  sep_config)
     assert result.state.best.val_auc == 1.0
     print(f"criterion 8: PASS: memorization logloss {memo_ll:.2e}, "

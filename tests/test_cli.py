@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arec import cli, metrics, training
-from arec.data import (CacheError, ParseError, load_cache, parse_amazon, save_cache, split,
+from arec.data import (CacheError, EncodingError, ParseError, load_cache, parse_amazon, save_cache,
                        write_section)
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import corruptions, rewrite_file
+from helpers import corruptions, rewrite_file, rewrite_split
+from oracle import split
 
 
 USERS = [
@@ -696,7 +697,19 @@ def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, 
     else:
         column.idx[0] = payload
     bad = tmp_path / "bad.cache"
-    save_cache(str(bad), dataset)
+    with pytest.raises(EncodingError, match=f"field {i}:"):
+        save_cache(str(bad), dataset)
+    assert not bad.exists()
+
+    def edit(columns):  # the same row, stored with every checksum right
+        if isinstance(payload, tuple):
+            offsets, values = columns[i]
+            columns[i][1] = np.concatenate([np.array(payload, "<u4"), values[offsets[1]:]])
+            offsets[1:] -= int(offsets[1]) - len(payload)
+        else:
+            columns[i][0][0] = payload
+
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), "train", edit))
     with pytest.raises(CacheError) as err:
         load_cache(str(bad))
     assert f"field {i}:" in str(err.value)
@@ -731,7 +744,14 @@ def test_cache_with_label_outside_zero_one_is_an_input_error(ml_cache, tmp_path,
     dataset = load_cache(str(ml_cache))
     dataset.split.train.labels[0] = 7
     bad = tmp_path / "label7.cache"
-    save_cache(str(bad), dataset)
+    with pytest.raises(EncodingError, match="label 7"):
+        save_cache(str(bad), dataset)
+    assert not bad.exists()
+
+    def edit(columns):
+        columns[-1][0][0] = 7
+
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), "train", edit))
     with pytest.raises(CacheError) as err:
         load_cache(str(bad))
     assert str(bad) in str(err.value) and "label 7" in str(err.value)
@@ -742,6 +762,36 @@ def test_cache_with_label_outside_zero_one_is_an_input_error(ml_cache, tmp_path,
     assert code == 2
     assert "label 7" in captured.err and "Traceback" not in captured.err
     assert not (tmp_path / "label7.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), 7.0, -1.0], ids=["nan", "7.0", "-1.0"])
+def test_cache_with_continuous_value_outside_zero_one_is_an_input_error(
+        ml_cache, ours_ckpt, tmp_path, capsys, value):
+    dataset = load_cache(str(ml_cache))
+    assert dataset.schema.fields[6].kind == "continuous"
+    dataset.split.validation.fields[6].vals[0] = value
+    bad = tmp_path / "ts.cache"
+    with pytest.raises(EncodingError, match="field 6:"):
+        save_cache(str(bad), dataset)
+    assert not bad.exists()
+
+    def edit(columns):
+        columns[6][0][0] = value
+
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), "validation", edit))
+    with pytest.raises(CacheError) as err:
+        load_cache(str(bad))
+    assert str(bad) in str(err.value) and "field 6:" in str(err.value)
+
+    # loaded, the NaN row would score as a divergence (exit 3), not bad input
+    for argv in (["train", "--cache", str(bad), "--model", "fm",
+                  "--out", str(tmp_path / "ts.ckpt"), *TRAIN_SETTINGS],
+                 ["eval", "--cache", str(bad), "--ckpt", str(ours_ckpt), "--split", "val"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "field 6:" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "ts.ckpt").exists()
 
 
 def test_divergence_names_the_first_non_finite_tensor(ml_cache, tmp_path, monkeypatch,

@@ -16,22 +16,17 @@ from arec.data import (
     ConfigError,
     DatasetSplit,
     DomainError,
-    EncodedExample,
+    EncodingError,
     FeatureSchema,
     FieldSpec,
     ParseError,
     ReferentialError,
     binarize_label,
-    build_schema,
-    decode_example,
-    encode_example,
     load_cache,
     parse_amazon,
     parse_movielens,
     prepare_dataset,
     save_cache,
-    split,
-    validate_example,
 )
 
 import mlsynth
@@ -41,6 +36,15 @@ from helpers import (
     corruptions,
     encoded_rows,
     records_of,
+)
+from oracle import (
+    EncodedExample,
+    build_schema,
+    columnar,
+    decode_example,
+    encode_example,
+    split,
+    validate_example,
 )
 
 USERS = """1::F::1::10::48067
@@ -316,7 +320,6 @@ def test_validate_example_errors(ml_files):
     records = fixture_records(ml_files)
     schema = build_schema(records)
     good = encode_example(records[0], schema)
-    from arec.data import EncodingError
 
     with pytest.raises(EncodingError):
         validate_example(EncodedExample(values=good.values[:-1], label=good.label), schema)
@@ -331,6 +334,28 @@ def test_validate_example_errors(ml_files):
         validate_example(EncodedExample(values=bad_cont, label=good.label), schema)
     with pytest.raises(EncodingError):
         validate_example(EncodedExample(values=good.values, label=2), schema)
+
+
+@pytest.mark.parametrize("field, payload", [(0, 1.5), (0, True), (6, True), (5, (2, 1)),
+                                            (5, (1, 1, 1))],
+                         ids=["index 1.5", "index True", "value True", "multi (2, 1)",
+                              "multi (1, 1, 1)"])
+def test_the_example_builder_refuses_a_payload_before_the_check(ml_files, monkeypatch,
+                                                                field, payload):
+    records = fixture_records(ml_files)
+    schema = build_schema(records)
+    good = encode_example(records[0], schema)
+    values = good.values[:field] + (payload,) + good.values[field + 1 :]
+    bad = EncodedExample(values=values, label=good.label)
+    with pytest.raises(EncodingError):
+        validate_example(bad, schema)
+
+    def unreachable(rows, schema):
+        raise AssertionError("the builder handed the payload to the check")
+
+    monkeypatch.setattr(Columnar, "from_examples", staticmethod(unreachable))
+    with pytest.raises(EncodingError):
+        columnar([good, bad], schema)
 
 
 def test_split_sizes_ten_rows():
@@ -409,7 +434,7 @@ def test_loaded_columns_equal_the_encoded_rows(ml_files, tmp_path):
     parts = (loaded.split.train, loaded.split.validation, loaded.split.test)
     for got, want in zip(parts, rows):
         assert isinstance(got, Columnar) and len(got) == len(want) > 0
-        assert_columns_equal(got, Columnar.from_examples(want, schema))
+        assert_columns_equal(got, columnar(want, schema))
 
 
 def test_cache_write_is_deterministic(ml_files, tmp_path):
@@ -727,7 +752,7 @@ def test_prepared_columns_equal_the_encoded_rows(tmp_path_factory, layout, data,
     got = prepare_dataset(records, ratios=ratios, seed=seed, tag="t")
     assert got.schema.to_json() == schema.to_json()
     parts = (got.split.train, got.split.validation, got.split.test)
-    want = [Columnar.from_examples(part, schema) for part in rows]
+    want = [columnar(part, schema) for part in rows]
     for g, w in zip(parts, want):
         assert_columns_equal(g, w)
     oracle = CachedDataset(schema=schema, tag="t",

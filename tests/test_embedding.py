@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from arec.data import CATEGORICAL, MULTI_CATEGORICAL, EncodedExample, EncodingError
+from arec.data import CATEGORICAL, MULTI_CATEGORICAL, EncodingError
 from arec.embedding import (
-    Columnar,
     EmbeddingParams,
     embed_batch,
     embed_batch_backward,
@@ -13,6 +12,7 @@ from arec.embedding import (
 from arec.numerics import Rng, finite_diff_grad, rel_error
 
 from helpers import embed_one, make_schema, random_example, random_schema
+from oracle import EncodedExample, columnar
 
 
 def small_setup(dim=4, seed=0):
@@ -77,7 +77,7 @@ def test_output_shape_independent_of_multi_count():
 
 def one_row_grads(schema, ex, params, upstream):
     """Gradient tables of a one-row batch of `ex` under `upstream` (n, d)."""
-    return embed_batch_backward(Columnar.from_examples([ex], schema), params, upstream[None])
+    return embed_batch_backward(columnar([ex], schema), params, upstream[None])
 
 
 def test_embed_rejects_out_of_range_index():
@@ -92,9 +92,9 @@ def test_embed_rejects_out_of_range_index():
     good = EncodedExample(values=(1, (2,), 0.5), label=0)
     for ex in bad:
         with pytest.raises(EncodingError):
-            Columnar.from_examples([ex], schema)
+            columnar([ex], schema)
         with pytest.raises(EncodingError):
-            Columnar.from_examples([good, ex], schema)
+            columnar([good, ex], schema)
 
 
 def test_backward_single_row_equals_upstream():
@@ -191,7 +191,7 @@ def test_batched_forward_matches_per_example():
         dim = int(gen.integers(2, 6))
         params = init_embedding(schema, dim, Rng(trial))
         examples = [random_example(schema, gen) for _ in range(7)]
-        col = Columnar.from_examples(examples, schema)
+        col = columnar(examples, schema)
         batch = embed_batch(col, params)
         assert batch.shape == (7, schema.n_fields, dim)
         for b, ex in enumerate(examples):
@@ -210,7 +210,7 @@ def test_batched_backward_matches_per_example_sum():
     dim = 4
     params = init_embedding(schema, dim, Rng(0))
     examples = [random_example(schema, gen) for _ in range(6)]
-    col = Columnar.from_examples(examples, schema)
+    col = columnar(examples, schema)
     upstream = Rng(9).normal((6, schema.n_fields, dim))
 
     dense_batch = embed_batch_backward(col, params, upstream)
@@ -228,7 +228,7 @@ def test_columnar_take_subsets():
     schema = random_schema(gen)
     params = init_embedding(schema, 3, Rng(1))
     examples = [random_example(schema, gen) for _ in range(8)]
-    col = Columnar.from_examples(examples, schema)
+    col = columnar(examples, schema)
     sub = col.take(np.array([5, 1, 6]))
     batch = embed_batch(sub, params)
     for row, src in enumerate([5, 1, 6]):
@@ -262,7 +262,7 @@ def test_backward_scatter_equals_2d_add_at_bit_for_bit():
     ])
     gen = np.random.default_rng(31)
     params = init_embedding(schema, 8, Rng(2))
-    col = Columnar.from_examples([random_example(schema, gen) for _ in range(256)], schema)
+    col = columnar([random_example(schema, gen) for _ in range(256)], schema)
     assert col.fields[1].counts.min() < col.fields[1].padded.shape[1]
     # magnitudes over 16 decades, so any change in addition order shows
     upstream = gen.standard_normal((256, 3, 8)) * 10.0 ** gen.uniform(-8, 8, (256, 3, 8))

@@ -7,10 +7,8 @@ import pytest
 from arec.data import DomainError
 from arec.interaction import (
     AcParams,
-    ac_attention,
     branches_forward_batch,
     branches_backward_batch,
-    cross_pairs,
     init_ac,
     init_mhsa,
     pair_indices,
@@ -32,6 +30,8 @@ from arec.numerics import (
     softmax_rows,
     softmax_rows_backward,
 )
+
+from oracle import ac_attention, cross_pairs
 
 
 def test_pair_count_matches_brute_force():

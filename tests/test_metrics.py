@@ -14,7 +14,7 @@ from arec.metrics import (
     auc,
     chunk_rows,
     evaluate,
-    score_columnar,
+    score_split,
 )
 from arec.model import MODES, ops_for
 from arec.numerics import Rng
@@ -22,6 +22,7 @@ from arec.training import TrainConfig
 
 import mlsynth
 from helpers import make_schema, random_example, score_one, separable_examples
+from oracle import columnar
 
 
 def pairwise_auc(scores, labels):
@@ -122,7 +123,7 @@ def test_evaluate_all_zero_model():
     labels = [ex.label for ex in examples]
     if sum(labels) in (0, len(labels)):
         pytest.fail("degenerate fixture")
-    report = evaluate(ops, params, examples, schema, tag="zeros")
+    report = evaluate(ops, params, columnar(examples, schema), schema, tag="zeros")
     assert abs(report.logloss - math.log(2.0)) < 1e-12
     assert report.auc == 0.5
     assert report.n_pos + report.n_neg == 40
@@ -142,7 +143,7 @@ def test_evaluate_perfect_model_fixture():
     params.embedding.tables[0][4:, 0] = -5.0
     dict(params.mhsa.named_tensors())["mhsa.res"][0, 0] = 1.0
     params.w_internal[0] = 1.0
-    report = evaluate(ops, params, examples[:30], schema, tag="sep")
+    report = evaluate(ops, params, columnar(examples[:30], schema), schema, tag="sep")
     assert report.auc == 1.0
 
 
@@ -151,7 +152,7 @@ def test_evaluate_empty_split_rejected():
     ops = ops_for("ours")
     params = ops.init(schema, 4, Rng(2))
     with pytest.raises(DomainError):
-        evaluate(ops, params, [], schema)
+        evaluate(ops, params, columnar([], schema), schema)
 
 
 def test_evaluate_propagates_single_class():
@@ -161,7 +162,7 @@ def test_evaluate_propagates_single_class():
     gen = np.random.default_rng(6)
     examples = [random_example(schema, gen, label=1.0) for _ in range(10)]
     with pytest.raises(MetricUndefinedError):
-        evaluate(ops, params, examples, schema)
+        evaluate(ops, params, columnar(examples, schema), schema)
 
 
 def test_report_serialization():
@@ -187,7 +188,7 @@ def test_evaluate_matches_per_example_scoring():
         labels = np.array([ex.label for ex in examples])
         if labels.sum() in (0, len(labels)):
             continue
-        report = evaluate(ops, params, examples, schema, tag=kind)
+        report = evaluate(ops, params, columnar(examples, schema), schema, tag=kind)
         scores = np.array([score_one(ops, params, schema, ex)[0] for ex in examples])
         from arec.losses import logloss
 
@@ -215,7 +216,7 @@ MODEL_CONFIGS = [("ours", TrainConfig(mode=mode)) for mode in MODES] + [
 
 
 def scored_in_chunks(ops, params, col, monkeypatch, budget):
-    """score_columnar under a byte budget, and the row count of each chunk."""
+    """score_split under a byte budget, and the row count of each chunk."""
     sizes = []
 
     def forward(chunk, p):
@@ -223,7 +224,7 @@ def scored_in_chunks(ops, params, col, monkeypatch, budget):
         return ops.forward_batch(chunk, p)
 
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
-    return score_columnar(dataclasses.replace(ops, forward_batch=forward), params, col), sizes
+    return score_split(dataclasses.replace(ops, forward_batch=forward), params, col), sizes
 
 
 def assert_chunking_is_exact(ops, params, col, monkeypatch):
@@ -261,7 +262,7 @@ def test_a_wide_schema_scores_at_the_32_row_floor(monkeypatch):
     ops = ops_for("ours")
     params = ops.init(schema, 8, Rng(6), **TrainConfig().model_kwargs())
     gen = np.random.default_rng(7)
-    col = Columnar.from_examples([random_example(schema, gen) for _ in range(150)], schema)
+    col = columnar([random_example(schema, gen) for _ in range(150)], schema)
     assert params.row_floats() == 780 * 32
     assert assert_chunking_is_exact(ops, params, col, monkeypatch) == 32
 
@@ -273,6 +274,6 @@ def test_a_short_tail_joins_the_chunk_before_it(monkeypatch):
     gen = np.random.default_rng(8)
     examples = [random_example(schema, gen) for _ in range(100)]
     for n, want in ((31, [31]), (64, [32, 32]), (95, [32, 63]), (100, [32, 32, 36])):
-        col = Columnar.from_examples(examples[:n], schema)
+        col = columnar(examples[:n], schema)
         _, sizes = scored_in_chunks(ops, params, col, monkeypatch, 1)
         assert sizes == want

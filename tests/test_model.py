@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arec.data import EncodedExample, EncodingError
-from arec.embedding import Columnar
+from arec.data import EncodingError
 from arec.interaction import branches_forward_batch
 from arec.losses import logloss_d_logits
 from arec.model import (
@@ -30,6 +29,7 @@ from helpers import (
     relu_kink_margin,
     score_one,
 )
+from oracle import EncodedExample, columnar
 
 SCHEMA = make_schema([
     ("user", "categorical", 4),
@@ -138,7 +138,7 @@ def test_mode_validation():
 
 def test_field_count_mismatch_rejected():
     with pytest.raises(EncodingError):
-        Columnar.from_examples([EncodedExample(values=(1, 2), label=0.0)], SCHEMA)
+        columnar([EncodedExample(values=(1, 2), label=0.0)], SCHEMA)
 
 
 def test_first_order_term_adds_row_sum():
@@ -318,7 +318,7 @@ def test_batched_forward_matches_per_example():
         ops = ops_for(kind)
         params = ops.init(SCHEMA, 4, Rng(23))
         examples = [random_example(SCHEMA, gen) for _ in range(9)]
-        col = Columnar.from_examples(examples, SCHEMA)
+        col = columnar(examples, SCHEMA)
         probs, logits, _ = ops.forward_batch(col, params)
         for b, ex in enumerate(examples):
             prob, z, _ = score_one(ops, params, SCHEMA, ex)
@@ -340,7 +340,7 @@ def test_batched_backward_matches_per_example_sum():
         params = ops.init(SCHEMA, 4, Rng(25))
         examples = [random_example(SCHEMA, gen) for _ in range(5)]
         labels = np.array([ex.label for ex in examples])
-        col = Columnar.from_examples(examples, SCHEMA)
+        col = columnar(examples, SCHEMA)
         probs, _, trace = ops.forward_batch(col, params)
         d_logits = (probs - labels) / len(examples)
         batch_grads = dict(ops.backward_batch(trace, params, d_logits).named_tensors())
@@ -421,7 +421,7 @@ def test_training_step_runs_without_einsum(monkeypatch):
         raise AssertionError(f"np.einsum called on the training step: {args[0]!r}")
 
     gen = np.random.default_rng(37)
-    col = Columnar.from_examples([random_example(MIXED, gen) for _ in range(6)], MIXED)
+    col = columnar([random_example(MIXED, gen) for _ in range(6)], MIXED)
     monkeypatch.setattr(np, "einsum", no_einsum)
     for kind, kwargs in STEP_CASES:
         ops = ops_for(kind)
@@ -439,7 +439,7 @@ def test_gradient_layout_matches_parameters(kind, kwargs):
     # adam_update pairs parameters with gradients by position, and
     # clip_gradients scales the gradients in place
     gen = np.random.default_rng(39)
-    col = Columnar.from_examples([random_example(MIXED, gen) for _ in range(6)], MIXED)
+    col = columnar([random_example(MIXED, gen) for _ in range(6)], MIXED)
     ops = ops_for(kind)
     params = ops.init(MIXED, 4, Rng(40), **kwargs)
     probs, _, trace = ops.forward_batch(col, params)

@@ -17,7 +17,6 @@ from arec.data import (
     CACHE_VERSION,
     CacheError,
     CachedDataset,
-    Columnar,
     DatasetSplit,
     load_cache,
     parse_movielens,
@@ -31,6 +30,7 @@ from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
 from helpers import assert_columns_equal, encoded_rows, header_end, records_of, rewrite_file
+from oracle import columnar
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -90,9 +90,10 @@ def files(workdir, dataset):
        keep=st.integers(0, 120), ratios=st.tuples(*[st.floats(0, 1)] * 3))
 def test_cache_roundtrip(workdir, dataset, rows, tag, seed, keep, ratios):
     train, validation, test = rows
+    train, validation, test = (columnar(part, dataset.schema)
+                               for part in (train[:keep], validation, test[keep % 7 :]))
     cached = CachedDataset(schema=dataset.schema, tag=tag, split=DatasetSplit(
-        train=train[:keep], validation=validation, test=test[keep % 7 :],
-        seed=seed, ratios=ratios))
+        train=train, validation=validation, test=test, seed=seed, ratios=ratios))
     path = workdir / "roundtrip.cache"
     save_cache(str(path), cached)
     loaded = load_cache(str(path))
@@ -100,8 +101,7 @@ def test_cache_roundtrip(workdir, dataset, rows, tag, seed, keep, ratios):
     assert loaded.tag == tag
     assert (loaded.split.seed, loaded.split.ratios) == (seed, ratios)
     for part in ("train", "validation", "test"):
-        want = Columnar.from_examples(getattr(cached.split, part), dataset.schema)
-        assert_columns_equal(getattr(loaded.split, part), want)
+        assert_columns_equal(getattr(loaded.split, part), getattr(cached.split, part))
 
 
 @st.composite

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import arec.training as training
-from arec.data import ConfigError, EncodedExample, FeatureSchema, FieldSpec
-from arec.embedding import Columnar
+from arec.data import CATEGORICAL, ConfigError, EncodingError, FeatureSchema, FieldColumn, FieldSpec
 from arec.losses import (
     ModalityTable,
     difference_loss,
@@ -13,6 +12,7 @@ from arec.losses import (
     similarity_loss,
     synthesize_modality_features,
 )
+from arec.metrics import evaluate
 from arec.model import ops_for
 from arec.numerics import Rng
 from arec.training import (
@@ -30,7 +30,8 @@ from arec.training import (
     train_epoch,
 )
 
-from helpers import make_schema, random_example, score_one, separable_examples
+from helpers import make_schema, parts, random_example, score_one, separable_examples
+from oracle import EncodedExample, columnar, value_of
 
 
 def tiny_config(**kw):
@@ -91,7 +92,7 @@ def test_zero_learning_rate_freezes_parameters():
     config = tiny_config(learning_rate=0.0)
     state = init_state(ops, schema, config)
     before = snapshot_tensors(state.params)
-    col = Columnar.from_examples(examples, schema)
+    col = columnar(examples, schema)
     metrics = train_epoch(ops, state, col, config)
     for name, t in state.params.named_tensors():
         assert np.array_equal(t, before[name]), name
@@ -106,7 +107,7 @@ def test_single_example_memorization():
     config = tiny_config(learning_rate=0.1, batch_size=1, mode="shallow")
     state = init_state(ops, schema, config)
     ex = EncodedExample(values=(1, 2), label=1.0)
-    col = Columnar.from_examples([ex], schema)
+    col = columnar([ex], schema)
     for _ in range(200):
         train_epoch(ops, state, col, config)
     prob = score_one(ops, state.params, schema, ex)[0]
@@ -119,7 +120,7 @@ def test_same_seed_is_bit_identical():
     runs = []
     for _ in range(2):
         config = tiny_config(seed=11, max_epochs=3, mode="combined")
-        result = fit(ops, schema, examples[:40], examples[40:], config)
+        result = fit(ops, schema, *parts(schema, examples, 40), config)
         runs.append((snapshot_tensors(result.state.params), result.curve))
     a, b = runs
     assert set(a[0]) == set(b[0])
@@ -132,8 +133,8 @@ def test_same_seed_is_bit_identical():
 def test_different_seed_changes_parameters():
     schema, examples = tiny_dataset()
     ops = ops_for("ours")
-    r0 = fit(ops, schema, examples[:40], examples[40:], tiny_config(seed=0, max_epochs=1))
-    r1 = fit(ops, schema, examples[:40], examples[40:], tiny_config(seed=1, max_epochs=1))
+    r0 = fit(ops, schema, *parts(schema, examples, 40), tiny_config(seed=0, max_epochs=1))
+    r1 = fit(ops, schema, *parts(schema, examples, 40), tiny_config(seed=1, max_epochs=1))
     t0 = snapshot_tensors(r0.state.params)
     t1 = snapshot_tensors(r1.state.params)
     assert any(not np.array_equal(t0[n], t1[n]) for n in t0)
@@ -144,7 +145,7 @@ def test_patience_one_stops_after_two_flat_epochs():
     schema, examples = tiny_dataset()
     ops = ops_for("ours")
     config = tiny_config(learning_rate=0.0, max_epochs=10, patience=1)
-    result = fit(ops, schema, examples[:40], examples[40:], config)
+    result = fit(ops, schema, *parts(schema, examples, 40), config)
     assert result.epochs_run == 2
     assert result.state.best.epoch == 1
 
@@ -159,7 +160,7 @@ def test_stops_on_worsening_validation_auc(monkeypatch):
 
     monkeypatch.setattr(training, "_eval_columnar", fake_eval)
     config = tiny_config(max_epochs=6, patience=1)
-    result = fit(ops, schema, examples[:40], examples[40:], config)
+    result = fit(ops, schema, *parts(schema, examples, 40), config)
     assert result.epochs_run == 2
     assert result.state.best.val_auc == 0.9 and result.state.best.epoch == 1
 
@@ -168,7 +169,7 @@ def test_best_snapshot_dominates_curve():
     schema, examples = tiny_dataset(n=80, seed=4)
     ops = ops_for("ours")
     config = tiny_config(max_epochs=6, patience=6, learning_rate=5e-3, mode="combined")
-    result = fit(ops, schema, examples[:64], examples[64:], config)
+    result = fit(ops, schema, *parts(schema, examples, 64), config)
     best = result.state.best
     assert best.val_auc == max(p.val_auc for p in result.curve)
     assert best.epoch in [p.epoch for p in result.curve]
@@ -179,7 +180,7 @@ def test_separable_dataset_reaches_perfect_validation_auc():
     ops = ops_for("ours")
     config = tiny_config(learning_rate=0.05, batch_size=32, max_epochs=25,
                          patience=25, dim=4, mode="shallow")
-    result = fit(ops, schema, examples[:160], examples[160:], config)
+    result = fit(ops, schema, *parts(schema, examples, 160), config)
     assert result.state.best.val_auc == 1.0
 
 
@@ -196,7 +197,7 @@ def test_frozen_batch_loss_decreases_over_first_steps():
         config = tiny_config(seed=trial, learning_rate=1e-3, batch_size=16,
                              mode="combined")
         state = init_state(ops, schema, config)
-        col = Columnar.from_examples(examples, schema)
+        col = columnar(examples, schema)
         losses = []
         for _ in range(6):
             probs, _, trace = ops.forward_batch(col, state.params)
@@ -279,7 +280,7 @@ def test_divergence_raises_with_location():
     config = tiny_config(learning_rate=1e100, clip_norm=0.0, max_epochs=5,
                          patience=5, mode="combined", batch_size=8)
     state = init_state(ops, schema, config)
-    col = Columnar.from_examples(examples, schema)
+    col = columnar(examples, schema)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
         for _ in range(5):
             train_epoch(ops, state, col, config)
@@ -293,7 +294,7 @@ def test_divergence_with_finite_parameters_says_so(monkeypatch):
     state = init_state(ops, schema, config)
     monkeypatch.setattr(training, "logloss", lambda probs, labels: math.nan)
     with pytest.raises(DivergenceError) as err:
-        train_epoch(ops, state, Columnar.from_examples(examples, schema), config)
+        train_epoch(ops, state, columnar(examples, schema), config)
     peak, where = max((float(np.abs(t).max()), name) for name, t in state.params.named_tensors())
     assert str(err.value) == (
         "non-finite loss at epoch 1, batch 0; all parameters are finite; "
@@ -319,12 +320,12 @@ def test_modality_batcher_terms_match_direct_losses():
     assert batcher.present[1:].all() and not batcher.present[0]
 
     examples = [EncodedExample(values=(1, i), label=1.0) for i in (1, 3, 3, 0)]
-    col = Columnar.from_examples(examples, schema)
+    col = columnar(examples, schema)
     l_s, l_d, count = batcher.batch_terms(col)
     assert count == 3  # index 0 carries no features
 
     features = dict(zip(table.keys, table.vectors))
-    sa, sv, pa, pv = np.stack([features[spec.value_of(i)] for i in (1, 3, 3)], axis=1)
+    sa, sv, pa, pv = np.stack([features[value_of(spec, i)] for i in (1, 3, 3)], axis=1)
     assert abs(l_s - similarity_loss(sa, sv)) < 1e-12
     want_d = np.mean([difference_loss(*rows) for rows in zip(pa, sa, pv, sv)])
     assert abs(l_d - want_d) < 1e-12
@@ -340,7 +341,7 @@ def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
     gen = np.random.default_rng(d_m)
     items = gen.integers(0, spec.cardinality, size=256)  # repeats and index-0 rows
     assert (items == 0).any() and (items == spec.cardinality - 1).any()
-    col = Columnar.from_examples(
+    col = columnar(
         [EncodedExample(values=(1, int(i)), label=1.0) for i in items], schema)
     _, l_d, count = batcher.batch_terms(col)
 
@@ -348,7 +349,7 @@ def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
     features = dict(zip(table.keys, table.vectors))
     want, want_count = 0.0, 0
     for i in items:
-        key = spec.value_of(int(i))
+        key = value_of(spec, int(i))
         if key in features:
             sa, sv, pa, pv = features[key]
             want += difference_loss(pa, sa, pv, sv)
@@ -369,7 +370,7 @@ def test_fit_computes_the_difference_table_once(monkeypatch):
 
     monkeypatch.setattr(training, "difference_loss", counted)
     config = tiny_config(max_epochs=3, patience=3)
-    result = fit(ops_for("fm"), schema, examples[:40], examples[40:], config,
+    result = fit(ops_for("fm"), schema, *parts(schema, examples, 40), config,
                  modality_table=table)
     assert result.epochs_run == 3
     assert calls == [len(table.keys)]
@@ -414,7 +415,7 @@ def test_fit_with_modality_table_reports_terms():
     table = synthesize_modality_features(list(spec.vocab), dim=8, seed=2)
     ops = ops_for("ours")
     config = tiny_config(max_epochs=2, patience=2)
-    result = fit(ops, schema, examples[:40], examples[40:], config, modality_table=table)
+    result = fit(ops, schema, *parts(schema, examples, 40), config, modality_table=table)
     for point in result.curve:
         assert point.l_s is not None and point.l_s > 0.0
         assert point.l_d is not None and point.l_d > 0.0
@@ -424,7 +425,8 @@ def test_fit_with_modality_table_reports_terms():
     assert curve_csv_header(False) == "epoch,train_loss,val_auc,val_logloss,d,seed"
 
     # reported training loss carries the weighted modality terms
-    plain = fit(ops, schema, examples[:40], examples[40:], tiny_config(max_epochs=2, patience=2))
+    plain = fit(ops, schema, *parts(schema, examples, 40),
+                tiny_config(max_epochs=2, patience=2))
     p0, q0 = result.curve[0], plain.curve[0]
     want = q0.train_loss + config.lambda_sim * p0.l_s + config.lambda_diff * p0.l_d
     assert abs(p0.train_loss - want) < 1e-12
@@ -433,7 +435,7 @@ def test_fit_with_modality_table_reports_terms():
 def test_sweep_emits_rows_and_curves_per_dim():
     schema, examples = tiny_dataset(n=60, seed=3)
     config = tiny_config(max_epochs=2, patience=2)
-    result = sweep("ours", schema, examples[:40], examples[40:50], examples[50:],
+    result = sweep("ours", schema, *parts(schema, examples, 40, 50),
                    config, dims=(8, 16))
     assert [r.dim for r in result.rows] == [8, 16]
     assert set(result.curves) == {8, 16}
@@ -449,10 +451,11 @@ def test_sweep_emits_rows_and_curves_per_dim():
 def test_sweep_validates_dims():
     schema, examples = tiny_dataset()
     config = tiny_config()
+    train, rest = parts(schema, examples, 40)
     with pytest.raises(ConfigError):
-        sweep("ours", schema, examples[:40], examples[40:], examples[40:], config, dims=())
+        sweep("ours", schema, train, rest, rest, config, dims=())
     with pytest.raises(ConfigError):
-        sweep("ours", schema, examples[:40], examples[40:], examples[40:], config, dims=(0,))
+        sweep("ours", schema, train, rest, rest, config, dims=(0,))
 
 
 def test_sweep_records_failures_without_raising():
@@ -460,7 +463,7 @@ def test_sweep_records_failures_without_raising():
     config = tiny_config(learning_rate=1e100, clip_norm=0.0, max_epochs=5, patience=5,
                          batch_size=4, mode="combined")
     with np.errstate(all="ignore"):
-        result = sweep("ours", schema, examples[:48], examples[48:54], examples[54:],
+        result = sweep("ours", schema, *parts(schema, examples, 48, 54),
                        config, dims=(8,))
     assert result.rows == []
     assert len(result.failures) == 1
@@ -478,3 +481,81 @@ def test_init_state_moments_match_parameters():
         assert state.m[name].shape == t.shape
         assert np.all(state.m[name] == 0.0) and np.all(state.v[name] == 0.0)
     assert state.t == 0 and state.epoch == 0
+
+
+# ---------------------------------------------------------------------------
+# the one check of a split
+
+
+CHECK_SCHEMA = make_schema([("user_id", "categorical", 4), ("tags", "multi_categorical", 4),
+                            ("t", "continuous", (0.0, 1.0))])
+CHECK_ROWS = [EncodedExample(values=(u % 4, (1, 3) if u % 2 else (2,), u / 8), label=u % 2)
+              for u in range(8)]
+
+
+def broken_split(case):
+    """A hand-built split of CHECK_SCHEMA that breaks one rule of the check."""
+    col = columnar(CHECK_ROWS, CHECK_SCHEMA)
+    user, tags, t = col.fields
+    if case == "index -1":
+        user.idx[1] = -1
+    elif case == "float index column":
+        user.idx = user.idx.astype(np.float64)
+    elif case == "bool index column":
+        user.idx = user.idx.astype(bool)
+    elif case == "unsorted multi-valued row":
+        tags.padded[1, :2] = (3, 1)
+    elif case == "repeated multi-valued row":
+        tags.padded[1, :2] = (1, 1)
+    elif case == "count of 0":
+        tags.counts[1] = 0
+    elif case == "label 2":
+        col.labels[1] = 2.0
+    elif case == "continuous NaN":
+        t.vals[1] = np.nan
+    elif case == "continuous 7.0":
+        t.vals[1] = 7.0
+    elif case == "field-kind mismatch":
+        col.fields[2] = FieldColumn(kind=CATEGORICAL, idx=np.zeros(col.n, dtype=np.int64))
+    elif case == "float row count":
+        col.n = float(col.n)
+    elif case == "list of examples":
+        return CHECK_ROWS
+    return col
+
+
+BROKEN = {
+    "index -1": "field 0: index -1 outside",
+    "float index column": "field 0: expected a 1-D int64 array",
+    "bool index column": "field 0: expected a 1-D int64 array",
+    "unsorted multi-valued row": r"field 1: the indices \[3, 1\] do not strictly increase",
+    "repeated multi-valued row": r"field 1: the indices \[1, 1\] do not strictly increase",
+    "count of 0": "field 1: a multi-valued row of 0 indices",
+    "label 2": "label 2;",
+    "continuous NaN": "field 2: value nan outside",
+    "continuous 7.0": "field 2: value 7.0 outside",
+    "field-kind mismatch": "field 2: a categorical column for the continuous field",
+    "float row count": "the row count 8.0 is not an integer",
+    "list of examples": "a split must be a Columnar, not a list",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_fit_evaluate_and_sweep_refuse_a_split_that_breaks_the_check(case):
+    good = columnar(CHECK_ROWS, CHECK_SCHEMA)
+    ops, config = ops_for("ours"), tiny_config(max_epochs=1)
+    match = BROKEN[case]
+    with pytest.raises(EncodingError, match=match):
+        fit(ops, CHECK_SCHEMA, broken_split(case), good, config)
+    with pytest.raises(EncodingError, match=match):
+        fit(ops, CHECK_SCHEMA, good, broken_split(case), config)
+    with pytest.raises(EncodingError, match=match):
+        evaluate(ops, ops.init(CHECK_SCHEMA, 4, Rng(0)), broken_split(case), CHECK_SCHEMA)
+    with pytest.raises(EncodingError, match=match):
+        sweep("ours", CHECK_SCHEMA, good, good, broken_split(case), config, dims=(4,))
+
+
+def test_the_check_passes_the_hand_built_split_unbroken():
+    good = columnar(CHECK_ROWS, CHECK_SCHEMA)
+    result = fit(ops_for("ours"), CHECK_SCHEMA, good, good, tiny_config(max_epochs=1))
+    assert result.epochs_run == 1
