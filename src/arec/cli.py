@@ -217,6 +217,14 @@ def rebuild_params(ckpt: Checkpoint, schema):
 # subcommands
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """A CSV file of the header line, then each row's `csv_row()` line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row.csv_row() + "\n")
+
+
 def cmd_prepare(args) -> int:
     try:
         ratios = tuple(float(tok) for tok in args.ratios.split(","))
@@ -266,10 +274,7 @@ def cmd_train(args) -> int:
     best = result.state.best
     save_checkpoint(args.out, args.model, config, dataset.schema.hash_hex(), best)
     curve_path = args.curve or args.out + ".curve.csv"
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write(curve_csv_header(with_modality=modality is not None) + "\n")
-        for point in result.curve:
-            fh.write(point.csv_row() + "\n")
+    _write_csv(curve_path, curve_csv_header(with_modality=modality is not None), result.curve)
     print(json.dumps(
         {
             "model": args.model,
@@ -289,12 +294,8 @@ def cmd_eval(args) -> int:
     dataset = load_cache(args.cache)
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.schema_hash != dataset.schema.hash_hex():
-        print(
-            f"schema mismatch: checkpoint {ckpt.schema_hash[:12]} vs cache "
-            f"{dataset.schema.hash_hex()[:12]}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CacheError(f"schema mismatch: checkpoint {ckpt.schema_hash[:12]} vs cache "
+                         f"{dataset.schema.hash_hex()[:12]}")
     ops, params = rebuild_params(ckpt, dataset.schema)
     rows = dataset.split.validation if args.split == "val" else dataset.split.test
     try:
@@ -323,15 +324,9 @@ def cmd_sweep(args) -> int:
     result = sweep(args.model, dataset.schema, dataset.split.train,
                    dataset.split.validation, dataset.split.test, config, dims)
     agg = os.path.join(args.out, "sweep.csv")
-    with open(agg, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for row in result.rows:
-            fh.write(row.csv_row() + "\n")
+    _write_csv(agg, SWEEP_CSV_HEADER, result.rows)
     for d, curve in sorted(result.curves.items()):
-        with open(os.path.join(args.out, f"curve_d{d}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(curve_csv_header() + "\n")
-            for point in curve:
-                fh.write(point.csv_row() + "\n")
+        _write_csv(os.path.join(args.out, f"curve_d{d}.csv"), curve_csv_header(), curve)
     for d, message in result.failures:
         print(f"dim {d} failed: {message}", file=sys.stderr)
     print(f"sweep results written to {agg}")

@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 
 
 class EncodingError(ValueError):
-    """An encoded example does not conform to its schema."""
+    """A split does not pass `Columnar.from_examples`, the check against its schema."""
 
 
 class CacheError(ValueError):
@@ -359,15 +359,13 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
         user_rows, movie_rows = _rows_of(users, fields[0]), _rows_of(movies, fields[1])
     if user_rows is None or movie_rows is None:
         fields, user_rows, movie_rows = _ratings_by_line(ratings_path, users, movies)
-    gender, age, occupation = (_column(map(itemgetter(i), user_fields)) for i in range(3))
+    side = _columns(user_fields, ("gender", "age", "occupation"))
     return {
         "user_id": fields[0],
         "movie_id": fields[1],
         "rating": fields[2],
         "timestamp": fields[3],
-        "gender": gender[user_rows],
-        "age": age[user_rows],
-        "occupation": occupation[user_rows],
+        **{name: col[user_rows] for name, col in side.items()},
         "genres": _column(genre_sets)[movie_rows],
     }
 
@@ -445,17 +443,18 @@ def _integral(value):
     return value
 
 
-def parse_amazon(reviews_path) -> list:
-    """Parse a newline-delimited Amazon review dump into interaction records.
+def parse_amazon(reviews_path) -> dict:
+    """Parse a newline-delimited Amazon review dump into a column table.
 
-    Each line is a JSON object.  "reviewerID" and "asin" are JSON strings;
-    "overall" and "unixReviewTime" are integral
-    numbers (5 or 5.0); the timestamp must also fit a float.  Product
-    categories, a flat "category" list of strings or a nested "categories"
-    list of string paths, become the record's multi-valued field.  Anything
-    else is a ParseError naming the line.
+    One array per record field, one entry per review line, in file order:
+    reviewer_id, product_id, rating, timestamp and the category set.  Each
+    line is a JSON object.  "reviewerID" and "asin" are JSON strings;
+    "overall" and "unixReviewTime" are integral numbers (5 or 5.0); the
+    timestamp must also fit a float.  Product categories, a flat "category"
+    list of strings or a nested "categories" list of string paths, become the
+    multi-valued field.  Anything else is a ParseError naming the line.
     """
-    records = []
+    rows = []
     for line_no, line in _read_lines(reviews_path, encoding="utf-8"):
         where = f"{reviews_path}:{line_no}"
         try:
@@ -484,23 +483,14 @@ def parse_amazon(reviews_path) -> list:
             categories = [c for path in categories for c in path]
         if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
             raise ParseError(f"{where}: categories must be a list of strings or of string lists")
-        records.append(
-            {
-                "reviewer_id": obj["reviewerID"],
-                "product_id": obj["asin"],
-                "rating": rating,
-                "timestamp": timestamp,
-                "category": tuple(categories),
-            }
-        )
-    return records
+        rows.append((obj["reviewerID"], obj["asin"], rating, timestamp, tuple(categories)))
+    return _columns(rows, ("reviewer_id", "product_id", "rating", "timestamp", "category"))
 
 
-def binarize_label(rating: int) -> int:
-    """Map a 1..5 star rating to the binary target: >= 4 stars is positive."""
-    if not 1 <= rating <= 5:
-        raise DomainError(f"rating {rating} outside [1, 5]")
-    return 1 if rating >= 4 else 0
+def _columns(rows, names) -> dict:
+    """The column table of a list of row tuples: entry i of every row, in row
+    order, under names[i], as an array that holds them exactly (see `_column`)."""
+    return {name: _column(map(itemgetter(i), rows)) for i, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +517,17 @@ _AMAZON_PLAN = (
 )
 
 
-def _plan_for(layout) -> tuple:
-    """The field plan of a record's, or a column table's, field names."""
-    keys = set(layout)
+def _plan_for(columns) -> tuple:
+    """The field plan of a column table, told by its field names; anything
+    but a dict is a DomainError."""
+    if not isinstance(columns, dict):
+        raise DomainError(f"a raw table must be a dict of columns, not a {type(columns).__name__}")
+    keys = set(columns)
     if "movie_id" in keys:
         return _MOVIELENS_PLAN
     if "product_id" in keys:
         return _AMAZON_PLAN
     raise DomainError(f"unrecognized record layout: {sorted(keys)}")
-
-
-def _columns(table, names) -> dict:
-    """The column table of a list of records: each named field's values, in
-    table order, as an array that holds them exactly (see `_column`)."""
-    return {name: _column(map(itemgetter(name), table)) for name in names}
 
 
 def _float_column(name: str, values) -> np.ndarray:
@@ -789,12 +776,13 @@ def load_cache(path) -> CachedDataset:
 
 
 def _labels(ratings: np.ndarray, parts) -> np.ndarray:
-    """float64 binary targets of the ratings, in file order.  A rating outside
-    [1, 5] raises the DomainError of `binarize_label`, for the first one met in
-    train, validation, test order."""
+    """float64 binary targets of the 1..5 star ratings, in file order: 4 stars
+    or more is positive.  A rating outside [1, 5] is a DomainError naming the
+    first one met in train, validation, test order."""
     if ratings.min() < 1 or ratings.max() > 5:
-        for i in chain(*parts):
-            binarize_label(ratings[i])
+        met = ratings[np.concatenate(parts)]
+        bad = met[(met < 1) | (met > 5)][0]
+        raise DomainError(f"rating {bad} outside [1, 5]")
     return (ratings >= 4).astype(np.float64)
 
 
@@ -842,22 +830,19 @@ def prepare_dataset(table, ratios, seed: int, tag: str) -> CachedDataset:
     """Split a column table, fit the schema on the training part, encode everything.
 
     `table` maps each record field to an array of its values, as
-    `parse_movielens` returns it; a list of records (`parse_amazon`) becomes
-    one through `_columns`.  The split is a row permutation (that of `split`).
-    Each categorical or multi-valued column is factorized once, so each
-    distinct value is looked up, and each distinct set encoded, once; the
-    timestamp is scaled and clipped as one array.
+    `parse_movielens` and `parse_amazon` return it.  The split is a seeded
+    row permutation cut in three.  Each categorical or multi-valued column is
+    factorized once, so each distinct value is looked up, and each distinct
+    set encoded, once; the timestamp is scaled and clipped as one array.
     """
-    n = len(table["rating"]) if isinstance(table, dict) else len(table)
+    plan = _plan_for(table)
+    n = len(table["rating"])
     if not n:
         raise DomainError("no interactions to prepare")
     parts = _split_rows(n, ratios, seed)
     train = parts[0]
     if not len(train):
         raise DomainError("cannot build a schema from an empty table")
-    plan = _plan_for(table if isinstance(table, dict) else table[train[0]])
-    if not isinstance(table, dict):
-        table = _columns(table, [name for name, _ in plan] + ["rating"])
     fields, encoded = [], []
     for name, kind in plan:
         if kind == CONTINUOUS:

@@ -7,6 +7,7 @@ import pathlib
 import struct
 import sys
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from arec.data import (
     MULTI_CATEGORICAL,
     FeatureSchema,
     FieldSpec,
+    _column,
     write_section,
 )
 from arec.embedding import embed_batch
@@ -174,6 +176,12 @@ def records_of(table):
     """The records of a column table, one dict of plain Python values per row."""
     columns = {name: col.tolist() for name, col in table.items()}
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def columns_of(records):
+    """The column table of a list of records, as the parsers return one: each
+    field's values, in record order, as an array that holds them exactly."""
+    return {name: _column(map(itemgetter(name), records)) for name in records[0]}
 
 
 def assert_tables_equal(got, want):

@@ -2,9 +2,10 @@
 
 The engine encodes, splits and checks whole columns; these are the one-row
 and record-at-a-time forms of the same work: the encoded example, its
-encoder, decoder and row check, the record-based schema fit, the record
-split, the builder of a `Columnar` from a list of examples, and the
-one-example crossing pool of the attention branch.
+encoder and its rating-to-label rule, decoder and row check, the
+record-based schema fit, the record split, the builder of a `Columnar` from
+a list of examples, and the one-example crossing pool of the attention
+branch.
 
 `ac_attention` scores one example's pairs with einsum, and takes its softmax
 denominator and pooled sum by exact (correctly rounded) summation, so its
@@ -31,7 +32,6 @@ from arec.data import (
     _float_column,
     _plan_for,
     _split_rows,
-    binarize_label,
 )
 from arec.interaction import AcParams, pair_indices
 from arec.numerics import Tensor, relu
@@ -69,6 +69,13 @@ def build_schema(table) -> FeatureSchema:
             vals = _float_column(name, col)
             fields.append(FieldSpec(name=name, kind=kind, lo=float(vals.min()), hi=float(vals.max())))
     return FeatureSchema(fields=tuple(fields))
+
+
+def binarize_label(rating: int) -> int:
+    """Map a 1..5 star rating to the binary target: >= 4 stars is positive."""
+    if not 1 <= rating <= 5:
+        raise DomainError(f"rating {rating} outside [1, 5]")
+    return 1 if rating >= 4 else 0
 
 
 def encode_example(row, schema: FeatureSchema) -> EncodedExample:

@@ -288,6 +288,21 @@ def test_prepare_rejects_a_bad_amazon_value_with_its_line(tmp_path, capsys, key,
     assert not (tmp_path / "bad.cache").exists()
 
 
+def test_prepare_amazon_reads_reviews_json_from_a_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw").mkdir()
+    (tmp_path / "raw" / "reviews.json").write_text("\n".join(amazon_lines()) + "\n",
+                                                   encoding="utf-8")
+    (tmp_path / "reviews.json").write_text("\n".join(amazon_lines()) + "\n", encoding="utf-8")
+    argv = ["prepare", "--dataset", "amazon", "--seed", "3", "--ratios", "0.6,0.2,0.2"]
+    assert cli.main([*argv, "--input", "raw", "--out", "dir.cache"]) == 0
+    from_dir = capsys.readouterr().out
+    assert cli.main([*argv, "--input", "reviews.json", "--out", "file.cache"]) == 0
+    from_file = capsys.readouterr().out
+    assert from_dir.replace("dir.cache", "file.cache") == from_file
+    assert (tmp_path / "dir.cache").read_bytes() == (tmp_path / "file.cache").read_bytes()
+
+
 @pytest.mark.parametrize("line", ["[1, 2]", "5", '"reviewerID asin overall unixReviewTime"'])
 def test_prepare_rejects_an_amazon_line_that_is_not_an_object(tmp_path, capsys, line):
     path = tmp_path / "reviews.json"
@@ -575,10 +590,13 @@ def test_eval_rejects_mismatched_schema(workdir, ours_ckpt, tmp_path, capsys):
     other = tmp_path / "other.cache"
     assert cli.main(["prepare", "--dataset", "movielens", "--input", str(raw),
                      "--out", str(other)]) == 0
+    capsys.readouterr()
     code = cli.main(["eval", "--cache", str(other), "--ckpt", str(ours_ckpt)])
     captured = capsys.readouterr()
     assert code == 2
     assert "schema mismatch" in captured.err
+    assert captured.err.startswith("error: schema mismatch: checkpoint ") and captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_config_file_and_set_overrides(workdir, ml_cache, capsys):
@@ -616,6 +634,17 @@ def test_bad_config_file_line_is_located(workdir, ml_cache, capsys):
     assert "broken.cfg:2" in captured.err
 
 
+def test_config_file_that_is_not_utf8_is_named(workdir, ml_cache, capsys):
+    cfg = workdir / "latin1.cfg"
+    cfg.write_bytes("dim = 8\n# Café\n".encode("latin-1"))
+    code = cli.main(["train", "--cache", str(ml_cache), "--config", str(cfg),
+                     "--out", str(workdir / "latin1.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {cfg}: not UTF-8 text")
+    assert "Traceback" not in captured.err and not (workdir / "latin1.ckpt").exists()
+
+
 def test_sweep_writes_aggregate_and_per_dim_curves(workdir, ml_cache, capsys):
     out = workdir / "sweep"
     code = cli.main(["sweep", "--cache", str(ml_cache), "--model", "ours",
@@ -632,6 +661,20 @@ def test_sweep_writes_aggregate_and_per_dim_curves(workdir, ml_cache, capsys):
         assert len(lines) == 3
         assert all(ln.split(",")[4] == str(d) for ln in lines[1:])
     assert "sweep results written to" in captured.out
+
+
+def test_sweep_where_every_dim_diverges_writes_only_the_header(workdir, ml_cache, capsys):
+    out = workdir / "sweep_diverged"
+    code = cli.main(["sweep", "--cache", str(ml_cache), "--model", "fm", "--dims", "4,8",
+                     "--set", "learning_rate=1e300", "--set", "max_epochs=2",
+                     "--set", "batch_size=64", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    failed = captured.err.splitlines()
+    assert [line.split(":")[0] for line in failed] == ["dim 4 failed", "dim 8 failed"]
+    assert all("non-finite" in line for line in failed) and "Traceback" not in captured.err
+    assert (out / "sweep.csv").read_text(encoding="utf-8") == training.SWEEP_CSV_HEADER + "\n"
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
 
 
 def test_sweep_rejects_malformed_dims(workdir, ml_cache, capsys):
@@ -657,7 +700,7 @@ def test_missing_cache_file_is_an_input_error(workdir, capsys):
 @pytest.mark.parametrize("setting", [
     "mode=bogus", "heads=3", "heads=0", "attn_dim=0", "attn_dim=7", "ac_hidden=-2",
     "deep_hidden=8,-1", "seed=-1", "learning_rate=nan", "epsilon=0", "ac_hidden=0",
-    "clip_norm=-1", "deep_hidden=", "deep_hidden=0", "lambda_sim=nan",
+    "clip_norm=-1", "deep_hidden=", "deep_hidden=0", "lambda_sim=nan", "first_order=maybe",
 ])
 def test_bad_setting_exits_two_without_traceback(workdir, ml_cache, capsys, setting):
     code = cli.main(["train", "--cache", str(ml_cache), "--out", str(workdir / "bad.ckpt"),
@@ -665,6 +708,7 @@ def test_bad_setting_exits_two_without_traceback(workdir, ml_cache, capsys, sett
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err and "Traceback" not in captured.err
+    assert setting.split("=")[0] in captured.err
     assert not (workdir / "bad.ckpt").exists()
 
 
@@ -792,6 +836,49 @@ def test_cache_with_continuous_value_outside_zero_one_is_an_input_error(
         assert code == 2
         assert "field 6:" in captured.err and "Traceback" not in captured.err
     assert not (tmp_path / "ts.ckpt").exists()
+
+
+@pytest.mark.parametrize("damaged", ["cache", "checkpoint"])
+def test_a_byte_after_the_last_section_is_an_input_error(ml_cache, ours_ckpt, tmp_path, capsys,
+                                                         damaged):
+    files = {"cache": ml_cache, "checkpoint": ours_ckpt}
+    bad = tmp_path / f"trailing.{damaged}"
+    bad.write_bytes(files[damaged].read_bytes() + b"\x00")
+    files[damaged] = bad
+    load = load_cache if damaged == "cache" else cli.load_checkpoint
+    with pytest.raises(CacheError, match=f"trailing bytes in {damaged}"):
+        load(str(bad))
+    code = cli.main(["eval", "--cache", str(files["cache"]), "--ckpt", str(files["checkpoint"])])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {bad}: trailing bytes in {damaged}\n"
+
+
+@pytest.mark.parametrize("case", ["first offset 1", "offsets fall"])
+def test_multi_valued_offsets_that_do_not_rise_from_zero_are_an_input_error(
+        ml_cache, ours_ckpt, tmp_path, capsys, case):
+    genres = [f.name for f in load_cache(str(ml_cache)).schema.fields].index("genres")
+
+    def edit(columns):
+        offsets = columns[genres][0]
+        if case == "first offset 1":
+            offsets[0] = 1
+        else:  # every row holds at least one index, so offsets[2] > offsets[1]
+            offsets[1], offsets[2] = offsets[2], offsets[1]
+
+    bad = tmp_path / "offsets.cache"
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), "test", edit))
+    with pytest.raises(CacheError, match="the test genres offsets do not rise from 0"):
+        load_cache(str(bad))
+    for argv in (["train", "--cache", str(bad), "--model", "fm",
+                  "--out", str(tmp_path / "offsets.ckpt"), *TRAIN_SETTINGS],
+                 ["eval", "--cache", str(bad), "--ckpt", str(ours_ckpt)]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "the test genres offsets do not rise from 0" in captured.err
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "offsets.ckpt").exists()
 
 
 def test_divergence_names_the_first_non_finite_tensor(ml_cache, tmp_path, monkeypatch,

@@ -21,7 +21,6 @@ from arec.data import (
     FieldSpec,
     ParseError,
     ReferentialError,
-    binarize_label,
     load_cache,
     parse_amazon,
     parse_movielens,
@@ -33,12 +32,14 @@ import mlsynth
 from helpers import (
     assert_columns_equal,
     assert_tables_equal,
+    columns_of,
     corruptions,
     encoded_rows,
     records_of,
 )
 from oracle import (
     EncodedExample,
+    binarize_label,
     build_schema,
     columnar,
     decode_example,
@@ -169,7 +170,7 @@ def amazon_file(tmp_path):
 
 
 def test_amazon_transcription(amazon_file):
-    records = parse_amazon(amazon_file)
+    records = records_of(parse_amazon(amazon_file))
     assert len(records) == 4
     assert records[0] == {
         "reviewer_id": "A1",
@@ -183,6 +184,22 @@ def test_amazon_transcription(amazon_file):
     # nested category paths flatten
     assert records[2]["category"] == ("Books", "Mystery")
     assert records[3]["category"] == ()
+
+
+@pytest.mark.parametrize("layout", ["movielens", "amazon"])
+def test_each_parser_returns_a_column_table_of_its_plan(ml_files, amazon_file, layout):
+    if layout == "movielens":
+        table, plan = parse_fixture(ml_files), data_module._MOVIELENS_PLAN
+    else:
+        table, plan = parse_amazon(amazon_file), data_module._AMAZON_PLAN
+    assert isinstance(table, dict)
+    assert set(table) == {name for name, _ in plan} | {"rating"}
+    assert all(isinstance(col, np.ndarray) and col.ndim == 1 for col in table.values())
+    assert len({len(col) for col in table.values()}) == 1 and len(table["rating"]) > 0
+    assert prepare_dataset(table, ratios=(0.5, 0.25, 0.25), seed=0, tag="t").schema.n_fields \
+        == len(plan)
+    with pytest.raises(DomainError, match="a raw table must be a dict of columns, not a list"):
+        prepare_dataset(records_of(table), ratios=(0.5, 0.25, 0.25), seed=0, tag="t")
 
 
 def test_amazon_missing_field_named(amazon_file, tmp_path):
@@ -479,31 +496,45 @@ def test_prepare_keeps_values_apart_that_numpy_arrays_would_merge():
     records = [{"user_id": uid, "movie_id": mid, "rating": 4, "timestamp": 1, "gender": gender,
                 "age": 1, "occupation": 0, "genres": ("a",)}
                for uid, mid, gender in [(-1, 2**63, "a"), (2**63, 2**63 + 1, "a\x00")] * 5]
-    schema = prepare_dataset(records, ratios=(0.8, 0.1, 0.1), seed=0, tag="t").schema
+    schema = prepare_dataset(columns_of(records), ratios=(0.8, 0.1, 0.1), seed=0, tag="t").schema
     assert schema.field_named("user_id").vocab == (-1, 2**63)
     assert schema.field_named("movie_id").vocab == (2**63, 2**63 + 1)
     assert schema.field_named("gender").vocab == ("a", "a\x00")
 
 
-def test_prepare_dataset_rejects_empty():
-    with pytest.raises(DomainError):
-        prepare_dataset([], ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
+def test_prepare_dataset_rejects_empty(tmp_path):
+    empty = tmp_path / "reviews.json"
+    empty.write_text("", encoding="utf-8")
+    table = parse_amazon(str(empty))
+    assert table and all(len(col) == 0 for col in table.values())
+    with pytest.raises(DomainError, match="no interactions to prepare"):
+        prepare_dataset(table, ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
 
 
 def test_prepare_dataset_rejects_unknown_layout_and_empty_train(ml_files):
     with pytest.raises(DomainError, match="unrecognized record layout"):
-        prepare_dataset([{"item": 1, "rating": 4}], ratios=(0.8, 0.1, 0.1), seed=0, tag="x")
+        prepare_dataset(columns_of([{"item": 1, "rating": 4}]), ratios=(0.8, 0.1, 0.1), seed=0,
+                        tag="x")
+    one = {name: col[:1] for name, col in parse_fixture(ml_files).items()}
+    with pytest.raises(DomainError, match="cannot build a schema from an empty table"):
+        prepare_dataset(one, ratios=(0.2, 0.2, 0.6), seed=0, tag="x")
+
+
+def test_prepare_names_a_bad_rating_of_an_object_column(ml_files):
+    # a rating beyond int64 makes the column an object array
     table = parse_fixture(ml_files)
-    for one in ({name: col[:1] for name, col in table.items()}, records_of(table)[:1]):
-        with pytest.raises(DomainError, match="cannot build a schema from an empty table"):
-            prepare_dataset(one, ratios=(0.2, 0.2, 0.6), seed=0, tag="x")
+    ratings = [2**70] + table["rating"].tolist()[1:]
+    table["rating"] = data_module._column(ratings)
+    assert table["rating"].dtype == object
+    with pytest.raises(DomainError, match=rf"^rating {2**70} outside \[1, 5\]$"):
+        prepare_dataset(table, ratios=(0.5, 0.25, 0.25), seed=0, tag="x")
 
 
 def test_amazon_accepts_integral_numbers_and_nested_paths(tmp_path):
     p = tmp_path / "ok.json"
     p.write_text('{"reviewerID": "A7", "asin": "B1", "overall": 2.0, "unixReviewTime": 1.4e9, '
                  '"categories": [["Books", "Mystery"], [], ["Bücher"]]}\n', encoding="utf-8")
-    (record,) = parse_amazon(str(p))
+    (record,) = records_of(parse_amazon(str(p)))
     assert record == {"reviewer_id": "A7", "product_id": "B1", "rating": 2,
                       "timestamp": 1400000000, "category": ("Books", "Mystery", "Bücher")}
     assert type(record["rating"]) is int and type(record["timestamp"]) is int
@@ -534,7 +565,7 @@ def test_amazon_line_gives_a_record_or_a_parse_error(tmp_path_factory, values):
     path.write_text("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in values.items()) + "}\n",
                     encoding="utf-8")
     try:
-        (record,) = parse_amazon(str(path))
+        (record,) = records_of(parse_amazon(str(path)))
     except ParseError as exc:
         assert str(exc).startswith(f"{path}:1: ")
         return
@@ -741,15 +772,16 @@ def _row_fit(train, schema):
        seed=st.integers(0, 2**64 - 1))
 def test_prepared_columns_equal_the_encoded_rows(tmp_path_factory, layout, data, ratios, seed):
     records = data.draw(record_tables(layout))
+    table = columns_of(records)
     try:
         schema, rows = encoded_rows(records, ratios, seed)
     except DomainError as exc:  # a rating outside [1, 5]
         with pytest.raises(DomainError) as err:
-            prepare_dataset(records, ratios=ratios, seed=seed, tag="t")
+            prepare_dataset(table, ratios=ratios, seed=seed, tag="t")
         assert str(err.value) == str(exc)
         return
     _row_fit(split(records, ratios=ratios, seed=seed).train, schema)
-    got = prepare_dataset(records, ratios=ratios, seed=seed, tag="t")
+    got = prepare_dataset(table, ratios=ratios, seed=seed, tag="t")
     assert got.schema.to_json() == schema.to_json()
     parts = (got.split.train, got.split.validation, got.split.test)
     want = [columnar(part, schema) for part in rows]

@@ -331,6 +331,16 @@ def test_modality_batcher_terms_match_direct_losses():
     assert abs(l_d - want_d) < 1e-12
 
 
+def test_modality_batcher_terms_of_a_batch_without_features_are_zero():
+    schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 5)])
+    spec = schema.field_named("item_id")
+    table = synthesize_modality_features(list(spec.vocab)[:2], dim=6, seed=1)
+    batcher = ModalityBatcher.build(schema, table)
+    # index 0 and items 3 and 4 carry no features
+    col = columnar([EncodedExample(values=(1, i), label=1.0) for i in (0, 3, 4, 0)], schema)
+    assert batcher.batch_terms(col) == (0.0, 0.0, 0)
+
+
 @pytest.mark.parametrize("d_m", [16, 13])
 def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
     schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 12)])
@@ -517,6 +527,8 @@ def broken_split(case):
         t.vals[1] = 7.0
     elif case == "field-kind mismatch":
         col.fields[2] = FieldColumn(kind=CATEGORICAL, idx=np.zeros(col.n, dtype=np.int64))
+    elif case == "one field fewer":
+        col.fields.pop()
     elif case == "float row count":
         col.n = float(col.n)
     elif case == "list of examples":
@@ -535,6 +547,7 @@ BROKEN = {
     "continuous NaN": "field 2: value nan outside",
     "continuous 7.0": "field 2: value 7.0 outside",
     "field-kind mismatch": "field 2: a categorical column for the continuous field",
+    "one field fewer": "the split has 2 fields, the schema 3",
     "float row count": "the row count 8.0 is not an integer",
     "list of examples": "a split must be a Columnar, not a list",
 }
