@@ -3,11 +3,12 @@ its one check, and dataset caching.
 
 Supports the two public rating corpora this engine targets: MovieLens-1M
 ("::"-delimited triplet files) and Amazon product reviews (JSON lines).
-Vocabularies are always fitted on training rows only; anything unseen at
-encode time maps to the reserved index 0 of its field.  `prepare_dataset`
-splits, fits and encodes whole columns into `Columnar` splits, the one row
-type the engine takes, and `Columnar.from_examples` is the one check of a
-split against its schema.
+The parsers return raw column tables whose categorical and multi-valued
+fields are already factorized (`Factor`).  Vocabularies are always fitted on
+training rows only; anything unseen at encode time maps to the reserved
+index 0 of its field.  `prepare_dataset` splits, fits and encodes whole
+columns into `Columnar` splits, the one row type the engine takes, and
+`Columnar.from_examples` is the one check of a split against its schema.
 """
 
 from __future__ import annotations
@@ -224,10 +225,13 @@ class Columnar:
 def _typed(a, dtype, ndim: int, n: int, where: str) -> np.ndarray:
     """`a`, if it is an `ndim`-D array of `dtype` with `n` rows."""
     if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim and len(a) == n):
-        got = f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
         raise EncodingError(f"{where}: expected a {ndim}-D {np.dtype(dtype)} array of {n} rows, "
-                            f"got {got}")
+                            f"got {_describe(a)}")
     return a
+
+
+def _describe(a) -> str:
+    return f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
 
 
 def _check_index_range(idx: np.ndarray, cardinality: int, where: str) -> None:
@@ -257,6 +261,18 @@ def _check_sets(padded: np.ndarray, counts: np.ndarray, cardinality: int, where:
             row = int(np.argmax(falls))
             raise EncodingError(f"{where}: the indices {padded[row, :counts[row]].tolist()} do "
                                 f"not strictly increase")
+
+
+@dataclass
+class Factor:
+    """A categorical or multi-valued raw column: its distinct `values`, and
+    for each rating the int64 `code` of its value, a position in `values`."""
+
+    values: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 @dataclass
@@ -314,17 +330,40 @@ def _column(values) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
+def _factorize(col: np.ndarray) -> Factor:
+    """The factor of a column.  An int64 column goes through np.unique; an
+    object column (strings, sets, ints beyond int64) through a dict, which
+    hashes each row once where np.unique would sort the rows by Python
+    comparisons."""
+    if col.dtype != object:
+        return Factor(*np.unique(col, return_inverse=True))
+    codes = {value: i for i, value in enumerate(dict.fromkeys(col))}
+    inverse = np.fromiter(map(codes.__getitem__, col), dtype=np.int64, count=len(col))
+    return Factor(np.fromiter(codes, dtype=object, count=len(codes)), inverse)
+
+
+def _gather(side: Factor, rows: np.ndarray) -> Factor:
+    """The factor of a side-table column joined to the ratings: the code of
+    each rating's side row."""
+    return Factor(side.values, side.codes[rows])
+
+
 def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     """Join MovieLens-1M rating, user, and movie files into a column table.
 
-    One array per record field, one entry per rating line, in file order:
-    user_id, movie_id, rating and timestamp from the rating, the user's
-    gender, age bucket and occupation, and the movie's genre set.  The side
-    files are read line by line and joined by one gather per field.  The
-    ratings file is parsed in one call when it provably holds only lines of
-    four `::`-separated integers with known ids; any other file is read line
-    by line, which gives the same columns or raises the error of its first
-    bad line.
+    One entry per field, in this order, each holding one value per rating
+    line in file order: user_id, movie_id, rating and timestamp from the
+    rating, the user's gender, age bucket and occupation, and the movie's
+    genre set.  rating and timestamp are plain arrays; every other field is
+    a `Factor`.  gender, age and occupation are factorized over the rows of
+    the users file and genres over the rows of the movies file (where a
+    side row no rating uses still counts), then joined to the ratings by one
+    gather of codes; user_id and movie_id take the distinct ids and codes of
+    the search that finds each rating's side rows.  The ratings file is
+    parsed in one call when it provably holds only lines of four
+    `::`-separated integers with known ids; any other file is read line by
+    line, which gives factors of the same values or raises the error of its
+    first bad line.
     """
     users, user_fields = {}, []
     for line_no, line in _read_lines(users_path):
@@ -354,19 +393,22 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
 
     with open(ratings_path, "r", encoding="latin-1") as fh:
         fields = _bulk_ratings(fh.read())
-    user_rows = movie_rows = None
+    users_of = movies_of = None
     if fields is not None:
-        user_rows, movie_rows = _rows_of(users, fields[0]), _rows_of(movies, fields[1])
-    if user_rows is None or movie_rows is None:
-        fields, user_rows, movie_rows = _ratings_by_line(ratings_path, users, movies)
+        users_of, movies_of = _rows_of(users, fields[0]), _rows_of(movies, fields[1])
+    if users_of is None or movies_of is None:
+        found = _ratings_by_line(ratings_path, users, movies)
+    else:
+        found = fields[2], fields[3], users_of, movies_of
+    rating, timestamp, (user_ids, user_rows), (movie_ids, movie_rows) = found
     side = _columns(user_fields, ("gender", "age", "occupation"))
     return {
-        "user_id": fields[0],
-        "movie_id": fields[1],
-        "rating": fields[2],
-        "timestamp": fields[3],
-        **{name: col[user_rows] for name, col in side.items()},
-        "genres": _column(genre_sets)[movie_rows],
+        "user_id": user_ids,
+        "movie_id": movie_ids,
+        "rating": rating,
+        "timestamp": timestamp,
+        **{name: _gather(_factorize(col), user_rows) for name, col in side.items()},
+        "genres": _gather(_factorize(_column(genre_sets)), movie_rows),
     }
 
 
@@ -394,8 +436,9 @@ def _bulk_ratings(text: str):
 
 
 def _rows_of(index: dict, ids: np.ndarray):
-    """The row `index` maps each id to, by one search of each distinct id
-    among its sorted keys; None if an id is not a key."""
+    """The factor of int64 `ids` and the row `index` maps each id to, by one
+    search of each distinct id among its sorted keys; None if an id is not a
+    key."""
     # a key outside int64 can equal no bulk-parsed id
     keys = sorted(k for k in index if _INT64_MIN < k < _INT64_MAX)
     if not keys:
@@ -406,12 +449,13 @@ def _rows_of(index: dict, ids: np.ndarray):
     if not np.array_equal(table[pos], distinct):
         return None
     rows = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
-    return rows[pos][inverse]
+    return Factor(distinct, inverse), rows[pos][inverse]
 
 
 def _ratings_by_line(ratings_path, users: dict, movies: dict) -> tuple:
-    """The ratings fields as columns and each line's user and movie rows, read
-    line by line: the first bad line raises, naming its file and number."""
+    """The rating and timestamp columns and, as `_rows_of` gives them, the
+    user and movie id factors and rows, read line by line: the first bad line
+    raises, naming its file and number."""
     fields, user_rows, movie_rows = [], [], []
     for line_no, line in _read_lines(ratings_path):
         parts = line.split("::")
@@ -428,8 +472,9 @@ def _ratings_by_line(ratings_path, users: dict, movies: dict) -> tuple:
         fields.append((uid, mid, rating, ts))
         user_rows.append(users[uid])
         movie_rows.append(movies[mid])
-    columns = [_column(map(itemgetter(i), fields)) for i in range(4)]
-    return columns, np.array(user_rows, dtype=np.int64), np.array(movie_rows, dtype=np.int64)
+    uids, mids, rating, timestamp = (_column(map(itemgetter(i), fields)) for i in range(4))
+    return (rating, timestamp, (_factorize(uids), np.array(user_rows, dtype=np.int64)),
+            (_factorize(mids), np.array(movie_rows, dtype=np.int64)))
 
 
 def _integral(value):
@@ -446,8 +491,10 @@ def _integral(value):
 def parse_amazon(reviews_path) -> dict:
     """Parse a newline-delimited Amazon review dump into a column table.
 
-    One array per record field, one entry per review line, in file order:
-    reviewer_id, product_id, rating, timestamp and the category set.  Each
+    One entry per field, in this order, each holding one value per review
+    line in file order: reviewer_id, product_id, rating, timestamp and the
+    category set.  rating and timestamp are plain arrays; reviewer_id,
+    product_id and category are each a `Factor` over the review lines.  Each
     line is a JSON object.  "reviewerID" and "asin" are JSON strings;
     "overall" and "unixReviewTime" are integral numbers (5 or 5.0); the
     timestamp must also fit a float.  Product categories, a flat "category"
@@ -484,7 +531,10 @@ def parse_amazon(reviews_path) -> dict:
         if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
             raise ParseError(f"{where}: categories must be a list of strings or of string lists")
         rows.append((obj["reviewerID"], obj["asin"], rating, timestamp, tuple(categories)))
-    return _columns(rows, ("reviewer_id", "product_id", "rating", "timestamp", "category"))
+    table = _columns(rows, ("reviewer_id", "product_id", "rating", "timestamp", "category"))
+    for name in ("reviewer_id", "product_id", "category"):
+        table[name] = _factorize(table[name])
+    return table
 
 
 def _columns(rows, names) -> dict:
@@ -786,19 +836,6 @@ def _labels(ratings: np.ndarray, parts) -> np.ndarray:
     return (ratings >= 4).astype(np.float64)
 
 
-def _factorize(col: np.ndarray) -> tuple:
-    """The distinct values of a column and each row's index among them.  An
-    int64 column goes through np.unique; an object column (strings, sets,
-    ints beyond int64) through a dict, which hashes each row once where
-    np.unique would sort the rows by Python comparisons (4 ms against 18 ms
-    for 48k genders)."""
-    if col.dtype != object:
-        return np.unique(col, return_inverse=True)
-    codes = {value: i for i, value in enumerate(dict.fromkeys(col))}
-    inverse = np.fromiter(map(codes.__getitem__, col), dtype=np.int64, count=len(col))
-    return np.fromiter(codes, dtype=object, count=len(codes)), inverse
-
-
 def _encode_sets(spec: FieldSpec, sets: np.ndarray) -> tuple:
     """The 0-padded sorted distinct indices and the count of each value set:
     an empty or all-unseen set is encoded as (0,)."""
@@ -826,17 +863,56 @@ def _take_encoded(schema: FeatureSchema, encoded: list, labels, rows) -> Columna
     return Columnar(fields=fields, labels=labels[rows], n=len(rows))
 
 
-def prepare_dataset(table, ratios, seed: int, tag: str) -> CachedDataset:
-    """Split a column table, fit the schema on the training part, encode everything.
+def _table_length(table: dict, plan) -> int:
+    """The row count of a raw table that holds a column for each field of
+    `plan` and for rating, all of one length: a `Factor` with int64 codes in
+    [0, len(values)) for each categorical or multi-valued field, a 1-D array
+    for the others.  Anything else is a DomainError naming the field."""
+    names = [name for name, _ in plan] + ["rating"]
+    missing = [name for name in names if name not in table]
+    if missing:
+        raise DomainError(f"the raw table has no {', '.join(map(repr, missing))} column")
+    factors = {name for name, kind in plan if kind != CONTINUOUS}
+    n = None
+    for name in names:
+        col = table[name]
+        if name in factors:
+            if not isinstance(col, Factor):
+                raise DomainError(f"field {name!r}: expected a Factor, got {_describe(col)}")
+            if not (_is_1d(col.values) and _is_1d(col.codes) and col.codes.dtype == np.int64):
+                raise DomainError(f"field {name!r}: expected 1-D values and 1-D int64 codes, got "
+                                  f"{_describe(col.values)} and {_describe(col.codes)}")
+        elif not _is_1d(col):
+            raise DomainError(f"field {name!r}: expected a 1-D array, got {_describe(col)}")
+        n = len(col) if n is None else n
+        if len(col) != n:
+            raise DomainError(f"field {name!r} has {len(col)} rows, {names[0]!r} has {n}")
+        if name in factors and n and col.codes.view(np.uint64).max() >= len(col.values):
+            bad = col.codes[(col.codes < 0) | (col.codes >= len(col.values))][0]
+            raise DomainError(f"field {name!r}: code {bad} outside [0, {len(col.values)})")
+    return n
 
-    `table` maps each record field to an array of its values, as
-    `parse_movielens` and `parse_amazon` return it.  The split is a seeded
-    row permutation cut in three.  Each categorical or multi-valued column is
-    factorized once, so each distinct value is looked up, and each distinct
-    set encoded, once; the timestamp is scaled and clipped as one array.
+
+def _is_1d(a) -> bool:
+    return isinstance(a, np.ndarray) and a.ndim == 1
+
+
+def prepare_dataset(table, ratios, seed: int, tag: str) -> CachedDataset:
+    """Split a raw table, fit the schema on the training part, encode everything.
+
+    `table` is a column table as `parse_movielens` and `parse_amazon` return
+    it: each categorical or multi-valued field a `Factor`, already factorized
+    by the parser, and rating and timestamp plain arrays, one entry per
+    rating.  A table that does not hold this is a DomainError naming the
+    field (see `_table_length`).  The split is a seeded row permutation cut
+    in three.  A field's vocabulary is fitted on the values whose codes occur
+    in the training rows, found by one boolean mask over the codes, and each
+    of its values is looked up, and each value set encoded, once; nothing
+    here hashes a per-rating column.  The timestamp is scaled and clipped as
+    one array.
     """
     plan = _plan_for(table)
-    n = len(table["rating"])
+    n = _table_length(table, plan)
     if not n:
         raise DomainError("no interactions to prepare")
     parts = _split_rows(n, ratios, seed)
@@ -845,22 +921,25 @@ def prepare_dataset(table, ratios, seed: int, tag: str) -> CachedDataset:
         raise DomainError("cannot build a schema from an empty table")
     fields, encoded = [], []
     for name, kind in plan:
+        col = table[name]
         if kind == CONTINUOUS:
-            vals = _float_column(name, table[name])
+            vals = _float_column(name, col)
             spec = FieldSpec(name=name, kind=kind, lo=float(vals[train].min()),
                              hi=float(vals[train].max()))
             span = spec.hi - spec.lo
             x = np.zeros(n) if span == 0 else (vals - spec.lo) / span
             encoded.append(np.clip(x, 0.0, 1.0))
         else:
-            values, inverse = _factorize(table[name])
-            seen = values[np.unique(inverse[train])]
+            in_train = np.zeros(len(col.values), dtype=bool)
+            in_train[col.codes[train]] = True
+            seen = col.values[in_train].tolist()
             if kind == CATEGORICAL:
-                spec = FieldSpec(name=name, kind=kind, vocab=tuple(sorted(seen.tolist())))
-                encoded.append(spec.indices(values.tolist())[inverse])
+                # a set, so that a value repeated in `values` is one vocabulary entry
+                spec = FieldSpec(name=name, kind=kind, vocab=tuple(sorted(set(seen))))
+                encoded.append(spec.indices(col.values.tolist())[col.codes])
             else:
                 spec = FieldSpec(name=name, kind=kind, vocab=tuple(sorted(set().union(*seen))))
-                encoded.append((inverse, *_encode_sets(spec, values)))
+                encoded.append((col.codes, *_encode_sets(spec, col.values)))
         fields.append(spec)
     schema = FeatureSchema(fields=tuple(fields))
     labels = _labels(table["rating"], parts)

@@ -18,6 +18,7 @@ from arec.data import (
     CATEGORICAL,
     CONTINUOUS,
     MULTI_CATEGORICAL,
+    Factor,
     FeatureSchema,
     FieldSpec,
     _column,
@@ -172,22 +173,43 @@ def encoded_rows(records, ratios, seed):
     return schema, [[encode_example(r, schema) for r in part] for part in parts]
 
 
+def decoded(table):
+    """A raw table with each Factor replaced by the array of its values, one
+    per row: `values[codes]`."""
+    return {name: col.values[col.codes] if isinstance(col, Factor) else col
+            for name, col in table.items()}
+
+
 def records_of(table):
-    """The records of a column table, one dict of plain Python values per row."""
-    columns = {name: col.tolist() for name, col in table.items()}
+    """The records of a raw table, one dict of plain Python values per row."""
+    columns = {name: col.tolist() for name, col in decoded(table).items()}
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
+def factor_of(col):
+    """The Factor of a column, its values in order of first occurrence."""
+    first = {}
+    codes = [first.setdefault(value, len(first)) for value in col.tolist()]
+    return Factor(values=_column(first), codes=np.array(codes, dtype=np.int64))
+
+
 def columns_of(records):
-    """The column table of a list of records, as the parsers return one: each
-    field's values, in record order, as an array that holds them exactly."""
-    return {name: _column(map(itemgetter(name), records)) for name in records[0]}
+    """The raw table of a list of records, as the parsers return one: each
+    field's values, in record order, in an array that holds them exactly,
+    and every field but rating and timestamp as its Factor."""
+    table = {name: _column(map(itemgetter(name), records)) for name in records[0]}
+    return {name: col if name in ("rating", "timestamp") else factor_of(col)
+            for name, col in table.items()}
 
 
 def assert_tables_equal(got, want):
-    """Two column tables hold the same fields, in order, with equal dtypes and
-    shapes, and values equal in type and value."""
+    """Two raw tables hold the same fields, in order, the same of them as
+    Factors, and decode to columns of equal dtypes and shapes, and values
+    equal in type and value."""
     assert list(got) == list(want)
+    for name in want:
+        assert isinstance(got[name], Factor) == isinstance(want[name], Factor), name
+    got, want = decoded(got), decoded(want)
     for name in want:
         g, w = got[name], want[name]
         assert g.dtype == w.dtype and g.shape == w.shape, name

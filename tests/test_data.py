@@ -17,6 +17,7 @@ from arec.data import (
     DatasetSplit,
     DomainError,
     EncodingError,
+    Factor,
     FeatureSchema,
     FieldSpec,
     ParseError,
@@ -34,7 +35,9 @@ from helpers import (
     assert_tables_equal,
     columns_of,
     corruptions,
+    decoded,
     encoded_rows,
+    factor_of,
     records_of,
 )
 from oracle import (
@@ -94,7 +97,7 @@ ML_FIELDS = ["user_id", "movie_id", "rating", "timestamp", "gender", "age", "occ
 
 
 def test_movielens_first_line_transcription(ml_files):
-    cols = parse_fixture(ml_files)
+    cols = decoded(parse_fixture(ml_files))
     assert list(cols) == ML_FIELDS
     assert {len(col) for col in cols.values()} == {10}
     assert cols["user_id"][0] == 1 and cols["movie_id"][0] == 1193
@@ -104,7 +107,7 @@ def test_movielens_first_line_transcription(ml_files):
 
 
 def test_movielens_join_hand_transcription(ml_files):
-    cols = parse_fixture(ml_files)
+    cols = decoded(parse_fixture(ml_files))
     assert cols["user_id"][5] == 3 and cols["movie_id"][5] == 661 and cols["rating"][5] == 1
     assert cols["gender"][5] == "M" and cols["age"][5] == 25 and cols["occupation"][5] == 15
     assert cols["genres"][5] == ("Animation", "Children's", "Musical")
@@ -124,7 +127,7 @@ def test_movielens_latin1_title(ml_files, tmp_path):
     movies.write_bytes("99::Les Mis\xe9rables (1998)::Drama\n".encode("latin-1"))
     ratings = tmp_path / "r2.dat"
     ratings.write_text("1::99::4::978300000\n", encoding="latin-1")
-    cols = parse_movielens(str(ratings), ml_files["users.dat"], str(movies))
+    cols = decoded(parse_movielens(str(ratings), ml_files["users.dat"], str(movies)))
     assert cols["movie_id"][0] == 99
 
 
@@ -194,7 +197,15 @@ def test_each_parser_returns_a_column_table_of_its_plan(ml_files, amazon_file, l
         table, plan = parse_amazon(amazon_file), data_module._AMAZON_PLAN
     assert isinstance(table, dict)
     assert set(table) == {name for name, _ in plan} | {"rating"}
-    assert all(isinstance(col, np.ndarray) and col.ndim == 1 for col in table.values())
+    for name, kind in plan + (("rating", CONTINUOUS),):
+        col = table[name]
+        if kind == CONTINUOUS:  # and rating: plain arrays
+            assert isinstance(col, np.ndarray) and col.ndim == 1, name
+        else:
+            assert isinstance(col, Factor) and col.values.ndim == 1, name
+            assert col.codes.dtype == np.int64 and col.codes.ndim == 1, name
+            assert len(set(col.values.tolist())) == len(col.values), name
+            assert col.codes.min() >= 0 and col.codes.max() < len(col.values), name
     assert len({len(col) for col in table.values()}) == 1 and len(table["rating"]) > 0
     assert prepare_dataset(table, ratios=(0.5, 0.25, 0.25), seed=0, tag="t").schema.n_fields \
         == len(plan)
@@ -515,7 +526,7 @@ def test_prepare_dataset_rejects_unknown_layout_and_empty_train(ml_files):
     with pytest.raises(DomainError, match="unrecognized record layout"):
         prepare_dataset(columns_of([{"item": 1, "rating": 4}]), ratios=(0.8, 0.1, 0.1), seed=0,
                         tag="x")
-    one = {name: col[:1] for name, col in parse_fixture(ml_files).items()}
+    one = columns_of(fixture_records(ml_files)[:1])
     with pytest.raises(DomainError, match="cannot build a schema from an empty table"):
         prepare_dataset(one, ratios=(0.2, 0.2, 0.6), seed=0, tag="x")
 
@@ -528,6 +539,72 @@ def test_prepare_names_a_bad_rating_of_an_object_column(ml_files):
     assert table["rating"].dtype == object
     with pytest.raises(DomainError, match=rf"^rating {2**70} outside \[1, 5\]$"):
         prepare_dataset(table, ratios=(0.5, 0.25, 0.25), seed=0, tag="x")
+
+
+def _edit_codes(col, at, code):
+    codes = col.codes.copy()
+    codes[at] = code
+    return Factor(col.values, codes)
+
+
+# id: (the bad table, built from the fixture's MovieLens and Amazon tables,
+# and the DomainError's message)
+BAD_TABLES = {
+    "only movie_id and rating": (
+        lambda ml, az: {"movie_id": ml["movie_id"], "rating": ml["rating"]},
+        "the raw table has no 'user_id', 'gender', 'age', 'occupation', 'genres', 'timestamp' "
+        "column"),
+    "only product_id": (
+        lambda ml, az: {"product_id": az["product_id"]},
+        "the raw table has no 'reviewer_id', 'category', 'timestamp', 'rating' column"),
+    "a short Amazon column": (
+        lambda ml, az: {**az, "timestamp": az["timestamp"][:-1]},
+        "field 'timestamp' has 3 rows, 'reviewer_id' has 4"),
+    "short Amazon codes": (
+        lambda ml, az: {**az, "category": Factor(az["category"].values, az["category"].codes[1:])},
+        "field 'category' has 3 rows, 'reviewer_id' has 4"),
+    "no rating": (
+        lambda ml, az: {name: col for name, col in ml.items() if name != "rating"},
+        "the raw table has no 'rating' column"),
+    "a short rating": (
+        lambda ml, az: {**ml, "rating": ml["rating"][:-1]},
+        "field 'rating' has 9 rows, 'user_id' has 10"),
+    "a plain array for a factor": (
+        lambda ml, az: {**ml, "user_id": decoded(ml)["user_id"]},
+        "field 'user_id': expected a Factor, got int64 array of shape (10,)"),
+    "a list for a factor": (
+        lambda ml, az: {**az, "category": records_of(az)},
+        "field 'category': expected a Factor, got list"),
+    "int32 codes": (
+        lambda ml, az: {**ml, "age": Factor(ml["age"].values, ml["age"].codes.astype(np.int32))},
+        "field 'age': expected 1-D values and 1-D int64 codes, got int64 array of shape (3,) "
+        "and int32 array of shape (10,)"),
+    "2-D values": (
+        lambda ml, az: {**ml, "age": Factor(ml["age"].values[:, None], ml["age"].codes)},
+        "field 'age': expected 1-D values and 1-D int64 codes, got int64 array of shape (3, 1) "
+        "and int64 array of shape (10,)"),
+    "a factor for a plain column": (
+        lambda ml, az: {**ml, "timestamp": factor_of(ml["timestamp"])},
+        "field 'timestamp': expected a 1-D array, got Factor"),
+    "a list for a rating": (
+        lambda ml, az: {**ml, "rating": ml["rating"].tolist()},
+        "field 'rating': expected a 1-D array, got list"),
+    "a code past the values": (
+        lambda ml, az: {**ml, "gender": _edit_codes(ml["gender"], 3, 2)},
+        "field 'gender': code 2 outside [0, 2)"),
+    "a negative code": (
+        lambda ml, az: {**az, "product_id": _edit_codes(az["product_id"], -1, -1)},
+        "field 'product_id': code -1 outside [0, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TABLES)
+def test_prepare_dataset_checks_a_table_against_its_plan(ml_files, amazon_file, case):
+    build, message = BAD_TABLES[case]
+    table = build(parse_fixture(ml_files), parse_amazon(amazon_file))
+    with pytest.raises(DomainError) as err:
+        prepare_dataset(table, ratios=(0.5, 0.25, 0.25), seed=0, tag="x")
+    assert str(err.value) == message
 
 
 def test_amazon_accepts_integral_numbers_and_nested_paths(tmp_path):
@@ -595,7 +672,7 @@ def damaged_ml_files(tmp_path_factory, name, data) -> dict:
 def test_a_damaged_movielens_file_gives_records_or_an_input_error(tmp_path_factory, name, data):
     paths = damaged_ml_files(tmp_path_factory, name, data)
     try:
-        cols = parse_fixture(paths)
+        cols = decoded(parse_fixture(paths))
     except (ParseError, ReferentialError) as exc:
         assert str(exc).startswith(tuple(f"{p}:" for p in paths.values()))
         return
@@ -708,6 +785,69 @@ def test_both_column_sources_give_the_same_cache(tmp_path):
         save_cache(str(tmp_path / "c"), prepare_dataset(table, (0.8, 0.1, 0.1), seed=9, tag="t"))
         blobs.append((tmp_path / "c").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def joined_records(users: str, movies: str, ratings: str) -> list:
+    """The records of MovieLens file texts, joined line by line in plain
+    Python: of two side lines with one id, the later wins."""
+    rows = lambda text: [line.split("::") for line in text.splitlines() if line]
+    user = {int(u): (g, int(a), int(o)) for u, g, a, o, _ in rows(users)}
+    movie = {int(m): tuple(filter(None, genres.split("|"))) for m, _, genres in rows(movies)}
+    records = []
+    for u, m, r, t in (map(int, parts) for parts in rows(ratings)):
+        gender, age, occupation = user[u]
+        records.append({"user_id": u, "movie_id": m, "rating": r, "timestamp": t,
+                        "gender": gender, "age": age, "occupation": occupation,
+                        "genres": movie[m]})
+    return records
+
+
+JOIN_CASES = {
+    # id: (users.dat, movies.dat) beside the fixture's ratings
+    "a later user line wins": (USERS + "2::F::18::4::12345\n1::F::1::10::48067\n", MOVIES),
+    "a later movie line wins": (USERS, MOVIES + "914::My Fair Lady (1964)::Comedy|War\n"),
+    "side rows no rating uses": (USERS + "7::X::99::30::11111\n",
+                                 "5::Unseen (1990)::Western|Film-Noir\n" + MOVIES),
+    "unsorted ids": ("\n".join(reversed(USERS.splitlines())),
+                     "\n".join(reversed(MOVIES.splitlines())) + "\n"),
+    "equal genre tuples": (USERS, "1193::A (1)::Drama|Comedy\n661::B (2)::Drama|Comedy\n"
+                                  "914::C (3)::Comedy|Drama\n3408::D (4)::Comedy|Drama|Comedy\n"),
+}
+
+
+@pytest.mark.parametrize("reader", ["bulk", "by line"])
+@pytest.mark.parametrize("case", JOIN_CASES)
+def test_the_side_table_join_gives_the_cache_of_the_one_row_oracle(tmp_path, case, reader):
+    users, movies = JOIN_CASES[case]
+    texts = {"users.dat": users, "movies.dat": movies, "ratings.dat": RATINGS}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
+    paths = {name: str(tmp_path / name) for name in texts}
+    table = (parse_fixture if reader == "bulk" else parse_line_by_line)(paths)
+    records = joined_records(users, movies, RATINGS)
+    assert records_of(table) == records
+    for ratios, seed in [((0.6, 0.2, 0.2), 4), ((0.8, 0.1, 0.1), 1)]:
+        schema, rows = encoded_rows(records, ratios, seed)
+        oracle = DatasetSplit(*(columnar(part, schema) for part in rows), seed=seed, ratios=ratios)
+        save_cache(str(tmp_path / "want"), CachedDataset(schema=schema, tag="t", split=oracle))
+        save_cache(str(tmp_path / "got"), prepare_dataset(table, ratios, seed=seed, tag="t"))
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+@pytest.mark.parametrize("reader", ["bulk", "by line"])
+def test_the_movielens_table_holds_no_object_column_per_rating(tmp_path, reader):
+    raw = tmp_path / "raw"
+    n_users, n_movies = 40, 60
+    mlsynth.write_ml1m(str(raw), n_users=n_users, n_movies=n_movies, n_ratings=2000, seed=2)
+    paths = {name: str(raw / name) for name in ML_TEXTS}
+    table = (parse_fixture if reader == "bulk" else parse_line_by_line)(paths)
+    assert len(table["rating"]) == 2000
+    for name, col in table.items():
+        if isinstance(col, Factor):
+            side = n_movies if name in ("movie_id", "genres") else n_users
+            assert col.values.dtype != object or len(col.values) <= side, name
+        else:
+            assert col.dtype != object, name
 
 
 def _ids():
