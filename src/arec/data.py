@@ -391,7 +391,7 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
         movies[mid] = len(genre_sets)
         genre_sets.append(tuple(g for g in parts[2].split("|") if g))
 
-    with open(ratings_path, "r", encoding="latin-1") as fh:
+    with open(ratings_path, "rb") as fh:
         fields = _bulk_ratings(fh.read())
     users_of = movies_of = None
     if fields is not None:
@@ -412,14 +412,16 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     }
 
 
-def _bulk_ratings(text: str):
+def _bulk_ratings(data: bytes):
     """The four fields of every ratings line as int64 arrays, parsed by one
     `np.fromstring` call; None unless each non-empty line is provably four
     `::`-separated runs of ASCII digits, which `int` reads to the same values.
-    (Signs are left to the line reader: numpy reads a lone `-` as 0.)"""
-    if not text.isascii() or " " in text:
+    (Signs are left to the line reader: numpy reads a lone `-` as 0.)  Lines
+    end at LF, CRLF or CR, as in text mode."""
+    if b" " in data:
         return None
-    lines = list(filter(None, text.encode("ascii").replace(b"::", b" ").split(b"\n")))
+    # CR to LF: a CRLF then ends one line and an empty one, and empty lines drop
+    lines = list(filter(None, data.replace(b"\r", b"\n").replace(b"::", b" ").split(b"\n")))
     body = b"\n".join(lines) + b"\n"
     # three separators a line, and nothing but digits besides
     if body.translate(None, b"0123456789") != b"   \n" * len(lines):

@@ -13,6 +13,15 @@ loop.  The self-attention query, key, value and residual maps are stored as
 the one (d, 3*H*d_k + d) input map that runs them as one GEMM; their
 gradient is one GEMM too, and each named map is a column view of it.
 
+Neither branch needs the other until their outputs meet, so they run on two
+threads: the self-attention forward, and then its backward and the crossing
+parameter gradients, run on one worker thread while the calling thread runs
+the rest of the crossing.  numpy releases the interpreter lock inside its
+products, so the halves overlap.  The crossing's pair scatter adds into the
+self-attention's d_emb after the worker is done, so every sum keeps the
+order it has when the branches run in turn, and the results are the same
+bits.
+
 The tests check the crossing branch against a one-example form of it that
 scores by einsum and sums exactly, so its pooled vector does not depend on
 the order of the pairs.
@@ -20,8 +29,14 @@ the order of the pairs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
+import os
+import threading
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +193,43 @@ def self_attention_batch(emb: Tensor, params: MhsaParams) -> MhsaTrace:
 
 
 # ---------------------------------------------------------------------------
+# the branch worker: one thread beside the caller's
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    # a forked child has the pool object but not its thread
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Run fn(*args) on the branch worker while the block runs; yield its future.
+
+    The task runs in a copy of the caller's context, so the caller's
+    `np.errstate` holds on the worker too.  The block does not exit before
+    the task has finished, even when the block raises.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="arec-branch")
+        pool = _worker
+    future = pool.submit(contextvars.copy_context().run, fn, *args)
+    try:
+        yield future
+    finally:
+        futures.wait([future])
+
+
+# ---------------------------------------------------------------------------
 # both branches
 
 
@@ -188,15 +240,54 @@ class BatchBranchTrace:
 
 
 def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcParams) -> BatchBranchTrace:
-    mhsa = self_attention_batch(emb, mhsa_params)
     iu, ju = pair_indices(emb.shape[1])
-    # np.take on the middle axis, not emb[:, iu, :], which is numpy's slow path
-    phi = np.take(emb, iu, axis=1) * np.take(emb, ju, axis=1)
-    z, u, logits = _pair_scores(phi, ac_params)
-    weights = softmax_rows(logits)
-    pooled = (weights[:, None, :] @ phi)[:, 0, :]
+    with _beside(self_attention_batch, emb, mhsa_params) as mhsa:
+        # np.take on the middle axis, not emb[:, iu, :], which is numpy's slow path
+        phi = np.take(emb, iu, axis=1) * np.take(emb, ju, axis=1)
+        z, u, logits = _pair_scores(phi, ac_params)
+        weights = softmax_rows(logits)
+        pooled = (weights[:, None, :] @ phi)[:, 0, :]
     return BatchBranchTrace(
-        mhsa=mhsa, ac=AcTrace(iu=iu, ju=ju, phi=phi, z=z, u=u, weights=weights, pooled=pooled),
+        mhsa=mhsa.result(),
+        ac=AcTrace(iu=iu, ju=ju, phi=phi, z=z, u=u, weights=weights, pooled=pooled),
+    )
+
+
+def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal: Tensor):
+    """Self-attention gradients: (mhsa grads summed over the batch, d_emb (B, n, d)).
+
+    d_internal: (B, n*d) upstream on the flattened internal representation.
+    """
+    emb = mt.emb
+    B, n, d = emb.shape
+    H, dk = params.n_heads, params.head_dim
+    A = H * dk
+    scale = 1.0 / math.sqrt(dk)
+
+    # upstream of the fused projection, laid out as its columns
+    d_proj = np.empty((B, n, 3 * A + d))
+    d_q, d_k, d_v = d_proj[:, :, : 3 * A].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
+    d_pre = d_proj[:, :, 3 * A :]
+    np.multiply(d_internal.reshape(B, n, d), mt.pre > 0, out=d_pre)
+    d_wo = mt.concat.reshape(B * n, A).T @ d_pre.reshape(B * n, d)
+    d_concat = (d_pre.reshape(B * n, d) @ params.wo.T).reshape(B, n, H, dk)
+    d_heads = d_concat.transpose(0, 2, 1, 3)  # (B, H, n, d_k)
+    d_scores = softmax_rows_backward(mt.att, d_heads @ mt.v.swapaxes(2, 3)) * scale
+    d_q[...] = d_scores @ mt.k
+    d_k[...] = d_scores.swapaxes(2, 3) @ mt.q
+    d_v[...] = mt.att.swapaxes(2, 3) @ d_heads
+    d_proj = d_proj.reshape(B * n, 3 * A + d)
+    mg = MhsaParams(w_in=emb.reshape(B * n, d).T @ d_proj, wo=d_wo, n_heads=H)
+    d_emb = (d_proj @ params.w_in.T).reshape(B, n, d)
+    return mg, d_emb
+
+
+def _crossing_param_grads(at: AcTrace, dz: Tensor, d_logits: Tensor) -> AcParams:
+    B, m, d = at.phi.shape
+    return AcParams(
+        weight=dz.T @ at.phi.reshape(B * m, d),
+        bias=np.ones(B * m) @ dz,
+        proj=d_logits.reshape(B * m) @ at.u.reshape(B * m, -1),
     )
 
 
@@ -208,44 +299,22 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
     d_pooled: (B, d) upstream on the pooled cross vector.
     Returns (mhsa grads, ac grads, d_emb (B, n, d)).
     """
-    mt, at = trace.mhsa, trace.ac
-    emb = mt.emb
-    B, n, d = emb.shape
-    H, dk = mhsa_params.n_heads, mhsa_params.head_dim
-    A = H * dk
-    scale = 1.0 / math.sqrt(dk)
-
-    # upstream of the fused projection, laid out as its columns
-    d_proj = np.empty((B, n, 3 * A + d))
-    d_q, d_k, d_v = d_proj[:, :, : 3 * A].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
-    d_pre = d_proj[:, :, 3 * A :]
-    np.multiply(d_internal.reshape(B, n, d), mt.pre > 0, out=d_pre)
-    d_wo = mt.concat.reshape(B * n, A).T @ d_pre.reshape(B * n, d)
-    d_concat = (d_pre.reshape(B * n, d) @ mhsa_params.wo.T).reshape(B, n, H, dk)
-    d_heads = d_concat.transpose(0, 2, 1, 3)  # (B, H, n, d_k)
-    d_scores = softmax_rows_backward(mt.att, d_heads @ mt.v.swapaxes(2, 3)) * scale
-    d_q[...] = d_scores @ mt.k
-    d_k[...] = d_scores.swapaxes(2, 3) @ mt.q
-    d_v[...] = mt.att.swapaxes(2, 3) @ d_heads
-    d_proj = d_proj.reshape(B * n, 3 * A + d)
-    mg = MhsaParams(w_in=emb.reshape(B * n, d).T @ d_proj, wo=d_wo, n_heads=H)
-    d_emb = (d_proj @ mhsa_params.w_in.T).reshape(B, n, d)
-
-    m = len(at.iu)
+    at = trace.ac
+    emb = trace.mhsa.emb
+    B, m, d = at.phi.shape
     t = ac_params.weight.shape[0]
-    d_weights = (at.phi @ d_pooled[:, :, None])[:, :, 0]
-    d_logits = softmax_rows_backward(at.weights, d_weights)
-    dz = np.multiply.outer(d_logits.reshape(B * m), ac_params.proj)
-    dz *= at.z.reshape(B * m, t) > 0
-    ag = AcParams(
-        weight=dz.T @ at.phi.reshape(B * m, d),
-        bias=np.ones(B * m) @ dz,
-        proj=d_logits.reshape(B * m) @ at.u.reshape(B * m, t),
-    )
-    d_phi = (dz @ ac_params.weight).reshape(B, m, d)
-    d_phi += at.weights[:, :, None] * d_pooled[:, None, :]
-    for p in range(m):
-        i, j = at.iu[p], at.ju[p]
-        d_emb[:, i, :] += d_phi[:, p, :] * emb[:, j, :]
-        d_emb[:, j, :] += d_phi[:, p, :] * emb[:, i, :]
-    return mg, ag, d_emb
+    with _beside(self_attention_backward_batch, trace.mhsa, mhsa_params, d_internal) as mhsa:
+        d_weights = (at.phi @ d_pooled[:, :, None])[:, :, 0]
+        d_logits = softmax_rows_backward(at.weights, d_weights)
+        dz = np.multiply.outer(d_logits.reshape(B * m), ac_params.proj)
+        dz *= at.z.reshape(B * m, t) > 0
+        with _beside(_crossing_param_grads, at, dz, d_logits) as ac:
+            d_phi = (dz @ ac_params.weight).reshape(B, m, d)
+            d_phi += at.weights[:, :, None] * d_pooled[:, None, :]
+            mg, d_emb = mhsa.result()
+            # the pair scatter adds into the self-attention d_emb, in pair order
+            for p in range(m):
+                i, j = at.iu[p], at.ju[p]
+                d_emb[:, i, :] += d_phi[:, p, :] * emb[:, j, :]
+                d_emb[:, j, :] += d_phi[:, p, :] * emb[:, i, :]
+    return mg, ac.result(), d_emb

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import Columnar, DomainError
 from .losses import logloss
+from .numerics import one_blas_thread
 
 EVAL_CSV_HEADER = "tag,auc,logloss,n_pos,n_neg"
 
@@ -114,7 +115,7 @@ def evaluate(ops, params, col: Columnar, schema, tag: str = "") -> EvalReport:
     if col.n == 0:
         raise DomainError("cannot evaluate an empty split")
     # diverged parameters give NaN scores: one error, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
         scores = score_split(ops, params, col)
     bad = int(np.count_nonzero(~np.isfinite(scores)))
     if bad:

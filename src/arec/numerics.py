@@ -11,7 +11,12 @@ reference every backward pass in this package is validated against.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -119,6 +124,55 @@ def mm_tn(a: Tensor, b: Tensor) -> Tensor:
 def mm_nt(a: Tensor, b: Tensor) -> Tensor:
     """a @ b^T without materializing the transpose."""
     return np.einsum("ij,kj->ik", a, b, optimize=False)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None where numpy carries no OpenBLAS that exports them."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    The model's GEMMs are small, and its two attention branches already run
+    on two threads: a second BLAS thread per product only contends for the
+    same cores.  Inside the block, results cannot depend on the thread count
+    the environment asked for.  Where numpy has no OpenBLAS of its own, this
+    does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .losses import (
 )
 from .metrics import DivergenceError, auc as compute_auc, score_split
 from .model import MODES, ModelOps, ops_for
-from .numerics import Rng
+from .numerics import Rng, one_blas_thread
 
 
 def _parse_bool(raw: str) -> bool:
@@ -398,7 +398,7 @@ def fit(ops: ModelOps, schema: FeatureSchema, train: Columnar, validation: Colum
     curve = []
     for _ in range(config.max_epochs):
         # a diverging run surfaces as one DivergenceError, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
             em = train_epoch(ops, state, train_col, config, modality)
             val_auc, val_ll = _eval_columnar(ops, state.params, val_col)
         if not np.isfinite(val_ll):
@@ -463,7 +463,8 @@ def sweep(kind: str, schema: FeatureSchema, train: Columnar, validation: Columna
     for cfg in configs:
         try:
             result = fit(ops, schema, train, validation, cfg)
-            test_auc, test_ll = _eval_columnar(ops, result.state.best.params, test_col)
+            with one_blas_thread():
+                test_auc, test_ll = _eval_columnar(ops, result.state.best.params, test_col)
         except (DivergenceError, ArithmeticError) as exc:
             failures.append((cfg.dim, str(exc)))
             continue

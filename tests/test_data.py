@@ -717,6 +717,7 @@ READER_CASES = {
     # id: (ratings text, extra users.dat lines, extra movies.dat lines)
     "plain": (RATINGS, "", ""),
     "crlf and lone cr": ("1::1193::5::1\r\n2::661::4::2\r3::914::1::3", "", ""),
+    "a vertical tab between lines": ("1::1193::5::1\x0b2::661::4::2\n", "", ""),
     "blank lines mid-file": ("\n1::1193::5::1\n\n\n2::661::4::2\n\n", "", ""),
     "blank lines then a bad line": ("1::1193::5::1\n\n\n2::661::x::2\n", "", ""),
     "ids at and above 2**63": (f"{BIG}::1193::5::1\n{BIG - 1}::{BIG + 1}::4::2\n",
@@ -764,9 +765,11 @@ def test_bulk_and_line_readers_agree(tmp_path, case):
     (" 1::2::3::4\n", False), ("1 2::3::4\n", False), ("1::2::3::4::\n", False), ("1::::3::4\n", False),
     ("1::::3::4\n1 2::3::4::5\n", False), ("1::2::::4\n5::6::7::8::9\n", False),
     ("1:::2::3::4\n", False), ("\u0661::2::3::4\n", False), ("", False),
+    ("1::2::3::4\r\n5::6::7::8\r9::1::2::3\r", True), ("1::2::3::4\r\r\n\n\r5::6::7::8", True),
+    ("1::2::3::4\x0b5::6::7::8\n", False),
 ])
 def test_the_bulk_parse_takes_only_what_it_can_prove(text, bulk):
-    fields = data_module._bulk_ratings(text)
+    fields = data_module._bulk_ratings(text.encode("utf-8"))
     assert (fields is not None) == bulk
     if bulk:
         lines = [line.split("::") for line in text.splitlines() if line]
@@ -778,7 +781,7 @@ def test_both_column_sources_give_the_same_cache(tmp_path):
     raw = tmp_path / "raw"
     mlsynth.write_ml1m(str(raw), n_users=40, n_movies=60, n_ratings=2000, seed=2)
     paths = {name: str(raw / name) for name in ML_TEXTS}
-    with open(paths["ratings.dat"], encoding="latin-1") as fh:
+    with open(paths["ratings.dat"], "rb") as fh:
         assert data_module._bulk_ratings(fh.read()) is not None
     blobs = []
     for table in (parse_fixture(paths), parse_line_by_line(paths)):

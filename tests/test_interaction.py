@@ -1,9 +1,14 @@
+import contextlib
 import itertools
 import math
+import threading
+import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
 
+import arec.interaction as interaction
 from arec.data import DomainError
 from arec.interaction import (
     AcParams,
@@ -401,3 +406,70 @@ def test_branches_match_einsum_oracle_at_training_shape():
     assert sorted(got) == sorted(grads)
     for name, want in grads.items():
         close(got[name], want)
+
+
+@contextlib.contextmanager
+def _inline(fn, *args):
+    """The branch worker's stand-in: the task runs at once, on the calling thread."""
+    done = futures.Future()
+    done.set_result(fn(*args))
+    yield done
+
+
+def _branch_arrays(trace, mg, ag, d_emb) -> dict:
+    mt, at = trace.mhsa, trace.ac
+    out = {f"mhsa.{k}": getattr(mt, k) for k in ("q", "k", "v", "att", "concat", "pre", "out")}
+    out.update({f"ac.{k}": getattr(at, k) for k in ("phi", "z", "u", "weights", "pooled")})
+    out.update({f"grad.{name}": t for g in (mg, ag) for name, t in g.named_tensors()})
+    out["d_emb"] = d_emb
+    return out
+
+
+@pytest.mark.parametrize("B", [256, 1])
+def test_threaded_branches_equal_the_serial_composition_bit_for_bit(monkeypatch, B):
+    # the training shape of `ours` on MovieLens: 7 fields, d=16, 2 heads, 32 hidden
+    n, d = 7, 16
+    mh = init_mhsa(d, 2, Rng(50))
+    ac = init_ac(d, 32, Rng(51))
+    ac.bias[:] = Rng(52).normal((32,), std=0.1)
+    emb = Rng(53).normal((B, n, d))
+    d_internal = Rng(54).normal((B, n * d))
+    d_pooled = Rng(55).normal((B, d))
+
+    def both():
+        trace = branches_forward_batch(emb, mh, ac)
+        return _branch_arrays(trace, *branches_backward_batch(trace, mh, ac, d_internal, d_pooled))
+
+    threads = set()
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return self_attention_batch(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(interaction, "self_attention_batch", recorded)
+        threaded = both()
+    assert threads and threading.get_ident() not in threads
+    monkeypatch.setattr(interaction, "_beside", _inline)
+    serial = both()
+    assert sorted(threaded) == sorted(serial)
+    for name, want in serial.items():
+        assert np.array_equal(threaded[name], want), name
+
+
+def test_the_worker_half_runs_under_the_callers_errstate():
+    # huge self-attention maps overflow on the worker; the crossing stays finite
+    n, d = 5, 4
+    mh = init_mhsa(d, 2, Rng(60))
+    mh.w_in *= 1e300
+    ac = init_ac(d, 3, Rng(61))
+    emb = Rng(62).normal((8, n, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            trace = branches_forward_batch(emb, mh, ac)
+            branches_backward_batch(trace, mh, ac, np.ones((8, n * d)), np.ones((8, d)))
+        assert not np.all(np.isfinite(trace.mhsa.pre))
+        assert np.all(np.isfinite(trace.ac.pooled))
+        with np.errstate(all="ignore", over="raise"), pytest.raises(FloatingPointError):
+            branches_forward_batch(emb, mh, ac)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import arec.numerics as numerics
 from arec.numerics import (
     DimensionError,
     NumericError,
@@ -21,7 +22,7 @@ from arec.numerics import (
     softmax_rows,
     softmax_rows_backward,
 )
-from arec.numerics import _max_last_axis
+from arec.numerics import _max_last_axis, one_blas_thread
 
 
 def triple_loop_matmul(a, b):
@@ -282,3 +283,35 @@ def test_rng_child_streams_are_stable_and_distinct():
 
 def test_rng_permutation_deterministic():
     assert np.array_equal(Rng(3).permutation(10), Rng(3).permutation(10))
+
+
+def test_one_blas_thread_pins_one_thread_and_restores_the_count():
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy carries no OpenBLAS with a thread-count call")
+    get, put = calls
+    start = get()
+    try:
+        put(2)
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                assert get() == 1
+                with one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                raise KeyError
+        assert get() == 2
+    finally:
+        put(start)
+
+
+def test_one_blas_thread_does_nothing_without_the_calls(monkeypatch):
+    real = numerics._openblas_thread_calls()
+    count = real[0] if real else lambda: None
+    before = count()
+    monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+    with one_blas_thread():
+        assert count() == before
+        a = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(a @ a.T, [[5.0, 14.0], [14.0, 50.0]])
+    assert count() == before

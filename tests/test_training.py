@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -572,3 +573,25 @@ def test_the_check_passes_the_hand_built_split_unbroken():
     good = columnar(CHECK_ROWS, CHECK_SCHEMA)
     result = fit(ops_for("ours"), CHECK_SCHEMA, good, good, tiny_config(max_epochs=1))
     assert result.epochs_run == 1
+
+
+def test_a_forked_child_fits_after_its_parent_did():
+    # the parent's fit starts the branch worker; a forked child has no such thread
+    schema, examples = tiny_dataset()
+    ops = ops_for("ours")
+    config = tiny_config(seed=4, max_epochs=1, mode="combined")
+    want = fit(ops, schema, *parts(schema, examples, 40), config).curve
+
+    def child():
+        got = fit(ops, schema, *parts(schema, examples, 40), config).curve
+        if got != want:
+            raise SystemExit(2)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=10)
+    assert not proc.is_alive()
+    assert proc.exitcode == 0
