@@ -313,7 +313,7 @@ def _undecodable_line(path, encoding) -> int:
                 return line_no
 
 
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _column(values) -> np.ndarray:
@@ -355,41 +355,23 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     line in file order: user_id, movie_id, rating and timestamp from the
     rating, the user's gender, age bucket and occupation, and the movie's
     genre set.  rating and timestamp are plain arrays; every other field is
-    a `Factor`.  gender, age and occupation are factorized over the rows of
-    the users file and genres over the rows of the movies file (where a
-    side row no rating uses still counts), then joined to the ratings by one
-    gather of codes; user_id and movie_id take the distinct ids and codes of
-    the search that finds each rating's side rows.  The ratings file is
-    parsed in one call when it provably holds only lines of four
-    `::`-separated integers with known ids; any other file is read line by
-    line, which gives factors of the same values or raises the error of its
-    first bad line.
+    a `Factor`.  The users and movies files are each read and split at once
+    (`_side_columns`); of two lines with one id, the later wins.  gender, age
+    and occupation are factorized over the rows of the users file and genres
+    over the rows of the movies file (where a side row no rating uses still
+    counts), then joined to the ratings by one gather of codes; user_id and
+    movie_id take the factor of the ids and the side rows that `_rows_of`
+    finds.  The ratings file is parsed in one call when `_bulk_ratings` can
+    prove it holds only lines of four `::`-separated runs of digits, and
+    `_rows_of` finds every id in the side files; any other file is read line
+    by line, which gives factors of the same values or raises the error of
+    its first bad line.
     """
-    users, user_fields = {}, []
-    for line_no, line in _read_lines(users_path):
-        parts = line.split("::")
-        if len(parts) != 5:
-            raise ParseError(f"{users_path}:{line_no}: expected 5 '::' fields, got {len(parts)}")
-        try:
-            uid = int(parts[0])
-            age = int(parts[2])
-            occupation = int(parts[3])
-        except ValueError as exc:
-            raise ParseError(f"{users_path}:{line_no}: non-integer id field: {exc}") from None
-        users[uid] = len(user_fields)  # a later line for the same id wins
-        user_fields.append((parts[1], age, occupation))
-
-    movies, genre_sets = {}, []
-    for line_no, line in _read_lines(movies_path):
-        parts = line.split("::")
-        if len(parts) != 3:
-            raise ParseError(f"{movies_path}:{line_no}: expected 3 '::' fields, got {len(parts)}")
-        try:
-            mid = int(parts[0])
-        except ValueError:
-            raise ParseError(f"{movies_path}:{line_no}: non-integer movie id {parts[0]!r}") from None
-        movies[mid] = len(genre_sets)
-        genre_sets.append(tuple(g for g in parts[2].split("|") if g))
+    uids, genders, ages, occupations, _ = _side_columns(
+        users_path, 5, (0, 2, 3), "non-integer id field: {exc}")
+    mids, _, genres = _side_columns(movies_path, 3, (0,), "non-integer movie id {field!r}")
+    users = dict(zip(uids, range(len(uids))))  # a later line for the same id wins
+    movies = dict(zip(mids, range(len(mids))))
 
     with open(ratings_path, "rb") as fh:
         fields = _bulk_ratings(fh.read())
@@ -401,15 +383,55 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     else:
         found = fields[2], fields[3], users_of, movies_of
     rating, timestamp, (user_ids, user_rows), (movie_ids, movie_rows) = found
-    side = _columns(user_fields, ("gender", "age", "occupation"))
+    side = {"gender": genders, "age": ages, "occupation": occupations}
+    genre_sets = [tuple(filter(None, g.split("|"))) for g in genres]
     return {
         "user_id": user_ids,
         "movie_id": movie_ids,
         "rating": rating,
         "timestamp": timestamp,
-        **{name: _gather(_factorize(col), user_rows) for name, col in side.items()},
+        **{name: _gather(_factorize(_column(col)), user_rows) for name, col in side.items()},
         "genres": _gather(_factorize(_column(genre_sets)), movie_rows),
     }
+
+
+def _side_columns(path, width: int, ints: tuple, non_integer: str) -> list:
+    """The `width` columns of a `::`-separated side file, one entry per
+    non-empty line in file order, the columns at `ints` read by `int`.  The
+    file is read and split at once, in text mode, so its lines and their
+    numbers are those `_read_lines` gives.  Only when a check fails are the
+    lines walked in file order for the first bad one, whose ParseError names
+    the file and line: a line of another field count, or one where `int`
+    refuses a field at `ints` (`non_integer`, formatted with that `field` and
+    the `exc` that `int` raised, says which)."""
+    with open(path, "r", encoding="latin-1") as fh:
+        lines = fh.read().split("\n")
+    rows = list(map(str.split, filter(None, lines), repeat("::")))
+    if set(map(len, rows)) <= {width}:
+        columns = list(zip(*rows)) or [()] * width
+        try:
+            for i in ints:
+                columns[i] = list(map(int, columns[i]))
+        except ValueError:
+            pass
+        else:
+            return columns
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("::")
+        if len(parts) != width:
+            raise ParseError(f"{path}:{line_no}: expected {width} '::' fields, got {len(parts)}")
+        for i in ints:
+            try:
+                int(parts[i])
+            except ValueError as exc:
+                message = non_integer.format(field=parts[i], exc=exc)
+                raise ParseError(f"{path}:{line_no}: {message}") from None
+    raise AssertionError(f"{path}: a check failed on no line")
+
+
+_COLON_TO_SPACE = bytes.maketrans(b":", b" ")
 
 
 def _bulk_ratings(data: bytes):
@@ -417,36 +439,68 @@ def _bulk_ratings(data: bytes):
     `np.fromstring` call; None unless each non-empty line is provably four
     `::`-separated runs of ASCII digits, which `int` reads to the same values.
     (Signs are left to the line reader: numpy reads a lone `-` as 0.)  Lines
-    end at LF, CRLF or CR, as in text mode."""
-    if b" " in data:
-        return None
-    # CR to LF: a CRLF then ends one line and an empty one, and empty lines drop
-    lines = list(filter(None, data.replace(b"\r", b"\n").replace(b"::", b" ").split(b"\n")))
-    body = b"\n".join(lines) + b"\n"
-    # three separators a line, and nothing but digits besides
-    if body.translate(None, b"0123456789") != b"   \n" * len(lines):
+    end at LF, CRLF or CR, as in text mode.  CRs are turned into LFs only
+    when the file has them, and blank lines dropped only when the file as
+    read fails the check below.
+
+    The proof is on the bytes read: with the digits deleted every line is
+    exactly six colons, and the file holds three `::` a line, so every colon
+    sits in a `::` pair (a run of an odd length holds fewer pairs than half
+    its colons).  A `::::` then still passes as an empty field, but yields
+    one value fewer, which the count of values rejects: no line yields more
+    than four.  Each `:` then becomes a space by one 1:1 translate."""
+    if b"\r" in data:
+        # a CRLF then ends one line and an empty one, and empty lines drop
+        data = data.replace(b"\r", b"\n")
+    n = _six_colon_lines(data)
+    if n is None:
+        # blank lines and a missing final newline may be all that is wrong
+        data = b"\n".join(filter(None, data.split(b"\n"))) + b"\n"
+        n = _six_colon_lines(data)
+    if not n or data.count(b"::") != 3 * n:
         return None
     try:
-        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        values = np.fromstring(data.translate(_COLON_TO_SPACE), dtype=np.int64, sep=" ")
     except ValueError:  # not expected after the check above
         return None
     # an empty field gives no value, and an overflow saturates silently:
     # 99999999999999999999 reads as int64 max
-    if values.size != 4 * len(lines) or values.max() == _INT64_MAX:
+    if values.size != 4 * n or values.max() == _INT64_MAX:
         return None
     return values.reshape(-1, 4).T.copy()
 
 
+def _six_colon_lines(data: bytes):
+    """The number of lines of `data` if, with the digits deleted, each is
+    exactly six colons ended by an LF; else None."""
+    skeleton = data.translate(None, b"0123456789")
+    n = len(skeleton) // 7
+    return n if skeleton == b"::::::\n" * n else None
+
+
 def _rows_of(index: dict, ids: np.ndarray):
-    """The factor of int64 `ids` and the row `index` maps each id to, by one
-    search of each distinct id among its sorted keys; None if an id is not a
-    key."""
-    # a key outside int64 can equal no bulk-parsed id
-    keys = sorted(k for k in index if _INT64_MIN < k < _INT64_MAX)
+    """The factor of the int64 `ids`, equal to the one np.unique gives, and
+    the row `index` maps each id to; None if an id is not a key.
+
+    When the ids span fewer than four values a rating, the factor comes from
+    a table of the ids present over that span, with no sort: its bool and
+    int64 entries then take at most 36 bytes a rating, about what np.unique's
+    sort and its index arrays take.  A wider span takes np.unique.  Each
+    distinct id is then found by one search among the sorted keys."""
+    lo, hi = int(ids.min()), int(ids.max())
+    if hi - lo < 4 * len(ids):
+        offsets = ids - lo
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[offsets] = True
+        distinct = np.flatnonzero(present) + lo
+        inverse = (np.cumsum(present, dtype=np.int64) - 1)[offsets]
+    else:
+        distinct, inverse = np.unique(ids, return_inverse=True)
+    # only a key in the ids' range can equal one (a key beyond int64 cannot)
+    keys = sorted(k for k in index if lo <= k <= hi)
     if not keys:
         return None
     table = np.array(keys, dtype=np.int64)
-    distinct, inverse = np.unique(ids, return_inverse=True)
     pos = np.minimum(np.searchsorted(table, distinct), len(keys) - 1)
     if not np.array_equal(table[pos], distinct):
         return None

@@ -745,16 +745,57 @@ READER_CASES = {
     "bad line before an unknown id": ("1::x::5::1\n77::1193::5::1\n", "", ""),
     "only blank lines": ("\n\n", "", ""),
     "empty": ("", "", ""),
+    # side files: of two bad lines the first in file order is named, and of
+    # two lines with one id the later wins
+    "users: a bad age before a short line": ("1::1193::5::1\n", "4::F::x::1::0\n5::F::1\n", ""),
+    "users: a short line before a bad id": ("1::1193::5::1\n", "5::F::1\nx::F::1::2::0\n", ""),
+    "users: a bad occupation before a bad id": ("1::1193::5::1\n",
+                                                "4::F::1::+\n5::F::1::y::0\nz::F::1::2::0\n", ""),
+    "users: a long line after blank CR lines": ("1::1193::5::1\n", "\r\n\r4::F::1::2::0::9\r", ""),
+    "movies: a bad id before a long line": ("1::1193::5::1\n", "", "x::T::Drama\n5::T::Drama::X\n"),
+    "movies: a short line before a bad id": ("1::1193::5::1\n", "", "5::T\n 6 ::T::Drama\nx::T::War\n"),
+    "a repeated user id": ("1::1193::5::1\n2::661::4::2\n", "1::M::56::7::0\n", ""),
+    "a repeated movie id": ("1::1193::5::1\n2::661::4::2\n", "", "1193::Again::Comedy||War|\n"),
+    "side files with blank lines, CR and CRLF": (
+        "1::1193::5::1\n4::5::4::2\n5::6::3::3\n",
+        "\n\r\n4::F::18::3::0\r\n\r5::M::25::4::0\r",
+        "\r\n\n5::T::Drama\r\r6::U::\r\n"),
+}
+
+# the error each bad side-file case raises: the file, then the line and message
+SIDE_ERRORS = {
+    "users: a bad age before a short line":
+        ("users.dat", "4: non-integer id field: invalid literal for int() with base 10: 'x'"),
+    "users: a short line before a bad id": ("users.dat", "4: expected 5 '::' fields, got 3"),
+    "users: a bad occupation before a bad id":
+        ("users.dat", "4: expected 5 '::' fields, got 4"),
+    "users: a long line after blank CR lines": ("users.dat", "6: expected 5 '::' fields, got 6"),
+    "movies: a bad id before a long line": ("movies.dat", "5: non-integer movie id 'x'"),
+    "movies: a short line before a bad id": ("movies.dat", "5: expected 3 '::' fields, got 2"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(READER_CASES))
-def test_bulk_and_line_readers_agree(tmp_path, case):
+def reader_case_files(tmp_path, case) -> dict:
+    """The paths of the three files of a READER_CASES case, written as UTF-8."""
     ratings, users, movies = READER_CASES[case]
     texts = {"ratings.dat": ratings, "users.dat": USERS + users, "movies.dat": MOVIES + movies}
     for name, text in texts.items():
         (tmp_path / name).write_bytes(text.encode("utf-8"))
-    assert_readers_agree({name: str(tmp_path / name) for name in texts})
+    return {name: str(tmp_path / name) for name in texts}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_bulk_and_line_readers_agree(tmp_path, case):
+    assert_readers_agree(reader_case_files(tmp_path, case))
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_ERRORS))
+def test_a_side_file_error_names_the_first_bad_line(tmp_path, case):
+    paths = reader_case_files(tmp_path, case)
+    name, message = SIDE_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse_fixture(paths)
+    assert str(err.value) == f"{paths[name]}:{message}"
 
 
 @pytest.mark.parametrize("text, bulk", [
@@ -767,6 +808,21 @@ def test_bulk_and_line_readers_agree(tmp_path, case):
     ("1:::2::3::4\n", False), ("\u0661::2::3::4\n", False), ("", False),
     ("1::2::3::4\r\n5::6::7::8\r9::1::2::3\r", True), ("1::2::3::4\r\r\n\n\r5::6::7::8", True),
     ("1::2::3::4\x0b5::6::7::8\n", False),
+    # colon runs of odd length: with six colons a line, only the count of
+    # `::` tells 1:::2:3::4 (numpy reads four values) from a line of pairs
+    ("1::2::3:4\n", False), ("1:2:3::4::5\n", False), ("1:::2:3::4\n", False),
+    ("1:::2:::3\n", False), ("1::2:::3::4\n", False), ("1:::::2:3\n", False),
+    ("1:::::2::3\n", False), ("1:::::::2\n", False), ("1::2::3::4\n5:::::::6\n", False),
+    # an empty field beside a five-field line: the values would total four a line
+    ("5::6::7::8::9\n1::::3::4\n", False), ("1::2::3::4\n::::\n1::2::3::4::5::6\n", False),
+    # leading and trailing separators
+    ("::1::2::3\n", False), ("1::2::3::\n", False), ("::1::2::3::4\n", False),
+    ("1::2::3::4\n::\n", False),
+    # no final newline, and CR-only and CRLF files with blank lines
+    ("1::2::3::4\n5::6::7::8", True), ("\n\n1::2::3::4", True), ("1::2::3::4\n5::6::7", False),
+    ("\r\r1::2::3::4\r\r\r5::6::7::8\r", True),
+    ("\r\n1::2::3::4\r\n\r\n5::6::7::8\r\n\r\n", True), ("1::2::3::4\r\n\r\n5::6::7::8", True),
+    ("\r\n", False), ("\r\r\n\n", False),
 ])
 def test_the_bulk_parse_takes_only_what_it_can_prove(text, bulk):
     fields = data_module._bulk_ratings(text.encode("utf-8"))
@@ -775,6 +831,82 @@ def test_the_bulk_parse_takes_only_what_it_can_prove(text, bulk):
         lines = [line.split("::") for line in text.splitlines() if line]
         assert fields.dtype == np.int64
         assert fields.T.tolist() == [[int(v) for v in line] for line in lines]
+
+
+@st.composite
+def _ratings_texts(draw):
+    """Short texts over the bytes the bulk parse must judge (digits, `:`,
+    LF, CR, space and signs): raw draws, and lines of four runs of digits
+    joined by `::`, some with a field replaced by a raw draw, ending in any
+    line break or none."""
+    chars = "0123456789:\n\r +-"
+    if draw(st.integers(0, 3)) == 3:  # not 0, which hypothesis draws most
+        return draw(st.text(chars, max_size=30))
+    text = ""
+    for _ in range(draw(st.integers(1, 4))):
+        fields = [draw(st.from_regex(r"[0-9]{1,19}", fullmatch=True)) for _ in range(4)]
+        if draw(st.integers(0, 3)) == 3:
+            fields[draw(st.integers(0, 3))] = draw(st.text(chars, max_size=3))
+        text += "::".join(fields) + draw(st.sampled_from(["\n", "\r", "\r\n", "\n\n", ""]))
+    return text
+
+
+@PROPS
+@given(text=_ratings_texts())
+def test_the_bulk_parse_reads_what_the_line_reader_reads(tmp_path_factory, text):
+    fields = data_module._bulk_ratings(text.encode("ascii"))
+    if fields is None:
+        return
+    path = tmp_path_factory.getbasetemp() / "bulk.dat"
+    path.write_bytes(text.encode("ascii"))
+    lines = [line.split("::") for _, line in data_module._read_lines(str(path))]
+    assert all(len(parts) == 4 for parts in lines)
+    assert fields.dtype == np.int64
+    assert fields.T.tolist() == [[int(v) for v in parts] for parts in lines]
+
+
+def python_rows_of(index: dict, ids: list):
+    """The sorted distinct ids, each id's position among them and each id's
+    side row, in plain Python; None if an id is not a key."""
+    if not set(ids) <= set(index):
+        return None
+    distinct = sorted(set(ids))
+    code = {v: i for i, v in enumerate(distinct)}
+    return distinct, [code[v] for v in ids], [index[v] for v in ids]
+
+
+SPREAD = [2**40 + 3, 7, 2**40 - 5, 2**39, 7, 2**40 + 3, 12345]
+ROWS_OF_CASES = {
+    # id: (ids, whether np.unique's sort factors them)
+    "dense": ([5, 9, 5, 60, 31, 9, 9, 17, 5, 60, 42, 31, 8, 8, 59, 30], False),
+    "dense near 2**40": ([2**40 + v for v in (5, 9, 5, 0, 3, 9)], False),
+    "one id": ([2**62], False),
+    "a span one short of the bound": ([0, 7], False),
+    "a span at the bound": ([0, 8], True),
+    "spread near 2**40": (SPREAD, True),
+    "spread up to int64 max - 1": ([2**63 - 2, 0, 2**63 - 2, 1], True),
+}
+
+
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("case", sorted(ROWS_OF_CASES))
+def test_rows_of_gives_the_factor_and_rows_of_a_python_join(case, missing):
+    ids, sorts = ROWS_OF_CASES[case]
+    # side rows out of order, keys no id uses, and keys outside int64
+    keys = sorted(set(ids), reverse=True) + [-1, 2**63, 2**70, 4, 2**41]
+    index = {k: 3 * i + 1 for i, k in enumerate(keys)}
+    if missing:
+        del index[ids[-1]]
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        got = data_module._rows_of(index, np.array(ids, dtype=np.int64))
+    assert unique.called == sorts
+    want = python_rows_of(index, ids)
+    if want is None:
+        assert got is None
+        return
+    factor, rows = got
+    assert factor.values.dtype == factor.codes.dtype == rows.dtype == np.int64
+    assert (factor.values.tolist(), factor.codes.tolist(), rows.tolist()) == want
 
 
 def test_both_column_sources_give_the_same_cache(tmp_path):
@@ -815,6 +947,8 @@ JOIN_CASES = {
                      "\n".join(reversed(MOVIES.splitlines())) + "\n"),
     "equal genre tuples": (USERS, "1193::A (1)::Drama|Comedy\n661::B (2)::Drama|Comedy\n"
                                   "914::C (3)::Comedy|Drama\n3408::D (4)::Comedy|Drama|Comedy\n"),
+    "blank lines, CR and CRLF": ("\r\n" + USERS.replace("\n", "\r\n\r"),
+                                 "\n\r" + MOVIES.replace("\n", "\r\n")),
 }
 
 
