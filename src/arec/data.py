@@ -291,23 +291,23 @@ class DatasetSplit:
 # raw file parsing
 
 
-def _read_lines(path, encoding="latin-1"):
-    """The non-empty lines of a text file with their 1-based numbers.  Bytes
-    that are not `encoding` text are a ParseError naming the first such line."""
-    with open(path, "r", encoding=encoding) as fh:
+def _read_lines(path):
+    """The non-empty lines of a UTF-8 text file with their 1-based numbers.
+    Bytes that are not UTF-8 are a ParseError naming the first such line."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n").rstrip("\r")
                 if line:
                     yield line_no, line
         except UnicodeDecodeError as exc:
-            line_no = _undecodable_line(path, encoding)
-            raise ParseError(f"{path}:{line_no}: not {encoding} text ({exc.reason})") from None
+            line_no = _undecodable_line(path)
+            raise ParseError(f"{path}:{line_no}: not utf-8 text ({exc.reason})") from None
 
 
-def _undecodable_line(path, encoding) -> int:
+def _undecodable_line(path) -> int:
     # the reader decodes a block ahead of the line it yields, so find the line again
-    with open(path, "r", encoding=encoding, errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if any("\udc80" <= ch <= "\udcff" for ch in line):
                 return line_no
@@ -363,9 +363,10 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     movie_id take the factor of the ids and the side rows that `_rows_of`
     finds.  The ratings file is parsed in one call when `_bulk_ratings` can
     prove it holds only lines of four `::`-separated runs of digits, and
-    `_rows_of` finds every id in the side files; any other file is read line
-    by line, which gives factors of the same values or raises the error of
-    its first bad line.
+    `_rows_of` finds every id in the side files.  Any other file is read as
+    the side files are, with every id checked against them, and its ids are
+    factorized and joined by one dict lookup a rating: the same factors, or
+    the error of its first bad line, and ids beyond int64 too.
     """
     uids, genders, ages, occupations, _ = _side_columns(
         users_path, 5, (0, 2, 3), "non-integer id field: {exc}")
@@ -379,10 +380,17 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     if fields is not None:
         users_of, movies_of = _rows_of(users, fields[0]), _rows_of(movies, fields[1])
     if users_of is None or movies_of is None:
-        found = _ratings_by_line(ratings_path, users, movies)
+        rated_users, rated_movies, *rest = _side_columns(
+            ratings_path, 4, (0, 1, 2, 3), "non-integer field in {line!r}",
+            known=((0, users, "user"), (1, movies, "movie")))
+        users_of, movies_of = (
+            (_factorize(_column(ids)),
+             np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids)))
+            for ids, index in ((rated_users, users), (rated_movies, movies)))
+        rating, timestamp = map(_column, rest)
     else:
-        found = fields[2], fields[3], users_of, movies_of
-    rating, timestamp, (user_ids, user_rows), (movie_ids, movie_rows) = found
+        rating, timestamp = fields[2:]
+    (user_ids, user_rows), (movie_ids, movie_rows) = users_of, movies_of
     side = {"gender": genders, "age": ages, "occupation": occupations}
     genre_sets = [tuple(filter(None, g.split("|"))) for g in genres]
     return {
@@ -395,15 +403,16 @@ def parse_movielens(ratings_path, users_path, movies_path) -> dict:
     }
 
 
-def _side_columns(path, width: int, ints: tuple, non_integer: str) -> list:
-    """The `width` columns of a `::`-separated side file, one entry per
-    non-empty line in file order, the columns at `ints` read by `int`.  The
-    file is read and split at once, in text mode, so its lines and their
-    numbers are those `_read_lines` gives.  Only when a check fails are the
-    lines walked in file order for the first bad one, whose ParseError names
-    the file and line: a line of another field count, or one where `int`
-    refuses a field at `ints` (`non_integer`, formatted with that `field` and
-    the `exc` that `int` raised, says which)."""
+def _side_columns(path, width: int, ints: tuple, non_integer: str, known=()) -> list:
+    """The `width` columns of a `::`-separated file, one entry per non-empty
+    line in file order, the columns at `ints` read by `int`, each value of a
+    column of `known` (column, dict, name) a key of that dict.  The file is
+    read and split at once, in text mode.  Only when a check fails are the
+    lines walked in file order for the first bad one, which raises naming the
+    file and line: a line of another field count, one where `int` refuses a
+    field at `ints` (`non_integer`, formatted with that `field`, the `exc`
+    that `int` raised and the `line`, says which), or, a ReferentialError, a
+    `known` column's value that is not a key."""
     with open(path, "r", encoding="latin-1") as fh:
         lines = fh.read().split("\n")
     rows = list(map(str.split, filter(None, lines), repeat("::")))
@@ -415,7 +424,8 @@ def _side_columns(path, width: int, ints: tuple, non_integer: str) -> list:
         except ValueError:
             pass
         else:
-            return columns
+            if all(set(columns[i]).issubset(index) for i, index, _ in known):
+                return columns
     for line_no, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -426,8 +436,11 @@ def _side_columns(path, width: int, ints: tuple, non_integer: str) -> list:
             try:
                 int(parts[i])
             except ValueError as exc:
-                message = non_integer.format(field=parts[i], exc=exc)
+                message = non_integer.format(field=parts[i], exc=exc, line=line)
                 raise ParseError(f"{path}:{line_no}: {message}") from None
+        for i, index, name in known:
+            if int(parts[i]) not in index:
+                raise ReferentialError(f"{path}:{line_no}: unknown {name} id {int(parts[i])}")
     raise AssertionError(f"{path}: a check failed on no line")
 
 
@@ -508,31 +521,6 @@ def _rows_of(index: dict, ids: np.ndarray):
     return Factor(distinct, inverse), rows[pos][inverse]
 
 
-def _ratings_by_line(ratings_path, users: dict, movies: dict) -> tuple:
-    """The rating and timestamp columns and, as `_rows_of` gives them, the
-    user and movie id factors and rows, read line by line: the first bad line
-    raises, naming its file and number."""
-    fields, user_rows, movie_rows = [], [], []
-    for line_no, line in _read_lines(ratings_path):
-        parts = line.split("::")
-        if len(parts) != 4:
-            raise ParseError(f"{ratings_path}:{line_no}: expected 4 '::' fields, got {len(parts)}")
-        try:
-            uid, mid, rating, ts = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"{ratings_path}:{line_no}: non-integer field in {line!r}") from None
-        if uid not in users:
-            raise ReferentialError(f"{ratings_path}:{line_no}: unknown user id {uid}")
-        if mid not in movies:
-            raise ReferentialError(f"{ratings_path}:{line_no}: unknown movie id {mid}")
-        fields.append((uid, mid, rating, ts))
-        user_rows.append(users[uid])
-        movie_rows.append(movies[mid])
-    uids, mids, rating, timestamp = (_column(map(itemgetter(i), fields)) for i in range(4))
-    return (rating, timestamp, (_factorize(uids), np.array(user_rows, dtype=np.int64)),
-            (_factorize(mids), np.array(movie_rows, dtype=np.int64)))
-
-
 def _integral(value):
     """`value` as an int if it is a JSON number with an integral value, else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -558,7 +546,7 @@ def parse_amazon(reviews_path) -> dict:
     multi-valued field.  Anything else is a ParseError naming the line.
     """
     rows = []
-    for line_no, line in _read_lines(reviews_path, encoding="utf-8"):
+    for line_no, line in _read_lines(reviews_path):
         where = f"{reviews_path}:{line_no}"
         try:
             obj = json.loads(line)

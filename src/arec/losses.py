@@ -149,7 +149,7 @@ def load_modality_features(path) -> ModalityTable:
     tag replaces the earlier one.
     """
     raw: dict = {}
-    for ln, line in _read_lines(path, "utf-8"):
+    for ln, line in _read_lines(path):
         parts = line.split()
         if not parts:
             continue

@@ -1,12 +1,9 @@
-"""Dense float64 tensor primitives with reproducible numerics.
+"""Dense float64 tensor primitives: the activations and softmaxes the model
+runs, the OpenBLAS thread pin, and the seeded random source.
 
-The matmul kernels here are single-threaded and accumulate sums sequentially
-over the contracted axis (np.einsum without optimization does exactly that),
-so repeated calls are bit-identical and naive hand-written oracles can be
-compared for exact equality in tests.  The model code does not call them:
-its contractions run as BLAS products, and the tests check those against
-these kernels.  The finite-difference gradient checker at the bottom is the
-reference every backward pass in this package is validated against.
+The model's contractions run as BLAS products.  The einsum kernels that the
+tests check those products against, and the finite-difference gradient
+checker, live with the tests (`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -15,9 +12,8 @@ import contextlib
 import ctypes
 import functools
 import glob
-import math
 import os
-from typing import Callable
+import threading
 
 import numpy as np
 
@@ -29,23 +25,8 @@ class DimensionError(ValueError):
     """Shapes of the operands do not line up."""
 
 
-class NumericError(ArithmeticError):
-    """A computation produced NaN/Inf from finite inputs."""
-
-
 # ---------------------------------------------------------------------------
 # elementary operations
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with sequential (row-major) accumulation.
-
-    Bit-identical to the entry-by-entry triple loop, unlike BLAS which
-    reassociates partial sums.
-    """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -95,38 +76,6 @@ def softmax_rows_backward(out: Tensor, grad: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batched contractions: the oracle for the BLAS products of the model
-# forward/backward passes.  np.einsum without optimization accumulates
-# sequentially per output element, so each batch item comes out bit-identical
-# to the per-example matmul above.
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """(B,m,k) @ (B,k,n) -> (B,m,n)."""
-    return np.einsum("bik,bkj->bij", a, b, optimize=False)
-
-
-def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
-    """(B,m,k) @ (B,n,k)^T -> (B,m,n)."""
-    return np.einsum("bik,bjk->bij", a, b, optimize=False)
-
-
-def bmm_tn(a: Tensor, b: Tensor) -> Tensor:
-    """(B,m,k)^T @ (B,m,n) -> (B,k,n), batched."""
-    return np.einsum("bik,bij->bkj", a, b, optimize=False)
-
-
-def mm_tn(a: Tensor, b: Tensor) -> Tensor:
-    """a^T @ b without materializing the transpose."""
-    return np.einsum("ik,ij->kj", a, b, optimize=False)
-
-
-def mm_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b^T without materializing the transpose."""
-    return np.einsum("ij,kj->ik", a, b, optimize=False)
-
-
-# ---------------------------------------------------------------------------
 # BLAS threads
 
 
@@ -152,6 +101,11 @@ def _openblas_thread_calls():
     return None
 
 
+# the number of blocks inside `one_blas_thread`, and the count the first one found
+_pin_lock = threading.Lock()
+_pin_holders, _pin_before = 0, None
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore its count.
@@ -159,20 +113,28 @@ def one_blas_thread():
     The model's GEMMs are small, and its two attention branches already run
     on two threads: a second BLAS thread per product only contends for the
     same cores.  Inside the block, results cannot depend on the thread count
-    the environment asked for.  Where numpy has no OpenBLAS of its own, this
-    does nothing.
+    the environment asked for.  Blocks may overlap, in one thread or several:
+    the first to enter pins the count and the last to leave restores it.
+    Where numpy has no OpenBLAS of its own, this does nothing.
     """
+    global _pin_holders, _pin_before
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, put = calls
-    before = get()
-    put(1)
+    with _pin_lock:
+        if not _pin_holders:
+            _pin_before = get()
+            put(1)
+        _pin_holders += 1
     try:
         yield
     finally:
-        put(before)
+        with _pin_lock:
+            _pin_holders -= 1
+            if not _pin_holders:
+                put(_pin_before)
 
 
 # ---------------------------------------------------------------------------
@@ -216,46 +178,3 @@ class ZeroInit:
 
     def normal(self, shape, std: float = 1.0) -> Tensor:
         return np.zeros(shape, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar function at x.
-
-    `f` must be pure and deterministic; eps is restricted to the range where
-    central differences are trustworthy in float64.
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros(x.size, dtype=np.float64)
-    for i in range(x.size):
-        xp = x.copy()
-        xp.flat[i] += eps
-        xm = x.copy()
-        xm.flat[i] -= eps
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericError(f"non-finite objective at coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * eps)
-    return grad.reshape(x.shape)
-
-
-def rel_error(a: Tensor, b: Tensor, floor: float = 1e-3) -> float:
-    """Worst-case elementwise relative difference between two gradients.
-
-    The denominator is floored so near-zero entries compare by absolute
-    error instead of blowing up.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"rel_error shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    den = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / den))

@@ -23,7 +23,7 @@ from .losses import (
     logloss_d_logits,
     similarity_loss,
 )
-from .metrics import DivergenceError, auc as compute_auc, score_split
+from .metrics import DivergenceError, auc as compute_auc, evaluate, score_split
 from .model import MODES, ModelOps, ops_for
 from .numerics import Rng, one_blas_thread
 
@@ -455,19 +455,18 @@ def sweep(kind: str, schema: FeatureSchema, train: Columnar, validation: Columna
     dims = list(dims)
     if not dims:
         raise ConfigError("sweep needs a non-empty list of dims")
-    # every dim's config is checked before the first fit spends any time
+    # every dim's config, and the test split, are checked before the first fit
     configs = [replace(config, dim=int(d)).validate() for d in dims]
     ops = ops_for(kind)
-    test_col = Columnar.from_examples(test, schema)
+    Columnar.from_examples(test, schema)
     rows, curves, failures = [], {}, []
     for cfg in configs:
         try:
             result = fit(ops, schema, train, validation, cfg)
-            with one_blas_thread():
-                test_auc, test_ll = _eval_columnar(ops, result.state.best.params, test_col)
-        except (DivergenceError, ArithmeticError) as exc:
+            report = evaluate(ops, result.state.best.params, test, schema)
+        except ArithmeticError as exc:
             failures.append((cfg.dim, str(exc)))
             continue
-        rows.append(SweepRow(dim=cfg.dim, auc=test_auc, logloss=test_ll))
+        rows.append(SweepRow(dim=cfg.dim, auc=report.auc, logloss=report.logloss))
         curves[cfg.dim] = result.curve
     return SweepResult(rows=rows, curves=curves, failures=failures)

@@ -26,9 +26,16 @@ from arec.data import (
 )
 from arec.embedding import embed_batch
 from arec.losses import logloss, logloss_d_logits
-from arec.numerics import finite_diff_grad, rel_error
 
-from oracle import EncodedExample, build_schema, columnar, encode_example, split
+from oracle import (
+    EncodedExample,
+    build_schema,
+    columnar,
+    encode_example,
+    finite_diff_grad,
+    rel_error,
+    split,
+)
 
 
 def corruptions(blob: bytes):

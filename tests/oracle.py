@@ -12,10 +12,18 @@ denominator and pooled sum by exact (correctly rounded) summation, so its
 pooled vector does not depend on pair enumeration order: permuting the
 fields leaves it bitwise unchanged.  A BLAS product gives no such guarantee,
 since the rounding of a row can depend on where the row sits in the operand.
+
+The einsum kernels (`matmul`, `bmm` and its transposed forms, `mm_tn`,
+`mm_nt`) are the oracle for the model's BLAS products: np.einsum without
+optimization accumulates each output sequentially over the contracted axis,
+so repeated calls are bit-identical and equal a hand-written triple loop.
+`finite_diff_grad` and `rel_error` are the reference every backward pass of
+the engine is checked against.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from arec.data import (
     _split_rows,
 )
 from arec.interaction import AcParams, pair_indices
-from arec.numerics import Tensor, relu
+from arec.numerics import DimensionError, Tensor, relu
 
 
 @dataclass(slots=True)
@@ -240,3 +248,90 @@ def ac_attention(pairs, params: AcParams):
     weights = ex / math.fsum(ex)
     pooled = np.array([math.fsum(weights * phi[:, k]) for k in range(phi.shape[1])])
     return weights, pooled
+
+
+# ---------------------------------------------------------------------------
+# einsum kernels
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product with sequential (row-major) accumulation.
+
+    Bit-identical to the entry-by-entry triple loop, unlike BLAS which
+    reassociates partial sums.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
+    return np.einsum("ik,kj->ij", a, b, optimize=False)
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """(B,m,k) @ (B,k,n) -> (B,m,n)."""
+    return np.einsum("bik,bkj->bij", a, b, optimize=False)
+
+
+def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
+    """(B,m,k) @ (B,n,k)^T -> (B,m,n)."""
+    return np.einsum("bik,bjk->bij", a, b, optimize=False)
+
+
+def bmm_tn(a: Tensor, b: Tensor) -> Tensor:
+    """(B,m,k)^T @ (B,m,n) -> (B,k,n), batched."""
+    return np.einsum("bik,bij->bkj", a, b, optimize=False)
+
+
+def mm_tn(a: Tensor, b: Tensor) -> Tensor:
+    """a^T @ b without materializing the transpose."""
+    return np.einsum("ik,ij->kj", a, b, optimize=False)
+
+
+def mm_nt(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b^T without materializing the transpose."""
+    return np.einsum("ij,kj->ik", a, b, optimize=False)
+
+
+# ---------------------------------------------------------------------------
+# gradient verification
+
+
+class NumericError(ArithmeticError):
+    """A computation produced NaN/Inf from finite inputs."""
+
+
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Central-difference gradient of a scalar function at x.
+
+    `f` must be pure and deterministic; eps is restricted to the range where
+    central differences are trustworthy in float64.
+    """
+    if not (1e-7 <= eps <= 1e-3):
+        raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros(x.size, dtype=np.float64)
+    for i in range(x.size):
+        xp = x.copy()
+        xp.flat[i] += eps
+        xm = x.copy()
+        xm.flat[i] -= eps
+        fp = float(f(xp))
+        fm = float(f(xm))
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise NumericError(f"non-finite objective at coordinate {i}")
+        grad[i] = (fp - fm) / (2.0 * eps)
+    return grad.reshape(x.shape)
+
+
+def rel_error(a: Tensor, b: Tensor, floor: float = 1e-3) -> float:
+    """Worst-case elementwise relative difference between two gradients.
+
+    The denominator is floored so near-zero entries compare by absolute
+    error instead of blowing up.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"rel_error shapes differ: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        return 0.0
+    den = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float(np.max(np.abs(a - b) / den))

@@ -28,7 +28,7 @@ from arec.losses import (
 )
 from arec.metrics import auc, evaluate
 from arec.model import init_model, ops_for
-from arec.numerics import Rng, finite_diff_grad, rel_error, softmax
+from arec.numerics import Rng, softmax
 from arec.training import TrainConfig, fit, init_state, train_epoch
 
 from helpers import (
@@ -43,7 +43,14 @@ from helpers import (
     separable_examples,
 )
 import mlsynth
-from oracle import EncodedExample, ac_attention, columnar, cross_pairs
+from oracle import (
+    EncodedExample,
+    ac_attention,
+    columnar,
+    cross_pairs,
+    finite_diff_grad,
+    rel_error,
+)
 
 TABLE2 = {
     "fm": (0.6548, 0.5766),

@@ -798,6 +798,43 @@ def test_a_side_file_error_names_the_first_bad_line(tmp_path, case):
     assert str(err.value) == f"{paths[name]}:{message}"
 
 
+# the error each bad ratings file raises: the text, the error type, then the
+# line and message.  A line is checked for its field count, then `int` of
+# every field, then a known user, then a known movie.
+RATINGS_ERRORS = {
+    "unknown user": ("1::1193::5::1\n77::1193::5::1\n", ReferentialError, "2: unknown user id 77"),
+    "unknown movie": ("1::1193::5::1\n1::4242::5::1\n", ReferentialError,
+                      "2: unknown movie id 4242"),
+    "unknown user and movie": ("77::4242::5::1\n", ReferentialError, "1: unknown user id 77"),
+    "unknown id before a bad line": ("77::1193::5::1\n1::x::5::1\n", ReferentialError,
+                                     "1: unknown user id 77"),
+    "bad line before an unknown id": ("1::x::5::1\n77::1193::5::1\n", ParseError,
+                                      "1: non-integer field in '1::x::5::1'"),
+    "an unknown id on a bad line": ("77::x::5::1\n", ParseError,
+                                    "1: non-integer field in '77::x::5::1'"),
+    "an unknown id on a short line": ("1::1193::5::1\n77::x::5\n", ParseError,
+                                      "2: expected 4 '::' fields, got 3"),
+    "an unknown id beyond int64": ("1::1193::5::1\n99999999999999999999::1193::5::1\n",
+                                   ReferentialError, "2: unknown user id 99999999999999999999"),
+    "blank lines then a bad line": ("1::1193::5::1\n\n\n2::661::x::2\n", ParseError,
+                                    "4: non-integer field in '2::661::x::2'"),
+}
+
+
+@pytest.mark.parametrize("reader", ["bulk", "by line"])
+@pytest.mark.parametrize("case", sorted(RATINGS_ERRORS))
+def test_a_ratings_file_error_names_the_first_bad_line(tmp_path, case, reader):
+    ratings, error, message = RATINGS_ERRORS[case]
+    texts = {"ratings.dat": ratings, "users.dat": USERS, "movies.dat": MOVIES}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
+    paths = {name: str(tmp_path / name) for name in texts}
+    with pytest.raises(ValueError) as err:
+        (parse_fixture if reader == "bulk" else parse_line_by_line)(paths)
+    assert type(err.value) is error
+    assert str(err.value) == f"{paths['ratings.dat']}:{message}"
+
+
 @pytest.mark.parametrize("text, bulk", [
     (RATINGS, True), ("1::2::3::4", True), ("\n1::2::3::4\n\n5::6::7::8\n", True),
     (f"1::2::3::{BIG - 2}\n", True), (f"1::2::3::{BIG - 1}\n", False),

@@ -9,10 +9,10 @@ from arec.embedding import (
     init_embedding,
     zeros_like_embedding,
 )
-from arec.numerics import Rng, finite_diff_grad, rel_error
+from arec.numerics import Rng
 
 from helpers import embed_one, make_schema, random_example, random_schema
-from oracle import EncodedExample, columnar
+from oracle import EncodedExample, columnar, finite_diff_grad, rel_error
 
 
 def small_setup(dim=4, seed=0):

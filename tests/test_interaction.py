@@ -22,21 +22,24 @@ from arec.interaction import (
 from arec.numerics import (
     DimensionError,
     Rng,
-    bmm,
-    bmm_nt,
-    bmm_tn,
-    finite_diff_grad,
-    matmul,
-    mm_nt,
-    mm_tn,
-    rel_error,
     relu,
     softmax,
     softmax_rows,
     softmax_rows_backward,
 )
 
-from oracle import ac_attention, cross_pairs
+from oracle import (
+    ac_attention,
+    bmm,
+    bmm_nt,
+    bmm_tn,
+    cross_pairs,
+    finite_diff_grad,
+    matmul,
+    mm_nt,
+    mm_tn,
+    rel_error,
+)
 
 
 def test_pair_count_matches_brute_force():

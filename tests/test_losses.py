@@ -21,9 +21,10 @@ from arec.losses import (
     similarity_loss_grad,
     synthesize_modality_features,
 )
-from arec.numerics import Rng, finite_diff_grad, rel_error
+from arec.numerics import Rng
 
 from helpers import corruptions
+from oracle import finite_diff_grad, rel_error
 
 
 def test_logloss_half_probability_is_ln2():

@@ -18,7 +18,7 @@ from arec.model import (
     init_model,
     ops_for,
 )
-from arec.numerics import Rng, matmul, mm_nt, mm_tn, relu
+from arec.numerics import Rng, relu
 
 from helpers import (
     embed_one,
@@ -29,7 +29,7 @@ from helpers import (
     relu_kink_margin,
     score_one,
 )
-from oracle import EncodedExample, columnar
+from oracle import EncodedExample, columnar, matmul, mm_nt, mm_tn
 
 SCHEMA = make_schema([
     ("user", "categorical", 4),

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,15 +9,7 @@ import pytest
 import arec.numerics as numerics
 from arec.numerics import (
     DimensionError,
-    NumericError,
     Rng,
-    bmm,
-    bmm_nt,
-    finite_diff_grad,
-    matmul,
-    mm_nt,
-    mm_tn,
-    rel_error,
     relu,
     sigmoid,
     softmax,
@@ -23,6 +18,8 @@ from arec.numerics import (
     softmax_rows_backward,
 )
 from arec.numerics import _max_last_axis, one_blas_thread
+
+from oracle import NumericError, bmm, bmm_nt, finite_diff_grad, matmul, mm_nt, mm_tn, rel_error
 
 
 def triple_loop_matmul(a, b):
@@ -302,6 +299,57 @@ def test_one_blas_thread_pins_one_thread_and_restores_the_count():
                 raise KeyError
         assert get() == 2
     finally:
+        put(start)
+
+
+def test_interleaved_blocks_restore_the_count_when_the_last_one_leaves():
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy carries no OpenBLAS with a thread-count call")
+    get, put = calls
+    start = get()
+    try:
+        put(2)
+        a, b = one_blas_thread(), one_blas_thread()
+        a.__enter__()
+        assert get() == 1
+        b.__enter__()
+        assert get() == 1
+        a.__exit__(None, None, None)
+        assert get() == 1
+        b.__exit__(None, None, None)
+        assert get() == 2
+    finally:
+        put(start)
+
+
+def test_one_blas_thread_keeps_its_count_under_contention():
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy carries no OpenBLAS with a thread-count call")
+    get, put = calls
+    start, interval = get(), sys.getswitchinterval()
+    seen = []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with one_blas_thread():
+                seen.append(get())
+
+    threads = [threading.Thread(target=enter_and_leave)
+               for _ in range(len(os.sched_getaffinity(0)) + 2)]
+    try:
+        put(2)
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 200 * len(threads) and set(seen) == {1}
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
         put(start)
 
 

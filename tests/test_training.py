@@ -1,11 +1,23 @@
 import math
 import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import arec.metrics as metrics
+import arec.numerics as numerics
 import arec.training as training
-from arec.data import CATEGORICAL, ConfigError, EncodingError, FeatureSchema, FieldColumn, FieldSpec
+from arec.data import (
+    CATEGORICAL,
+    ConfigError,
+    DomainError,
+    EncodingError,
+    FeatureSchema,
+    FieldColumn,
+    FieldSpec,
+)
 from arec.losses import (
     ModalityTable,
     difference_loss,
@@ -459,6 +471,38 @@ def test_sweep_emits_rows_and_curves_per_dim():
         assert r.csv_row().startswith(f"{r.dim},")
 
 
+@pytest.mark.parametrize("kind", ["ours", "fm"])
+def test_sweep_scores_the_test_split_as_evaluate_does(kind):
+    schema, examples = tiny_dataset(n=60, seed=3)
+    train, validation, test = parts(schema, examples, 40, 50)
+    config = tiny_config(max_epochs=2, patience=2)
+    result = sweep(kind, schema, train, validation, test, config, dims=(4, 8))
+    assert [r.dim for r in result.rows] == [4, 8]
+    ops = ops_for(kind)
+    for row in result.rows:
+        best = fit(ops, schema, train, validation, replace(config, dim=row.dim)).state.best
+        report = evaluate(ops, best.params, test, schema)
+        assert (row.auc.hex(), row.logloss.hex()) == (report.auc.hex(), report.logloss.hex())
+
+
+def test_sweep_of_an_empty_test_split_is_refused_as_evaluate_refuses_it():
+    schema, examples = tiny_dataset(n=60, seed=3)
+    train, validation = parts(schema, examples, 40)
+    empty = columnar([], schema)
+    with pytest.raises(DomainError, match="cannot evaluate an empty split"):
+        sweep("fm", schema, train, validation, empty, tiny_config(max_epochs=1), dims=(4,))
+
+
+def test_sweep_records_non_finite_test_scores_as_a_failed_dim(monkeypatch):
+    schema, examples = tiny_dataset(n=60, seed=3)
+    # `evaluate` scores through the metrics module; `fit` keeps the real scorer
+    monkeypatch.setattr(metrics, "score_split", lambda ops, params, col: np.full(col.n, np.nan))
+    result = sweep("fm", schema, *parts(schema, examples, 40, 50), tiny_config(max_epochs=1),
+                   dims=(4,))
+    assert result.rows == [] and result.curves == {}
+    assert result.failures == [(4, "10 of 10 scores are not finite")]
+
+
 def test_sweep_validates_dims():
     schema, examples = tiny_dataset()
     config = tiny_config()
@@ -595,3 +639,24 @@ def test_a_forked_child_fits_after_its_parent_did():
         proc.join(timeout=10)
     assert not proc.is_alive()
     assert proc.exitcode == 0
+
+
+def test_two_fits_in_two_threads_give_the_parameters_of_two_serial_fits():
+    schema, examples = tiny_dataset()
+    ops = ops_for("ours")
+    splits = parts(schema, examples, 40)
+    configs = [tiny_config(seed=seed, mode="combined") for seed in (0, 1)]
+    calls = numerics._openblas_thread_calls()
+    before = calls[0]() if calls else None
+    serial = [fit(ops, schema, *splits, config) for config in configs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = [f.result(timeout=120) for f in [pool.submit(fit, ops, schema, *splits, config)
+                                                    for config in configs]]
+    for want, got in zip(serial, threaded):
+        a, b = snapshot_tensors(want.state.params), snapshot_tensors(got.state.params)
+        assert set(a) == set(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
+        assert got.curve == want.curve
+    if calls:
+        assert calls[0]() == before
