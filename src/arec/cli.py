@@ -303,7 +303,7 @@ def cmd_eval(args) -> int:
     except DivergenceError as exc:
         print(f"evaluation diverged: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     if args.csv:
         fresh = not os.path.exists(args.csv)
         with open(args.csv, "a", encoding="utf-8") as fh:

@@ -111,12 +111,6 @@ class FeatureSchema:
     def n_fields(self) -> int:
         return len(self.fields)
 
-    def field_named(self, name: str) -> FieldSpec:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "fields": [
@@ -219,7 +213,8 @@ class Columnar:
                 )
             else:
                 out.append(FieldColumn(kind=col.kind, vals=col.vals[indices]))
-        return Columnar(fields=out, labels=self.labels[indices], n=len(self.labels[indices]))
+        labels = self.labels[indices]
+        return Columnar(fields=out, labels=labels, n=len(labels))
 
 
 def _typed(a, dtype, ndim: int, n: int, where: str) -> np.ndarray:
@@ -575,16 +570,12 @@ def parse_amazon(reviews_path) -> dict:
         if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
             raise ParseError(f"{where}: categories must be a list of strings or of string lists")
         rows.append((obj["reviewerID"], obj["asin"], rating, timestamp, tuple(categories)))
-    table = _columns(rows, ("reviewer_id", "product_id", "rating", "timestamp", "category"))
+    names = ("reviewer_id", "product_id", "rating", "timestamp", "category")
+    # column i holds entry i of every row, exactly (see `_column`)
+    table = {name: _column(map(itemgetter(i), rows)) for i, name in enumerate(names)}
     for name in ("reviewer_id", "product_id", "category"):
         table[name] = _factorize(table[name])
     return table
-
-
-def _columns(rows, names) -> dict:
-    """The column table of a list of row tuples: entry i of every row, in row
-    order, under names[i], as an array that holds them exactly (see `_column`)."""
-    return {name: _column(map(itemgetter(i), rows)) for i, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +651,6 @@ class CachedDataset:
     schema: FeatureSchema
     tag: str
     split: DatasetSplit  # of Columnar
-
-    @property
-    def schema_hash(self) -> str:
-        return self.schema.hash_hex()
 
 
 class BinaryReader:

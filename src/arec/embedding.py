@@ -49,10 +49,6 @@ def init_embedding(schema: FeatureSchema, dim: int, rng: Rng) -> EmbeddingParams
     return EmbeddingParams(dim=dim, tables=tables)
 
 
-def zeros_like_embedding(params: EmbeddingParams) -> EmbeddingParams:
-    return EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
-
-
 def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
     """(B, n_fields, d) embeddings for a columnar batch of the tables' schema."""
     B = col.n
@@ -72,7 +68,7 @@ def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
 
 def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tensor) -> EmbeddingParams:
     """Dense gradient tables for a batch; untouched rows stay exactly zero."""
-    grads = zeros_like_embedding(params)
+    grads = EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
     for i, fc in enumerate(col.fields):
         g = upstream[:, i, :]  # (B, d)
         if fc.kind == CATEGORICAL:

@@ -5,7 +5,7 @@ loss, and the private-vs-shared KL difference loss (base-2, over
 softmax-mapped distributions).  Modality features arrive precomputed, from
 a text file or the synthetic generator; the upstream audio/visual
 extractors are out of scope, so the two modality losses are reported terms
-with gradients taken with respect to the feature vectors themselves.
+only.  Their gradients live with the tests (`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DomainError, ParseError, _read_lines
-from .numerics import Rng, Tensor, softmax, softmax_backward, softmax_rows
+from .numerics import Rng, Tensor, softmax_rows
 
 # Predicted probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR]
 # before taking logs, in training and evaluation alike.
@@ -58,30 +58,12 @@ def similarity_loss(shared_a: Tensor, shared_v: Tensor) -> float:
     return float(np.sum(diff * diff) / (2.0 * a.shape[0]))
 
 
-def similarity_loss_grad(shared_a: Tensor, shared_v: Tensor):
-    a = np.atleast_2d(np.asarray(shared_a, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(shared_v, dtype=np.float64))
-    diff = (a - v) / a.shape[0]
-    da = diff.reshape(np.shape(shared_a))
-    return da, -da
-
-
 def _kl_base2(p_feat: Tensor, q_feat: Tensor):
     """Base-2 KL along the last axis: a float for vectors, one value per row otherwise."""
     p = np.maximum(softmax_rows(np.asarray(p_feat, dtype=np.float64)), DIST_FLOOR)
     q = np.maximum(softmax_rows(np.asarray(q_feat, dtype=np.float64)), DIST_FLOOR)
     kl = np.sum(p * (np.log(p) - np.log(q)) / LN2, axis=-1)
     return float(kl) if kl.ndim == 0 else kl
-
-
-def _kl_base2_grad(p_feat: Tensor, q_feat: Tensor):
-    p_raw = softmax(np.asarray(p_feat, dtype=np.float64))
-    q_raw = softmax(np.asarray(q_feat, dtype=np.float64))
-    p = np.maximum(p_raw, DIST_FLOOR)
-    q = np.maximum(q_raw, DIST_FLOOR)
-    dp = ((np.log(p) - np.log(q)) / LN2 + 1.0 / LN2) * (p_raw > DIST_FLOOR)
-    dq = -(p / q) / LN2 * (q_raw > DIST_FLOOR)
-    return softmax_backward(p_raw, dp), softmax_backward(q_raw, dq)
 
 
 def difference_loss(private_a: Tensor, shared_a: Tensor,
@@ -98,12 +80,6 @@ def difference_loss(private_a: Tensor, shared_a: Tensor,
     if pa.ndim < 1 or pa.shape[:-1] != pv.shape[:-1]:
         raise DomainError(f"difference_loss row mismatch: {pa.shape} vs {pv.shape}")
     return _kl_base2(pa, sa) + _kl_base2(pv, sv)
-
-
-def difference_loss_grad(private_a, shared_a, private_v, shared_v):
-    d_pa, d_sa = _kl_base2_grad(np.asarray(private_a), np.asarray(shared_a))
-    d_pv, d_sv = _kl_base2_grad(np.asarray(private_v), np.asarray(shared_v))
-    return d_pa, d_sa, d_pv, d_sv
 
 
 # ---------------------------------------------------------------------------

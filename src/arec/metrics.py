@@ -70,15 +70,6 @@ class EvalReport:
     n_neg: int
     tag: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "auc": self.auc,
-            "logloss": self.logloss,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-        }
-
     def csv_row(self) -> str:
         return f"{self.tag},{self.auc!r},{self.logloss!r},{self.n_pos},{self.n_neg}"
 

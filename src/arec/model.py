@@ -307,21 +307,19 @@ def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor) -
 
 @dataclass(frozen=True)
 class ModelOps:
-    kind: str
     init: object
     forward_batch: object
     backward_batch: object
 
 
 _OPS = {
-    "ours": ModelOps("ours", init_model, forward_batch, backward_batch),
-    "fm": ModelOps("fm", lambda schema, dim, rng, **kw: init_fm(schema, dim, rng),
+    "ours": ModelOps(init_model, forward_batch, backward_batch),
+    "fm": ModelOps(lambda schema, dim, rng, **kw: init_fm(schema, dim, rng),
                    forward_batch_fm, backward_batch_fm),
-    "deepfm": ModelOps("deepfm",
-                       lambda schema, dim, rng, **kw: init_fm(
-                           schema, dim, rng, deep_hidden=kw.get("deep_hidden", (64, 64))
-                       ),
-                       forward_batch_fm, backward_batch_fm),
+    "deepfm": ModelOps(
+        lambda schema, dim, rng, **kw: init_fm(schema, dim, rng,
+                                               deep_hidden=kw.get("deep_hidden", (64, 64))),
+        forward_batch_fm, backward_batch_fm),
 }
 MODEL_KINDS = tuple(_OPS)
 

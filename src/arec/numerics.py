@@ -1,9 +1,9 @@
 """Dense float64 tensor primitives: the activations and softmaxes the model
 runs, the OpenBLAS thread pin, and the seeded random source.
 
-The model's contractions run as BLAS products.  The einsum kernels that the
-tests check those products against, and the finite-difference gradient
-checker, live with the tests (`tests/oracle.py`).
+The model's contractions run as BLAS products.  The einsum kernels and the
+vector softmax that the tests check them and `softmax_rows` against, and the
+finite-difference gradient checker, live in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -38,19 +38,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     return np.maximum(x, 0.0)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax of a vector, max-subtracted for stability."""
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    e = np.exp(x - np.max(x))
-    return e / np.sum(e)
-
-
-def softmax_backward(out: Tensor, grad: Tensor) -> Tensor:
-    """Backward through softmax given its forward output."""
-    return out * (grad - np.dot(grad, out))
 
 
 def _max_last_axis(x: Tensor) -> Tensor:
@@ -101,9 +88,11 @@ def _openblas_thread_calls():
     return None
 
 
-# the number of blocks inside `one_blas_thread`, and the count the first one found
+# the blocks inside `one_blas_thread` (in all threads, in this thread), and the
+# count the first one found (None while no block holds the pin)
 _pin_lock = threading.Lock()
 _pin_holders, _pin_before = 0, None
+_pin_mine = threading.local()
 
 
 @contextlib.contextmanager
@@ -114,8 +103,9 @@ def one_blas_thread():
     on two threads: a second BLAS thread per product only contends for the
     same cores.  Inside the block, results cannot depend on the thread count
     the environment asked for.  Blocks may overlap, in one thread or several:
-    the first to enter pins the count and the last to leave restores it.
-    Where numpy has no OpenBLAS of its own, this does nothing.
+    the first to enter pins the count and the last to leave restores it.  A
+    forked child keeps only the forking thread's blocks.  Where numpy has no
+    OpenBLAS of its own, this does nothing.
     """
     global _pin_holders, _pin_before
     calls = _openblas_thread_calls()
@@ -128,13 +118,28 @@ def one_blas_thread():
             _pin_before = get()
             put(1)
         _pin_holders += 1
+        _pin_mine.n = getattr(_pin_mine, "n", 0) + 1
     try:
         yield
     finally:
         with _pin_lock:
             _pin_holders -= 1
+            _pin_mine.n -= 1
             if not _pin_holders:
                 put(_pin_before)
+                _pin_before = None
+
+
+def _pin_after_fork():
+    # a child has only the forking thread; the lock may have been held at the fork
+    global _pin_lock, _pin_holders, _pin_before
+    _pin_lock, _pin_holders = threading.Lock(), getattr(_pin_mine, "n", 0)
+    if not _pin_holders and _pin_before is not None:
+        _openblas_thread_calls()[1](_pin_before)
+        _pin_before = None
+
+
+os.register_at_fork(after_in_child=_pin_after_fork)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,10 @@ def parse_int_tuple(raw: str) -> tuple:
     return tuple(int(tok) for tok in raw.split(",")) if raw.strip() else ()
 
 
-def _parse_optional_int(raw: str):
-    return None if raw.strip().lower() in ("", "none") else int(raw)
-
-
 # one text parser per annotated TrainConfig field type
 _PARSERS = {"int": int, "float": float, "str": str.strip, "bool": _parse_bool,
-            "tuple[int, ...]": parse_int_tuple, "int | None": _parse_optional_int}
+            "tuple[int, ...]": parse_int_tuple,
+            "int | None": lambda raw: None if raw.strip().lower() in ("", "none") else int(raw)}
 
 
 def _as_text(value) -> str:

@@ -24,7 +24,7 @@ from arec.data import (
     _column,
     write_section,
 )
-from arec.embedding import embed_batch
+from arec.embedding import EmbeddingParams, embed_batch
 from arec.losses import logloss, logloss_d_logits
 
 from oracle import (
@@ -126,6 +126,14 @@ def load_bench(stem: str):
             if shadow is not None:
                 sys.modules[name] = shadow
     return module
+
+
+def field_named(schema, name):
+    return {f.name: f for f in schema.fields}[name]
+
+
+def zeros_like_embedding(params):
+    return EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
 
 
 def make_schema(field_plan):

@@ -19,6 +19,11 @@ optimization accumulates each output sequentially over the contracted axis,
 so repeated calls are bit-identical and equal a hand-written triple loop.
 `finite_diff_grad` and `rel_error` are the reference every backward pass of
 the engine is checked against.
+
+`softmax` and `softmax_backward`, over one vector, are the reference for the
+engine's `softmax_rows`.  The gradients of the two modality losses are
+checked against finite differences; the engine only reports those losses,
+so nothing else needs them.
 """
 
 import math
@@ -42,6 +47,7 @@ from arec.data import (
     _split_rows,
 )
 from arec.interaction import AcParams, pair_indices
+from arec.losses import DIST_FLOOR, LN2
 from arec.numerics import DimensionError, Tensor, relu
 
 
@@ -335,3 +341,44 @@ def rel_error(a: Tensor, b: Tensor, floor: float = 1e-3) -> float:
         return 0.0
     den = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / den))
+
+
+# ---------------------------------------------------------------------------
+# vector softmax and the modality-loss gradients
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax of a vector, max-subtracted for stability."""
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionError(f"softmax expects a non-empty vector, got shape {x.shape}")
+    e = np.exp(x - np.max(x))
+    return e / np.sum(e)
+
+
+def softmax_backward(out: Tensor, grad: Tensor) -> Tensor:
+    """Backward through softmax given its forward output."""
+    return out * (grad - np.dot(grad, out))
+
+
+def similarity_loss_grad(shared_a: Tensor, shared_v: Tensor):
+    a = np.atleast_2d(np.asarray(shared_a, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(shared_v, dtype=np.float64))
+    diff = (a - v) / a.shape[0]
+    da = diff.reshape(np.shape(shared_a))
+    return da, -da
+
+
+def _kl_base2_grad(p_feat: Tensor, q_feat: Tensor):
+    p_raw = softmax(np.asarray(p_feat, dtype=np.float64))
+    q_raw = softmax(np.asarray(q_feat, dtype=np.float64))
+    p = np.maximum(p_raw, DIST_FLOOR)
+    q = np.maximum(q_raw, DIST_FLOOR)
+    dp = ((np.log(p) - np.log(q)) / LN2 + 1.0 / LN2) * (p_raw > DIST_FLOOR)
+    dq = -(p / q) / LN2 * (q_raw > DIST_FLOOR)
+    return softmax_backward(p_raw, dp), softmax_backward(q_raw, dq)
+
+
+def difference_loss_grad(private_a, shared_a, private_v, shared_v):
+    d_pa, d_sa = _kl_base2_grad(np.asarray(private_a), np.asarray(shared_a))
+    d_pv, d_sv = _kl_base2_grad(np.asarray(private_v), np.asarray(shared_v))
+    return d_pa, d_sa, d_pv, d_sv

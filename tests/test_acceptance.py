@@ -19,16 +19,10 @@ import pytest
 from arec import cli
 from arec.data import load_cache
 from arec.interaction import init_ac, pair_indices
-from arec.losses import (
-    difference_loss,
-    difference_loss_grad,
-    logloss,
-    similarity_loss,
-    similarity_loss_grad,
-)
+from arec.losses import difference_loss, logloss, similarity_loss
 from arec.metrics import auc, evaluate
 from arec.model import init_model, ops_for
-from arec.numerics import Rng, softmax
+from arec.numerics import Rng, softmax_rows
 from arec.training import TrainConfig, fit, init_state, train_epoch
 
 from helpers import (
@@ -48,8 +42,11 @@ from oracle import (
     ac_attention,
     columnar,
     cross_pairs,
+    difference_loss_grad,
     finite_diff_grad,
     rel_error,
+    similarity_loss_grad,
+    softmax,
 )
 
 TABLE2 = {
@@ -185,7 +182,7 @@ def test_criterion_2_closed_form_oracles():
     for _ in range(30):
         x = gen.normal(size=int(gen.integers(2, 9))) * 4.0
         e = np.exp(x)
-        assert float(np.max(np.abs(softmax(x) - e / e.sum()))) <= 1e-10
+        assert float(np.max(np.abs(softmax_rows(x) - e / e.sum()))) <= 1e-10
 
     # logloss against the textbook mean
     for _ in range(30):

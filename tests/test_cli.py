@@ -21,7 +21,7 @@ from arec.model import ops_for
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import corruptions, rewrite_file, rewrite_split
+from helpers import corruptions, field_named, rewrite_file, rewrite_split
 from oracle import split
 
 
@@ -399,7 +399,7 @@ def test_train_fm_with_explicit_curve_path(workdir, ml_cache, capsys):
 
 def test_train_with_modality_features_adds_curve_columns(workdir, ml_cache, capsys):
     dataset = load_cache(str(ml_cache))
-    vocab = dataset.schema.field_named("movie_id").vocab
+    vocab = field_named(dataset.schema, "movie_id").vocab
     table = synthesize_modality_features(list(vocab), dim=6, seed=4)
     feats = workdir / "modality.txt"
     save_modality_features(table, str(feats))

@@ -38,6 +38,7 @@ from helpers import (
     decoded,
     encoded_rows,
     factor_of,
+    field_named,
     records_of,
 )
 from oracle import (
@@ -255,9 +256,9 @@ def test_build_schema_movielens_layout(ml_files):
     assert kinds["timestamp"] == CONTINUOUS
     assert kinds["user_id"] == CATEGORICAL
     # vocab sizes from the fixture: 3 users, 4 movies, 2 genders
-    assert schema.field_named("user_id").cardinality == 4
-    assert schema.field_named("movie_id").cardinality == 5
-    assert schema.field_named("gender").cardinality == 3
+    assert field_named(schema, "user_id").cardinality == 4
+    assert field_named(schema, "movie_id").cardinality == 5
+    assert field_named(schema, "gender").cardinality == 3
 
 
 def test_build_schema_single_user_reserved_slot():
@@ -267,7 +268,7 @@ def test_build_schema_single_user_reserved_slot():
         for m in (10, 11)
     ]
     schema = build_schema(table)
-    assert schema.field_named("user_id").cardinality == 2
+    assert field_named(schema, "user_id").cardinality == 2
 
 
 def test_build_schema_empty_table():
@@ -323,7 +324,7 @@ def test_encode_multi_count_is_exact(ml_files):
 def test_encode_continuous_normalized(ml_files):
     records = fixture_records(ml_files)
     schema = build_schema(records)
-    spec = schema.field_named("timestamp")
+    spec = field_named(schema, "timestamp")
     ts = [r["timestamp"] for r in records]
     assert spec.lo == min(ts) and spec.hi == max(ts)
     for row in records:
@@ -339,7 +340,7 @@ def test_train_only_fitting(ml_files):
     records = fixture_records(ml_files)
     schema = build_schema(records[:4])
     # user 3 never appears in the fitting rows
-    assert schema.field_named("user_id").index_of(3) == 0
+    assert field_named(schema, "user_id").index_of(3) == 0
     ex = encode_example(records[5], schema)
     assert ex.values[0] == 0
 
@@ -443,7 +444,7 @@ def test_prepare_and_cache_roundtrip(ml_files, tmp_path):
     save_cache(str(path), dataset)
     loaded = load_cache(str(path))
     assert loaded.schema.to_json() == dataset.schema.to_json()
-    assert loaded.schema_hash == dataset.schema_hash
+    assert loaded.schema.hash_hex() == dataset.schema.hash_hex()
     assert loaded.tag == "fixture"
     assert loaded.split.seed == 5
     assert tuple(loaded.split.ratios) == (0.8, 0.1, 0.1)
@@ -508,9 +509,9 @@ def test_prepare_keeps_values_apart_that_numpy_arrays_would_merge():
                 "age": 1, "occupation": 0, "genres": ("a",)}
                for uid, mid, gender in [(-1, 2**63, "a"), (2**63, 2**63 + 1, "a\x00")] * 5]
     schema = prepare_dataset(columns_of(records), ratios=(0.8, 0.1, 0.1), seed=0, tag="t").schema
-    assert schema.field_named("user_id").vocab == (-1, 2**63)
-    assert schema.field_named("movie_id").vocab == (2**63, 2**63 + 1)
-    assert schema.field_named("gender").vocab == ("a", "a\x00")
+    assert field_named(schema, "user_id").vocab == (-1, 2**63)
+    assert field_named(schema, "movie_id").vocab == (2**63, 2**63 + 1)
+    assert field_named(schema, "gender").vocab == ("a", "a\x00")
 
 
 def test_prepare_dataset_rejects_empty(tmp_path):

@@ -7,11 +7,10 @@ from arec.embedding import (
     embed_batch,
     embed_batch_backward,
     init_embedding,
-    zeros_like_embedding,
 )
 from arec.numerics import Rng
 
-from helpers import embed_one, make_schema, random_example, random_schema
+from helpers import embed_one, make_schema, random_example, random_schema, zeros_like_embedding
 from oracle import EncodedExample, columnar, finite_diff_grad, rel_error
 
 

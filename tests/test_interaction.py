@@ -23,7 +23,6 @@ from arec.numerics import (
     DimensionError,
     Rng,
     relu,
-    softmax,
     softmax_rows,
     softmax_rows_backward,
 )
@@ -39,6 +38,7 @@ from oracle import (
     mm_nt,
     mm_tn,
     rel_error,
+    softmax,
 )
 
 

@@ -12,19 +12,17 @@ from arec.losses import (
     ModalityTable,
     clamp_probs,
     difference_loss,
-    difference_loss_grad,
     load_modality_features,
     logloss,
     logloss_d_logits,
     save_modality_features,
     similarity_loss,
-    similarity_loss_grad,
     synthesize_modality_features,
 )
 from arec.numerics import Rng
 
 from helpers import corruptions
-from oracle import finite_diff_grad, rel_error
+from oracle import difference_loss_grad, finite_diff_grad, rel_error, similarity_loss_grad
 
 
 def test_logloss_half_probability_is_ln2():

@@ -167,7 +167,7 @@ def test_evaluate_propagates_single_class():
 
 def test_report_serialization():
     report = EvalReport(auc=0.75, logloss=0.5, n_pos=30, n_neg=70, tag="val")
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert d == {"tag": "val", "auc": 0.75, "logloss": 0.5, "n_pos": 30, "n_neg": 70}
     row = report.csv_row()
     assert row == "val,0.75,0.5,30,70"

@@ -357,7 +357,7 @@ def test_batched_backward_matches_per_example_sum():
 
 
 def test_ops_registry():
-    assert ops_for("ours").kind == "ours"
+    assert ops_for("ours").init is init_model
     with pytest.raises(ValueError) as err:
         ops_for("xgboost")
     assert "deepfm" in str(err.value)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -12,14 +14,23 @@ from arec.numerics import (
     Rng,
     relu,
     sigmoid,
-    softmax,
-    softmax_backward,
     softmax_rows,
     softmax_rows_backward,
 )
 from arec.numerics import _max_last_axis, one_blas_thread
 
-from oracle import NumericError, bmm, bmm_nt, finite_diff_grad, matmul, mm_nt, mm_tn, rel_error
+from oracle import (
+    NumericError,
+    bmm,
+    bmm_nt,
+    finite_diff_grad,
+    matmul,
+    mm_nt,
+    mm_tn,
+    rel_error,
+    softmax,
+    softmax_backward,
+)
 
 
 def triple_loop_matmul(a, b):
@@ -351,6 +362,90 @@ def test_one_blas_thread_keeps_its_count_under_contention():
     finally:
         sys.setswitchinterval(interval)
         put(start)
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_a_child_forked_beside_a_held_block_restores_the_count(inside):
+    # another thread holds a block at the fork; the forking thread holds one too if `inside`
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy carries no OpenBLAS with a thread-count call")
+    get, put = calls
+    start = get()
+    entered, release = threading.Event(), threading.Event()
+    mine = one_blas_thread()
+
+    def hold():
+        with one_blas_thread():
+            entered.set()
+            release.wait(60)
+
+    def child():
+        if inside:
+            if get() != 1:
+                raise SystemExit(2)
+            mine.__exit__(None, None, None)
+        if get() != 2:
+            raise SystemExit(3)
+        with one_blas_thread():
+            if get() != 1:
+                raise SystemExit(4)
+        if get() != 2:
+            raise SystemExit(5)
+
+    holder = threading.Thread(target=hold)
+    try:
+        put(2)
+        holder.start()
+        assert entered.wait(60)
+        with mine if inside else contextlib.nullcontext():
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=60)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
+        release.set()
+        holder.join(timeout=60)
+        assert not proc.is_alive()
+        assert proc.exitcode == 0
+        assert get() == 2
+    finally:
+        release.set()
+        holder.join(timeout=60)
+        put(start)
+
+
+def test_a_child_forked_while_another_thread_holds_the_pin_lock_can_pin():
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy carries no OpenBLAS with a thread-count call")
+    locked, release = threading.Event(), threading.Event()
+
+    def hold():
+        with numerics._pin_lock:
+            locked.set()
+            release.wait(60)
+
+    def child():
+        with one_blas_thread():
+            pass
+
+    holder = threading.Thread(target=hold)
+    try:
+        holder.start()
+        assert locked.wait(60)
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10)
+        assert not proc.is_alive()
+        assert proc.exitcode == 0
+    finally:
+        release.set()
+        holder.join(timeout=60)
 
 
 def test_one_blas_thread_does_nothing_without_the_calls(monkeypatch):

@@ -43,7 +43,14 @@ from arec.training import (
     train_epoch,
 )
 
-from helpers import make_schema, parts, random_example, score_one, separable_examples
+from helpers import (
+    field_named,
+    make_schema,
+    parts,
+    random_example,
+    score_one,
+    separable_examples,
+)
 from oracle import EncodedExample, columnar, value_of
 
 
@@ -326,7 +333,7 @@ def test_item_field_detection():
 
 def test_modality_batcher_terms_match_direct_losses():
     schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 5)])
-    spec = schema.field_named("item_id")
+    spec = field_named(schema, "item_id")
     table = synthesize_modality_features(list(spec.vocab), dim=6, seed=1)
     batcher = ModalityBatcher.build(schema, table)
     assert batcher.field_index == 1
@@ -346,7 +353,7 @@ def test_modality_batcher_terms_match_direct_losses():
 
 def test_modality_batcher_terms_of_a_batch_without_features_are_zero():
     schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 5)])
-    spec = schema.field_named("item_id")
+    spec = field_named(schema, "item_id")
     table = synthesize_modality_features(list(spec.vocab)[:2], dim=6, seed=1)
     batcher = ModalityBatcher.build(schema, table)
     # index 0 and items 3 and 4 carry no features
@@ -357,7 +364,7 @@ def test_modality_batcher_terms_of_a_batch_without_features_are_zero():
 @pytest.mark.parametrize("d_m", [16, 13])
 def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
     schema = make_schema([("user_id", "categorical", 4), ("item_id", "categorical", 12)])
-    spec = schema.field_named("item_id")
+    spec = field_named(schema, "item_id")
     # the last item has no features, like index 0
     table = synthesize_modality_features(list(spec.vocab)[:-1], dim=d_m, seed=d_m)
     batcher = ModalityBatcher.build(schema, table)
@@ -383,7 +390,7 @@ def test_modality_batcher_difference_is_the_per_row_loop_bit_for_bit(d_m):
 
 def test_fit_computes_the_difference_table_once(monkeypatch):
     schema, examples = tiny_dataset()
-    table = synthesize_modality_features(list(schema.field_named("item_id").vocab),
+    table = synthesize_modality_features(list(field_named(schema, "item_id").vocab),
                                          dim=8, seed=2)
     calls = []
 
@@ -434,7 +441,7 @@ def test_modality_batcher_rejects_a_table_that_matches_no_item():
 
 def test_fit_with_modality_table_reports_terms():
     schema, examples = tiny_dataset()
-    spec = schema.field_named("item_id")
+    spec = field_named(schema, "item_id")
     table = synthesize_modality_features(list(spec.vocab), dim=8, seed=2)
     ops = ops_for("ours")
     config = tiny_config(max_epochs=2, patience=2)
@@ -658,5 +665,33 @@ def test_two_fits_in_two_threads_give_the_parameters_of_two_serial_fits():
         for name in a:
             assert np.array_equal(a[name], b[name]), name
         assert got.curve == want.curve
+    if calls:
+        assert calls[0]() == before
+
+
+def test_an_evaluate_beside_a_fit_gives_the_solo_results():
+    schema, examples = tiny_dataset()
+    ops = ops_for("ours")
+    train, val = parts(schema, examples, 40)
+    config = tiny_config(seed=3, mode="combined")
+    calls = numerics._openblas_thread_calls()
+    before = calls[0]() if calls else None
+    want = fit(ops, schema, train, val, config)
+    params = want.state.best.params
+    solo = evaluate(ops, params, val, schema)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fitting = pool.submit(fit, ops, schema, train, val, config)
+        reports = [evaluate(ops, params, val, schema)]
+        while not fitting.done():
+            reports.append(evaluate(ops, params, val, schema))
+        got = fitting.result(timeout=120)
+    for report in reports:
+        assert (report.auc.hex(), report.logloss.hex()) == (solo.auc.hex(), solo.logloss.hex())
+        assert (report.n_pos, report.n_neg) == (solo.n_pos, solo.n_neg)
+    a, b = snapshot_tensors(want.state.params), snapshot_tensors(got.state.params)
+    assert set(a) == set(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+    assert got.curve == want.curve
     if calls:
         assert calls[0]() == before
