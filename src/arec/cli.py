@@ -305,7 +305,7 @@ def cmd_eval(args) -> int:
         return 3
     print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     if args.csv:
-        fresh = not os.path.exists(args.csv)
+        fresh = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
         with open(args.csv, "a", encoding="utf-8") as fh:
             if fresh:
                 fh.write(EVAL_CSV_HEADER + "\n")

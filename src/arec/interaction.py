@@ -20,7 +20,8 @@ the rest of the crossing.  numpy releases the interpreter lock inside its
 products, so the halves overlap.  The crossing's pair scatter adds into the
 self-attention's d_emb after the worker is done, so every sum keeps the
 order it has when the branches run in turn, and the results are the same
-bits.
+bits.  The scatter runs in n-1 rounds of two slab updates, not two updates
+per pair, and each field still takes its terms in pair order.
 
 The tests check the crossing branch against a one-example form of it that
 scores by einsum and sums exactly, so its pooled vector does not depend on
@@ -136,6 +137,26 @@ def pair_indices(n: int):
     iu, ju = (a.astype(np.int64) for a in np.triu_indices(n, k=1))
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju
+
+
+@functools.lru_cache(maxsize=None)
+def _scatter_plan(n: int):
+    """Per round s < n-1: the pair block (s, s+1..n-1), as a slice, and the
+    pair column (0..s, s+1), as indices.
+
+    Round s gives fields after s their term with partner s, and fields up to
+    s their term with partner s+1, so the rounds give each field its terms in
+    increasing partner order.
+    """
+    iu, ju = pair_indices(n)
+    pos = np.zeros((n, n), dtype=np.int64)
+    pos[iu, ju] = np.arange(iu.size)
+    plan = []
+    for s in range(n - 1):
+        column = pos[: s + 1, s + 1].copy()
+        column.flags.writeable = False
+        plan.append((slice(int(pos[s, s + 1]), int(pos[s, n - 1]) + 1), column))
+    return tuple(plan)
 
 
 def _pair_scores(phi: Tensor, params: AcParams):
@@ -291,6 +312,15 @@ def _crossing_param_grads(at: AcTrace, dz: Tensor, d_logits: Tensor) -> AcParams
     )
 
 
+def _scatter_pairs(d_emb: Tensor, d_phi: Tensor, emb: Tensor) -> None:
+    """Add each pair term d_phi[:, (i, j)] * emb[:, j] into d_emb[:, i], and
+    its mirror into d_emb[:, j], in place: each field takes its terms in
+    increasing partner order, as a loop over the pairs in order adds them."""
+    for s, (block, column) in enumerate(_scatter_plan(emb.shape[1])):
+        d_emb[:, s + 1 :] += d_phi[:, block] * emb[:, s, None]
+        d_emb[:, : s + 1] += np.take(d_phi, column, axis=1) * emb[:, s + 1, None]
+
+
 def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
                             ac_params: AcParams, d_internal: Tensor, d_pooled: Tensor):
     """Batch gradients; parameter grads are summed over the batch axis.
@@ -312,9 +342,5 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
             d_phi = (dz @ ac_params.weight).reshape(B, m, d)
             d_phi += at.weights[:, :, None] * d_pooled[:, None, :]
             mg, d_emb = mhsa.result()
-            # the pair scatter adds into the self-attention d_emb, in pair order
-            for p in range(m):
-                i, j = at.iu[p], at.ju[p]
-                d_emb[:, i, :] += d_phi[:, p, :] * emb[:, j, :]
-                d_emb[:, j, :] += d_phi[:, p, :] * emb[:, i, :]
+            _scatter_pairs(d_emb, d_phi, emb)
     return mg, ac.result(), d_emb

@@ -49,17 +49,33 @@ def _max_last_axis(x: Tensor) -> Tensor:
     return peak
 
 
+# numpy adds fewer terms than this one by one, from 0.0; more, pairwise
+_FOLD_WIDTH = 8
+
+
+def _sum_last_axis(x: Tensor) -> Tensor:
+    """`np.sum(x, axis=-1)` bit for bit.  Rows shorter than `_FOLD_WIDTH` are
+    summed as numpy sums them, a left fold from 0.0, one column at a time:
+    several times faster over the short rows of attention scores."""
+    if x.shape[-1] >= _FOLD_WIDTH:
+        return np.sum(x, axis=-1)
+    total = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis of a tensor of any rank >= 1."""
     if x.shape[-1] == 0:
         raise DimensionError("softmax over an empty axis")
     shifted = x - _max_last_axis(x)[..., None]
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / _sum_last_axis(e)[..., None]
 
 
 def softmax_rows_backward(out: Tensor, grad: Tensor) -> Tensor:
-    return out * (grad - np.sum(grad * out, axis=-1, keepdims=True))
+    return out * (grad - _sum_last_axis(grad * out)[..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The engine encodes, splits and checks whole columns; these are the one-row
 and record-at-a-time forms of the same work: the encoded example, its
 encoder and its rating-to-label rule, decoder and row check, the
 record-based schema fit, the record split, the builder of a `Columnar` from
-a list of examples, and the one-example crossing pool of the attention
-branch.
+a list of examples, the one-example crossing pool of the attention branch,
+and the pair-at-a-time scatter of the crossing's backward.
 
 `ac_attention` scores one example's pairs with einsum, and takes its softmax
 denominator and pooled sum by exact (correctly rounded) summation, so its
@@ -18,7 +18,8 @@ The einsum kernels (`matmul`, `bmm` and its transposed forms, `mm_tn`,
 optimization accumulates each output sequentially over the contracted axis,
 so repeated calls are bit-identical and equal a hand-written triple loop.
 `finite_diff_grad` and `rel_error` are the reference every backward pass of
-the engine is checked against.
+the engine is checked against, and `adam_step`, the per-tensor Adam step, is
+the reference for the engine's one-buffer Adam.
 
 `softmax` and `softmax_backward`, over one vector, are the reference for the
 engine's `softmax_rows`.  The gradients of the two modality losses are
@@ -256,6 +257,16 @@ def ac_attention(pairs, params: AcParams):
     return weights, pooled
 
 
+def pair_scatter(d_emb: Tensor, d_phi: Tensor, emb: Tensor) -> None:
+    """Add the crossing's pair terms into d_emb (B, n, d) in place, one pair
+    at a time in pair order: the reference for the engine's slab scatter."""
+    iu, ju = pair_indices(emb.shape[1])
+    for p in range(iu.size):
+        i, j = iu[p], ju[p]
+        d_emb[:, i, :] += d_phi[:, p, :] * emb[:, j, :]
+        d_emb[:, j, :] += d_phi[:, p, :] * emb[:, i, :]
+
+
 # ---------------------------------------------------------------------------
 # einsum kernels
 
@@ -341,6 +352,26 @@ def rel_error(a: Tensor, b: Tensor, floor: float = 1e-3) -> float:
         return 0.0
     den = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / den))
+
+
+# ---------------------------------------------------------------------------
+# Adam, one tensor at a time
+
+
+def adam_step(params: dict, m: dict, v: dict, grads: dict, t: int, config) -> None:
+    """Step `t` of Adam on name -> tensor dicts, in place, one tensor at a
+    time: the reference for the engine's `adam_update` over its arena."""
+    b1, b2 = config.beta1, config.beta2
+    lr = config.learning_rate
+    corr1 = 1.0 - b1**t
+    corr2 = 1.0 - b2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        p -= lr * (m[name] / corr1) / (np.sqrt(v[name] / corr2) + config.epsilon)
 
 
 # ---------------------------------------------------------------------------

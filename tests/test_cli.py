@@ -541,6 +541,18 @@ def test_eval_reports_metrics_and_appends_csv(workdir, ml_cache, ours_ckpt, caps
     assert len(rows) == 3 and rows[1] == rows[2]
 
 
+def test_eval_csv_into_an_empty_file_writes_the_header(workdir, ml_cache, ours_ckpt, capsys):
+    csv_path = workdir / "empty_reports.csv"
+    csv_path.write_bytes(b"")
+    for _ in range(2):
+        assert cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ours_ckpt),
+                         "--split", "test", "--csv", str(csv_path)]) == 0
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "tag,auc,logloss,n_pos,n_neg"
+    assert len(rows) == 3 and rows[1] == rows[2]
+    assert capsys.readouterr().out.count("\n") == 2
+
+
 def test_eval_val_split_differs_from_test(workdir, ml_cache, ours_ckpt, capsys):
     code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ours_ckpt),
                      "--split", "val"])

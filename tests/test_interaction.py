@@ -37,6 +37,7 @@ from oracle import (
     matmul,
     mm_nt,
     mm_tn,
+    pair_scatter,
     rel_error,
     softmax,
 )
@@ -57,6 +58,20 @@ def test_pair_indices_are_shared_and_read_only():
         iu[0] = 3
     with pytest.raises(ValueError):
         ju[0] = 3
+
+
+def test_slab_scatter_is_the_pair_loop_bit_for_bit():
+    gen = np.random.default_rng(14)
+    for n in range(2, 13):
+        m = n * (n - 1) // 2
+        for B in (1, 3, 64):
+            emb = gen.standard_normal((B, n, 5)) * 10.0 ** gen.integers(-12, 12, (B, n, 5))
+            d_phi = gen.standard_normal((B, m, 5)) * 10.0 ** gen.integers(-12, 12, (B, m, 5))
+            start = gen.standard_normal((B, n, 5))
+            got, want = start.copy(), start.copy()
+            interaction._scatter_pairs(got, d_phi, emb)
+            pair_scatter(want, d_phi, emb)
+            assert got.tobytes() == want.tobytes(), (n, B)
 
 
 def test_pairs_need_two_fields():

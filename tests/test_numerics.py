@@ -17,7 +17,7 @@ from arec.numerics import (
     softmax_rows,
     softmax_rows_backward,
 )
-from arec.numerics import _max_last_axis, one_blas_thread
+from arec.numerics import _FOLD_WIDTH, _max_last_axis, _sum_last_axis, one_blas_thread
 
 from oracle import (
     NumericError,
@@ -206,6 +206,28 @@ def test_softmax_rows_max_is_np_max_bit_for_bit():
             e = np.exp(shifted)
             oracle = e / np.sum(e, axis=-1, keepdims=True)
             assert softmax_rows(part).tobytes() == oracle.tobytes()
+
+
+def test_softmax_rows_sum_is_np_sum_bit_for_bit():
+    gen = np.random.default_rng(13)
+    specials = [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0]
+    for cols in range(1, _FOLD_WIDTH + 2):
+        for shape in [(cols,), (1, cols), (5, cols), (256, cols), (6, 2, 7, cols)]:
+            x = gen.standard_normal(shape) * 10.0 ** gen.integers(-20, 20, shape)
+            hit = gen.random(shape) < 0.15
+            x[hit] = gen.choice(specials, size=int(hit.sum()))
+            x.reshape(-1, cols)[0] = -0.0  # a row of -0.0 only
+            x.reshape(-1, cols)[-1] = np.nan if cols > 1 else -np.inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.sum(x, axis=-1)
+                assert _sum_last_axis(x).tobytes() == want.tobytes(), (cols, shape)
+                out = softmax_rows(x)
+                oracle = np.exp(x - np.max(x, axis=-1, keepdims=True))
+                oracle /= np.sum(oracle, axis=-1, keepdims=True)
+                assert out.tobytes() == oracle.tobytes(), (cols, shape)
+                g = gen.standard_normal(shape)
+                back = out * (g - np.sum(g * out, axis=-1, keepdims=True))
+                assert softmax_rows_backward(out, g).tobytes() == back.tobytes(), (cols, shape)
 
 
 def test_softmax_rows_matches_vector_softmax():

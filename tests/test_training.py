@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import arec.metrics as metrics
 import arec.numerics as numerics
 import arec.training as training
 from arec.data import (
     CATEGORICAL,
+    CONTINUOUS,
+    MULTI_CATEGORICAL,
     ConfigError,
     DomainError,
     EncodingError,
@@ -26,7 +29,7 @@ from arec.losses import (
     synthesize_modality_features,
 )
 from arec.metrics import evaluate
-from arec.model import ops_for
+from arec.model import MODES, ops_for
 from arec.numerics import Rng
 from arec.training import (
     SWEEP_CSV_HEADER,
@@ -51,7 +54,7 @@ from helpers import (
     score_one,
     separable_examples,
 )
-from oracle import EncodedExample, columnar, value_of
+from oracle import EncodedExample, adam_step, columnar, value_of
 
 
 def tiny_config(**kw):
@@ -267,6 +270,128 @@ def test_clip_norm_equals_the_sum_of_per_tensor_squares_bit_for_bit():
         for t in named.values():
             total += float(np.sum(t * t))
         assert clip_gradients(grads, 0.0) == float(np.sqrt(total))
+
+
+class _Grads:
+    """A gradient container of bare tensors, for `clip_gradients`."""
+
+    def __init__(self, *tensors):
+        self.tensors = tensors
+
+    def named_tensors(self):
+        return ((f"g{i}", t) for i, t in enumerate(self.tensors))
+
+
+def test_clip_gradients_survives_overflowing_squares():
+    grads = _Grads(np.array([1e200, 3.0]), np.array([2.0]))
+    with np.errstate(over="ignore"):
+        norm = clip_gradients(grads, 10.0)
+    assert norm == 1e200
+    a, b = grads.tensors
+    assert np.allclose(a, [10.0, 3e-199], rtol=1e-15, atol=0.0)
+    assert np.allclose(b, [2e-199], rtol=1e-15, atol=0.0)
+    # a gradient that is itself not finite keeps the non-finite norm
+    grads = _Grads(np.array([np.inf, 3.0]))
+    assert clip_gradients(grads, 0.0) == math.inf
+
+
+# every model kind, and for ours every mode with and without the linear term
+MODEL_CASES = [("ours", dict(mode=mode, first_order=fo)) for mode in MODES for fo in (False, True)]
+MODEL_CASES += [("fm", {}), ("deepfm", {})]
+each_model = pytest.mark.parametrize("kind,kwargs", MODEL_CASES, ids=[
+    "-".join([k, *(f"{key}={val}" for key, val in kw.items())]) for k, kw in MODEL_CASES
+])
+
+
+@pytest.mark.parametrize("chunk", [training._STEP_CHUNK, 7])
+@each_model
+def test_arena_adam_matches_the_per_tensor_formula(monkeypatch, kind, kwargs, chunk):
+    # a chunk of 7 floats runs the last Adam pass in many slices
+    monkeypatch.setattr(training, "_STEP_CHUNK", chunk)
+    schema = make_schema([("user_id", "categorical", 5), ("item_id", "categorical", 6),
+                          ("tags", "multi_categorical", 4), ("age", "continuous", (0.0, 1.0))])
+    ops = ops_for(kind)
+    config = tiny_config(learning_rate=0.01, **kwargs)
+    state = init_state(ops, schema, config)
+    arena = state.arena
+    assert arena.step.size == min(chunk, arena.params.size)
+    for name, t in state.params.named_tensors():
+        assert np.shares_memory(t, arena.params), name
+        assert np.shares_memory(state.m[name], arena.m), name
+        assert np.shares_memory(state.v[name], arena.v), name
+    params = snapshot_tensors(state.params)
+    m = {name: np.zeros_like(t) for name, t in params.items()}
+    v = {name: np.zeros_like(t) for name, t in params.items()}
+    # in deep mode the shallow weights are neither trained nor in the arena
+    shallow = [state.params.w_internal, state.params.w_cross, state.params.bias] \
+        if kwargs.get("mode") == "deep" else []
+    shallow_before = [t.copy() for t in shallow]
+    gen = np.random.default_rng(71)
+    for step in range(1, 6):
+        grads = ops.init(schema, config.dim, Rng(step), **config.model_kwargs())
+        for _, g in grads.named_tensors():
+            g[...] = gen.standard_normal(g.shape) * 10.0 ** gen.uniform(-6, 2, g.shape)
+        adam_step(params, m, v, dict(grads.named_tensors()), step, config)
+        adam_update(state, grads, config)
+        for name, t in state.params.named_tensors():
+            assert t.tobytes() == params[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
+    for t, before in zip(shallow, shallow_before):
+        assert not np.shares_memory(t, arena.params)
+        assert t.tobytes() == before.tobytes()
+
+
+@st.composite
+def schemas_and_configs(draw):
+    """A random schema of 2-9 fields of any kinds, a training config, and a
+    seed for the rows."""
+    plan = []
+    for i in range(draw(st.sampled_from(range(2, 10)), label="fields")):
+        kind = draw(st.sampled_from([CATEGORICAL, MULTI_CATEGORICAL, CONTINUOUS]))
+        plan.append((f"f{i}", kind, (0.0, 1.0) if kind == CONTINUOUS
+                     else draw(st.integers(1, 9), label="vocab")))
+    heads = draw(st.integers(1, 2), label="heads")
+    config = tiny_config(
+        batch_size=draw(st.integers(1, 8), label="batch_size"), learning_rate=0.05,
+        dim=heads * draw(st.integers(1, 3), label="head_dim"), heads=heads,
+        seed=draw(st.integers(0, 2**16), label="seed"), deep_hidden=(5, 3))
+    return make_schema(plan), config, draw(st.integers(0, 2**16), label="rows_seed")
+
+
+# nine fields: self-attention rows past the fold width, and a longer scatter plan
+NINE_FIELDS = (make_schema([(f"f{i}", kind, (0.0, 1.0) if kind == CONTINUOUS else 6)
+                            for i, kind in enumerate([CATEGORICAL, MULTI_CATEGORICAL,
+                                                      CONTINUOUS] * 3)]),
+               tiny_config(batch_size=4, learning_rate=0.05, dim=4, heads=2, deep_hidden=(5, 3)),
+               9)
+
+
+@each_model
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(setup=schemas_and_configs())
+@example(setup=NINE_FIELDS)
+def test_trained_models_score_rows_alike_over_random_schemas(kind, kwargs, setup):
+    schema, config, rows_seed = setup
+    config = replace(config, **kwargs)
+    gen = np.random.default_rng(rows_seed)
+    examples = [random_example(schema, gen) for _ in range(int(gen.integers(1, 10)))]
+    col = columnar(examples, schema)
+    ops = ops_for(kind)
+
+    def trained():
+        state = init_state(ops, schema, config)
+        train_epoch(ops, state, col, config)
+        return state.params, ops.forward_batch(col, state.params)[0]
+
+    params, probs = trained()
+    again, probs_again = trained()
+    assert probs.tobytes() == probs_again.tobytes()
+    for (name, t), (_, u) in zip(params.named_tensors(), again.named_tensors()):
+        assert t.tobytes() == u.tobytes(), name
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+    for b, ex in enumerate(examples):
+        assert abs(score_one(ops, params, schema, ex)[0] - probs[b]) <= 1e-12, b
 
 
 def test_adam_single_step_closed_form():
