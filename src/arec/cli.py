@@ -44,7 +44,6 @@ from .data import (
 from .losses import load_modality_features
 from .metrics import EVAL_CSV_HEADER, MetricUndefinedError, evaluate
 from .model import MODEL_KINDS, ops_for
-from .numerics import ZeroInit
 from .training import (
     BestSnapshot,
     DivergenceError,
@@ -192,11 +191,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def rebuild_params(ckpt: Checkpoint, schema):
-    """Build the model's containers, zero-filled, and copy every tensor in
-    from the checkpoint.  No random init is drawn; a tensor the model does
-    not save (the shallow weights in mode=deep) stays zero."""
+    """Bind the model's layout to a zeroed buffer and copy every tensor in
+    from the checkpoint.  No random init is drawn."""
     ops = ops_for(ckpt.kind)
-    params = ops.init(schema, ckpt.config.dim, ZeroInit(), **ckpt.config.model_kwargs())
+    params = ops.init(schema, ckpt.config.dim, None, **ckpt.config.model_kwargs())
     names = set(ckpt.tensors)
     for name, tensor in params.named_tensors():
         if name not in ckpt.tensors:

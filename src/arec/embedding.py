@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, MULTI_CATEGORICAL, Columnar, FeatureSchema
-from .numerics import Rng, Tensor
+from .numerics import Tensor
 
 # Normal(0, 0.01): read as variance, i.e. std 0.1.
 INIT_STD = 0.1
@@ -39,14 +39,11 @@ class EmbeddingParams:
             yield f"emb.f{i}", table
 
 
-def init_embedding(schema: FeatureSchema, dim: int, rng: Rng) -> EmbeddingParams:
-    tables = []
-    for spec in schema.fields:
-        if spec.kind == CONTINUOUS:
-            tables.append(rng.normal((dim,), std=INIT_STD))
-        else:
-            tables.append(rng.normal((spec.cardinality, dim), std=INIT_STD))
-    return EmbeddingParams(dim=dim, tables=tables)
+def init_embedding(schema: FeatureSchema, dim: int, blocks) -> EmbeddingParams:
+    return EmbeddingParams(dim=dim, tables=[
+        blocks.take((dim,) if spec.kind == CONTINUOUS else (spec.cardinality, dim), std=INIT_STD)
+        for spec in schema.fields
+    ])
 
 
 def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
@@ -66,22 +63,26 @@ def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
     return out
 
 
-def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tensor) -> EmbeddingParams:
-    """Dense gradient tables for a batch; untouched rows stay exactly zero."""
-    grads = EmbeddingParams(dim=params.dim, tables=[np.zeros_like(t) for t in params.tables])
-    for i, fc in enumerate(col.fields):
+def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tensor, *,
+                         out: EmbeddingParams = None) -> EmbeddingParams:
+    """Dense gradient tables for a batch, in `out` (fresh tables by default):
+    each is zeroed and takes the batch's rows, so untouched rows are zero."""
+    if out is None:
+        out = EmbeddingParams(dim=params.dim, tables=[np.empty_like(t) for t in params.tables])
+    for i, (fc, table) in enumerate(zip(col.fields, out.tables)):
+        table.fill(0.0)
         g = upstream[:, i, :]  # (B, d)
         if fc.kind == CATEGORICAL:
-            _scatter_rows(grads.tables[i], fc.idx, g)
+            _scatter_rows(table, fc.idx, g)
         elif fc.kind == MULTI_CATEGORICAL:
             qmax = fc.padded.shape[1]
             share = g / fc.counts[:, None]  # (B, d)
             mask = (np.arange(qmax) < fc.counts[:, None])[:, :, None]
             contrib = share[:, None, :] * mask  # (B, qmax, d); padding rows add 0
-            _scatter_rows(grads.tables[i], fc.padded.ravel(), contrib)
+            _scatter_rows(table, fc.padded.ravel(), contrib)
         else:
-            grads.tables[i] += fc.vals @ g
-    return grads
+            table += fc.vals @ g
+    return out
 
 
 def _scatter_rows(table: Tensor, rows: np.ndarray, values: Tensor):
@@ -91,5 +92,5 @@ def _scatter_rows(table: Tensor, rows: np.ndarray, values: Tensor):
     additions in row order, so the sums are bit-identical to the 2-D one.
     """
     d = table.shape[1]
-    flat = table.reshape(-1)  # a view: the table is a fresh contiguous array
+    flat = table.reshape(-1)  # a view: every table is one contiguous block
     np.add.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), values.ravel())

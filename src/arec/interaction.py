@@ -45,7 +45,6 @@ import numpy as np
 from .data import DomainError
 from .numerics import (
     DimensionError,
-    Rng,
     Tensor,
     relu,
     softmax_rows,
@@ -94,31 +93,31 @@ class AcParams:
         yield "ac.proj", self.proj
 
 
-def _glorot(rng: Rng, fan_in: int, fan_out: int, shape) -> Tensor:
-    return rng.normal(shape, std=math.sqrt(2.0 / (fan_in + fan_out)))
+def _glorot(fan_in: int, fan_out: int) -> float:
+    return math.sqrt(2.0 / (fan_in + fan_out))
 
 
-def init_mhsa(dim: int, n_heads: int, rng: Rng, attn_dim: int = None) -> MhsaParams:
+def init_mhsa(dim: int, n_heads: int, blocks, attn_dim: int = None) -> MhsaParams:
     if attn_dim is None:
         attn_dim = dim
     if n_heads < 1 or attn_dim % n_heads != 0:
         raise DimensionError(f"attention width {attn_dim} not divisible into {n_heads} heads")
     dk = attn_dim // n_heads
     A = n_heads * dk
-    w_in = np.empty((dim, 3 * A + dim))
+    w_in = blocks.take((dim, 3 * A + dim))
     # the seeded draw order: every q, then every k, then every v, then wo, then res
     for col in range(0, 3 * A, dk):
-        w_in[:, col : col + dk] = _glorot(rng, dim, dk, (dim, dk))
-    wo = _glorot(rng, A, dim, (A, dim))
-    w_in[:, 3 * A :] = _glorot(rng, dim, dim, (dim, dim))
+        blocks.fill(w_in[:, col : col + dk], _glorot(dim, dk))
+    wo = blocks.take((A, dim), std=_glorot(A, dim))
+    blocks.fill(w_in[:, 3 * A :], _glorot(dim, dim))
     return MhsaParams(w_in=w_in, wo=wo, n_heads=n_heads)
 
 
-def init_ac(dim: int, hidden: int, rng: Rng) -> AcParams:
+def init_ac(dim: int, hidden: int, blocks) -> AcParams:
     return AcParams(
-        weight=_glorot(rng, dim, hidden, (hidden, dim)),
-        bias=np.zeros(hidden),
-        proj=rng.normal((hidden,), std=0.1),
+        weight=blocks.take((hidden, dim), std=_glorot(dim, hidden)),
+        bias=blocks.take((hidden,)),
+        proj=blocks.take((hidden,), std=0.1),
     )
 
 
@@ -274,8 +273,9 @@ def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcPa
     )
 
 
-def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal: Tensor):
-    """Self-attention gradients: (mhsa grads summed over the batch, d_emb (B, n, d)).
+def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal: Tensor,
+                                  out: MhsaParams):
+    """Self-attention gradients: (mhsa grads summed over the batch, in `out`, d_emb (B, n, d)).
 
     d_internal: (B, n*d) upstream on the flattened internal representation.
     """
@@ -290,7 +290,7 @@ def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal:
     d_q, d_k, d_v = d_proj[:, :, : 3 * A].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
     d_pre = d_proj[:, :, 3 * A :]
     np.multiply(d_internal.reshape(B, n, d), mt.pre > 0, out=d_pre)
-    d_wo = mt.concat.reshape(B * n, A).T @ d_pre.reshape(B * n, d)
+    np.matmul(mt.concat.reshape(B * n, A).T, d_pre.reshape(B * n, d), out=out.wo)
     d_concat = (d_pre.reshape(B * n, d) @ params.wo.T).reshape(B, n, H, dk)
     d_heads = d_concat.transpose(0, 2, 1, 3)  # (B, H, n, d_k)
     d_scores = softmax_rows_backward(mt.att, d_heads @ mt.v.swapaxes(2, 3)) * scale
@@ -298,18 +298,17 @@ def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal:
     d_k[...] = d_scores.swapaxes(2, 3) @ mt.q
     d_v[...] = mt.att.swapaxes(2, 3) @ d_heads
     d_proj = d_proj.reshape(B * n, 3 * A + d)
-    mg = MhsaParams(w_in=emb.reshape(B * n, d).T @ d_proj, wo=d_wo, n_heads=H)
+    np.matmul(emb.reshape(B * n, d).T, d_proj, out=out.w_in)
     d_emb = (d_proj @ params.w_in.T).reshape(B, n, d)
-    return mg, d_emb
+    return out, d_emb
 
 
-def _crossing_param_grads(at: AcTrace, dz: Tensor, d_logits: Tensor) -> AcParams:
+def _crossing_param_grads(at: AcTrace, dz: Tensor, d_logits: Tensor, out: AcParams) -> AcParams:
     B, m, d = at.phi.shape
-    return AcParams(
-        weight=dz.T @ at.phi.reshape(B * m, d),
-        bias=np.ones(B * m) @ dz,
-        proj=d_logits.reshape(B * m) @ at.u.reshape(B * m, -1),
-    )
+    np.matmul(dz.T, at.phi.reshape(B * m, d), out=out.weight)
+    np.matmul(np.ones(B * m), dz, out=out.bias)
+    np.matmul(d_logits.reshape(B * m), at.u.reshape(B * m, -1), out=out.proj)
+    return out
 
 
 def _scatter_pairs(d_emb: Tensor, d_phi: Tensor, emb: Tensor) -> None:
@@ -322,23 +321,31 @@ def _scatter_pairs(d_emb: Tensor, d_phi: Tensor, emb: Tensor) -> None:
 
 
 def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
-                            ac_params: AcParams, d_internal: Tensor, d_pooled: Tensor):
+                            ac_params: AcParams, d_internal: Tensor, d_pooled: Tensor, *,
+                            out: tuple = None):
     """Batch gradients; parameter grads are summed over the batch axis.
 
     d_internal: (B, n*d) upstream on the flattened internal representation.
     d_pooled: (B, d) upstream on the pooled cross vector.
+    out: the (mhsa, ac) gradient containers to overwrite; fresh ones by default.
     Returns (mhsa grads, ac grads, d_emb (B, n, d)).
     """
     at = trace.ac
     emb = trace.mhsa.emb
     B, m, d = at.phi.shape
     t = ac_params.weight.shape[0]
-    with _beside(self_attention_backward_batch, trace.mhsa, mhsa_params, d_internal) as mhsa:
+    if out is None:
+        out = (MhsaParams(np.empty_like(mhsa_params.w_in), np.empty_like(mhsa_params.wo),
+                          mhsa_params.n_heads),
+               AcParams(*map(np.empty_like, (ac_params.weight, ac_params.bias, ac_params.proj))))
+    g_mhsa, g_ac = out
+    with _beside(self_attention_backward_batch, trace.mhsa, mhsa_params, d_internal,
+                 g_mhsa) as mhsa:
         d_weights = (at.phi @ d_pooled[:, :, None])[:, :, 0]
         d_logits = softmax_rows_backward(at.weights, d_weights)
         dz = np.multiply.outer(d_logits.reshape(B * m), ac_params.proj)
         dz *= at.z.reshape(B * m, t) > 0
-        with _beside(_crossing_param_grads, at, dz, d_logits) as ac:
+        with _beside(_crossing_param_grads, at, dz, d_logits, g_ac) as ac:
             d_phi = (dz @ ac_params.weight).reshape(B, m, d)
             d_phi += at.weights[:, :, None] * d_pooled[:, None, :]
             mg, d_emb = mhsa.result()

@@ -5,10 +5,12 @@ MLP over its flattened factor embeddings, so both run one forward/backward.
 
 Every model kind has one implementation: a columnar batch forward and its
 backward, which the trainer, the evaluator and the gradient checks all run;
-one example is scored as a one-row batch.  Each backward builds its gradient
-container, a parameter dataclass, from the gradients of its parts, so
-optimizer code can walk (name, tensor) pairs in the parameters' order
-without caring which model it updates.
+one example is scored as a one-row batch.  Each model's tensors are views of
+one flat buffer, whose `Layout` init works out from the schema and the config
+before it draws.  A gradient container is the parameter dataclass over
+another buffer of that layout; each backward overwrites all of its `out`, so
+the trainer reuses one per fit, and optimizer code can walk (name, tensor)
+pairs, or the flat buffer, without caring which model it updates.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .interaction import (
     init_ac,
     init_mhsa,
 )
-from .numerics import Rng, Tensor, relu, sigmoid
+from .numerics import Layout, Rng, Tensor, relu, sigmoid
 
 MODES = ("shallow", "deep", "combined")
 
@@ -59,12 +61,12 @@ class DeepParams:
         return max(max(w.shape) for w, _ in self.layers)
 
 
-def init_deep(in_dim: int, hidden, rng: Rng) -> DeepParams:
+def init_deep(in_dim: int, hidden, blocks) -> DeepParams:
     widths = [in_dim, *hidden, 1]
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        w = rng.normal((fan_out, fan_in), std=math.sqrt(2.0 / (fan_in + fan_out)))
-        layers.append((w, np.zeros(fan_out)))
+        w = blocks.take((fan_out, fan_in), std=math.sqrt(2.0 / (fan_in + fan_out)))
+        layers.append((w, blocks.take((fan_out,))))
     return DeepParams(layers=layers)
 
 
@@ -86,18 +88,22 @@ def deep_forward_batch(acts: Tensor, params: DeepParams):
     return a[:, 0], DeepTrace(inputs=inputs, pres=pres)
 
 
-def deep_backward_batch(trace: DeepTrace, params: DeepParams, d_logits: Tensor):
-    layers = []
+def deep_backward_batch(trace: DeepTrace, params: DeepParams, d_logits: Tensor, *,
+                        out: DeepParams = None):
+    """(layer grads, in `out` or fresh arrays, and the gradient on the input)."""
+    if out is None:
+        out = DeepParams(layers=[(np.empty_like(w), np.empty_like(b)) for w, b in params.layers])
     d = d_logits[:, None]
     last = len(params.layers) - 1
     for l in range(last, -1, -1):
         w, _ = params.layers[l]
+        g_w, g_b = out.layers[l]
         if l != last:
             d = d * (trace.pres[l] > 0)
-        layers.append((d.T @ trace.inputs[l], d.sum(axis=0)))
+        np.matmul(d.T, trace.inputs[l], out=g_w)
+        np.sum(d, axis=0, out=g_b)
         d = d @ w
-    layers.reverse()
-    return DeepParams(layers=layers), d
+    return out, d
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +115,19 @@ class ModelParams:
     embedding: EmbeddingParams
     mhsa: MhsaParams
     ac: AcParams
-    w_internal: Tensor  # (n_fields * d,)
+    w_internal: Tensor  # (n_fields * d,); None when mode == "deep", as are the two below
     w_cross: Tensor  # (d,)
     bias: Tensor  # (1,)
     deep: DeepParams  # None when mode == "shallow"
     first_order: EmbeddingParams  # optional linear term, None by default
-    mode: str = "combined"
+    flat: Tensor = None  # the buffer every tensor is a view of
+    layout: Layout = None
 
     def named_tensors(self):
         yield from self.embedding.named_tensors()
         yield from self.mhsa.named_tensors()
         yield from self.ac.named_tensors()
-        if self.mode != "deep":
+        if self.w_internal is not None:
             yield "shallow.internal", self.w_internal
             yield "shallow.cross", self.w_cross
             yield "shallow.bias", self.bias
@@ -143,21 +150,23 @@ class ModelParams:
 def init_model(schema: FeatureSchema, dim: int, rng: Rng, *, heads: int = 2,
                ac_hidden: int = 32, deep_hidden=(64, 64), mode: str = "combined",
                first_order: bool = False, attn_dim: int = None) -> ModelParams:
+    """The model over one zeroed buffer, drawn from `rng` (with None, left zero)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = schema.n_fields
-    emb = init_embedding(schema, dim, rng)
-    mhsa = init_mhsa(dim, heads, rng, attn_dim=attn_dim)
-    ac = init_ac(dim, ac_hidden, rng)
-    deep = None if mode == "shallow" else init_deep(n * dim + dim, deep_hidden, rng)
-    fo = init_embedding(schema, 1, rng) if first_order else None
-    return ModelParams(
-        embedding=emb, mhsa=mhsa, ac=ac,
-        w_internal=rng.normal((n * dim,), std=0.1),
-        w_cross=rng.normal((dim,), std=0.1),
-        bias=np.zeros(1),
-        deep=deep, first_order=fo, mode=mode,
-    )
+
+    def build(blocks):
+        # blocks are taken, and drawn, in the seeded order
+        emb = init_embedding(schema, dim, blocks)
+        mhsa = init_mhsa(dim, heads, blocks, attn_dim=attn_dim)
+        ac = init_ac(dim, ac_hidden, blocks)
+        deep = None if mode == "shallow" else init_deep(n * dim + dim, deep_hidden, blocks)
+        fo = init_embedding(schema, 1, blocks) if first_order else None
+        shallow = [None] * 3 if mode == "deep" else [
+            blocks.take((n * dim,), std=0.1), blocks.take((dim,), std=0.1), blocks.take((1,))]
+        return ModelParams(emb, mhsa, ac, *shallow, deep=deep, first_order=fo)
+
+    return Layout(build).zeros(rng)
 
 
 @dataclass
@@ -177,7 +186,7 @@ def forward_batch(col: Columnar, params: ModelParams):
     internal = btrace.mhsa.out.reshape(B, n * dim)
     crossed = btrace.ac.pooled
     logits = np.zeros(B)
-    if params.mode != "deep":
+    if params.w_internal is not None:
         logits += internal @ params.w_internal + crossed @ params.w_cross + params.bias[0]
     deep_trace = None
     if params.deep is not None:
@@ -193,34 +202,31 @@ def forward_batch(col: Columnar, params: ModelParams):
     return probs, logits, trace
 
 
-def backward_batch(trace: BatchTrace, params: ModelParams, d_logits: Tensor) -> ModelParams:
-    """Gradients as a ModelParams; in "deep" mode the unused shallow weights get None."""
+def backward_batch(trace: BatchTrace, params: ModelParams, d_logits: Tensor, *,
+                   out: ModelParams = None) -> ModelParams:
+    """Gradients, overwriting all of `out` (a fresh zeroed container by default)."""
+    if out is None:
+        out = params.layout.zeros()
     B, n, dim = trace.emb.shape
     d_internal = np.zeros_like(trace.internal)
     d_crossed = np.zeros_like(trace.crossed)
-    g_internal = g_cross = g_bias = g_deep = g_first_order = None
-    if params.mode != "deep":
-        g_internal = d_logits @ trace.internal
-        g_cross = d_logits @ trace.crossed
-        g_bias = d_logits.sum(keepdims=True)
+    if params.w_internal is not None:
+        np.matmul(d_logits, trace.internal, out=out.w_internal)
+        np.matmul(d_logits, trace.crossed, out=out.w_cross)
+        np.sum(d_logits, keepdims=True, out=out.bias)
         d_internal += d_logits[:, None] * params.w_internal[None, :]
         d_crossed += d_logits[:, None] * params.w_cross[None, :]
     if params.deep is not None:
-        g_deep, d_a0 = deep_backward_batch(trace.deep, params.deep, d_logits)
+        _, d_a0 = deep_backward_batch(trace.deep, params.deep, d_logits, out=out.deep)
         d_internal += d_a0[:, : n * dim]
         d_crossed += d_a0[:, n * dim :]
-    g_mhsa, g_ac, d_emb = branches_backward_batch(
-        trace.branch, params.mhsa, params.ac, d_internal, d_crossed
-    )
-    g_embedding = embed_batch_backward(trace.col, params.embedding, d_emb)
+    _, _, d_emb = branches_backward_batch(trace.branch, params.mhsa, params.ac, d_internal,
+                                          d_crossed, out=(out.mhsa, out.ac))
+    embed_batch_backward(trace.col, params.embedding, d_emb, out=out.embedding)
     if params.first_order is not None:
         up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
-        g_first_order = embed_batch_backward(trace.col, params.first_order, up)
-    return ModelParams(
-        embedding=g_embedding, mhsa=g_mhsa, ac=g_ac,
-        w_internal=g_internal, w_cross=g_cross, bias=g_bias,
-        deep=g_deep, first_order=g_first_order, mode=params.mode,
-    )
+        embed_batch_backward(trace.col, params.first_order, up, out=out.first_order)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +241,8 @@ class FmParams:
     first_order: EmbeddingParams  # dim 1
     factors: EmbeddingParams  # dim d
     deep: DeepParams = None
+    flat: Tensor = None  # the buffer every tensor is a view of
+    layout: Layout = None
 
     def named_tensors(self):
         yield "fm.bias", self.bias
@@ -253,12 +261,17 @@ class FmParams:
 
 
 def init_fm(schema: FeatureSchema, dim: int, rng: Rng, *, deep_hidden=None) -> FmParams:
-    return FmParams(
-        bias=np.zeros(1),
-        first_order=init_embedding(schema, 1, rng),
-        factors=init_embedding(schema, dim, rng),
-        deep=None if deep_hidden is None else init_deep(schema.n_fields * dim, deep_hidden, rng),
-    )
+    """The model over one zeroed buffer, drawn from `rng` (with None, left zero)."""
+
+    def build(blocks):
+        bias = blocks.take((1,))
+        first_order = init_embedding(schema, 1, blocks)
+        factors = init_embedding(schema, dim, blocks)
+        deep = None if deep_hidden is None else init_deep(schema.n_fields * dim, deep_hidden,
+                                                           blocks)
+        return FmParams(bias, first_order, factors, deep)
+
+    return Layout(build).zeros(rng)
 
 
 @dataclass
@@ -283,22 +296,22 @@ def forward_batch_fm(col: Columnar, params: FmParams):
     return probs, logits, FmBatchTrace(col=col, emb=emb, deep=deep_trace)
 
 
-def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor) -> FmParams:
+def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor, *,
+                      out: FmParams = None) -> FmParams:
+    """Gradients, overwriting all of `out` (a fresh zeroed container by default)."""
+    if out is None:
+        out = params.layout.zeros()
     B, n, dim = trace.emb.shape
+    np.sum(d_logits, keepdims=True, out=out.bias)
     up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
-    g_first_order = embed_batch_backward(trace.col, params.first_order, up)
+    embed_batch_backward(trace.col, params.first_order, up, out=out.first_order)
     s = trace.emb.sum(axis=1)
     d_emb = d_logits[:, None, None] * (s[:, None, :] - trace.emb)
-    g_deep = None
     if params.deep is not None:
-        g_deep, d_flat = deep_backward_batch(trace.deep, params.deep, d_logits)
+        _, d_flat = deep_backward_batch(trace.deep, params.deep, d_logits, out=out.deep)
         d_emb = d_emb + d_flat.reshape(B, n, dim)
-    return FmParams(
-        bias=d_logits.sum(keepdims=True),
-        first_order=g_first_order,
-        factors=embed_batch_backward(trace.col, params.factors, d_emb),
-        deep=g_deep,
-    )
+    embed_batch_backward(trace.col, params.factors, d_emb, out=out.factors)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dense float64 tensor primitives: the activations and softmaxes the model
-runs, the OpenBLAS thread pin, and the seeded random source.
+runs, the OpenBLAS thread pin, the seeded random source, and the layout of
+a model's tensors in one flat buffer.
 
 The model's contractions run as BLAS products.  The einsum kernels and the
 vector softmax that the tests check them and `softmax_rows` against, and the
@@ -12,6 +13,7 @@ import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
 import threading
 
@@ -193,9 +195,50 @@ class Rng:
         return rng
 
 
-class ZeroInit:
-    """An Rng stand-in for building parameter containers whose values come
-    from elsewhere: every `normal` draw is zeros, and no random number is made."""
+# ---------------------------------------------------------------------------
+# one flat buffer per model
 
-    def normal(self, shape, std: float = 1.0) -> Tensor:
-        return np.zeros(shape, dtype=np.float64)
+
+class Layout:
+    """A model's tensors as consecutive blocks of one flat float64 buffer.
+
+    `build(blocks)` makes the model's container: it takes every tensor through
+    `blocks.take` and draws through `blocks.fill`, in the seeded order.  One
+    build over no buffer counts the `size`, before any draw.  Parameters,
+    gradients, Adam's moments and snapshots are containers of one layout over
+    different buffers.
+    """
+
+    def __init__(self, build):
+        counter = _Blocks(None, None)
+        build(counter)
+        self.build, self.size = build, counter.size
+
+    def bind(self, flat: Tensor, rng: Rng = None):
+        """The container over `flat` (it keeps `flat` and this layout), drawn from an `rng`."""
+        container = self.build(_Blocks(flat, rng))
+        container.flat, container.layout = flat, self
+        return container
+
+    def zeros(self, rng: Rng = None):
+        return self.bind(np.zeros(self.size), rng)
+
+
+class _Blocks:
+    """The next blocks of `flat` (over no buffer, unfilled scratch arrays, to
+    count them); draws only with an `rng`."""
+
+    def __init__(self, flat: Tensor, rng: Rng):
+        self.flat, self.rng, self.size = flat, rng, 0
+
+    def take(self, shape, std: float = None) -> Tensor:
+        n = math.prod(shape)
+        block = (np.empty(shape) if self.flat is None
+                 else self.flat[self.size : self.size + n].reshape(shape))
+        self.size += n
+        return block if std is None else self.fill(block, std)
+
+    def fill(self, view: Tensor, std: float) -> Tensor:
+        if self.rng is not None:
+            view[...] = self.rng.normal(view.shape, std)
+        return view

@@ -9,10 +9,8 @@ produce bit-identical parameters.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -147,100 +145,39 @@ class BestSnapshot:
     val_logloss: float
 
 
-def _rebind(obj, moved: dict):
-    """`obj` with each array that `moved` names by id swapped for its new
-    place, through dataclass fields (set in place), lists and tuples."""
-    if isinstance(obj, np.ndarray):
-        return moved.get(id(obj), obj)
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(_rebind(item, moved) for item in obj)
-    if dataclasses.is_dataclass(obj):
-        for f in fields(obj):
-            setattr(obj, f.name, _rebind(getattr(obj, f.name), moved))
-    return obj
-
-
 # floats in each slice of Adam's last pass: 256 KiB of scratch, not a whole buffer
 _STEP_CHUNK = 1 << 15
 
 
 @dataclass
-class AdamArena:
-    """The trained tensors and their Adam state, each one flat float64 buffer.
-
-    `params` holds the storage of every trained tensor as one block, in the
-    order the tensors are named (the self-attention maps are column views of
-    one block).  The moments `m` and `v` and the gradient scratch `g` are
-    laid out alike, so each Adam pass runs once over a whole buffer; `step`
-    is the scratch of the last pass, which runs in slices.  `views` holds,
-    in named order, each named tensor's (name, m, v, g) views.
-    """
-
-    params: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    g: np.ndarray
-    step: np.ndarray
-    views: list
-
-    @staticmethod
-    def adopt(params) -> "AdamArena":
-        """Move the storage of every trained tensor of `params` into one buffer."""
-        blocks = {}
-        for _, t in params.named_tensors():
-            base = t if t.base is None else t.base
-            blocks.setdefault(id(base), base)
-        flat = np.empty(sum(b.size for b in blocks.values()))
-        moved, offsets, at = {}, {}, 0
-        for key, block in blocks.items():
-            moved[key] = flat[at : at + block.size].reshape(block.shape)
-            moved[key][...] = block
-            offsets[id(moved[key])] = at * flat.itemsize
-            at += block.size
-        _rebind(params, moved)
-        # m, v and g as the rows of one calloc'd block, whose pages the first
-        # step touches, not the set-up
-        rows = np.zeros((3, flat.size))
-        start = flat.__array_interface__["data"][0]
-        views, covered = [], 0
-        for name, t in params.named_tensors():
-            if t.base is not flat:
-                raise TypeError(f"trained tensor {name} is not, and is not a view of, "
-                                "an array of its own")
-            offset = offsets.get(id(t))
-            if offset is None:  # a view of a block
-                offset = t.__array_interface__["data"][0] - start
-            trio = np.ndarray((3, *t.shape), np.float64, buffer=rows, offset=offset,
-                              strides=(rows.strides[0], *t.strides))
-            views.append((name, trio[0], trio[1], trio[2]))
-            covered += t.size
-        if covered != flat.size:
-            raise TypeError("the trained tensors do not cover their storage once")
-        return AdamArena(params=flat, m=rows[0], v=rows[1], g=rows[2],
-                         step=np.empty(min(flat.size, _STEP_CHUNK)), views=views)
-
-
-@dataclass
 class TrainState:
+    """A fit's state.  `grads`, which every step overwrites, and Adam's moments
+    `m` and `v` are containers of the parameters' layout; `m`, `v` and Adam's
+    `scratch` are the rows of one calloc'd block, whose pages the first step
+    touches, not the set-up.  `step` is the scratch of Adam's sliced last pass."""
+
     params: object
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    grads: object
+    m: object
+    v: object
+    scratch: np.ndarray
+    step: np.ndarray
     t: int = 0
     epoch: int = 0
     rng: Rng = None
     best: BestSnapshot = None
     bad_epochs: int = 0
-    arena: AdamArena = None
 
 
 def init_state(ops: ModelOps, schema: FeatureSchema, config: TrainConfig) -> TrainState:
-    """A fresh state; the trained tensors, and `m` and `v`, are views of its arena."""
     config.validate()
     rng = Rng(config.seed)
     params = ops.init(schema, config.dim, rng.child(1), **config.model_kwargs())
-    arena = AdamArena.adopt(params)
-    return TrainState(params=params, m={name: m for name, m, _, _ in arena.views},
-                      v={name: v for name, _, v, _ in arena.views}, rng=rng.child(2), arena=arena)
+    layout = params.layout
+    rows = np.zeros((3, layout.size))
+    return TrainState(params=params, grads=layout.zeros(), m=layout.bind(rows[0]),
+                      v=layout.bind(rows[1]), scratch=rows[2],
+                      step=np.empty(min(layout.size, _STEP_CHUNK)), rng=rng.child(2))
 
 
 def clip_gradients(grads, max_norm: float) -> float:
@@ -270,26 +207,25 @@ def clip_gradients(grads, max_norm: float) -> float:
 
 
 def adam_update(state: TrainState, grads, config: TrainConfig):
-    """One Adam step over the arena.  Each element gets the arithmetic, in the
-    order, of the per-tensor form: `m = b1 m + (1-b1) g`,
-    `v = b2 v + ((1-b2) g) g`, `p -= lr (m / corr1) / (sqrt(v / corr2) + eps)`."""
+    """One Adam step over the flat buffers of `grads`, the parameters and the
+    state.  Each element gets the arithmetic, in the order, of the per-tensor
+    form: `m = b1 m + (1-b1) g`, `v = b2 v + ((1-b2) g) g`,
+    `p -= lr (m / corr1) / (sqrt(v / corr2) + eps)`."""
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    arena = state.arena
-    m, v, g, step, params = arena.m, arena.v, arena.g, arena.step, arena.params
-    for (_, grad), (_, _, _, into) in zip(grads.named_tensors(), arena.views):
-        np.multiply(grad, 1.0 - b1, out=into)
+    m, v, g, step = state.m.flat, state.v.flat, state.scratch, state.step
+    grad, params = grads.flat, state.params.flat
+    np.multiply(grad, 1.0 - b1, out=g)
     m *= b1
     m += g
-    for (_, grad), (_, _, _, into) in zip(grads.named_tensors(), arena.views):
-        np.multiply(grad, 1.0 - b2, out=into)
-        into *= grad
+    np.multiply(grad, 1.0 - b2, out=g)
+    g *= grad
     v *= b2
     v += g
-    # g takes the denominator, and `step` each slice of the update
+    # the scratch takes the denominator, and `step` each slice of the update
     np.divide(v, corr2, out=g)
     np.sqrt(g, out=g)
     g += config.epsilon
@@ -419,7 +355,8 @@ def train_epoch(ops: ModelOps, state: TrainState, train_col: Columnar,
                 f"{_non_finite_parameter(state.params)}"
             )
         loss_sum += batch_loss * len(idx)
-        grads = ops.backward_batch(trace, state.params, logloss_d_logits(probs, batch.labels))
+        grads = ops.backward_batch(trace, state.params, logloss_d_logits(probs, batch.labels),
+                                   out=state.grads)
         clip_gradients(grads, config.clip_norm)
         adam_update(state, grads, config)
         if modality is not None:
@@ -507,12 +444,9 @@ def fit(ops: ModelOps, schema: FeatureSchema, train: Columnar, validation: Colum
                        l_s=em.l_s, l_d=em.l_d)
         )
         if state.best is None or val_auc > state.best.val_auc:
-            state.best = BestSnapshot(
-                params=copy.deepcopy(state.params),
-                epoch=state.epoch,
-                val_auc=val_auc,
-                val_logloss=val_ll,
-            )
+            snapshot = state.params.layout.bind(state.params.flat.copy())
+            state.best = BestSnapshot(params=snapshot, epoch=state.epoch, val_auc=val_auc,
+                                      val_logloss=val_ll)
             state.bad_epochs = 0
         else:
             state.bad_epochs += 1

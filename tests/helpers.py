@@ -26,6 +26,7 @@ from arec.data import (
 )
 from arec.embedding import EmbeddingParams, embed_batch
 from arec.losses import logloss, logloss_d_logits
+from arec.numerics import Rng
 
 from oracle import (
     EncodedExample,
@@ -130,6 +131,20 @@ def load_bench(stem: str):
 
 def field_named(schema, name):
     return {f.name: f for f in schema.fields}[name]
+
+
+class FreshRng(Rng):
+    """An `Rng` that answers the `take` and `fill` calls of a model part's
+    init (`init_embedding`, `init_mhsa`, `init_ac`, `init_deep`) with fresh
+    arrays, so the part can be built on its own, with the draws it makes
+    inside a whole model."""
+
+    def take(self, shape, std=None):
+        return np.zeros(shape) if std is None else self.normal(shape, std)
+
+    def fill(self, view, std):
+        view[...] = self.normal(view.shape, std)
+        return view
 
 
 def zeros_like_embedding(params):

@@ -26,6 +26,7 @@ from arec.numerics import Rng, softmax_rows
 from arec.training import TrainConfig, fit, init_state, train_epoch
 
 from helpers import (
+    FreshRng,
     embed_one,
     fd_check_all_tensors,
     make_schema,
@@ -173,7 +174,7 @@ def test_criterion_2_closed_form_oracles():
         n = int(gen.integers(2, 7))
         d = int(gen.integers(2, 7))
         emb = gen.normal(size=(n, d))
-        ac = init_ac(d, 4, Rng(int(gen.integers(1 << 30))))
+        ac = init_ac(d, 4, FreshRng(int(gen.integers(1 << 30))))
         weights, _ = ac_attention(cross_pairs(emb), ac)
         assert abs(math.fsum(float(w) for w in weights) - 1.0) <= 1e-10
         assert all(w >= 0.0 for w in weights)

@@ -11,13 +11,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from arec import cli, metrics, training
 from arec.data import (CacheError, EncodingError, ParseError, load_cache, parse_amazon, save_cache,
                        write_section)
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
+from arec.numerics import one_blas_thread
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
@@ -594,6 +595,60 @@ def test_eval_val_reproduces_the_trained_val_auc_at_a_narrow_width(ml_cache, tmp
     shown = json.loads(capsys.readouterr().out)
     assert float(shown["auc"]).hex() == float(trained["val_auc"]).hex()
     assert float(shown["logloss"]).hex() == float(trained["val_logloss"]).hex()
+
+
+DEFAULT_WIDTHS = dict(dim=16, heads=2, attn_dim=None, ac_hidden=32, deep_hidden=(64, 64))
+
+
+@st.composite
+def layer_widths(draw):
+    heads = draw(st.integers(1, 3), label="heads")
+    return dict(dim=heads * draw(st.integers(1, 8), label="head_dim"), heads=heads,
+                attn_dim=draw(st.none() | st.integers(1, 8).map(lambda k: heads * k),
+                              label="attn_dim"),
+                ac_hidden=draw(st.integers(1, 64), label="ac_hidden"),
+                deep_hidden=tuple(draw(st.lists(st.integers(1, 128), min_size=1, max_size=2),
+                                       label="deep_hidden")))
+
+
+@pytest.mark.parametrize("model", ["ours", "fm", "deepfm"])
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(widths=layer_widths(), quanta=st.integers(1, 8))
+@example(widths=DEFAULT_WIDTHS, quanta=1)
+@example(widths=DEFAULT_WIDTHS, quanta=5)
+def test_chunked_scoring_contract_over_random_widths(ml_cache, tmp_path, monkeypatch, capsys,
+                                                     model, widths, quanta):
+    # the README's two promises: `eval --split val` reproduces the trained
+    # val_auc, since train and eval score in the same chunks; and chunks of
+    # 32 * quanta rows give one-batch bits for FM and at the default widths,
+    # and one-batch scores within 1e-12 at any other
+    dataset = load_cache(str(ml_cache))
+    config = TrainConfig(max_epochs=2, patience=2, batch_size=64, **widths)
+    rows = 32 * quanta
+    shape = ops_for(model).init(dataset.schema, config.dim, None, **config.model_kwargs())
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", rows * 8 * shape.row_floats())
+    ckpt = tmp_path / "model.ckpt"
+    overrides = [f"{key}={','.join(map(str, value)) if key == 'deep_hidden' else value}"
+                 for key, value in widths.items() if value is not None]
+    assert cli.main(["train", "--cache", str(ml_cache), "--model", model, "--out", str(ckpt),
+                     "--set", "max_epochs=2", "--set", "patience=2", "--set", "batch_size=64",
+                     *(arg for item in overrides for arg in ("--set", item))]) == 0
+    trained = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(ckpt), "--split", "val"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert float(shown["auc"]).hex() == float(trained["val_auc"]).hex()
+    assert float(shown["logloss"]).hex() == float(trained["val_logloss"]).hex()
+    ops, params = cli.rebuild_params(cli.load_checkpoint(str(ckpt)), dataset.schema)
+    col = dataset.split.train
+    assert metrics.chunk_rows(params) == rows and col.n > rows + 32
+    with one_blas_thread():
+        one = ops.forward_batch(col, params)[0]
+        chunked = metrics.score_split(ops, params, col)
+    if model == "fm" or widths == DEFAULT_WIDTHS:
+        assert chunked.tobytes() == one.tobytes()
+    else:
+        assert np.max(np.abs(chunked - one)) <= 1e-12
 
 
 def test_eval_rejects_mismatched_schema(workdir, ours_ckpt, tmp_path, capsys):

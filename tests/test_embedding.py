@@ -10,7 +10,8 @@ from arec.embedding import (
 )
 from arec.numerics import Rng
 
-from helpers import embed_one, make_schema, random_example, random_schema, zeros_like_embedding
+from helpers import (FreshRng, embed_one, make_schema, random_example, random_schema,
+                     zeros_like_embedding)
 from oracle import EncodedExample, columnar, finite_diff_grad, rel_error
 
 
@@ -20,7 +21,7 @@ def small_setup(dim=4, seed=0):
         ("tags", "multi_categorical", 6),
         ("when", "continuous", (0.0, 1.0)),
     ])
-    params = init_embedding(schema, dim, Rng(seed))
+    params = init_embedding(schema, dim, FreshRng(seed))
     return schema, params
 
 
@@ -36,7 +37,7 @@ def test_init_shapes_follow_schema():
 
 def test_init_statistics_match_declared_std():
     schema = make_schema([("big", "categorical", 4000)])
-    params = init_embedding(schema, 8, Rng(0))
+    params = init_embedding(schema, 8, FreshRng(0))
     table = params.tables[0][1:]  # skip nothing special, just lots of draws
     assert abs(table.std() - 0.1) < 0.005
     assert abs(table.mean()) < 0.005
@@ -140,7 +141,7 @@ def test_backward_matches_finite_differences_50_draws():
     for trial in range(50):
         schema = random_schema(gen)
         dim = int(gen.integers(2, 6))
-        params = init_embedding(schema, dim, Rng(trial))
+        params = init_embedding(schema, dim, FreshRng(trial))
         ex = random_example(schema, gen)
         target = Rng(trial + 100).normal((schema.n_fields, dim))
 
@@ -175,7 +176,7 @@ def test_densify_matches_sparse_content():
 def test_duplicate_categorical_rows_accumulate():
     # two fields sharing nothing; duplicate index inside one example's multi set
     schema = make_schema([("a", "categorical", 3), ("b", "categorical", 3)])
-    params = init_embedding(schema, 2, Rng(0))
+    params = init_embedding(schema, 2, FreshRng(0))
     ex = EncodedExample(values=(1, 1), label=0)
     upstream = np.ones((2, 2))
     grads = one_row_grads(schema, ex, params, upstream)
@@ -188,7 +189,7 @@ def test_batched_forward_matches_per_example():
     for trial in range(10):
         schema = random_schema(gen)
         dim = int(gen.integers(2, 6))
-        params = init_embedding(schema, dim, Rng(trial))
+        params = init_embedding(schema, dim, FreshRng(trial))
         examples = [random_example(schema, gen) for _ in range(7)]
         col = columnar(examples, schema)
         batch = embed_batch(col, params)
@@ -207,7 +208,7 @@ def test_batched_backward_matches_per_example_sum():
     gen = np.random.default_rng(21)
     schema = random_schema(gen)
     dim = 4
-    params = init_embedding(schema, dim, Rng(0))
+    params = init_embedding(schema, dim, FreshRng(0))
     examples = [random_example(schema, gen) for _ in range(6)]
     col = columnar(examples, schema)
     upstream = Rng(9).normal((6, schema.n_fields, dim))
@@ -225,7 +226,7 @@ def test_batched_backward_matches_per_example_sum():
 def test_columnar_take_subsets():
     gen = np.random.default_rng(22)
     schema = random_schema(gen)
-    params = init_embedding(schema, 3, Rng(1))
+    params = init_embedding(schema, 3, FreshRng(1))
     examples = [random_example(schema, gen) for _ in range(8)]
     col = columnar(examples, schema)
     sub = col.take(np.array([5, 1, 6]))
@@ -260,7 +261,7 @@ def test_backward_scatter_equals_2d_add_at_bit_for_bit():
         ("when", "continuous", (0.0, 1.0)),
     ])
     gen = np.random.default_rng(31)
-    params = init_embedding(schema, 8, Rng(2))
+    params = init_embedding(schema, 8, FreshRng(2))
     col = columnar([random_example(schema, gen) for _ in range(256)], schema)
     assert col.fields[1].counts.min() < col.fields[1].padded.shape[1]
     # magnitudes over 16 decades, so any change in addition order shows

@@ -27,6 +27,7 @@ from arec.numerics import (
     softmax_rows_backward,
 )
 
+from helpers import FreshRng
 from oracle import (
     ac_attention,
     bmm,
@@ -101,7 +102,7 @@ def test_cross_pairs_identical_rows_square():
 def test_uniform_weights_for_identical_pairs():
     # three identical rows make all pair products equal
     emb = np.tile(Rng(2).normal((1, 4)), (3, 1))
-    params = init_ac(4, 8, Rng(3))
+    params = init_ac(4, 8, FreshRng(3))
     weights, pooled = ac_attention(cross_pairs(emb), params)
     assert np.max(np.abs(weights - 1.0 / 3.0)) < 1e-15
     assert np.max(np.abs(pooled - emb[0] ** 2)) < 1e-15
@@ -109,7 +110,7 @@ def test_uniform_weights_for_identical_pairs():
 
 def test_zero_projection_gives_uniform_weights():
     emb = Rng(4).normal((5, 3))
-    params = init_ac(3, 6, Rng(5))
+    params = init_ac(3, 6, FreshRng(5))
     params.proj[:] = 0.0
     weights, _ = ac_attention(cross_pairs(emb), params)
     assert np.max(np.abs(weights - 0.1)) < 1e-15  # 10 pairs
@@ -121,7 +122,7 @@ def test_weights_are_a_distribution():
         n = int(gen.integers(2, 8))
         d = int(gen.integers(2, 6))
         emb = Rng(trial).normal((n, d))
-        params = init_ac(d, int(gen.integers(1, 12)), Rng(trial + 50))
+        params = init_ac(d, int(gen.integers(1, 12)), FreshRng(trial + 50))
         weights, _ = ac_attention(cross_pairs(emb), params)
         assert np.all(weights >= 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-10
@@ -129,7 +130,7 @@ def test_weights_are_a_distribution():
 
 def test_pooled_vector_direct_oracle():
     emb = Rng(7).normal((3, 4))
-    params = init_ac(4, 5, Rng(8))
+    params = init_ac(4, 5, FreshRng(8))
     weights, pooled = ac_attention(cross_pairs(emb), params)
 
     phis = [emb[i] * emb[j] for i, j in [(0, 1), (0, 2), (1, 2)]]
@@ -142,12 +143,12 @@ def test_pooled_vector_direct_oracle():
 
 def test_attention_rejects_empty_pair_set():
     with pytest.raises(DomainError):
-        ac_attention([], init_ac(3, 4, Rng(0)))
+        ac_attention([], init_ac(3, 4, FreshRng(0)))
 
 
 def test_mhsa_single_field():
     d = 4
-    params = init_mhsa(d, 2, Rng(9))
+    params = init_mhsa(d, 2, FreshRng(9))
     emb = Rng(10).normal((1, d))
     trace = self_attention_batch(emb[None], params)
     flat = trace.out[0].reshape(-1)
@@ -160,7 +161,7 @@ def test_mhsa_single_field():
 
 def test_mhsa_equal_rows_give_uniform_attention():
     d = 6
-    params = init_mhsa(d, 2, Rng(11))
+    params = init_mhsa(d, 2, FreshRng(11))
     emb = np.tile(Rng(12).normal((1, d)), (4, 1))
     trace = self_attention_batch(emb[None], params)
     assert trace.att.shape == (1, 2, 4, 4)
@@ -169,7 +170,7 @@ def test_mhsa_equal_rows_give_uniform_attention():
 
 def test_mhsa_per_head_loop_oracle():
     n, d, heads = 3, 4, 2
-    params = init_mhsa(d, heads, Rng(13))
+    params = init_mhsa(d, heads, FreshRng(13))
     emb = Rng(14).normal((n, d))
     flat = self_attention_batch(emb[None], params).out[0].reshape(-1)
 
@@ -194,10 +195,10 @@ def test_mhsa_per_head_loop_oracle():
 
 def test_mhsa_head_divisibility_enforced():
     with pytest.raises(DimensionError):
-        init_mhsa(5, 2, Rng(0))
+        init_mhsa(5, 2, FreshRng(0))
     with pytest.raises(DimensionError):
-        init_mhsa(4, 0, Rng(0))
-    p = init_mhsa(6, 3, Rng(0), attn_dim=12)
+        init_mhsa(4, 0, FreshRng(0))
+    p = init_mhsa(6, 3, FreshRng(0), attn_dim=12)
     assert p.head_dim == 4 and p.n_heads == 3
 
 
@@ -207,7 +208,7 @@ def test_pooled_cross_vector_permutation_invariant():
     for trial in range(10):
         n, d = int(gen.integers(3, 7)), int(gen.integers(2, 6))
         emb = Rng(trial).normal((n, d))
-        params = init_ac(d, 8, Rng(trial + 30))
+        params = init_ac(d, 8, FreshRng(trial + 30))
         perm = gen.permutation(n)
         _, pooled = ac_attention(cross_pairs(emb), params)
         _, pooled_perm = ac_attention(cross_pairs(emb[perm]), params)
@@ -216,8 +217,8 @@ def test_pooled_cross_vector_permutation_invariant():
 
 def test_branch_outputs_shapes_and_weights():
     n, d = 5, 3
-    mh = init_mhsa(d, 1, Rng(16))
-    ac = init_ac(d, 4, Rng(17))
+    mh = init_mhsa(d, 1, FreshRng(16))
+    ac = init_ac(d, 4, FreshRng(17))
     emb = Rng(18).normal((n, d))
     trace = branches_forward_batch(emb[None], mh, ac)
     assert trace.mhsa.out[0].reshape(-1).shape == (n * d,)
@@ -228,8 +229,8 @@ def test_branch_outputs_shapes_and_weights():
 
 def test_branch_backward_zero_upstream():
     n, d = 4, 3
-    mh = init_mhsa(d, 1, Rng(19))
-    ac = init_ac(d, 4, Rng(20))
+    mh = init_mhsa(d, 1, FreshRng(19))
+    ac = init_ac(d, 4, FreshRng(20))
     emb = Rng(21).normal((n, d))
     trace = branches_forward_batch(emb[None], mh, ac)
     mg, ag, d_emb = branches_backward_batch(trace, mh, ac, np.zeros((1, n * d)), np.zeros((1, d)))
@@ -244,8 +245,8 @@ def test_single_pair_product_rule():
     # with one pair the weight is identically 1, so d phi = upstream and
     # d e_0 = upstream * e_1, d e_1 = upstream * e_0 plus the mhsa path
     d = 3
-    mh = init_mhsa(d, 1, Rng(22))
-    ac = init_ac(d, 4, Rng(23))
+    mh = init_mhsa(d, 1, FreshRng(22))
+    ac = init_ac(d, 4, FreshRng(23))
     ac.proj[:] = 0.0  # keeps the weight path gradient-free
     emb = Rng(24).normal((2, d))
     trace = branches_forward_batch(emb[None], mh, ac)
@@ -269,8 +270,8 @@ def test_branch_gradients_match_finite_differences():
         n = int(gen.integers(2, 7))
         heads = int(gen.integers(1, 3))
         d = int(gen.integers(1, 5)) * heads  # keep divisible, d <= 8
-        mh = init_mhsa(d, heads, Rng(trial))
-        ac = init_ac(d, int(gen.integers(2, 9)), Rng(trial + 100))
+        mh = init_mhsa(d, heads, FreshRng(trial))
+        ac = init_ac(d, int(gen.integers(2, 9)), FreshRng(trial + 100))
         emb = Rng(trial + 200).normal((n, d))
         gi = Rng(trial + 300).normal((n * d,))
         gc = Rng(trial + 400).normal((d,))
@@ -309,8 +310,8 @@ def test_batched_branches_match_per_example():
         n = int(gen.integers(2, 6))
         heads = int(gen.integers(1, 3))
         d = 2 * heads
-        mh = init_mhsa(d, heads, Rng(trial))
-        ac = init_ac(d, 5, Rng(trial + 10))
+        mh = init_mhsa(d, heads, FreshRng(trial))
+        ac = init_ac(d, 5, FreshRng(trial + 10))
         emb = Rng(trial + 20).normal((B, n, d))
 
         btr = branches_forward_batch(emb, mh, ac)
@@ -325,8 +326,8 @@ def test_batched_backward_matches_per_example_sum():
     gen = np.random.default_rng(28)
     B, n, heads = 4, 4, 2
     d = 4
-    mh = init_mhsa(d, heads, Rng(0))
-    ac = init_ac(d, 6, Rng(1))
+    mh = init_mhsa(d, heads, FreshRng(0))
+    ac = init_ac(d, 6, FreshRng(1))
     emb = Rng(2).normal((B, n, d))
     gi = Rng(3).normal((B, n * d))
     gc = Rng(4).normal((B, d))
@@ -400,8 +401,8 @@ def _einsum_branches(emb, mh, ac, d_internal, d_pooled):
 def test_branches_match_einsum_oracle_at_training_shape():
     # attn_dim != dim, so every slice of the fused projection is exercised
     B, n, d, heads = 64, 7, 16, 2
-    mh = init_mhsa(d, heads, Rng(40), attn_dim=24)
-    ac = init_ac(d, 32, Rng(41))
+    mh = init_mhsa(d, heads, FreshRng(40), attn_dim=24)
+    ac = init_ac(d, 32, FreshRng(41))
     ac.bias[:] = Rng(42).normal((32,), std=0.1)
     emb = Rng(43).normal((B, n, d))
     d_internal = Rng(44).normal((B, n * d))
@@ -447,8 +448,8 @@ def _branch_arrays(trace, mg, ag, d_emb) -> dict:
 def test_threaded_branches_equal_the_serial_composition_bit_for_bit(monkeypatch, B):
     # the training shape of `ours` on MovieLens: 7 fields, d=16, 2 heads, 32 hidden
     n, d = 7, 16
-    mh = init_mhsa(d, 2, Rng(50))
-    ac = init_ac(d, 32, Rng(51))
+    mh = init_mhsa(d, 2, FreshRng(50))
+    ac = init_ac(d, 32, FreshRng(51))
     ac.bias[:] = Rng(52).normal((32,), std=0.1)
     emb = Rng(53).normal((B, n, d))
     d_internal = Rng(54).normal((B, n * d))
@@ -478,9 +479,9 @@ def test_threaded_branches_equal_the_serial_composition_bit_for_bit(monkeypatch,
 def test_the_worker_half_runs_under_the_callers_errstate():
     # huge self-attention maps overflow on the worker; the crossing stays finite
     n, d = 5, 4
-    mh = init_mhsa(d, 2, Rng(60))
+    mh = init_mhsa(d, 2, FreshRng(60))
     mh.w_in *= 1e300
-    ac = init_ac(d, 3, Rng(61))
+    ac = init_ac(d, 3, FreshRng(61))
     emb = Rng(62).normal((8, n, d))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -21,6 +21,7 @@ from arec.model import (
 from arec.numerics import Rng, relu
 
 from helpers import (
+    FreshRng,
     embed_one,
     fd_check_all_tensors,
     make_schema,
@@ -366,7 +367,7 @@ def test_ops_registry():
 def test_deep_mlp_matches_einsum_oracle_at_training_shape():
     # the ours deep input at n=7, d=16: 7*16 internal + 16 crossed
     B, width = 64, 7 * 16 + 16
-    params = init_deep(width, (64, 64), Rng(30))
+    params = init_deep(width, (64, 64), FreshRng(30))
     for l, (_, b) in enumerate(params.layers):
         b[:] = Rng(31 + l).normal(b.shape, std=0.1)
     acts = Rng(35).normal((B, width))

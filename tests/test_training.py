@@ -25,6 +25,7 @@ from arec.losses import (
     ModalityTable,
     difference_loss,
     logloss,
+    logloss_d_logits,
     similarity_loss,
     synthesize_modality_features,
 )
@@ -313,19 +314,13 @@ def test_arena_adam_matches_the_per_tensor_formula(monkeypatch, kind, kwargs, ch
     ops = ops_for(kind)
     config = tiny_config(learning_rate=0.01, **kwargs)
     state = init_state(ops, schema, config)
-    arena = state.arena
-    assert arena.step.size == min(chunk, arena.params.size)
-    for name, t in state.params.named_tensors():
-        assert np.shares_memory(t, arena.params), name
-        assert np.shares_memory(state.m[name], arena.m), name
-        assert np.shares_memory(state.v[name], arena.v), name
+    assert state.step.size == min(chunk, state.params.flat.size)
     params = snapshot_tensors(state.params)
     m = {name: np.zeros_like(t) for name, t in params.items()}
     v = {name: np.zeros_like(t) for name, t in params.items()}
-    # in deep mode the shallow weights are neither trained nor in the arena
-    shallow = [state.params.w_internal, state.params.w_cross, state.params.bias] \
-        if kwargs.get("mode") == "deep" else []
-    shallow_before = [t.copy() for t in shallow]
+    if kwargs.get("mode") == "deep":  # deep mode has, and trains, no shallow weights
+        assert state.params.w_internal is None and state.params.w_cross is None
+        assert state.params.bias is None
     gen = np.random.default_rng(71)
     for step in range(1, 6):
         grads = ops.init(schema, config.dim, Rng(step), **config.model_kwargs())
@@ -333,13 +328,65 @@ def test_arena_adam_matches_the_per_tensor_formula(monkeypatch, kind, kwargs, ch
             g[...] = gen.standard_normal(g.shape) * 10.0 ** gen.uniform(-6, 2, g.shape)
         adam_step(params, m, v, dict(grads.named_tensors()), step, config)
         adam_update(state, grads, config)
+        state_m, state_v = dict(state.m.named_tensors()), dict(state.v.named_tensors())
         for name, t in state.params.named_tensors():
             assert t.tobytes() == params[name].tobytes(), (step, name)
-            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
-            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
-    for t, before in zip(shallow, shallow_before):
-        assert not np.shares_memory(t, arena.params)
-        assert t.tobytes() == before.tobytes()
+            assert state_m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert state_v[name].tobytes() == v[name].tobytes(), (step, name)
+
+
+def _placement(container):
+    """(name, shape, strides, byte offset in the container's flat buffer) of
+    each named tensor, every one a view of that buffer."""
+    start = container.flat.__array_interface__["data"][0]
+    placed = []
+    for name, t in container.named_tensors():
+        assert np.shares_memory(t, container.flat), name
+        placed.append((name, t.shape, t.strides, t.__array_interface__["data"][0] - start))
+    return placed
+
+
+@each_model
+def test_parameters_gradients_moments_and_snapshots_share_one_layout(monkeypatch, kind, kwargs):
+    schema = make_schema([("user_id", "categorical", 5), ("item_id", "categorical", 6),
+                          ("tags", "multi_categorical", 4), ("age", "continuous", (0.0, 1.0))])
+    gen = np.random.default_rng(5)
+    examples = [random_example(schema, gen) for _ in range(60)]
+    config = tiny_config(learning_rate=0.05, batch_size=8, max_epochs=3, patience=3, **kwargs)
+    ops = ops_for(kind)
+    seen = []  # the gradient container of every step
+
+    def backward(*args, **kw):
+        seen.append(ops.backward_batch(*args, **kw))
+        return seen[-1]
+
+    # epoch 1 scores best, so its snapshot then sits through two epochs of Adam steps
+    at_eval, aucs = [], iter([0.9, 0.5, 0.4])
+
+    def eval_columnar(_ops, params, _col):
+        at_eval.append(params.flat.copy())
+        return next(aucs), 0.5
+
+    monkeypatch.setattr(training, "_eval_columnar", eval_columnar)
+    state = fit(replace(ops, backward_batch=backward), schema, *parts(schema, examples, 48),
+                config).state
+    layout = _placement(state.params)
+    for other in (state.grads, state.m, state.v, state.best.params):
+        assert _placement(other) == layout
+    assert len(seen) == 3 * 6 and all(grads is state.grads for grads in seen)
+    snapshot = state.best.params.flat
+    assert state.best.epoch == 1 and snapshot.tobytes() == at_eval[0].tobytes()
+    assert not np.shares_memory(snapshot, state.params.flat)
+    assert snapshot.tobytes() != state.params.flat.tobytes()
+    # a backward without `out` fills a fresh container; with a dirty one, overwrites all of it
+    col = columnar(examples[:12], schema)
+    probs, _, trace = ops.forward_batch(col, state.params)
+    d_logits = logloss_d_logits(probs, col.labels)
+    fresh = ops.backward_batch(trace, state.params, d_logits)
+    assert _placement(fresh) == layout and not np.shares_memory(fresh.flat, state.grads.flat)
+    state.grads.flat[...] = np.nan
+    assert ops.backward_batch(trace, state.params, d_logits, out=state.grads) is state.grads
+    assert state.grads.flat.tobytes() == fresh.flat.tobytes()
 
 
 @st.composite
@@ -663,10 +710,11 @@ def test_init_state_moments_match_parameters():
     ops = ops_for("ours")
     state = init_state(ops, schema, tiny_config())
     names = [n for n, _ in state.params.named_tensors()]
-    assert set(state.m) == set(names) and set(state.v) == set(names)
+    m, v = dict(state.m.named_tensors()), dict(state.v.named_tensors())
+    assert list(m) == names and list(v) == names
     for name, t in state.params.named_tensors():
-        assert state.m[name].shape == t.shape
-        assert np.all(state.m[name] == 0.0) and np.all(state.v[name] == 0.0)
+        assert m[name].shape == t.shape
+        assert np.all(m[name] == 0.0) and np.all(v[name] == 0.0)
     assert state.t == 0 and state.epoch == 0
 
 
