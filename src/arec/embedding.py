@@ -64,11 +64,9 @@ def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
 
 
 def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tensor, *,
-                         out: EmbeddingParams = None) -> EmbeddingParams:
-    """Dense gradient tables for a batch, in `out` (fresh tables by default):
-    each is zeroed and takes the batch's rows, so untouched rows are zero."""
-    if out is None:
-        out = EmbeddingParams(dim=params.dim, tables=[np.empty_like(t) for t in params.tables])
+                         out: EmbeddingParams) -> None:
+    """Dense gradient tables for a batch, into `out`: each is zeroed and takes
+    the batch's rows, so untouched rows are zero."""
     for i, (fc, table) in enumerate(zip(col.fields, out.tables)):
         table.fill(0.0)
         g = upstream[:, i, :]  # (B, d)
@@ -82,7 +80,6 @@ def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tenso
             _scatter_rows(table, fc.padded.ravel(), contrib)
         else:
             table += fc.vals @ g
-    return out
 
 
 def _scatter_rows(table: Tensor, rows: np.ndarray, values: Tensor):

@@ -169,8 +169,6 @@ def _pair_scores(phi: Tensor, params: AcParams):
 
 @dataclass
 class AcTrace:
-    iu: np.ndarray
-    ju: np.ndarray
     phi: Tensor  # (B, m, d) pair products
     z: Tensor  # (B, m, t) pre-activation scores
     u: Tensor  # (B, m, t) relu(z)
@@ -269,13 +267,13 @@ def branches_forward_batch(emb: Tensor, mhsa_params: MhsaParams, ac_params: AcPa
         pooled = (weights[:, None, :] @ phi)[:, 0, :]
     return BatchBranchTrace(
         mhsa=mhsa.result(),
-        ac=AcTrace(iu=iu, ju=ju, phi=phi, z=z, u=u, weights=weights, pooled=pooled),
+        ac=AcTrace(phi=phi, z=z, u=u, weights=weights, pooled=pooled),
     )
 
 
 def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal: Tensor,
-                                  out: MhsaParams):
-    """Self-attention gradients: (mhsa grads summed over the batch, in `out`, d_emb (B, n, d)).
+                                  out: MhsaParams) -> Tensor:
+    """Self-attention grads, summed over the batch, into `out`; returns d_emb (B, n, d).
 
     d_internal: (B, n*d) upstream on the flattened internal representation.
     """
@@ -299,16 +297,14 @@ def self_attention_backward_batch(mt: MhsaTrace, params: MhsaParams, d_internal:
     d_v[...] = mt.att.swapaxes(2, 3) @ d_heads
     d_proj = d_proj.reshape(B * n, 3 * A + d)
     np.matmul(emb.reshape(B * n, d).T, d_proj, out=out.w_in)
-    d_emb = (d_proj @ params.w_in.T).reshape(B, n, d)
-    return out, d_emb
+    return (d_proj @ params.w_in.T).reshape(B, n, d)
 
 
-def _crossing_param_grads(at: AcTrace, dz: Tensor, d_logits: Tensor, out: AcParams) -> AcParams:
+def _crossing_param_grads(at: AcTrace, dz: Tensor, d_logits: Tensor, out: AcParams) -> None:
     B, m, d = at.phi.shape
     np.matmul(dz.T, at.phi.reshape(B * m, d), out=out.weight)
     np.matmul(np.ones(B * m), dz, out=out.bias)
     np.matmul(d_logits.reshape(B * m), at.u.reshape(B * m, -1), out=out.proj)
-    return out
 
 
 def _scatter_pairs(d_emb: Tensor, d_phi: Tensor, emb: Tensor) -> None:
@@ -322,22 +318,18 @@ def _scatter_pairs(d_emb: Tensor, d_phi: Tensor, emb: Tensor) -> None:
 
 def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
                             ac_params: AcParams, d_internal: Tensor, d_pooled: Tensor, *,
-                            out: tuple = None):
+                            out: tuple) -> Tensor:
     """Batch gradients; parameter grads are summed over the batch axis.
 
     d_internal: (B, n*d) upstream on the flattened internal representation.
     d_pooled: (B, d) upstream on the pooled cross vector.
-    out: the (mhsa, ac) gradient containers to overwrite; fresh ones by default.
-    Returns (mhsa grads, ac grads, d_emb (B, n, d)).
+    out: the (mhsa, ac) gradient containers, overwritten.
+    Returns d_emb (B, n, d).
     """
     at = trace.ac
     emb = trace.mhsa.emb
     B, m, d = at.phi.shape
     t = ac_params.weight.shape[0]
-    if out is None:
-        out = (MhsaParams(np.empty_like(mhsa_params.w_in), np.empty_like(mhsa_params.wo),
-                          mhsa_params.n_heads),
-               AcParams(*map(np.empty_like, (ac_params.weight, ac_params.bias, ac_params.proj))))
     g_mhsa, g_ac = out
     with _beside(self_attention_backward_batch, trace.mhsa, mhsa_params, d_internal,
                  g_mhsa) as mhsa:
@@ -348,6 +340,7 @@ def branches_backward_batch(trace: BatchBranchTrace, mhsa_params: MhsaParams,
         with _beside(_crossing_param_grads, at, dz, d_logits, g_ac) as ac:
             d_phi = (dz @ ac_params.weight).reshape(B, m, d)
             d_phi += at.weights[:, :, None] * d_pooled[:, None, :]
-            mg, d_emb = mhsa.result()
+            d_emb = mhsa.result()
             _scatter_pairs(d_emb, d_phi, emb)
-    return mg, ac.result(), d_emb
+    ac.result()  # re-raises the crossing task's exception, if it raised
+    return d_emb

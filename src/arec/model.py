@@ -8,9 +8,12 @@ backward, which the trainer, the evaluator and the gradient checks all run;
 one example is scored as a one-row batch.  Each model's tensors are views of
 one flat buffer, whose `Layout` init works out from the schema and the config
 before it draws.  A gradient container is the parameter dataclass over
-another buffer of that layout; each backward overwrites all of its `out`, so
-the trainer reuses one per fit, and optimizer code can walk (name, tensor)
-pairs, or the flat buffer, without caring which model it updates.
+another buffer of that layout, and only `Layout` builds one.  Every backward
+overwrites all of its required `out`, its part of the container: a part's
+backward returns only the gradient on its input, and a model's returns `out`.
+So the trainer reuses one container per fit, and optimizer code can walk
+(name, tensor) pairs, or the flat buffer, without caring which model it
+updates.
 """
 
 from __future__ import annotations
@@ -89,10 +92,8 @@ def deep_forward_batch(acts: Tensor, params: DeepParams):
 
 
 def deep_backward_batch(trace: DeepTrace, params: DeepParams, d_logits: Tensor, *,
-                        out: DeepParams = None):
-    """(layer grads, in `out` or fresh arrays, and the gradient on the input)."""
-    if out is None:
-        out = DeepParams(layers=[(np.empty_like(w), np.empty_like(b)) for w, b in params.layers])
+                        out: DeepParams) -> Tensor:
+    """Layer grads into `out`; returns the gradient on the input."""
     d = d_logits[:, None]
     last = len(params.layers) - 1
     for l in range(last, -1, -1):
@@ -103,7 +104,7 @@ def deep_backward_batch(trace: DeepTrace, params: DeepParams, d_logits: Tensor, 
         np.matmul(d.T, trace.inputs[l], out=g_w)
         np.sum(d, axis=0, out=g_b)
         d = d @ w
-    return out, d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,8 @@ def forward_batch(col: Columnar, params: ModelParams):
 
 
 def backward_batch(trace: BatchTrace, params: ModelParams, d_logits: Tensor, *,
-                   out: ModelParams = None) -> ModelParams:
-    """Gradients, overwriting all of `out` (a fresh zeroed container by default)."""
-    if out is None:
-        out = params.layout.zeros()
+                   out: ModelParams) -> ModelParams:
+    """Gradients, overwriting all of `out`, which it returns."""
     B, n, dim = trace.emb.shape
     d_internal = np.zeros_like(trace.internal)
     d_crossed = np.zeros_like(trace.crossed)
@@ -217,11 +216,11 @@ def backward_batch(trace: BatchTrace, params: ModelParams, d_logits: Tensor, *,
         d_internal += d_logits[:, None] * params.w_internal[None, :]
         d_crossed += d_logits[:, None] * params.w_cross[None, :]
     if params.deep is not None:
-        _, d_a0 = deep_backward_batch(trace.deep, params.deep, d_logits, out=out.deep)
+        d_a0 = deep_backward_batch(trace.deep, params.deep, d_logits, out=out.deep)
         d_internal += d_a0[:, : n * dim]
         d_crossed += d_a0[:, n * dim :]
-    _, _, d_emb = branches_backward_batch(trace.branch, params.mhsa, params.ac, d_internal,
-                                          d_crossed, out=(out.mhsa, out.ac))
+    d_emb = branches_backward_batch(trace.branch, params.mhsa, params.ac, d_internal, d_crossed,
+                                    out=(out.mhsa, out.ac))
     embed_batch_backward(trace.col, params.embedding, d_emb, out=out.embedding)
     if params.first_order is not None:
         up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
@@ -297,10 +296,8 @@ def forward_batch_fm(col: Columnar, params: FmParams):
 
 
 def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor, *,
-                      out: FmParams = None) -> FmParams:
-    """Gradients, overwriting all of `out` (a fresh zeroed container by default)."""
-    if out is None:
-        out = params.layout.zeros()
+                      out: FmParams) -> FmParams:
+    """Gradients, overwriting all of `out`, which it returns."""
     B, n, dim = trace.emb.shape
     np.sum(d_logits, keepdims=True, out=out.bias)
     up = np.broadcast_to(d_logits[:, None, None], (B, n, 1))
@@ -308,7 +305,7 @@ def backward_batch_fm(trace: FmBatchTrace, params: FmParams, d_logits: Tensor, *
     s = trace.emb.sum(axis=1)
     d_emb = d_logits[:, None, None] * (s[:, None, :] - trace.emb)
     if params.deep is not None:
-        _, d_flat = deep_backward_batch(trace.deep, params.deep, d_logits, out=out.deep)
+        d_flat = deep_backward_batch(trace.deep, params.deep, d_logits, out=out.deep)
         d_emb = d_emb + d_flat.reshape(B, n, dim)
     embed_batch_backward(trace.col, params.factors, d_emb, out=out.factors)
     return out

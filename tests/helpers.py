@@ -1,6 +1,7 @@
 """Shared utilities for the test suite: random schema/example generators,
 finite-difference sweeps over whole parameter sets, and small fixtures."""
 
+import copy
 import importlib.util
 import json
 import pathlib
@@ -145,6 +146,15 @@ class FreshRng(Rng):
     def fill(self, view, std):
         view[...] = self.normal(view.shape, std)
         return view
+
+
+def nan_like(part):
+    """A gradient container for a model part built on its own: a copy of the
+    part with every tensor NaN, so an entry a backward leaves unwritten shows."""
+    grads = copy.deepcopy(part)
+    for _, t in grads.named_tensors():
+        t.fill(np.nan)
+    return grads
 
 
 def zeros_like_embedding(params):
@@ -316,11 +326,14 @@ def relu_kink_margin(tr) -> float:
 def fd_check_all_tensors(ops, params, schema, example, label, eps=1e-5, floor=1e-3):
     """Worst relative error between the trainer's analytic gradients and
     central differences of the logloss, over every named tensor of `params`,
-    on a one-row batch."""
+    on a one-row batch.  The backward runs as the trainer calls it: into a
+    reused container, here one full of NaN."""
     col = one_row(example, schema, label)
     probs, _, trace = ops.forward_batch(col, params)
     d_logits = logloss_d_logits(probs, col.labels)
-    grads = dict(ops.backward_batch(trace, params, d_logits).named_tensors())
+    out = params.layout.zeros()
+    out.flat.fill(np.nan)
+    grads = dict(ops.backward_batch(trace, params, d_logits, out=out).named_tensors())
     worst = 0.0
     for name, arr in params.named_tensors():
         def f(x, arr=arr):

@@ -342,7 +342,8 @@ def rel_error(a: Tensor, b: Tensor, floor: float = 1e-3) -> float:
     """Worst-case elementwise relative difference between two gradients.
 
     The denominator is floored so near-zero entries compare by absolute
-    error instead of blowing up.
+    error instead of blowing up.  A NaN entry counts as an infinite error,
+    which `max(worst, ...)` keeps where it would drop a NaN.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -351,7 +352,8 @@ def rel_error(a: Tensor, b: Tensor, floor: float = 1e-3) -> float:
     if a.size == 0:
         return 0.0
     den = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / den))
+    err = np.abs(a - b) / den
+    return float(np.max(np.where(np.isnan(err), np.inf, err)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from arec.embedding import (
 )
 from arec.numerics import Rng
 
-from helpers import (FreshRng, embed_one, make_schema, random_example, random_schema,
+from helpers import (FreshRng, embed_one, make_schema, nan_like, random_example, random_schema,
                      zeros_like_embedding)
 from oracle import EncodedExample, columnar, finite_diff_grad, rel_error
 
@@ -76,8 +76,12 @@ def test_output_shape_independent_of_multi_count():
 
 
 def one_row_grads(schema, ex, params, upstream):
-    """Gradient tables of a one-row batch of `ex` under `upstream` (n, d)."""
-    return embed_batch_backward(columnar([ex], schema), params, upstream[None])
+    """Gradient tables of a one-row batch of `ex` under `upstream` (n, d),
+    written into tables full of NaN: what the row does not touch reads zero
+    only if the backward zeroes it."""
+    grads = nan_like(params)
+    embed_batch_backward(columnar([ex], schema), params, upstream[None], out=grads)
+    return grads
 
 
 def test_embed_rejects_out_of_range_index():
@@ -213,10 +217,12 @@ def test_batched_backward_matches_per_example_sum():
     col = columnar(examples, schema)
     upstream = Rng(9).normal((6, schema.n_fields, dim))
 
-    dense_batch = embed_batch_backward(col, params, upstream)
+    dense_batch = nan_like(params)
+    embed_batch_backward(col, params, upstream, out=dense_batch)
     total = zeros_like_embedding(params)
     for b in range(len(examples)):
-        frag = embed_batch_backward(col.take([b]), params, upstream[b : b + 1])
+        frag = nan_like(params)
+        embed_batch_backward(col.take([b]), params, upstream[b : b + 1], out=frag)
         for t, f in zip(total.tables, frag.tables):
             t += f
     for got, want in zip(dense_batch.tables, total.tables):
@@ -266,7 +272,8 @@ def test_backward_scatter_equals_2d_add_at_bit_for_bit():
     assert col.fields[1].counts.min() < col.fields[1].padded.shape[1]
     # magnitudes over 16 decades, so any change in addition order shows
     upstream = gen.standard_normal((256, 3, 8)) * 10.0 ** gen.uniform(-8, 8, (256, 3, 8))
-    got = embed_batch_backward(col, params, upstream)
+    got = nan_like(params)
+    embed_batch_backward(col, params, upstream, out=got)
     want = add_at_2d(col, params, upstream)
     for g, w in zip(got.tables, want.tables):
         assert np.array_equal(g, w)

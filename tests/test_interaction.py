@@ -27,7 +27,7 @@ from arec.numerics import (
     softmax_rows_backward,
 )
 
-from helpers import FreshRng
+from helpers import FreshRng, nan_like
 from oracle import (
     ac_attention,
     bmm,
@@ -227,13 +227,20 @@ def test_branch_outputs_shapes_and_weights():
     assert abs(trace.ac.weights[0].sum() - 1.0) <= 1e-10
 
 
+def _backward(trace, mh, ac, d_internal, d_pooled):
+    """(mhsa grads, ac grads, d_emb): the branches' backward into NaN-filled containers."""
+    mg, ag = nan_like(mh), nan_like(ac)
+    d_emb = branches_backward_batch(trace, mh, ac, d_internal, d_pooled, out=(mg, ag))
+    return mg, ag, d_emb
+
+
 def test_branch_backward_zero_upstream():
     n, d = 4, 3
     mh = init_mhsa(d, 1, FreshRng(19))
     ac = init_ac(d, 4, FreshRng(20))
     emb = Rng(21).normal((n, d))
     trace = branches_forward_batch(emb[None], mh, ac)
-    mg, ag, d_emb = branches_backward_batch(trace, mh, ac, np.zeros((1, n * d)), np.zeros((1, d)))
+    mg, ag, d_emb = _backward(trace, mh, ac, np.zeros((1, n * d)), np.zeros((1, d)))
     for _, t in mg.named_tensors():
         assert np.all(t == 0.0)
     for _, t in ag.named_tensors():
@@ -251,7 +258,7 @@ def test_single_pair_product_rule():
     emb = Rng(24).normal((2, d))
     trace = branches_forward_batch(emb[None], mh, ac)
     d_crossed = Rng(25).normal((d,))
-    _, ag, d_emb = branches_backward_batch(trace, mh, ac, np.zeros((1, 2 * d)), d_crossed[None])
+    _, ag, d_emb = _backward(trace, mh, ac, np.zeros((1, 2 * d)), d_crossed[None])
     d_emb = d_emb[0]
     assert np.max(np.abs(d_emb[0] - d_crossed * emb[1])) < 1e-12
     assert np.max(np.abs(d_emb[1] - d_crossed * emb[0])) < 1e-12
@@ -277,7 +284,7 @@ def test_branch_gradients_match_finite_differences():
         gc = Rng(trial + 400).normal((d,))
 
         trace = branches_forward_batch(emb[None], mh, ac)
-        mg, ag, d_emb = branches_backward_batch(trace, mh, ac, gi[None], gc[None])
+        mg, ag, d_emb = _backward(trace, mh, ac, gi[None], gc[None])
         d_emb = d_emb[0]
         analytic = dict(mg.named_tensors())
         analytic.update(ag.named_tensors())
@@ -333,12 +340,12 @@ def test_batched_backward_matches_per_example_sum():
     gc = Rng(4).normal((B, d))
 
     btr = branches_forward_batch(emb, mh, ac)
-    bmg, bag, bd_emb = branches_backward_batch(btr, mh, ac, gi.reshape(B, n, d), gc)
+    bmg, bag, bd_emb = _backward(btr, mh, ac, gi.reshape(B, n, d), gc)
 
     totals = {name: np.zeros_like(t) for p in (mh, ac) for name, t in p.named_tensors()}
     for b in range(B):
         trace = branches_forward_batch(emb[b : b + 1], mh, ac)
-        mg, ag, d_emb = branches_backward_batch(trace, mh, ac, gi[b : b + 1], gc[b : b + 1])
+        mg, ag, d_emb = _backward(trace, mh, ac, gi[b : b + 1], gc[b : b + 1])
         for g in (mg, ag):
             for name, t in g.named_tensors():
                 totals[name] += t
@@ -409,7 +416,7 @@ def test_branches_match_einsum_oracle_at_training_shape():
     d_pooled = Rng(45).normal((B, d))
 
     trace = branches_forward_batch(emb, mh, ac)
-    mg, ag, d_emb = branches_backward_batch(trace, mh, ac, d_internal, d_pooled)
+    mg, ag, d_emb = _backward(trace, mh, ac, d_internal, d_pooled)
     out, weights, pooled, grads, want_d_emb = _einsum_branches(emb, mh, ac, d_internal, d_pooled)
 
     def close(got, want):
@@ -457,7 +464,7 @@ def test_threaded_branches_equal_the_serial_composition_bit_for_bit(monkeypatch,
 
     def both():
         trace = branches_forward_batch(emb, mh, ac)
-        return _branch_arrays(trace, *branches_backward_batch(trace, mh, ac, d_internal, d_pooled))
+        return _branch_arrays(trace, *_backward(trace, mh, ac, d_internal, d_pooled))
 
     threads = set()
 
@@ -487,7 +494,7 @@ def test_the_worker_half_runs_under_the_callers_errstate():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
             trace = branches_forward_batch(emb, mh, ac)
-            branches_backward_batch(trace, mh, ac, np.ones((8, n * d)), np.ones((8, d)))
+            _backward(trace, mh, ac, np.ones((8, n * d)), np.ones((8, d)))
         assert not np.all(np.isfinite(trace.mhsa.pre))
         assert np.all(np.isfinite(trace.ac.pooled))
         with np.errstate(all="ignore", over="raise"), pytest.raises(FloatingPointError):

@@ -25,6 +25,7 @@ from helpers import (
     embed_one,
     fd_check_all_tensors,
     make_schema,
+    nan_like,
     random_example,
     random_schema,
     relu_kink_margin,
@@ -235,9 +236,11 @@ def test_bias_gradient_is_residual():
     ex = EncodedExample(values=(1, 2, (1,)), label=1.0)
     prob, _, trace = score_one(OURS, params, SCHEMA, ex)
     probs = np.array([prob])
-    grads = backward_batch(trace, params, logloss_d_logits(probs, np.array([1.0])))
+    grads = backward_batch(trace, params, logloss_d_logits(probs, np.array([1.0])),
+                           out=params.layout.zeros())
     assert abs(grads.bias[0] - (prob - 1.0)) < 1e-12
-    grads0 = backward_batch(trace, params, logloss_d_logits(probs, np.array([0.0])))
+    grads0 = backward_batch(trace, params, logloss_d_logits(probs, np.array([0.0])),
+                            out=params.layout.zeros())
     assert abs(grads0.bias[0] - prob) < 1e-12
 
 
@@ -248,7 +251,7 @@ def test_saturated_prediction_has_zero_gradient():
     prob, _, trace = score_one(OURS, params, SCHEMA, ex)
     assert prob == 1.0
     d_logits = logloss_d_logits(np.array([prob]), np.array([1.0]))
-    grads = backward_batch(trace, params, d_logits)
+    grads = backward_batch(trace, params, d_logits, out=params.layout.zeros())
     for _, t in grads.named_tensors():
         assert np.all(t == 0.0)
 
@@ -344,13 +347,14 @@ def test_batched_backward_matches_per_example_sum():
         col = columnar(examples, SCHEMA)
         probs, _, trace = ops.forward_batch(col, params)
         d_logits = (probs - labels) / len(examples)
-        batch_grads = dict(ops.backward_batch(trace, params, d_logits).named_tensors())
+        batch_grads = dict(ops.backward_batch(trace, params, d_logits,
+                                              out=params.layout.zeros()).named_tensors())
 
         totals = {name: np.zeros_like(t) for name, t in params.named_tensors()}
         for b in range(len(examples)):
             one = col.take([b])
             p, _, tr = ops.forward_batch(one, params)
-            frag = ops.backward_batch(tr, params, p - one.labels)
+            frag = ops.backward_batch(tr, params, p - one.labels, out=params.layout.zeros())
             for name, t in frag.named_tensors():
                 totals[name] += t / len(examples)
         for name in totals:
@@ -374,7 +378,8 @@ def test_deep_mlp_matches_einsum_oracle_at_training_shape():
     d_logits = Rng(36).normal((B,))
 
     logits, trace = deep_forward_batch(acts, params)
-    grads, d_acts = deep_backward_batch(trace, params, d_logits)
+    grads = nan_like(params)
+    d_acts = deep_backward_batch(trace, params, d_logits, out=grads)
 
     a, inputs, pres = acts, [], []
     for w, b in params.layers:
@@ -428,7 +433,8 @@ def test_training_step_runs_without_einsum(monkeypatch):
         ops = ops_for(kind)
         params = ops.init(MIXED, 4, Rng(38), **kwargs)
         probs, _, trace = ops.forward_batch(col, params)
-        grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels))
+        grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels),
+                                   out=params.layout.zeros())
         assert all(np.all(np.isfinite(t)) for _, t in grads.named_tensors())
 
 
@@ -444,7 +450,8 @@ def test_gradient_layout_matches_parameters(kind, kwargs):
     ops = ops_for(kind)
     params = ops.init(MIXED, 4, Rng(40), **kwargs)
     probs, _, trace = ops.forward_batch(col, params)
-    grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels))
+    grads = ops.backward_batch(trace, params, logloss_d_logits(probs, col.labels),
+                               out=params.layout.zeros())
     layout = [(name, t.shape) for name, t in params.named_tensors()]
     assert [(name, g.shape) for name, g in grads.named_tensors()] == layout
     for (_, p), (name, g) in zip(params.named_tensors(), grads.named_tensors()):

@@ -227,7 +227,7 @@ def test_frozen_batch_loss_decreases_over_first_steps():
             probs, _, trace = ops.forward_batch(col, state.params)
             losses.append(logloss(probs, col.labels))
             d_logits = (probs - col.labels) / col.n
-            grads = ops.backward_batch(trace, state.params, d_logits)
+            grads = ops.backward_batch(trace, state.params, d_logits, out=state.grads)
             clip_gradients(grads, config.clip_norm)
             adam_update(state, grads, config)
         if all(losses[i + 1] < losses[i] for i in range(5)):
@@ -378,15 +378,15 @@ def test_parameters_gradients_moments_and_snapshots_share_one_layout(monkeypatch
     assert state.best.epoch == 1 and snapshot.tobytes() == at_eval[0].tobytes()
     assert not np.shares_memory(snapshot, state.params.flat)
     assert snapshot.tobytes() != state.params.flat.tobytes()
-    # a backward without `out` fills a fresh container; with a dirty one, overwrites all of it
+    # a backward overwrites all of a dirty reused container: the bits it writes into zeros
     col = columnar(examples[:12], schema)
     probs, _, trace = ops.forward_batch(col, state.params)
     d_logits = logloss_d_logits(probs, col.labels)
-    fresh = ops.backward_batch(trace, state.params, d_logits)
-    assert _placement(fresh) == layout and not np.shares_memory(fresh.flat, state.grads.flat)
+    clean = state.params.layout.zeros()
+    assert ops.backward_batch(trace, state.params, d_logits, out=clean) is clean
     state.grads.flat[...] = np.nan
     assert ops.backward_batch(trace, state.params, d_logits, out=state.grads) is state.grads
-    assert state.grads.flat.tobytes() == fresh.flat.tobytes()
+    assert state.grads.flat.tobytes() == clean.flat.tobytes()
 
 
 @st.composite
