@@ -289,13 +289,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = load_cache(args.cache)
+    part = "validation" if args.split == "val" else "test"
+    dataset = load_cache(args.cache, splits=(part,))
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.schema_hash != dataset.schema.hash_hex():
         raise CacheError(f"schema mismatch: checkpoint {ckpt.schema_hash[:12]} vs cache "
                          f"{dataset.schema.hash_hex()[:12]}")
     ops, params = rebuild_params(ckpt, dataset.schema)
-    rows = dataset.split.validation if args.split == "val" else dataset.split.test
+    rows = getattr(dataset.split, part)
     try:
         report = evaluate(ops, params, rows, dataset.schema, tag=args.split)
     except DivergenceError as exc:

@@ -158,7 +158,7 @@ class Columnar:
     @staticmethod
     def from_examples(rows, schema: FeatureSchema) -> "Columnar":
         """`rows` itself, once it passes the one check of a split against
-        `schema`: `load_cache` runs it on each split it reads, and
+        `schema`: `load_cache` runs it on each split it decodes, and
         `save_cache`, `fit`, `sweep` and `evaluate` on each split they take.
 
         `rows` is a Columnar of an integer `n` rows, with one column of its
@@ -800,28 +800,39 @@ def _column_payloads(col: Columnar):
     yield _int_bytes(col.labels, "u1")
 
 
-def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str, n: int) -> Columnar:
-    """One split's `n` rows, as stored.  Every length is checked before
-    anything is allocated; the values are `Columnar.from_examples`'s to check."""
-    cols = []
+def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str, n: int,
+                    decode: bool) -> Columnar | None:
+    """One split's `n` rows, as stored, or None when not `decode`.  Either
+    way every section's length and SHA-256 is checked, and a multi-valued
+    field's offsets must rise from 0 to its values section's length, before
+    anything is allocated.  A decoded split's values are
+    `Columnar.from_examples`'s to check."""
+    stored = []
     for spec in schema.fields:
         name = f"{part} {spec.name}"
-        if spec.kind == CATEGORICAL:
-            cols.append(FieldColumn(kind=spec.kind, idx=rd.array(name, "<u4", n).astype(np.int64)))
-        elif spec.kind == MULTI_CATEGORICAL:
+        if spec.kind == MULTI_CATEGORICAL:
             offsets = rd.array(f"{name} offsets", "<u8", n + 1)
             if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
                 raise rd.error(f"the {name} offsets do not rise from 0")
-            values = rd.array(f"{name} values", "<u4", int(offsets[-1]))
+            stored.append((offsets, rd.array(f"{name} values", "<u4", int(offsets[-1]))))
+        else:
+            stored.append(rd.array(name, "<u4" if spec.kind == CATEGORICAL else "<f8", n))
+    labels = rd.array(f"{part} labels", "u1", n)
+    if not decode:
+        return None
+    cols = []
+    for spec, column in zip(schema.fields, stored):
+        if spec.kind == CATEGORICAL:
+            cols.append(FieldColumn(kind=spec.kind, idx=column.astype(np.int64)))
+        elif spec.kind == MULTI_CATEGORICAL:
+            offsets, values = column
             counts = np.diff(offsets.astype(np.int64))
             padded = np.zeros((n, int(counts.max()) if n else 1), dtype=np.int64)
             padded[np.arange(padded.shape[1]) < counts[:, None]] = values
             cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
         else:
-            vals = rd.array(name, "<f8", n).astype(np.float64)
-            cols.append(FieldColumn(kind=spec.kind, vals=vals))
-    labels = rd.array(f"{part} labels", "u1", n).astype(np.float64)
-    col = Columnar(fields=cols, labels=labels, n=n)
+            cols.append(FieldColumn(kind=spec.kind, vals=column.astype(np.float64)))
+    col = Columnar(fields=cols, labels=labels.astype(np.float64), n=n)
     try:
         return Columnar.from_examples(col, schema)
     except EncodingError as exc:
@@ -844,12 +855,19 @@ def save_cache(path, cached: CachedDataset):
                chain.from_iterable(map(_column_payloads, parts)))
 
 
-def load_cache(path) -> CachedDataset:
+_SPLITS = ("train", "validation", "test")
+
+
+def load_cache(path, splits=_SPLITS) -> CachedDataset:
+    """The cache at `path`, with the splits named in `splits` decoded and the
+    others None.  Every byte of the file is checked either way: the header,
+    and each section's length and SHA-256 (see `_unpack_columns`); a trailing
+    byte is a CacheError.  Each decoded split passes `Columnar.from_examples`."""
     header, rd = read_file(path, CACHE_MAGIC, CACHE_VERSION, "cache", "re-run prepare")
     check_header(rd, header, _CACHE_HEADER)
     schema = FeatureSchema.from_dict(header["schema"])
-    parts = [_unpack_columns(rd, schema, part, n)
-             for part, n in zip(("train", "validation", "test"), header["rows"])]
+    parts = [_unpack_columns(rd, schema, part, n, part in splits)
+             for part, n in zip(_SPLITS, header["rows"])]
     rd.end()
     split_ = DatasetSplit(train=parts[0], validation=parts[1], test=parts[2],
                           seed=header["seed"], ratios=tuple(header["ratios"]))

@@ -85,14 +85,35 @@ def rewrite_file(blob: bytes, edit) -> bytes:
 _STORED = {CATEGORICAL: ("<u4",), MULTI_CATEGORICAL: ("<u8", "<u4"), CONTINUOUS: ("<f8",)}
 
 
+def _split_dtypes(header) -> list:
+    """The stored dtypes of each column of one cache split, the labels last."""
+    return [_STORED[f["kind"]] for f in header["schema"]["fields"]] + [("u1",)]
+
+
+def _first_section(header, part: str) -> int:
+    """The index, among a cache's array sections, of split `part`'s first one."""
+    return ("train", "validation", "test").index(part) * sum(map(len, _split_dtypes(header)))
+
+
+def split_bytes(blob: bytes, part: str) -> tuple:
+    """The [start, end) byte offsets of split `part`'s sections, length
+    prefixes and digests included, in a cache `blob`."""
+    head, payloads = _sections(blob)
+    header = json.loads(payloads[0])
+    first = 1 + _first_section(header, part)
+    last = first + sum(map(len, _split_dtypes(header)))
+    start = len(head) + sum(8 + len(p) + 32 for p in payloads[:first])
+    return start, start + sum(8 + len(p) + 32 for p in payloads[first:last])
+
+
 def rewrite_split(blob: bytes, part: str, edit) -> bytes:
     """A cache `blob` after `edit(columns)` changes the stored arrays of split
     `part`, every checksum fresh.  `columns` holds a list of writable arrays
     per field (a multi-valued field's offsets and values), then [labels]; an
     entry may be replaced by an array of another length."""
     def apply(header, arrays):
-        dtypes = [_STORED[f["kind"]] for f in header["schema"]["fields"]] + [("u1",)]
-        start = ("train", "validation", "test").index(part) * sum(map(len, dtypes))
+        dtypes = _split_dtypes(header)
+        start = _first_section(header, part)
         pos, columns = start, []
         for kinds in dtypes:
             columns.append([np.frombuffer(arrays[pos + k], dt).copy() for k, dt in enumerate(kinds)])

@@ -22,7 +22,7 @@ from arec.numerics import one_blas_thread
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import corruptions, field_named, rewrite_file, rewrite_split
+from helpers import corruptions, field_named, rewrite_file, rewrite_split, split_bytes
 from oracle import split
 
 
@@ -831,11 +831,20 @@ def test_train_rejects_cache_with_unembeddable_row(workdir, ml_cache, tmp_path, 
     assert code == 2
     assert f"field {i}:" in captured.err and "Traceback" not in captured.err
 
-    # the cache is refused before any checkpoint is read
-    code = cli.main(["eval", "--cache", str(bad), "--ckpt", str(tmp_path / "none.ckpt")])
+    # eval decodes only the split it scores, so it gets past this cache to
+    # the checkpoint, which is missing
+    missing = tmp_path / "none.ckpt"
+    code = cli.main(["eval", "--cache", str(bad), "--ckpt", str(missing)])
     captured = capsys.readouterr()
     assert code == 2
-    assert f"field {i}:" in captured.err and "Traceback" not in captured.err
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    # the same row in the test split is refused before any checkpoint is read
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), "test", edit))
+    code = cli.main(["eval", "--cache", str(bad), "--ckpt", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"the test split: field {i}:" in captured.err and "Traceback" not in captured.err
 
 
 def test_train_rejects_cache_with_empty_train_split(ml_cache, tmp_path, capsys):
@@ -946,6 +955,103 @@ def test_multi_valued_offsets_that_do_not_rise_from_zero_are_an_input_error(
         assert "the test genres offsets do not rise from 0" in captured.err
         assert "Traceback" not in captured.err
     assert not (tmp_path / "offsets.ckpt").exists()
+
+
+# `eval --split` names a split as the cache header does
+SPLIT_OF = {"val": "validation", "test": "test"}
+UNSCORED = [(scored, other) for scored in SPLIT_OF
+            for other in ("train", "validation", "test") if other != SPLIT_OF[scored]]
+
+
+# the field whose value rule each breach breaks; a label breach names no field
+BREACHES = {"index": "movie_id", "set": "genres", "value": "timestamp", "label": None}
+
+
+def _breach(cache, kind):
+    """An edit of a stored split of `cache` that breaks one value rule of
+    `Columnar.from_examples` in its first row, and what the refusal names."""
+    fields = load_cache(str(cache)).schema.fields
+    i = [f.name for f in fields].index(BREACHES[kind]) if BREACHES[kind] else -1  # -1: labels
+
+    def edit(columns):
+        if kind == "index":
+            columns[i][0][0] = fields[i].cardinality
+        elif kind == "set":  # the first row's indices become [3, 1]
+            offsets, values = columns[i]
+            columns[i][1] = np.concatenate([np.array([3, 1], "<u4"), values[offsets[1]:]])
+            shifted = offsets.astype(np.int64)
+            shifted[1:] += 2 - shifted[1]
+            columns[i][0] = shifted.astype("<u8")
+        else:  # a continuous value or a label
+            columns[i][0][0] = 7
+
+    return edit, "label 7" if kind == "label" else f"field {i}:"
+
+
+@pytest.mark.parametrize("kind", BREACHES)
+@pytest.mark.parametrize("scored", list(SPLIT_OF))
+def test_eval_refuses_a_value_rule_breach_in_the_split_it_scores(ml_cache, tmp_path, capsys,
+                                                                  scored, kind):
+    edit, named = _breach(ml_cache, kind)
+    bad = tmp_path / "breach.cache"
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), SPLIT_OF[scored], edit))
+    # the checkpoint does not exist: the cache is refused before it is read
+    code = cli.main(["eval", "--cache", str(bad), "--ckpt", str(tmp_path / "none.ckpt"),
+                     "--split", scored])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: the {SPLIT_OF[scored]} split: {named}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", BREACHES)
+@pytest.mark.parametrize("scored, other", UNSCORED)
+def test_eval_of_a_split_ignores_a_value_rule_breach_in_another(ml_cache, ours_ckpt, tmp_path,
+                                                                 capsys, scored, other, kind):
+    argv = ["--ckpt", str(ours_ckpt), "--split", scored]
+    assert cli.main(["eval", "--cache", str(ml_cache), *argv]) == 0
+    clean = capsys.readouterr()
+    bad = tmp_path / "breach.cache"
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), other, _breach(ml_cache, kind)[0]))
+    assert cli.main(["eval", "--cache", str(bad), *argv]) == 0
+    assert capsys.readouterr() == clean
+
+
+@pytest.mark.parametrize("scored, other", UNSCORED)
+@DAMAGE
+@given(data=st.data())
+def test_eval_refuses_a_damaged_byte_in_a_split_it_does_not_score(tmp_path_factory, ml_cache,
+                                                                   ours_ckpt, scored, other, data):
+    blob = ml_cache.read_bytes()
+    start, end = split_bytes(blob, other)
+    bad = tmp_path_factory.getbasetemp() / "damaged_split.cache"
+    bad.write_bytes(blob[:start] + data.draw(corruptions(blob[start:end])) + blob[end:])
+    code, err = _run_quietly(["eval", "--cache", str(bad), "--ckpt", str(ours_ckpt),
+                              "--split", scored])
+    assert code == 2
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section", ["movie_id", "genres offsets", "genres values",
+                                     "timestamp", "labels"])
+@pytest.mark.parametrize("scored, other", UNSCORED)
+def test_eval_refuses_a_section_length_mismatch_in_a_split_it_does_not_score(
+        ml_cache, ours_ckpt, tmp_path, capsys, scored, other, section):
+    names = [f.name for f in load_cache(str(ml_cache)).schema.fields]
+    field, _, part = section.partition(" ")
+    column = -1 if field == "labels" else names.index(field)
+    k = int(part == "values")  # a multi-valued field stores its offsets, then its values
+
+    def edit(columns):  # one value short, every checksum right
+        columns[column][k] = columns[column][k][:-1]
+
+    bad = tmp_path / "short.cache"
+    bad.write_bytes(rewrite_split(ml_cache.read_bytes(), other, edit))
+    code = cli.main(["eval", "--cache", str(bad), "--ckpt", str(ours_ckpt), "--split", scored])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: the {other} {section} section of the cache "
+                                   f"holds ")
 
 
 def test_divergence_names_the_first_non_finite_tensor(ml_cache, tmp_path, monkeypatch,

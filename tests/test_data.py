@@ -466,6 +466,22 @@ def test_loaded_columns_equal_the_encoded_rows(ml_files, tmp_path):
         assert_columns_equal(got, columnar(want, schema))
 
 
+@pytest.mark.parametrize("splits", [(), ("train",), ("validation",), ("test",),
+                                    ("validation", "test")])
+def test_load_cache_decodes_only_the_named_splits(ml_files, tmp_path, splits):
+    path = tmp_path / "data.cache"
+    save_cache(str(path), prepare_dataset(parse_fixture(ml_files), ratios=(0.6, 0.2, 0.2),
+                                          seed=4, tag="t"))
+    full, some = load_cache(str(path)), load_cache(str(path), splits=splits)
+    assert (some.schema.to_json(), some.tag) == (full.schema.to_json(), full.tag)
+    assert (some.split.seed, some.split.ratios) == (full.split.seed, full.split.ratios)
+    for part in ("train", "validation", "test"):
+        if part in splits:
+            assert_columns_equal(getattr(some.split, part), getattr(full.split, part))
+        else:
+            assert getattr(some.split, part) is None
+
+
 def test_cache_write_is_deterministic(ml_files, tmp_path):
     dataset = prepare_dataset(parse_fixture(ml_files), ratios=(0.8, 0.1, 0.1), seed=5,
                               tag="fixture")

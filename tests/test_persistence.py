@@ -29,7 +29,8 @@ from arec.numerics import Rng
 from arec.training import BestSnapshot, TrainConfig, init_state
 
 import mlsynth
-from helpers import assert_columns_equal, encoded_rows, header_end, records_of, rewrite_file
+from helpers import (assert_columns_equal, corruptions, encoded_rows, header_end, records_of,
+                     rewrite_file)
 from oracle import columnar
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -165,6 +166,18 @@ def test_single_byte_corruption_is_a_cache_error(workdir, files, kind, data):
     # every byte after the version is under a SHA-256; the magic and version are tested
     with pytest.raises(CacheError):
         load(str(path))
+
+
+@PROPS
+@given(data=st.data())
+def test_a_damaged_cache_is_a_cache_error_whichever_splits_are_decoded(workdir, files, data):
+    _, blob, _ = files["cache"]
+    path = workdir / "damaged.cache"
+    path.write_bytes(data.draw(corruptions(blob), label="blob"))
+    splits = data.draw(st.lists(st.sampled_from(("train", "validation", "test")), unique=True,
+                                max_size=2), label="splits")
+    with pytest.raises(CacheError):
+        load_cache(str(path), splits=tuple(splits))
 
 
 def test_huge_row_count_is_a_cache_error_before_any_allocation(workdir, files):
