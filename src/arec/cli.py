@@ -13,7 +13,8 @@ They hold the model only; no command resumes training, so no optimizer state
 is saved.  A truncated or corrupt file, an older version, or a header field
 of the wrong type or range (config keys included) is a CacheError.
 
-Exit codes: 0 success, 2 input or config error, 3 numeric divergence.
+Exit codes: 0 success, 2 input or config error (a `data.InputError` or an
+OSError), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ import sys
 from .data import (
     CacheError,
     ConfigError,
-    DomainError,
-    EncodingError,
-    ParseError,
-    ReferentialError,
+    InputError,
     check_header,
     load_cache,
     parse_amazon,
@@ -42,7 +40,7 @@ from .data import (
     write_file,
 )
 from .losses import load_modality_features
-from .metrics import EVAL_CSV_HEADER, MetricUndefinedError, evaluate
+from .metrics import EVAL_CSV_HEADER, evaluate
 from .model import MODEL_KINDS, ops_for
 from .training import (
     BestSnapshot,
@@ -57,17 +55,6 @@ from .training import (
 
 CKPT_MAGIC = b"ARECKPT1"
 CKPT_VERSION = 2
-
-_INPUT_ERRORS = (
-    ParseError,
-    ReferentialError,
-    DomainError,
-    ConfigError,
-    EncodingError,
-    CacheError,
-    MetricUndefinedError,
-    OSError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

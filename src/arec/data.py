@@ -32,27 +32,31 @@ CACHE_MAGIC = b"AREC1"
 CACHE_VERSION = 3
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """A bad input file, config or argument: what `arec` reports with exit code 2."""
+
+
+class ParseError(InputError):
     """Malformed input file; message carries file and line number."""
 
 
-class ReferentialError(ValueError):
+class ReferentialError(InputError):
     """A rating refers to a user or item missing from the side files."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """A value outside its documented domain."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Invalid configuration (ratios, dims, key=value files)."""
 
 
-class EncodingError(ValueError):
+class EncodingError(InputError):
     """A split does not pass `Columnar.from_examples`, the check against its schema."""
 
 
-class CacheError(ValueError):
+class CacheError(InputError):
     """Corrupt or mismatched dataset cache or checkpoint file."""
 
 

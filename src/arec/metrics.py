@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Columnar, DomainError
+from .data import Columnar, DomainError, InputError
 from .losses import logloss
 from .numerics import one_blas_thread
 
@@ -29,7 +29,7 @@ _CHUNK_BYTES = 1 << 19
 _CHUNK_QUANTUM = 32
 
 
-class MetricUndefinedError(ValueError):
+class MetricUndefinedError(InputError):
     """Raised when a metric has no defined value, e.g. AUC on one class."""
 
 

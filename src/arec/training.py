@@ -145,23 +145,19 @@ class BestSnapshot:
     val_logloss: float
 
 
-# floats in each slice of Adam's last pass: 256 KiB of scratch, not a whole buffer
-_STEP_CHUNK = 1 << 15
-
-
 @dataclass
 class TrainState:
-    """A fit's state.  `grads`, which every step overwrites, and Adam's moments
-    `m` and `v` are containers of the parameters' layout; `m`, `v` and Adam's
-    `scratch` are the rows of one calloc'd block, whose pages the first step
-    touches, not the set-up.  `step` is the scratch of Adam's sliced last pass."""
+    """A fit's state.  `grads`, which every backward overwrites and Adam then
+    leaves holding the step it applied, and Adam's moments `m` and `v` are
+    containers of the parameters' layout; `m`, `v` and Adam's `scratch` row
+    are the rows of one calloc'd block, whose pages the first step touches,
+    not the set-up."""
 
     params: object
     grads: object
     m: object
     v: object
     scratch: np.ndarray
-    step: np.ndarray
     t: int = 0
     epoch: int = 0
     rng: Rng = None
@@ -176,28 +172,23 @@ def init_state(ops: ModelOps, schema: FeatureSchema, config: TrainConfig) -> Tra
     layout = params.layout
     rows = np.zeros((3, layout.size))
     return TrainState(params=params, grads=layout.zeros(), m=layout.bind(rows[0]),
-                      v=layout.bind(rows[1]), scratch=rows[2],
-                      step=np.empty(min(layout.size, _STEP_CHUNK)), rng=rng.child(2))
+                      v=layout.bind(rows[1]), scratch=rows[2], rng=rng.child(2))
 
 
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale all gradient tensors so their global norm is at most max_norm."""
     tensors = [g for _, g in grads.named_tensors()]
-    # every square goes to one reused contiguous buffer, whose reduction
-    # adds in the same pairwise order as np.sum(g * g)
-    buf = np.empty(max(g.size for g in tensors))
+    # per tensor, in the same pairwise order as np.sum(g * g)
     total = 0.0
     for g in tensors:
-        sq = np.square(g, out=buf[: g.size].reshape(g.shape))
-        total += float(np.add.reduce(sq, axis=None))
+        total += float(np.add.reduce(np.square(g), axis=None))
     norm = float(np.sqrt(total))
     if not math.isfinite(total) and all(np.isfinite(g).all() for g in tensors):
         # the squares overflowed: take the norm of the gradients over their peak
         peak = max(float(np.max(np.abs(g), initial=0.0)) for g in tensors)
         total = 0.0
         for g in tensors:
-            sq = np.divide(g, peak, out=buf[: g.size].reshape(g.shape))
-            total += float(np.add.reduce(np.square(sq, out=sq), axis=None))
+            total += float(np.add.reduce(np.square(g / peak), axis=None))
         norm = peak * float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -210,32 +201,32 @@ def adam_update(state: TrainState, grads, config: TrainConfig):
     """One Adam step over the flat buffers of `grads`, the parameters and the
     state.  Each element gets the arithmetic, in the order, of the per-tensor
     form: `m = b1 m + (1-b1) g`, `v = b2 v + ((1-b2) g) g`,
-    `p -= lr (m / corr1) / (sqrt(v / corr2) + eps)`."""
+    `p -= lr (m / corr1) / (sqrt(v / corr2) + eps)`.  The step is staged in
+    the gradient buffer, so `grads` leaves holding the step applied to each
+    parameter."""
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    m, v, g, step = state.m.flat, state.v.flat, state.scratch, state.step
-    grad, params = grads.flat, state.params.flat
-    np.multiply(grad, 1.0 - b1, out=g)
+    m, v, s = state.m.flat, state.v.flat, state.scratch
+    g, params = grads.flat, state.params.flat
+    # v first, while the gradient is whole
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v *= b2
+    v += s
+    g *= 1.0 - b1
     m *= b1
     m += g
-    np.multiply(grad, 1.0 - b2, out=g)
-    g *= grad
-    v *= b2
-    v += g
-    # the scratch takes the denominator, and `step` each slice of the update
-    np.divide(v, corr2, out=g)
-    np.sqrt(g, out=g)
-    g += config.epsilon
-    for lo in range(0, params.size, step.size):
-        hi = min(lo + step.size, params.size)
-        part = step[: hi - lo]
-        np.divide(m[lo:hi], corr1, out=part)
-        np.multiply(config.learning_rate, part, out=part)
-        part /= g[lo:hi]
-        params[lo:hi] -= part
+    # the scratch takes the denominator, and the gradient buffer the step
+    np.divide(v, corr2, out=s)
+    np.sqrt(s, out=s)
+    s += config.epsilon
+    np.divide(m, corr1, out=g)
+    np.multiply(config.learning_rate, g, out=g)
+    g /= s
+    params -= g
 
 
 # ---------------------------------------------------------------------------

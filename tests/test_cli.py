@@ -14,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from arec import cli, metrics, training
-from arec.data import (CacheError, EncodingError, ParseError, load_cache, parse_amazon, save_cache,
-                       write_section)
+from arec.data import (CacheError, EncodingError, InputError, ParseError, load_cache, parse_amazon,
+                       save_cache, write_section)
 from arec.losses import save_modality_features, synthesize_modality_features
 from arec.model import ops_for
 from arec.numerics import one_blas_thread
@@ -777,6 +777,21 @@ def test_bad_setting_exits_two_without_traceback(workdir, ml_cache, capsys, sett
     assert "error:" in captured.err and "Traceback" not in captured.err
     assert setting.split("=")[0] in captured.err
     assert not (workdir / "bad.ckpt").exists()
+
+
+def test_any_input_error_exits_two_with_one_line(ml_cache, tmp_path, monkeypatch, capsys):
+    class UnheardOfError(InputError):
+        """An input error that no command names."""
+
+    def refuse(*args, **kwargs):
+        raise UnheardOfError("a kind of bad input the commands never name")
+
+    monkeypatch.setattr(cli, "load_cache", refuse)
+    code = cli.main(["train", "--cache", str(ml_cache), "--out", str(tmp_path / "x.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a kind of bad input the commands never name\n"
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_sweep_validates_every_dim_before_training(workdir, ml_cache, capsys):

@@ -11,10 +11,14 @@ Likewise every field of a dataclass defined there is read somewhere in `src/`
 or `bench/`: as an attribute, or by a string equal to its name (a checkpoint
 header fills its dataclass by keyword).  A field that only its constructor
 writes is dead weight in every instance.
+
+And every module `src/arec` imports is the standard library, numpy or arec
+itself: numpy is the one dependency `pyproject.toml` declares.
 """
 
 import ast
 import pathlib
+import sys
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -80,3 +84,19 @@ def test_every_dataclass_field_in_src_arec_is_read_in_src_or_bench():
         and field.target.id not in read
     ]
     assert not dead, "dataclass fields in src/arec read nowhere in src/ or bench/: " + ", ".join(dead)
+
+
+def test_src_arec_imports_only_the_standard_library_numpy_and_arec():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "arec"}
+    foreign = []
+    for path, tree in _trees("src/arec"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.relative_to(ROOT)}:{node.lineno} {module}"
+                        for module in modules if module.split(".")[0] not in allowed]
+    assert not foreign, "src/arec imports outside the standard library and numpy: " + ", ".join(foreign)

@@ -304,17 +304,13 @@ each_model = pytest.mark.parametrize("kind,kwargs", MODEL_CASES, ids=[
 ])
 
 
-@pytest.mark.parametrize("chunk", [training._STEP_CHUNK, 7])
 @each_model
-def test_arena_adam_matches_the_per_tensor_formula(monkeypatch, kind, kwargs, chunk):
-    # a chunk of 7 floats runs the last Adam pass in many slices
-    monkeypatch.setattr(training, "_STEP_CHUNK", chunk)
+def test_arena_adam_matches_the_per_tensor_formula(kind, kwargs):
     schema = make_schema([("user_id", "categorical", 5), ("item_id", "categorical", 6),
                           ("tags", "multi_categorical", 4), ("age", "continuous", (0.0, 1.0))])
     ops = ops_for(kind)
     config = tiny_config(learning_rate=0.01, **kwargs)
     state = init_state(ops, schema, config)
-    assert state.step.size == min(chunk, state.params.flat.size)
     params = snapshot_tensors(state.params)
     m = {name: np.zeros_like(t) for name, t in params.items()}
     v = {name: np.zeros_like(t) for name, t in params.items()}
@@ -329,10 +325,15 @@ def test_arena_adam_matches_the_per_tensor_formula(monkeypatch, kind, kwargs, ch
         adam_step(params, m, v, dict(grads.named_tensors()), step, config)
         adam_update(state, grads, config)
         state_m, state_v = dict(state.m.named_tensors()), dict(state.v.named_tensors())
+        applied = dict(grads.named_tensors())  # Adam leaves its step in the gradients
+        corr1, corr2 = 1.0 - config.beta1**step, 1.0 - config.beta2**step
         for name, t in state.params.named_tensors():
             assert t.tobytes() == params[name].tobytes(), (step, name)
             assert state_m[name].tobytes() == m[name].tobytes(), (step, name)
             assert state_v[name].tobytes() == v[name].tobytes(), (step, name)
+            want = config.learning_rate * (m[name] / corr1) / (
+                np.sqrt(v[name] / corr2) + config.epsilon)
+            assert applied[name].tobytes() == want.tobytes(), (step, name)
 
 
 def _placement(container):
