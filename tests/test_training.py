@@ -336,6 +336,33 @@ def test_arena_adam_matches_the_per_tensor_formula(kind, kwargs):
             assert applied[name].tobytes() == want.tobytes(), (step, name)
 
 
+@each_model
+def test_clip_gradients_scales_every_view_of_the_arena_by_one_factor(kind, kwargs):
+    schema = make_schema([("user_id", "categorical", 5), ("item_id", "categorical", 6),
+                          ("tags", "multi_categorical", 4), ("age", "continuous", (0.0, 1.0))])
+    config = tiny_config(**kwargs)
+    grads = ops_for(kind).init(schema, config.dim, Rng(5), **config.model_kwargs())
+    gen = np.random.default_rng(29)
+    for _, g in grads.named_tensors():
+        g[...] = gen.standard_normal(g.shape) * 10.0 ** gen.uniform(-6, 2, g.shape)
+    before = snapshot_tensors(grads)
+    total = 0.0
+    for t in before.values():
+        total += float(np.sum(t * t))
+    norm = float(np.sqrt(total))
+    # over the threshold: every view, in place in the one buffer, scaled alike
+    assert clip_gradients(grads, norm / 4) == norm
+    scale = (norm / 4) / norm
+    for name, g in grads.named_tensors():
+        assert np.shares_memory(g, grads.flat), name
+        assert g.tobytes() == (before[name] * scale).tobytes(), name
+    # under the threshold: untouched
+    clipped = snapshot_tensors(grads)
+    clip_gradients(grads, 2 * norm)
+    for name, g in grads.named_tensors():
+        assert g.tobytes() == clipped[name].tobytes(), name
+
+
 def _placement(container):
     """(name, shape, strides, byte offset in the container's flat buffer) of
     each named tensor, every one a view of that buffer."""
