@@ -6,12 +6,15 @@ key=value file and of `--set`, each value parsed by the field's type, and
 `validate()` rejects any out-of-range value before training starts.
 
 Checkpoints have the dataset cache's layout (`data.write_file` and
-`data.read_file`): the magic "ARECKPT1", the u32 version 2, a JSON header
-section with the model kind, config, schema hash, best-epoch metrics and
-each tensor's name and shape, then one `<f8` section per parameter tensor.
-They hold the model only; no command resumes training, so no optimizer state
-is saved.  A truncated or corrupt file, an older version, or a header field
-of the wrong type or range (config keys included) is a CacheError.
+`data.read_file`): the magic "ARECKPT1", the u32 version 3, a JSON header
+section with the model kind, config, schema hash and best-epoch metrics,
+then one `<f8` section holding the best parameters' flat buffer in layout
+order.  The kind, the config and the schema decide that layout, so a change
+to the order in which a model's `build` takes its blocks needs a new
+version.  They hold the model only; no command resumes training, so no
+optimizer state is saved.  A truncated or corrupt file, an older version, a
+header field of the wrong type or range (config keys included), or a buffer
+whose length the model does not fit is a CacheError.
 
 Exit codes: 0 success, 2 input or config error (a `data.InputError` or an
 OSError), 3 numeric divergence.
@@ -22,9 +25,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
+
+import numpy as np
 
 from .data import (
     CacheError,
@@ -54,7 +58,7 @@ from .training import (
 )
 
 CKPT_MAGIC = b"ARECKPT1"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +115,7 @@ class Checkpoint:
     kind: str
     config: TrainConfig
     schema_hash: str
-    tensors: dict
+    flat: np.ndarray  # the parameters' buffer, in layout order
     best_epoch: int
     val_auc: float
     val_logloss: float
@@ -119,7 +123,6 @@ class Checkpoint:
 
 def save_checkpoint(path, kind: str, config: TrainConfig, schema_hash: str,
                     best: BestSnapshot) -> None:
-    named = list(best.params.named_tensors())
     header = {
         "kind": kind,
         "config": dataclasses.asdict(config),
@@ -127,23 +130,14 @@ def save_checkpoint(path, kind: str, config: TrainConfig, schema_hash: str,
         "best_epoch": best.epoch,
         "val_auc": best.val_auc,
         "val_logloss": best.val_logloss,
-        "tensors": [[name, list(t.shape)] for name, t in named],
     }
+    # a view of the buffer's bytes: a `tobytes()` copy would add the model's size to peak memory
     write_file(path, CKPT_MAGIC, CKPT_VERSION, header,
-               (t.astype("<f8", copy=False).tobytes() for _, t in named))
+               [memoryview(best.params.flat.astype("<f8", copy=False)).cast("B")])
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_tensor_list(entries) -> bool:
-    """`[[name, shape], ...]` with distinct names and non-negative integer dims."""
-    return isinstance(entries, list) and all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-        and isinstance(e[1], list) and all(type(d) is int and d >= 0 for d in e[1])
-        for e in entries
-    ) and len({e[0] for e in entries}) == len(entries)
 
 
 # every header field with the type and range that `save_checkpoint` writes
@@ -155,7 +149,6 @@ _HEADER_CHECKS = {
     "best_epoch": lambda epoch: type(epoch) is int,
     "val_auc": _is_number,
     "val_logloss": _is_number,
-    "tensors": _is_tensor_list,
 }
 
 
@@ -166,35 +159,23 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig.from_dict(header.pop("config")).validate()
     except ConfigError as exc:
         raise r.error(f"bad config in checkpoint: {exc}") from None
-    tensors = {}
-    for name, shape in header.pop("tensors"):
-        values = r.array(f"tensor {name}", "<f8", math.prod(shape))
-        try:
-            tensors[name] = values.reshape(shape)
-        except ValueError:
-            raise r.error(f"tensor {name} has an impossible shape {tuple(shape)}") from None
+    payload = r.section("parameters")
+    if len(payload) % 8:
+        raise r.error(f"the parameters section of the checkpoint holds {len(payload)} bytes, "
+                      "not a whole number of 8-byte values")
     r.end()
-    return Checkpoint(**header, config=config, tensors=tensors)
+    return Checkpoint(**header, config=config, flat=np.frombuffer(payload, dtype="<f8"))
 
 
 def rebuild_params(ckpt: Checkpoint, schema):
-    """Bind the model's layout to a zeroed buffer and copy every tensor in
-    from the checkpoint.  No random init is drawn."""
+    """Bind the model's layout to a zeroed buffer and copy the checkpoint's
+    buffer in.  No random init is drawn."""
     ops = ops_for(ckpt.kind)
     params = ops.init(schema, ckpt.config.dim, None, **ckpt.config.model_kwargs())
-    names = set(ckpt.tensors)
-    for name, tensor in params.named_tensors():
-        if name not in ckpt.tensors:
-            raise CacheError(f"checkpoint missing tensor {name}")
-        stored = ckpt.tensors[name]
-        if stored.shape != tensor.shape:
-            raise CacheError(
-                f"checkpoint tensor {name} has shape {stored.shape}, model expects {tensor.shape}"
-            )
-        tensor[...] = stored
-        names.discard(name)
-    if names:
-        raise CacheError(f"checkpoint holds unknown tensors: {sorted(names)}")
+    if ckpt.flat.size != params.flat.size:
+        raise CacheError(f"checkpoint holds {ckpt.flat.size} parameters, "
+                         f"its {ckpt.kind} model over this schema has {params.flat.size}")
+    params.flat[...] = ckpt.flat
     return ops, params
 
 

@@ -148,6 +148,12 @@ class FieldColumn:
     vals: np.ndarray = None       # (B,) float64, continuous
 
 
+def active_slots(counts: np.ndarray, width: int) -> np.ndarray:
+    """The (rows, width) mask of a multi-valued column's padded slots that
+    hold a value: each row's first `count` slots."""
+    return np.arange(width) < counts[:, None]
+
+
 @dataclass
 class Columnar:
     """Column-major rows: one FieldColumn per schema field, and float64 labels."""
@@ -660,10 +666,11 @@ class CachedDataset:
 class BinaryReader:
     """Little-endian reader over one cache or checkpoint file's bytes, framed
     by `write_section`.  A short read or a section whose SHA-256 or length
-    does not match is a CacheError naming the file."""
+    does not match is a CacheError naming the file.  What it returns are
+    views of the file's bytes, not copies."""
 
     def __init__(self, blob: bytes, path, what: str):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
         self.what = what
@@ -671,14 +678,14 @@ class BinaryReader:
     def error(self, message: str) -> CacheError:
         return CacheError(f"{self.path}: {message}")
 
-    def take_bytes(self, size: int) -> bytes:
+    def take_bytes(self, size: int) -> memoryview:
         if self.pos + size > len(self.blob):
             raise self.error(f"truncated {self.what}")
         chunk = self.blob[self.pos : self.pos + size]
         self.pos += size
         return chunk
 
-    def section(self, name: str) -> bytes:
+    def section(self, name: str) -> memoryview:
         """The bytes of a section: a u64 length, the bytes, then their SHA-256."""
         payload = self.take_bytes(int.from_bytes(self.take_bytes(8), "little"))
         if hashlib.sha256(payload).digest() != self.take_bytes(32):
@@ -738,7 +745,7 @@ def read_file(path, magic: bytes, version: int, what: str, remedy: str) -> tuple
         raise rd.error(f"{what} version {found} is not the supported version {version}; {remedy}")
     payload = rd.section("header")
     try:
-        return json.loads(payload), rd
+        return json.loads(bytes(payload)), rd
     except (ValueError, RecursionError) as exc:
         raise rd.error(f"bad JSON in {what} ({exc})") from None
 
@@ -796,7 +803,7 @@ def _column_payloads(col: Columnar):
         elif fc.kind == MULTI_CATEGORICAL:
             offsets = np.zeros(col.n + 1, dtype=np.int64)
             np.cumsum(fc.counts, out=offsets[1:])
-            active = np.arange(fc.padded.shape[1]) < fc.counts[:, None]
+            active = active_slots(fc.counts, fc.padded.shape[1])
             yield _int_bytes(offsets, "<u8")
             yield _int_bytes(fc.padded[active], "<u4")
         else:
@@ -832,7 +839,7 @@ def _unpack_columns(rd: BinaryReader, schema: FeatureSchema, part: str, n: int,
             offsets, values = column
             counts = np.diff(offsets.astype(np.int64))
             padded = np.zeros((n, int(counts.max()) if n else 1), dtype=np.int64)
-            padded[np.arange(padded.shape[1]) < counts[:, None]] = values
+            padded[active_slots(counts, padded.shape[1])] = values
             cols.append(FieldColumn(kind=spec.kind, padded=padded, counts=counts))
         else:
             cols.append(FieldColumn(kind=spec.kind, vals=column.astype(np.float64)))
@@ -895,7 +902,7 @@ def _encode_sets(spec: FieldSpec, sets: np.ndarray) -> tuple:
     encoded = [sorted({spec.index_of(v) for v in s}) or [0] for s in sets]
     counts = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     padded = np.zeros((len(encoded), int(counts.max())), dtype=np.int64)
-    padded[np.arange(padded.shape[1]) < counts[:, None]] = list(chain(*encoded))
+    padded[active_slots(counts, padded.shape[1])] = list(chain(*encoded))
     return padded, counts
 
 

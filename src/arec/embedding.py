@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, CONTINUOUS, MULTI_CATEGORICAL, Columnar, FeatureSchema
+from .data import (CATEGORICAL, CONTINUOUS, MULTI_CATEGORICAL, Columnar, FeatureSchema,
+                   active_slots)
 from .numerics import Tensor
 
 # Normal(0, 0.01): read as variance, i.e. std 0.1.
@@ -56,7 +57,7 @@ def embed_batch(col: Columnar, params: EmbeddingParams) -> Tensor:
             out[:, i, :] = table[fc.idx]
         elif fc.kind == MULTI_CATEGORICAL:
             gathered = table[fc.padded]  # (B, qmax, d)
-            mask = (np.arange(fc.padded.shape[1]) < fc.counts[:, None])[:, :, None]
+            mask = active_slots(fc.counts, fc.padded.shape[1])[:, :, None]
             out[:, i, :] = np.sum(gathered * mask, axis=1) / fc.counts[:, None]
         else:
             out[:, i, :] = fc.vals[:, None] * table[None, :]
@@ -73,9 +74,8 @@ def embed_batch_backward(col: Columnar, params: EmbeddingParams, upstream: Tenso
         if fc.kind == CATEGORICAL:
             _scatter_rows(table, fc.idx, g)
         elif fc.kind == MULTI_CATEGORICAL:
-            qmax = fc.padded.shape[1]
             share = g / fc.counts[:, None]  # (B, d)
-            mask = (np.arange(qmax) < fc.counts[:, None])[:, :, None]
+            mask = active_slots(fc.counts, fc.padded.shape[1])[:, :, None]
             contrib = share[:, None, :] * mask  # (B, qmax, d); padding rows add 0
             _scatter_rows(table, fc.padded.ravel(), contrib)
         else:

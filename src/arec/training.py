@@ -22,7 +22,8 @@ from .losses import (
     logloss_d_logits,
     similarity_loss,
 )
-from .metrics import DivergenceError, auc as compute_auc, evaluate, score_split
+from .metrics import (DivergenceError, MetricUndefinedError, auc as compute_auc, evaluate,
+                      score_split)
 from .model import MODES, ModelOps, ops_for
 from .numerics import Rng, one_blas_thread
 
@@ -408,12 +409,19 @@ def _eval_columnar(ops, params, col: Columnar):
 def fit(ops: ModelOps, schema: FeatureSchema, train: Columnar, validation: Columnar,
         config: TrainConfig, modality_table: ModalityTable = None) -> FitResult:
     """Train on the `train` split, scoring `validation` after each epoch; both
-    must pass `Columnar.from_examples`."""
+    must pass `Columnar.from_examples`, `train` must hold a row and
+    `validation` both labels, since its AUC picks the best epoch."""
     config.validate()
     train_col = Columnar.from_examples(train, schema)
     val_col = Columnar.from_examples(validation, schema)
     if not train_col.n:
         raise ConfigError("the train split is empty; there is nothing to train on")
+    n_pos = int(np.count_nonzero(val_col.labels))
+    if not 0 < n_pos < val_col.n:
+        raise MetricUndefinedError(
+            f"the validation split holds {n_pos} positives and {val_col.n - n_pos} negatives; "
+            "its AUC, which picks the best epoch, needs both"
+        )
     state = init_state(ops, schema, config)
     modality = None
     if modality_table is not None:

@@ -437,17 +437,19 @@ def test_train_with_modality_keys_that_match_no_item_exits_two(workdir, ml_cache
 # trained parameters of an `fm` train on it, and of its curve.  The file and
 # curve digests were recorded while the features were still held as one
 # object per item; the parameter digest (each tensor's name, then its `<f8`
-# bytes, in checkpoint order) was recorded from the version-1 checkpoint, so
-# it pins the trained values across the change of file format.  Movies 41-45
-# are not in the vocabulary, so the batcher's skip path is pinned too.
+# bytes, in `named_tensors()` order) was recorded from the version-1
+# checkpoint, so it pins the trained values across the changes of file
+# format.  Movies 41-45 are not in the vocabulary, so the batcher's skip path
+# is pinned too.
 GOLDEN_MODALITY = ("589e26954a22a7cb11a6c1d69f9604c6b75647aa33bb18a136475c193319f536",
                    "22d798f0583afe3177ee229d8ec65c391a63b3ebda2e3195c2b8f06d98935f47",
                    "ed020e91b3f8c82255daaa1c23a62d55d828c3a9c3f20010dc2cb50768ef93c3")
 
 
-def params_digest(path) -> str:
+def params_digest(path, schema) -> str:
     digest = hashlib.sha256()
-    for name, tensor in cli.load_checkpoint(str(path)).tensors.items():
+    _, params = cli.rebuild_params(cli.load_checkpoint(str(path)), schema)
+    for name, tensor in params.named_tensors():
         digest.update(name.encode("utf-8"))
         digest.update(tensor.astype("<f8").tobytes())
     return digest.hexdigest()
@@ -463,7 +465,8 @@ def test_modality_train_bytes_are_golden(ml_cache, tmp_path, monkeypatch, capsys
     assert code == 0
     file_digest = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("modality.txt", "golden.ckpt.curve.csv")]
-    got = (file_digest[0], params_digest(tmp_path / "golden.ckpt"), file_digest[1])
+    schema = load_cache(str(ml_cache)).schema
+    got = (file_digest[0], params_digest(tmp_path / "golden.ckpt", schema), file_digest[1])
     assert got == GOLDEN_MODALITY
 
 
@@ -875,6 +878,32 @@ def test_train_rejects_cache_with_empty_train_split(ml_cache, tmp_path, capsys):
     assert "train split is empty" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("keep", ["no-rows", "one-row", "positives-only", "negatives-only"])
+def test_train_rejects_a_validation_split_without_both_labels_before_training(
+        ml_cache, tmp_path, capsys, monkeypatch, keep):
+    dataset = load_cache(str(ml_cache))
+    labels = dataset.split.validation.labels
+    rows = {"no-rows": [], "one-row": [0], "positives-only": np.flatnonzero(labels == 1),
+            "negatives-only": np.flatnonzero(labels == 0)}[keep]
+    dataset.split.validation = dataset.split.validation.take(np.asarray(rows, dtype=np.int64))
+    n_pos = int(dataset.split.validation.labels.sum())
+    n_neg = dataset.split.validation.n - n_pos
+    bad = tmp_path / "val.cache"
+    save_cache(str(bad), dataset)
+
+    def no_epoch(*_args, **_kwargs):
+        raise AssertionError("train_epoch ran")
+
+    monkeypatch.setattr(training, "train_epoch", no_epoch)
+    ckpt = tmp_path / "val.ckpt"
+    code = cli.main(["train", "--cache", str(bad), "--model", "fm", "--out", str(ckpt),
+                     *TRAIN_SETTINGS])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not ckpt.exists()
+    assert captured.err == (f"error: the validation split holds {n_pos} positives and {n_neg} "
+                            "negatives; its AUC, which picks the best epoch, needs both\n")
+
+
 def test_cache_with_label_outside_zero_one_is_an_input_error(ml_cache, tmp_path, capsys):
     dataset = load_cache(str(ml_cache))
     dataset.split.train.labels[0] = 7
@@ -1179,18 +1208,29 @@ def test_version_one_cache_exits_two_asking_for_prepare(ml_cache, tmp_path, caps
             assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_version_one_checkpoint_exits_two_asking_for_retrain(ml_cache, tmp_path, capsys):
+def test_version_one_and_two_checkpoints_exit_two_asking_for_retrain(ml_cache, ours_ckpt,
+                                                                      tmp_path, capsys):
     # the version-1 layout: schema hash, then length-prefixed header JSON
     header = json.dumps({"kind": "fm", "config": {}}).encode("utf-8")
-    old = tmp_path / "v1.ckpt"
-    old.write_bytes(cli.CKPT_MAGIC + struct.pack("<I", 1)
-                    + bytes.fromhex(load_cache(str(ml_cache)).schema.hash_hex())
-                    + struct.pack("<Q", len(header)) + header)
-    code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(old)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert str(old) in captured.err and "re-run train" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    v1 = (cli.CKPT_MAGIC + struct.pack("<I", 1)
+          + bytes.fromhex(load_cache(str(ml_cache)).schema.hash_hex())
+          + struct.pack("<Q", len(header)) + header)
+    # and the version-2 layout: a header with a `tensors` list, one section per tensor
+    def per_tensor(h, arrays):
+        h["tensors"] = [["fm.bias", [1]]]
+        arrays[:] = [bytes(8)]
+
+    v2 = rewrite_file(ours_ckpt.read_bytes(), per_tensor)
+    v2 = v2[:len(cli.CKPT_MAGIC)] + struct.pack("<I", 2) + v2[len(cli.CKPT_MAGIC) + 4 :]
+    for version, blob in ((1, v1), (2, v2)):
+        old = tmp_path / f"v{version}.ckpt"
+        old.write_bytes(blob)
+        code = cli.main(["eval", "--cache", str(ml_cache), "--ckpt", str(old)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(old) in captured.err and f"checkpoint version {version} " in captured.err
+        assert "re-run train" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_checkpoint_roundtrip_matches_library_eval(workdir, ml_cache, ours_ckpt, capsys):

@@ -458,26 +458,42 @@ def test_gradient_layout_matches_parameters(kind, kwargs):
         assert g.flags.writeable and not np.shares_memory(g, p), name
 
 
+def _layout(params) -> list:
+    """Each named tensor's name, shape and element offset into `params.flat`."""
+    base = params.flat.__array_interface__["data"][0]
+    return [(name, t.shape, (t.__array_interface__["data"][0] - base) // t.itemsize)
+            for name, t in params.named_tensors()]
+
+
+# A checkpoint is the flat buffer in layout order, so these pins fail on any
+# reorder of a `build`'s `blocks.take` calls, which needs a new CKPT_VERSION.
 def test_fm_and_deepfm_checkpoint_layout():
-    fm = ["fm.bias", "fm.w.f0", "fm.w.f1", "fm.w.f2", "fm.v.f0", "fm.v.f1", "fm.v.f2"]
-    deep = ["deep.w0", "deep.b0", "deep.w1", "deep.b1", "deep.w2", "deep.b2"]
-    assert [name for name, _ in ops_for("fm").init(SCHEMA, 4, Rng(41)).named_tensors()] == fm
+    fm = [("fm.bias", (1,), 0), ("fm.w.f0", (5, 1), 1), ("fm.w.f1", (6, 1), 6),
+          ("fm.w.f2", (4, 1), 12), ("fm.v.f0", (5, 4), 16), ("fm.v.f1", (6, 4), 36),
+          ("fm.v.f2", (4, 4), 60)]
+    deep = [("deep.w0", (6, 12), 76), ("deep.b0", (6,), 148), ("deep.w1", (4, 6), 154),
+            ("deep.b1", (4,), 178), ("deep.w2", (1, 4), 182), ("deep.b2", (1,), 186)]
+    params = ops_for("fm").init(SCHEMA, 4, Rng(41))
+    assert _layout(params) == fm and params.flat.size == 76
     params = ops_for("deepfm").init(SCHEMA, 4, Rng(41), deep_hidden=(6, 4))
-    assert [name for name, _ in params.named_tensors()] == fm + deep
-    assert [t.shape for _, t in params.deep.named_tensors()] == [
-        (6, 12), (6,), (4, 6), (4,), (1, 4), (1,)
-    ]
+    assert _layout(params) == fm + deep and params.flat.size == 187
 
 
 def test_ours_checkpoint_layout():
     params = ops_for("ours").init(SCHEMA, 4, Rng(41), heads=2, attn_dim=6, ac_hidden=5,
-                                  deep_hidden=(3,))
-    assert [(name, t.shape) for name, t in params.named_tensors()] == [
-        ("emb.f0", (5, 4)), ("emb.f1", (6, 4)), ("emb.f2", (4, 4)),
-        ("mhsa.q0", (4, 3)), ("mhsa.k0", (4, 3)), ("mhsa.v0", (4, 3)),
-        ("mhsa.q1", (4, 3)), ("mhsa.k1", (4, 3)), ("mhsa.v1", (4, 3)),
-        ("mhsa.out", (6, 4)), ("mhsa.res", (4, 4)),
-        ("ac.weight", (5, 4)), ("ac.bias", (5,)), ("ac.proj", (5,)),
-        ("shallow.internal", (12,)), ("shallow.cross", (4,)), ("shallow.bias", (1,)),
-        ("deep.w0", (3, 16)), ("deep.b0", (3,)), ("deep.w1", (1, 3)), ("deep.b1", (1,)),
+                                  deep_hidden=(3,), first_order=True)
+    # the mhsa tensors are column blocks of one (4, 22) block: q0 k0 v0 interleave with q1 k1 v1
+    assert _layout(params) == [
+        ("emb.f0", (5, 4), 0), ("emb.f1", (6, 4), 20), ("emb.f2", (4, 4), 44),
+        ("mhsa.q0", (4, 3), 60), ("mhsa.k0", (4, 3), 66), ("mhsa.v0", (4, 3), 72),
+        ("mhsa.q1", (4, 3), 63), ("mhsa.k1", (4, 3), 69), ("mhsa.v1", (4, 3), 75),
+        ("mhsa.out", (6, 4), 148), ("mhsa.res", (4, 4), 78),
+        ("ac.weight", (5, 4), 172), ("ac.bias", (5,), 192), ("ac.proj", (5,), 197),
+        ("shallow.internal", (12,), 272), ("shallow.cross", (4,), 284),
+        ("shallow.bias", (1,), 288),
+        ("deep.w0", (3, 16), 202), ("deep.b0", (3,), 250), ("deep.w1", (1, 3), 253),
+        ("deep.b1", (1,), 256),
+        ("fo.f0", (5, 1), 257), ("fo.f1", (6, 1), 262), ("fo.f2", (4, 1), 268),
     ]
+    assert params.flat.size == 289
+    assert params.mhsa.w_in.shape == (4, 22)

@@ -132,11 +132,8 @@ def test_checkpoint_roundtrip(workdir, dataset, kind, config, data_seed):
     assert (ckpt.kind, ckpt.config, ckpt.schema_hash) == (kind, config, dataset.schema.hash_hex())
     assert (ckpt.best_epoch, ckpt.val_auc, ckpt.val_logloss) == (
         best.epoch, best.val_auc, best.val_logloss)
-    named = dict(best.params.named_tensors())
-    assert list(ckpt.tensors) == list(named)
-    for name, arr in named.items():
-        assert ckpt.tensors[name].dtype == np.float64
-        assert np.array_equal(ckpt.tensors[name], arr)
+    assert ckpt.flat.dtype == np.float64
+    assert ckpt.flat.tobytes() == best.params.flat.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["cache", "checkpoint"])
@@ -190,32 +187,18 @@ def test_huge_row_count_is_a_cache_error_before_any_allocation(workdir, files):
         load_cache(str(path))
 
 
-def _impossible_shape(header, tensors):
-    # zero rows need no data bytes, so only the reshape can see the shape
-    header["tensors"][0][1] = [0, 2**64 - 1]
-    tensors[0] = b""
-
-
 # each edit keeps the header valid JSON under a valid checksum
 BAD_HEADERS = {
     "short-schema_hash": lambda h, _: h.update(schema_hash="ab" * 31),
     "non-hex-schema_hash": lambda h, _: h.update(schema_hash="z" * 64),
     "numeric-schema_hash": lambda h, _: h.update(schema_hash=7),
-    "tensor-entry-not-a-pair": lambda h, _: h["tensors"][0].append([]),
-    "tensor-name-not-a-string": lambda h, _: h["tensors"][0].__setitem__(0, 5),
-    "shape-not-a-list": lambda h, _: h["tensors"][0].__setitem__(1, 3),
-    "tensors-not-a-list": lambda h, _: h.update(tensors={}),
-    "duplicate-tensor-name": lambda h, _: h["tensors"][1].__setitem__(0, h["tensors"][0][0]),
-    "negative-dimension": lambda h, _: h["tensors"][0][1].__setitem__(0, -1),
-    "fractional-dimension": lambda h, _: h["tensors"][0][1].__setitem__(0, 2.0),
-    "boolean-dimension": lambda h, _: h["tensors"][0][1].__setitem__(0, True),
-    "impossible-shape": _impossible_shape,
     "string-best_epoch": lambda h, _: h.update(best_epoch="3"),
     "fractional-best_epoch": lambda h, _: h.update(best_epoch=1.5),
     "string-val_auc": lambda h, _: h.update(val_auc="0.5"),
     "null-val_logloss": lambda h, _: h.update(val_logloss=None),
     "unknown-kind": lambda h, _: h.update(kind="lr"),
     "extra-key": lambda h, _: h.update(t=3),
+    "version-2-tensor-list": lambda h, _: h.update(tensors=[["fm.bias", [1]]]),
 }
 
 
@@ -224,12 +207,57 @@ def test_bad_header_value_is_a_cache_error_and_eval_exits_two(workdir, files, ed
     _, blob, _ = files["checkpoint"]
     path = workdir / "bad_header.ckpt"
     path.write_bytes(rewrite_file(blob, edit))
-    with pytest.raises(CacheError, match="bad checkpoint header|impossible shape"):
+    with pytest.raises(CacheError, match="bad checkpoint header"):
         load_checkpoint(str(path))
     code = cli.main(["eval", "--cache", str(workdir / "base.cache"), "--ckpt", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+
+
+# each edit keeps the parameters section under a valid checksum
+RAGGED_PARAMETERS = {
+    "one-byte-short": lambda p: p[:-1],
+    "seven-bytes-short": lambda p: p[:-7],
+    "one-byte-long": lambda p: p + b"\0",
+    "one-byte": lambda p: p[:1],
+}
+
+
+@pytest.mark.parametrize("edit", RAGGED_PARAMETERS.values(), ids=RAGGED_PARAMETERS.keys())
+def test_parameters_section_of_a_ragged_length_is_a_cache_error_and_eval_exits_two(
+        workdir, files, edit, capsys):
+    _, blob, _ = files["checkpoint"]
+    path = workdir / "ragged.ckpt"
+    path.write_bytes(rewrite_file(blob, lambda _, arrays: arrays.__setitem__(0, edit(arrays[0]))))
+    with pytest.raises(CacheError, match="not a whole number of 8-byte values"):
+        load_checkpoint(str(path))
+    code = cli.main(["eval", "--cache", str(workdir / "base.cache"), "--ckpt", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+
+
+# each edit leaves a valid config that lays out a different number of parameters
+RESIZED_CONFIGS = {
+    "dim": lambda c: c.update(dim=6),
+    "ac_hidden": lambda c: c.update(ac_hidden=4),
+    "first_order": lambda c: c.update(first_order=False),
+}
+
+
+@pytest.mark.parametrize("edit", RESIZED_CONFIGS.values(), ids=RESIZED_CONFIGS.keys())
+def test_config_edited_under_a_valid_checksum_fails_the_size_check_and_eval_exits_two(
+        workdir, files, edit, capsys):
+    _, blob, _ = files["checkpoint"]
+    path = workdir / "resized.ckpt"
+    path.write_bytes(rewrite_file(blob, lambda h, _: edit(h["config"])))
+    load_checkpoint(str(path))  # the file itself is well formed
+    code = cli.main(["eval", "--cache", str(workdir / "base.cache"), "--ckpt", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: checkpoint holds ") and "parameters" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("payload", [b"{", b"\xff", b"[" * 100_000, b"[]"],
@@ -314,21 +342,16 @@ def test_rebuild_draws_nothing_and_copies_every_tensor(saved, dataset, monkeypat
 
     monkeypatch.setattr(Rng, "normal", no_draw)
     _, params = rebuild_params(saved, dataset.schema)
-    named = dict(params.named_tensors())
-    assert list(named) == list(saved.tensors)
-    for name, stored in saved.tensors.items():
-        assert np.array_equal(named[name], stored)
+    assert params.flat.tobytes() == saved.flat.tobytes()
+    assert params.flat.flags.writeable and not np.shares_memory(params.flat, saved.flat)
     if saved.config.mode == "deep":  # deep mode has no shallow weights to save
         assert params.w_internal is None and params.w_cross is None and params.bias is None
 
 
-def test_rebuild_rejects_a_tensor_the_model_does_not_fit(saved, dataset):
-    name, first = next(iter(saved.tensors.items()))
-    damaged = {
-        "missing tensor": {k: v for k, v in saved.tensors.items() if k != name},
-        "unknown tensors": {**saved.tensors, "extra.w": np.zeros(3)},
-        "has shape": {**saved.tensors, name: np.zeros(first.shape + (1,))},
-    }
-    for message, tensors in damaged.items():
-        with pytest.raises(CacheError, match=message):
-            rebuild_params(dataclasses.replace(saved, tensors=tensors), dataset.schema)
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-float-too-many", "one-float-too-few"])
+def test_rebuild_rejects_a_buffer_the_model_does_not_fit(saved, dataset, extra):
+    n = saved.flat.size
+    flat = np.resize(saved.flat, n + extra)
+    with pytest.raises(CacheError, match=f"checkpoint holds {n + extra} parameters, its "
+                                         f"{saved.kind} model over this schema has {n}"):
+        rebuild_params(dataclasses.replace(saved, flat=flat), dataset.schema)

@@ -14,12 +14,18 @@ writes is dead weight in every instance.
 
 And every module `src/arec` imports is the standard library, numpy or arec
 itself: numpy is the one dependency `pyproject.toml` declares.
+
+And README.md states the cache and checkpoint versions the code writes.
 """
 
 import ast
 import pathlib
+import re
 import sys
 from collections import Counter
+
+from arec.cli import CKPT_MAGIC, CKPT_VERSION
+from arec.data import CACHE_MAGIC, CACHE_VERSION
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -100,3 +106,13 @@ def test_src_arec_imports_only_the_standard_library_numpy_and_arec():
             foreign += [f"{path.relative_to(ROOT)}:{node.lineno} {module}"
                         for module in modules if module.split(".")[0] not in allowed]
     assert not foreign, "src/arec imports outside the standard library and numpy: " + ", ".join(foreign)
+
+
+def test_readme_states_the_file_versions_the_code_writes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = {what: re.findall(rf"A {what} \(version (\d+)\)", readme)
+              for what in ("cache", "checkpoint")}
+    assert stated == {"cache": [str(CACHE_VERSION)], "checkpoint": [str(CKPT_VERSION)]}
+    rows = re.findall(r"^\| magic, version \| `(\w+)`, `<u4` (\d+) \|$", readme, re.MULTILINE)
+    assert sorted(rows) == sorted([(CACHE_MAGIC.decode(), str(CACHE_VERSION)),
+                                   (CKPT_MAGIC.decode(), str(CKPT_VERSION))])
